@@ -9,7 +9,6 @@ constants, a mixed-norm cone argument, and an averaged adapted metric.
 from .coverings import (
     build_f,
     build_pk,
-    build_qm,
     build_stage_inventory,
     differential,
     orbit,
@@ -28,8 +27,10 @@ from .expansion import (
     estimate_K,
     estimate_metric_equiv,
     finsler_norm,
+    measure_constants,
     run_pipeline,
     select_k,
+    verify_expansion,
     verify_finsler_expansion,
     verify_vertical_expansion,
 )

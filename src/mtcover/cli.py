@@ -27,41 +27,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coverings import build_f, build_qm_only, build_stage_inventory, orbit, \
-    pi1_linear_part, preimages
+from .coverings import build_stage_inventory, orbit, pi1_linear_part, preimages
 from .errors import ConfigError, MTCoverError
-from .expansion import (
-    default_psi,
-    estimate_C,
-    estimate_cq,
-    estimate_K,
-    estimate_metric_equiv,
-    run_pipeline,
-    select_k,
-)
+from .expansion import default_psi, local_vertical_conorm, measure_constants, verify_expansion
 from .fields import TrigDisplacementField, unit_grid
 from .lifting import tower_from_field
 from .manifolds import MetricG, MTPoint, check_seams
-from .torus_maps import TrigDisplacementMap
-
-_CONFIG_DEFAULTS = {
-    "eps": 1.0,
-    "m": 1,
-    "k": None,
-    "base": 3,
-    "fiber_res": 64,
-    "t_res": 32,
-    "directions": 16,
-    "newton_tol": 1e-12,
-    "seam_tol": 1e-9,
-    "fd_rel_tol": 1e-5,
-    "nu_target": 2.0,
-    "k_cap": 12,
-    "seed": 0,
-    "csv_out": None,
-}
-_REQUIRED_KEYS = ("n", "field")
-_CONFIG_KEYS = _REQUIRED_KEYS + tuple(_CONFIG_DEFAULTS)
 
 
 @dataclass
@@ -95,6 +66,11 @@ class RunConfig:
         return TrigDisplacementField.from_terms(self.n, terms).scaled(self.eps)
 
 
+_CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(RunConfig) if f.name != "threads")
+_REQUIRED_KEYS = tuple(f.name for f in dataclasses.fields(RunConfig)
+                       if f.default is dataclasses.MISSING)
+
+
 def _require(cond: bool, message: str):
     if not cond:
         raise ConfigError(message)
@@ -118,9 +94,7 @@ def load_config(path: str, threads: int | None = None,
     for key in _REQUIRED_KEYS:
         if key not in data:
             raise ConfigError(f"missing config key: {key!r}")
-    merged = dict(_CONFIG_DEFAULTS)
-    merged.update(data)
-    cfg = RunConfig(**merged)
+    cfg = RunConfig(**data)
     if seed is not None:
         cfg.seed = seed
     if threads is not None:
@@ -188,13 +162,16 @@ def _sanitize(obj):
     return obj
 
 
-def emit_json(doc: dict, out_path: str | None):
-    text = json.dumps(_sanitize(doc), indent=2, sort_keys=True) + "\n"
+def _write(text: str, out_path: str | None):
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def emit_json(doc: dict, out_path: str | None):
+    _write(json.dumps(_sanitize(doc), indent=2, sort_keys=True) + "\n", out_path)
 
 
 def _work_counters(cfg: RunConfig) -> dict:
@@ -209,52 +186,34 @@ def _work_counters(cfg: RunConfig) -> dict:
 def _csv_rows(rows, header: str, out_path: str | None):
     lines = [header]
     lines += [",".join("%.17g" % v for v in row) for row in rows]
-    text = "\n".join(lines) + "\n"
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write("\n".join(lines) + "\n", out_path)
 
 
 def _dump_conorm_csv(cfg: RunConfig, f, metric: MetricG):
     """Grid dump of the local vertical conorm of the composite map."""
-    from .expansion import generalized_conorm_sq
-
     grid = unit_grid(cfg.n, cfg.fiber_res)
     rows = []
     for t in np.arange(cfg.t_res, dtype=float) / cfg.t_res:
-        fr = f.frame(float(t), grid, +1)
-        m_src = metric.fiber_gram(float(t), grid)
-        m_dst = metric.fiber_gram(fr.t_out, fr.x_out)
-        pulled = np.swapaxes(fr.v, -1, -2) @ m_dst @ fr.v
-        local = np.sqrt(np.maximum(generalized_conorm_sq(pulled, m_src), 0.0))
+        local = local_vertical_conorm(f, metric, float(t), grid)
         for x, c in zip(grid, local):
             rows.append([t, *x, c])
     header = "t," + ",".join(f"x_{i + 1}" for i in range(cfg.n)) + ",local_conorm"
     _csv_rows(rows, header, cfg.csv_out)
 
 
-def _prepare(cfg: RunConfig):
+def _measure_constants(cfg: RunConfig):
+    return measure_constants(
+        cfg.displacement_field(), cfg.m, k=cfg.k, base=cfg.base,
+        fiber_res=cfg.fiber_res, t_res=cfg.t_res, nu_target=cfg.nu_target,
+        k_cap=cfg.k_cap, threads=cfg.threads,
+    )
+
+
+def _stage_inventory(cfg: RunConfig) -> dict:
+    """Stage maps and composites at depth cfg.k, or 1 when k is null."""
     field = cfg.displacement_field()
-    h = TrigDisplacementMap(field)
-    return field, h, MetricG(h), default_psi(field)
-
-
-def _choose_k(cfg: RunConfig, field, c_eq: float, lam: float, towers: dict):
-    def tower_at(kk: int):
-        if kk not in towers:
-            towers[kk] = tower_from_field(field, kk, cfg.base)
-        return towers[kk]
-
-    if cfg.k is not None:
-        return cfg.k, tower_at(cfg.k)
-
-    def c_provider(kk: int) -> float:
-        return estimate_C(tower_at(kk), cfg.fiber_res, cfg.t_res, cfg.threads)[0]
-
-    k = select_k(c_eq, c_provider, lam, base=cfg.base, k_cap=cfg.k_cap)
-    return k, tower_at(k)
+    tower = tower_from_field(field, cfg.k if cfg.k is not None else 1, cfg.base)
+    return build_stage_inventory(tower, cfg.m, default_psi(field))
 
 
 # ---------------------------------------------------------------------------
@@ -262,24 +221,10 @@ def _choose_k(cfg: RunConfig, field, c_eq: float, lam: float, towers: dict):
 
 
 def cmd_constants(cfg: RunConfig, out_path: str | None = None) -> int:
-    field, h, metric, psi = _prepare(cfg)
-    c_eq = estimate_metric_equiv(metric, cfg.fiber_res, cfg.t_res, cfg.threads)
-    qm = build_qm_only(h, cfg.m, psi)
-    c_q = estimate_cq(qm, metric, cfg.fiber_res, cfg.t_res, cfg.threads)
-    lam = cfg.nu_target / c_q
-    towers: dict = {}
-    k, tower = _choose_k(cfg, field, c_eq, lam, towers)
-    c_val, c_bound = estimate_C(tower, cfg.fiber_res, cfg.t_res, cfg.threads)
-    f = build_f(tower, cfg.m, psi)
-    k_raw, k_eff = estimate_K(f, metric, cfg.fiber_res, cfg.t_res, cfg.threads)
-    constants = {
-        "c_eq": c_eq, "c_q": c_q, "conorm_C": c_val, "conorm_C_bound": c_bound,
-        "coupling_K": k_raw, "coupling_K_eff": k_eff, "lambda_target": lam,
-        "k": k, "base": cfg.base, "fiber_res": cfg.fiber_res, "t_res": cfg.t_res,
-    }
+    constants, k, f, metric = _measure_constants(cfg)
     doc = {
         "config_echo": cfg.echo(),
-        "constants": constants,
+        "constants": dict(dataclasses.asdict(constants), k=k),
         "expansion": None,
         "timings": _work_counters(cfg),
         "pass": True,
@@ -291,12 +236,10 @@ def cmd_constants(cfg: RunConfig, out_path: str | None = None) -> int:
 
 
 def cmd_verify(cfg: RunConfig, out_path: str | None = None) -> int:
-    field, h, metric, psi = _prepare(cfg)
-    constants, report = run_pipeline(
-        field, cfg.m, k=cfg.k, base=cfg.base, fiber_res=cfg.fiber_res,
-        t_res=cfg.t_res, n_dirs=cfg.directions, nu_target=cfg.nu_target,
-        k_cap=cfg.k_cap, seed=cfg.seed, threads=cfg.threads,
-    )
+    constants, k, f, metric = _measure_constants(cfg)
+    report = verify_expansion(constants, k, f, metric, cfg.m, n_dirs=cfg.directions,
+                              nu_target=cfg.nu_target, seed=cfg.seed,
+                              threads=cfg.threads)
     doc = {
         "config_echo": cfg.echo(),
         "constants": constants,
@@ -306,21 +249,18 @@ def cmd_verify(cfg: RunConfig, out_path: str | None = None) -> int:
     }
     emit_json(doc, out_path)
     if cfg.csv_out:
-        tower = tower_from_field(field, report.k, cfg.base)
-        _dump_conorm_csv(cfg, build_f(tower, cfg.m, psi), metric)
+        _dump_conorm_csv(cfg, f, metric)
     return 0 if report.passed else 1
 
 
 def cmd_degree(cfg: RunConfig, out_path: str | None = None) -> int:
-    field, h, metric, psi = _prepare(cfg)
-    k = cfg.k if cfg.k is not None else 1
-    tower = tower_from_field(field, k, cfg.base)
-    f = build_f(tower, cfg.m, psi)
+    inventory = _stage_inventory(cfg)
+    f = inventory["f"]
     rng = np.random.default_rng(cfg.seed)
     probe = MTPoint(0, float(rng.uniform(0.05, 0.95)), rng.uniform(0.0, 1.0, cfg.n))
     probe = f.source.normalize(probe)
     points = preimages(f, probe, newton_tol=cfg.newton_tol)
-    expected = cfg.base ** (k * cfg.n) * (2 * cfg.m + 1)
+    expected = cfg.base ** (inventory["H"].k * cfg.n) * (2 * cfg.m + 1)
     min_sep = np.inf
     for i in range(len(points)):
         for j in range(i + 1, len(points)):
@@ -343,10 +283,7 @@ def cmd_degree(cfg: RunConfig, out_path: str | None = None) -> int:
 
 def cmd_orbit(cfg: RunConfig, start, steps: int,
               out_path: str | None = None) -> int:
-    field, h, metric, psi = _prepare(cfg)
-    k = cfg.k if cfg.k is not None else 1
-    tower = tower_from_field(field, k, cfg.base)
-    f = build_f(tower, cfg.m, psi)
+    f = _stage_inventory(cfg)["f"]
     t0, x0 = start
     points = orbit(f, MTPoint(0, t0, np.asarray(x0, dtype=float)), steps)
     header = "t," + ",".join(f"x_{i + 1}" for i in range(cfg.n))
@@ -355,10 +292,7 @@ def cmd_orbit(cfg: RunConfig, start, steps: int,
 
 
 def cmd_seams(cfg: RunConfig, out_path: str | None = None) -> int:
-    field, h, metric, psi = _prepare(cfg)
-    k = cfg.k if cfg.k is not None else 1
-    tower = tower_from_field(field, k, cfg.base)
-    inventory = build_stage_inventory(tower, cfg.m, psi)
+    inventory = _stage_inventory(cfg)
     rng = np.random.default_rng(cfg.seed)
     gaps = {name: float(check_seams(cover, n_samples=500, rng=rng))
             for name, cover in inventory.items()}
@@ -422,7 +356,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (MTCoverError, AssertionError, np.linalg.LinAlgError) as exc:
+    except (MTCoverError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     print(f"elapsed {time.perf_counter() - started:.3f}s", file=sys.stderr)

@@ -48,19 +48,20 @@ class StageFrame(NamedTuple):
 
 
 class CoveringMapHandle:
-    """Common interface of stage maps and their composites."""
+    """Common interface of stage maps and their composites.
+
+    frame is the single description of a map: the parameter rule, the
+    branch choice and the chart derivative; everything else reads it.
+    """
 
     source: MultiMappingTorus
     target: MultiMappingTorus
     name: str = ""
-
-    @property
-    def t_slope(self) -> float:
-        raise NotImplementedError
+    t_slope: float = 1.0
 
     def breakpoints(self):
         """Interior source parameters where the chart formula can switch."""
-        raise NotImplementedError
+        return []
 
     def frame(self, t: float, x: np.ndarray, side: int = +1) -> StageFrame:
         raise NotImplementedError
@@ -68,10 +69,6 @@ class CoveringMapHandle:
     def apply_fiber(self, t: float, x: np.ndarray, side: int = +1):
         fr = self.frame(t, x, side)
         return fr.t_out, fr.x_out
-
-    def fiber_handle_at(self, t: float, side: int = +1):
-        """(t_out, torus map handle) for the fiber action at parameter t."""
-        raise NotImplementedError
 
     def apply_raw(self, t: float, x: np.ndarray, side: int = +1):
         t_out, x_out = self.apply_fiber(t, np.asarray(x, dtype=float), side)
@@ -113,34 +110,19 @@ class StageH(CoveringMapHandle):
         self.target = target
         self.name = "H"
 
-    @property
-    def t_slope(self):
-        return 1.0
-
     def breakpoints(self):
         return [float(b) for b in self.target.boundaries[1:-1]]
 
-    def _branch(self, t, side):
-        j = self.target.seg_of(t, side)
-        if j == self.k:
-            return j, None, 0.0
-        s = (self.k + 1) * t - j
-        return j, self.tower.isotopy(self.k - j), float(s)
-
     def frame(self, t, x, side=+1):
         x = np.asarray(x, dtype=float)
-        j, iso, s = self._branch(t, side)
-        if iso is None:
+        j = self.target.seg_of(t, side)
+        if j == self.k:
             return _identity_frame(t, x)
+        iso = self.tower.isotopy(self.k - j)
+        s = float((self.k + 1) * t - j)
         handle = iso.slice_at(s)
         w = (self.k + 1) * iso.time_derivative(s, x)
         return StageFrame(t, handle.apply(x), 1.0, w, handle.jacobian(x))
-
-    def fiber_handle_at(self, t, side=+1):
-        j, iso, s = self._branch(t, side)
-        if iso is None:
-            return t, identity_map(self.source.dim)
-        return t, iso.slice_at(s)
 
 
 class StageF(CoveringMapHandle):
@@ -157,10 +139,6 @@ class StageF(CoveringMapHandle):
         for j in range(1, self.k + 1):
             self._branch_maps.append(compose(top_inv, tower.level(self.k - j)))
 
-    @property
-    def t_slope(self):
-        return 1.0
-
     def breakpoints(self):
         return [float(b) for b in self.source.boundaries[1:-1]]
 
@@ -168,9 +146,6 @@ class StageF(CoveringMapHandle):
         x = np.asarray(x, dtype=float)
         j = self.source.seg_of(t, side)
         return _handle_frame(t, self._branch_maps[j], x)
-
-    def fiber_handle_at(self, t, side=+1):
-        return t, self._branch_maps[self.source.seg_of(t, side)]
 
 
 class StageP(CoveringMapHandle):
@@ -184,18 +159,8 @@ class StageP(CoveringMapHandle):
         self.handle = HomothetyMap(dim, base ** k)
         self.name = "P"
 
-    @property
-    def t_slope(self):
-        return 1.0
-
-    def breakpoints(self):
-        return []
-
     def frame(self, t, x, side=+1):
         return _handle_frame(t, self.handle, np.asarray(x, dtype=float))
-
-    def fiber_handle_at(self, t, side=+1):
-        return t, self.handle
 
 
 class StageR(CoveringMapHandle):
@@ -204,23 +169,14 @@ class StageR(CoveringMapHandle):
     def __init__(self, m, source, target):
         self.m = m
         self.factor = 2 * m + 1
+        self.t_slope = float(self.factor)
         self.source = source
         self.target = target
         self.name = "R"
 
-    @property
-    def t_slope(self):
-        return float(self.factor)
-
-    def breakpoints(self):
-        return []
-
     def frame(self, t, x, side=+1):
         return _identity_frame(self.factor * t, np.asarray(x, dtype=float),
                                slope=float(self.factor))
-
-    def fiber_handle_at(self, t, side=+1):
-        return self.factor * t, identity_map(self.source.dim)
 
 
 class StageS(CoveringMapHandle):
@@ -232,10 +188,6 @@ class StageS(CoveringMapHandle):
         self.source = source
         self.target = target
         self.name = "S"
-
-    @property
-    def t_slope(self):
-        return 1.0
 
     def breakpoints(self):
         return [float(i) for i in range(1, 2 * self.m + 1)]
@@ -250,12 +202,6 @@ class StageS(CoveringMapHandle):
         w = self.psi.time_derivative(s, x)
         return StageFrame(t, handle.apply(x), 1.0, w, handle.jacobian(x))
 
-    def fiber_handle_at(self, t, side=+1):
-        j = self.target.seg_of(t, side)
-        if j % 2 == 0:
-            return t, identity_map(self.source.dim)
-        return t, self.psi.slice_at(t - j)
-
 
 class StageT(CoveringMapHandle):
     """Applies the base gluing map on every odd unit segment."""
@@ -267,10 +213,6 @@ class StageT(CoveringMapHandle):
         self.target = target
         self.name = "T"
 
-    @property
-    def t_slope(self):
-        return 1.0
-
     def breakpoints(self):
         return [float(i) for i in range(1, 2 * self.m + 1)]
 
@@ -280,12 +222,6 @@ class StageT(CoveringMapHandle):
         if j % 2 == 0:
             return _identity_frame(t, x)
         return _handle_frame(t, self.h, x)
-
-    def fiber_handle_at(self, t, side=+1):
-        j = self.source.seg_of(t, side)
-        if j % 2 == 0:
-            return t, identity_map(self.source.dim)
-        return t, self.h
 
 
 class StageQ(CoveringMapHandle):
@@ -297,20 +233,12 @@ class StageQ(CoveringMapHandle):
         self.target = target
         self.name = "Q"
 
-    @property
-    def t_slope(self):
-        return 1.0
-
     def breakpoints(self):
         return [float(i) for i in range(1, 2 * self.m + 1)]
 
     def frame(self, t, x, side=+1):
         j = self.source.seg_of(t, side)
         return _identity_frame(t - j, np.asarray(x, dtype=float))
-
-    def fiber_handle_at(self, t, side=+1):
-        j = self.source.seg_of(t, side)
-        return t - j, identity_map(self.source.dim)
 
 
 class IdentityCovering(CoveringMapHandle):
@@ -321,18 +249,8 @@ class IdentityCovering(CoveringMapHandle):
         self.target = space
         self.name = "id"
 
-    @property
-    def t_slope(self):
-        return 1.0
-
-    def breakpoints(self):
-        return []
-
     def frame(self, t, x, side=+1):
         return _identity_frame(t, np.asarray(x, dtype=float))
-
-    def fiber_handle_at(self, t, side=+1):
-        return t, identity_map(self.source.dim)
 
 
 class CompositeCovering(CoveringMapHandle):
@@ -388,26 +306,48 @@ class CompositeCovering(CoveringMapHandle):
             t, x = fr.t_out, fr.x_out
         return StageFrame(t, x, slope, w, v)
 
-    def apply_fiber(self, t, x, side=+1):
-        x = np.asarray(x, dtype=float)
-        for st in self.stages:
-            t, x = st.apply_fiber(t, x, side)
-        return t, x
-
     def fiber_handle_at(self, t, side=+1):
-        t_cur = t
-        total = None
-        for st in self.stages:
-            t_cur, handle = st.fiber_handle_at(t_cur, side)
-            total = handle if total is None else compose(handle, total)
-        return t_cur, total
+        """Torus map handle for the fiber action at parameter t."""
+        return FiberSlice(self, t, side)
+
+
+class FiberSlice(TorusMapHandle):
+    """Fiber action of a chart map at a fixed parameter, read off its frame."""
+
+    def __init__(self, cover: CoveringMapHandle, t: float, side: int = +1):
+        self.cover = cover
+        self.t = t
+        self.side = side
+        self.dim = cover.source.dim
+
+    def apply(self, x):
+        return self.cover.frame(self.t, x, self.side).x_out
+
+    def jacobian(self, x):
+        return self.cover.frame(self.t, x, self.side).v
 
 
 # ---------------------------------------------------------------------------
 # Space and map builders
 
 
-def build_spaces(tower, m, h_square=None):
+def _base_spaces(h, m):
+    """Chart spaces of the base cover: unit, long, paired and twisted."""
+    long = 2 * m + 1
+    unit_bounds = [float(i) for i in range(long + 1)]
+    h_square = compose(h, h)
+    prime_gluings = [identity_map(h.dim) if i % 2 == 0 else h_square
+                     for i in range(long - 1)]
+    tilde_gluings = [h for _ in range(long - 1)]
+    return {
+        "mh": mapping_torus(h, name="unit"),
+        "mbar": mapping_torus(h, circumference=float(long), name="long"),
+        "mprime": MultiMappingTorus(unit_bounds, prime_gluings, h, name="paired"),
+        "mtilde": MultiMappingTorus(unit_bounds, tilde_gluings, h, name="twisted"),
+    }
+
+
+def build_spaces(tower, m):
     """All chart spaces for the fiber-cover and base-cover constructions.
 
     Returns a dict sharing the unit mapping torus between both chains so
@@ -415,89 +355,54 @@ def build_spaces(tower, m, h_square=None):
     """
     h = tower.level(0)
     k = tower.k
-    dim = tower.dim
     width = 1.0 / (k + 1)
     nk_bounds = [i * width for i in range(k + 1)] + [1.0]
     nk_gluings = [compose(invert(tower.level(k - i - 1)), tower.level(k - i))
                   for i in range(k)]
-    if h_square is None:
-        h_square = compose(h, h)
-    long = 2 * m + 1
-    unit_bounds = [float(i) for i in range(long + 1)]
-    prime_gluings = [identity_map(dim) if i % 2 == 0 else h_square
-                     for i in range(long - 1)]
-    tilde_gluings = [h for _ in range(long - 1)]
-    return {
-        "mh": mapping_torus(h, name="unit"),
-        "nk": MultiMappingTorus(nk_bounds, nk_gluings, h, name="tower-segments"),
-        "mhk": mapping_torus(tower.level(k), name="top-level"),
-        "mbar": mapping_torus(h, circumference=float(long), name="long"),
-        "mprime": MultiMappingTorus(unit_bounds, prime_gluings, h, name="paired"),
-        "mtilde": MultiMappingTorus(unit_bounds, tilde_gluings, h, name="twisted"),
-    }
+    spaces = _base_spaces(h, m)
+    spaces["nk"] = MultiMappingTorus(nk_bounds, nk_gluings, h, name="tower-segments")
+    spaces["mhk"] = mapping_torus(tower.level(k), name="top-level")
+    return spaces
 
 
-def build_stage_inventory(tower, m, psi, spaces=None):
+def _fiber_stages(tower, spaces):
+    """Stages H, F, P of the fiber cover, unit torus to unit torus."""
+    return [
+        StageH(tower, spaces["mh"], spaces["nk"]),
+        StageF(tower, spaces["nk"], spaces["mhk"]),
+        StageP(tower.dim, tower.base, tower.k, spaces["mhk"], spaces["mh"]),
+    ]
+
+
+def _base_stages(h, m, psi, spaces):
+    """Stages R, S, T, Q of the base cover, unit torus to unit torus."""
+    return [
+        StageR(m, spaces["mh"], spaces["mbar"]),
+        StageS(m, psi, spaces["mbar"], spaces["mprime"]),
+        StageT(m, h, spaces["mprime"], spaces["mtilde"]),
+        StageQ(m, spaces["mtilde"], spaces["mh"]),
+    ]
+
+
+def build_stage_inventory(tower, m, psi):
     """Every stage map plus the three composites, keyed by short names."""
-    if spaces is None:
-        spaces = build_spaces(tower, m)
-    k = tower.k
-    dim = tower.dim
-    h = tower.level(0)
-    stage_h = StageH(tower, spaces["mh"], spaces["nk"])
-    stage_f = StageF(tower, spaces["nk"], spaces["mhk"])
-    stage_p = StageP(dim, tower.base, k, spaces["mhk"], spaces["mh"])
-    stage_r = StageR(m, spaces["mh"], spaces["mbar"])
-    stage_s = StageS(m, psi, spaces["mbar"], spaces["mprime"])
-    stage_t = StageT(m, h, spaces["mprime"], spaces["mtilde"])
-    stage_q = StageQ(m, spaces["mtilde"], spaces["mh"])
-    pk = CompositeCovering([stage_h, stage_f, stage_p], name="pk")
-    qm = CompositeCovering([stage_r, stage_s, stage_t, stage_q], name="qm")
-    f = CompositeCovering([stage_h, stage_f, stage_p,
-                           stage_r, stage_s, stage_t, stage_q], name="f")
-    return {
-        "H": stage_h, "F": stage_f, "P": stage_p,
-        "R": stage_r, "S": stage_s, "T": stage_t, "Q": stage_q,
-        "pk": pk, "qm": qm, "f": f,
-    }
+    spaces = build_spaces(tower, m)
+    fiber = _fiber_stages(tower, spaces)
+    base = _base_stages(tower.level(0), m, psi, spaces)
+    inventory = {st.name: st for st in fiber + base}
+    inventory["pk"] = CompositeCovering(fiber, name="pk")
+    inventory["qm"] = CompositeCovering(base, name="qm")
+    inventory["f"] = CompositeCovering(fiber + base, name="f")
+    return inventory
 
 
 def build_pk(tower) -> CompositeCovering:
-    spaces = build_spaces(tower, m=1)
-    inv = build_stage_inventory(tower, 1, _trivial_psi(tower.dim), spaces)
-    return inv["pk"]
-
-
-def _trivial_psi(dim):
-    from .torus_maps import constant_identity_isotopy
-
-    return constant_identity_isotopy(dim)
-
-
-def build_qm(tower, m, psi) -> CompositeCovering:
-    inv = build_stage_inventory(tower, m, psi)
-    return inv["qm"]
+    return CompositeCovering(_fiber_stages(tower, build_spaces(tower, m=1)), name="pk")
 
 
 def build_qm_only(h, m, psi) -> CompositeCovering:
     """Base-cover composite straight from the gluing map, no tower needed."""
-    dim = h.dim
-    long = 2 * m + 1
-    unit_bounds = [float(i) for i in range(long + 1)]
-    h_square = compose(h, h)
-    prime_gluings = [identity_map(dim) if i % 2 == 0 else h_square
-                     for i in range(long - 1)]
-    tilde_gluings = [h for _ in range(long - 1)]
-    mh = mapping_torus(h, name="unit")
-    mbar = mapping_torus(h, circumference=float(long), name="long")
-    mprime = MultiMappingTorus(unit_bounds, prime_gluings, h, name="paired")
-    mtilde = MultiMappingTorus(unit_bounds, tilde_gluings, h, name="twisted")
-    return CompositeCovering([
-        StageR(m, mh, mbar),
-        StageS(m, psi, mbar, mprime),
-        StageT(m, h, mprime, mtilde),
-        StageQ(m, mtilde, mh),
-    ], name="qm")
+    return CompositeCovering(_base_stages(h, m, psi, _base_spaces(h, m)), name="qm")
 
 
 def build_f(tower, m, psi) -> CompositeCovering:
@@ -507,11 +412,8 @@ def build_f(tower, m, psi) -> CompositeCovering:
 
 def fiber_alignment_map(tower) -> CompositeCovering:
     """The two stages that straighten fibers before the fiber homothety."""
-    spaces = build_spaces(tower, m=1)
-    return CompositeCovering([
-        StageH(tower, spaces["mh"], spaces["nk"]),
-        StageF(tower, spaces["nk"], spaces["mhk"]),
-    ], name="fiber-align")
+    stage_h, stage_f, _ = _fiber_stages(tower, build_spaces(tower, m=1))
+    return CompositeCovering([stage_h, stage_f], name="fiber-align")
 
 
 # ---------------------------------------------------------------------------
@@ -569,16 +471,12 @@ def pi1_linear_part(cover: CoveringMapHandle, tol: float = 1e-8) -> np.ndarray:
     mu = round(slope)
     if abs(slope - mu) > tol:
         raise NonIntegral(f"base slope {slope} is not an integer")
-    t0 = _probe_parameter(cover)
-    _, lift = cover.fiber_handle_at(t0, +1)
     rng = np.random.default_rng(12345)
     x0 = rng.random(n)
-    base_val = lift.apply(x0)
-    cols = np.empty((n, n))
-    for j in range(n):
-        shifted = x0.copy()
-        shifted[j] += 1.0
-        cols[:, j] = lift.apply(shifted) - base_val
+    # x0 and its n unit translates, as one batch
+    points = x0 + np.vstack([np.zeros(n), np.eye(n)])
+    images = cover.frame(_probe_parameter(cover), points, +1).x_out
+    cols = (images[1:] - images[0]).T
     rounded = np.round(cols)
     if float(np.abs(cols - rounded).max()) > tol:
         raise NonIntegral(
@@ -614,7 +512,7 @@ def preimages(cover: CoveringMapHandle, q: MTPoint, newton_tol: float = 1e-12,
     found = []
     for j in range(mu):
         t_j = (q.t + j) / mu
-        _, lift = cover.fiber_handle_at(t_j, +1)
+        lift = cover.fiber_handle_at(t_j, +1)
         targets = q.x[None, :] + cosets
         x = targets / scale
         converged = False

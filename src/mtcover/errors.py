@@ -53,6 +53,10 @@ class NotExpanding(MTCoverError):
     """The adapted-metric construction found no expansion factor above 1."""
 
 
+class BoundViolation(MTCoverError):
+    """A measured quantity fell below a lower bound it must respect."""
+
+
 class UnboundedSelection(MTCoverError):
     """Parameter search exceeded its configured cap."""
 

@@ -15,12 +15,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coverings import CompositeCovering, build_f, build_qm_only, fiber_alignment_map
-from .errors import FinslerDegenerate, NotExpanding, UnboundedSelection
+from .errors import BoundViolation, FinslerDegenerate, NotExpanding, UnboundedSelection
 from .fields import TrigDisplacementField, unit_grid
 from .lifting import tower_from_field
 from .manifolds import MetricG, MTPoint, Tangent
 from .torus_maps import (
-    StraightLineIsotopy,
+    TrigDisplacementMap,
     bridge_isotopy,
     compose_isotopy,
     constant_identity_isotopy,
@@ -63,19 +63,25 @@ def generalized_conorm_sq(a: np.ndarray, m: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(whitened)[..., 0]
 
 
+def local_vertical_conorm(cover, metric: MetricG, t: float,
+                          grid: np.ndarray) -> np.ndarray:
+    """Vertical expansion of the chart differential at each point of the
+    slice t, measured from the interpolated metric at the source to the one
+    at the image."""
+    fr = cover.frame(t, grid, +1)
+    m_src = metric.fiber_gram(t, grid)
+    m_dst = metric.fiber_gram(fr.t_out, fr.x_out)
+    pulled = np.swapaxes(fr.v, -1, -2) @ m_dst @ fr.v
+    return np.sqrt(np.maximum(generalized_conorm_sq(pulled, m_src), 0.0))
+
+
 def vertical_conorm_min(cover, metric: MetricG, fiber_res: int, t_res: int,
                         threads: int = 1) -> float:
-    """Min over the grid of the vertical expansion of the chart differential,
-    measured from the interpolated metric at the source to the one at the
-    image."""
+    """Min over the grid of local_vertical_conorm."""
     grid = unit_grid(cover.source.dim, fiber_res)
 
     def job(t):
-        fr = cover.frame(float(t), grid, +1)
-        m_src = metric.fiber_gram(float(t), grid)
-        m_dst = metric.fiber_gram(fr.t_out, fr.x_out)
-        pulled = np.swapaxes(fr.v, -1, -2) @ m_dst @ fr.v
-        return float(np.sqrt(np.maximum(generalized_conorm_sq(pulled, m_src), 0.0)).min())
+        return float(local_vertical_conorm(cover, metric, float(t), grid).min())
 
     return min(_run_slices(job, _t_slices(t_res), threads))
 
@@ -123,9 +129,8 @@ def estimate_C(tower, fiber_res: int = 64, t_res: int = 32,
         jac_s = phi.slice_at(float(s)).jacobian(grid)
         min_phi = min(min_phi, float(np.linalg.svd(jac_s, compute_uv=False)[..., -1].min()))
     bound = min_h * min_h_inv * min_phi
-    assert c_val >= bound * (1.0 - floor_slack), (
-        f"measured conorm {c_val} fell below its uniform bound {bound}"
-    )
+    if not c_val >= bound * (1.0 - floor_slack):
+        raise BoundViolation(f"measured conorm {c_val} fell below its uniform bound {bound}")
     return c_val, bound
 
 
@@ -270,24 +275,14 @@ class AdaptedMetric:
         """Batched adapted norm for a shared parameter slice."""
         total = np.zeros(x.shape[:-1])
         for j in range(self.n_steps):
-            sq = a * a + metric_quad(self.metric, t, x, u)
+            m = self.metric.fiber_gram(t, x)
+            sq = a * a + np.einsum("...i,...ij,...j->...", u, m, u)
             total = total + self.rate ** (-2.0 * j) * sq
             fr = self.cover.frame(float(t), x, +1)
+            u = np.asarray(a)[..., None] * fr.w + np.einsum("...ij,...j->...i", fr.v, u)
             a = fr.slope * a
-            u = a_push(fr, a, u)
             t, x = fr.t_out, fr.x_out
         return np.sqrt(total)
-
-
-def metric_quad(metric: MetricG, t, x, u):
-    m = metric.fiber_gram(t, x)
-    return np.einsum("...i,...ij,...j->...", u, m, u)
-
-
-def a_push(fr, a_new, u):
-    # fiber part of the tangent image; a_new is already slope * a
-    a_old = np.asarray(a_new / fr.slope)[..., None]
-    return a_old * fr.w + np.einsum("...ij,...j->...i", fr.v, u)
 
 
 def build_adapted_metric(f, metric: MetricG, mu_hat: float, k_eff: float,
@@ -319,8 +314,7 @@ def build_adapted_metric(f, metric: MetricG, mu_hat: float, k_eff: float,
         t_cur = float(t)
         x = grid
         jac = None
-        m_src = metric.fiber_gram(t_cur, x)
-        g_src = _full_gram(m_src)
+        g_src = metric.gram(MTPoint(0, t_cur, x))
         for _ in range(n_steps):
             fr = f.frame(t_cur, x, +1)
             step = np.zeros(x.shape[:-1] + (dim + 1, dim + 1))
@@ -329,7 +323,7 @@ def build_adapted_metric(f, metric: MetricG, mu_hat: float, k_eff: float,
             step[..., 1:, 1:] = fr.v
             jac = step if jac is None else step @ jac
             t_cur, x = fr.t_out, fr.x_out
-        g_dst = _full_gram(metric.fiber_gram(t_cur, x))
+        g_dst = metric.gram(MTPoint(0, t_cur, x))
         pulled = np.swapaxes(jac, -1, -2) @ g_dst @ jac
         sq = generalized_conorm_sq(pulled, g_src)
         return float(np.sqrt(np.maximum(sq, 0.0)).min())
@@ -342,13 +336,6 @@ def build_adapted_metric(f, metric: MetricG, mu_hat: float, k_eff: float,
         )
     return AdaptedMetric(cover=f, metric=metric, n_steps=n_steps, rate=rate,
                          equiv_upper=r_plus, equiv_lower=r_minus)
-
-
-def _full_gram(m_fiber: np.ndarray) -> np.ndarray:
-    full = np.zeros(m_fiber.shape[:-2] + (m_fiber.shape[-1] + 1,) * 2)
-    full[..., 0, 0] = 1.0
-    full[..., 1:, 1:] = m_fiber
-    return full
 
 
 # ---------------------------------------------------------------------------
@@ -384,16 +371,15 @@ class ExpansionReport:
     passed: bool = False
 
 
-def run_pipeline(h_field: TrigDisplacementField, m: int, *, k: int | None = None,
-                 base: int = 3, fiber_res: int = 64, t_res: int = 32,
-                 n_dirs: int = 16, nu_target: float = 2.0, tol_rel: float = 1e-3,
-                 k_cap: int = 12, seed: int = 0, threads: int = 1):
-    """Measure all constants, choose k, and verify expansion end to end.
+def measure_constants(h_field: TrigDisplacementField, m: int, *, k: int | None = None,
+                      base: int = 3, fiber_res: int = 64, t_res: int = 32,
+                      nu_target: float = 2.0, k_cap: int = 12, threads: int = 1):
+    """Measure c_eq and c_q, choose the fiber depth k, then measure C(k) and
+    the coupling K of the composite self-cover.
 
-    Returns (ConstantsReport, ExpansionReport).
+    Returns (ConstantsReport, k, f, metric): f is the composite at depth k
+    and metric the interpolated metric it is measured in.
     """
-    from .torus_maps import TrigDisplacementMap
-
     h = TrigDisplacementMap(h_field)
     metric = MetricG(h)
     psi = default_psi(h_field)
@@ -420,29 +406,54 @@ def run_pipeline(h_field: TrigDisplacementField, m: int, *, k: int | None = None
         k = select_k(c_eq, c_provider, lam, base=base, k_cap=k_cap)
     c_val, c_bound = c_cache.get(k) or estimate_C(tower_at(k), fiber_res, t_res, threads)
 
-    tower = tower_at(k)
-    f = build_f(tower, m, psi)
-    margin = verify_vertical_expansion(f, metric, fiber_res, t_res, threads)
+    f = build_f(tower_at(k), m, psi)
     k_raw, k_eff = estimate_K(f, metric, fiber_res, t_res, threads)
-    mu, case_bound = verify_finsler_expansion(
-        f, metric, k_eff, margin, m, fiber_res, t_res, n_dirs, threads, seed)
-    adapted = build_adapted_metric(f, metric, mu, k_eff, fiber_res, t_res, threads)
-
     constants = ConstantsReport(
         c_eq=c_eq, c_q=c_q, conorm_C=c_val, conorm_C_bound=c_bound,
         coupling_K=k_raw, coupling_K_eff=k_eff, lambda_target=lam,
         base=base, fiber_res=fiber_res, t_res=t_res,
     )
+    return constants, k, f, metric
+
+
+def verify_expansion(constants: ConstantsReport, k: int, f, metric: MetricG, m: int, *,
+                     n_dirs: int = 16, nu_target: float = 2.0, tol_rel: float = 1e-3,
+                     seed: int = 0, threads: int = 1) -> ExpansionReport:
+    """Check that the composite f expands, from the constants measured for it."""
+    fiber_res, t_res = constants.fiber_res, constants.t_res
+    k_eff = constants.coupling_K_eff
+    margin = verify_vertical_expansion(f, metric, fiber_res, t_res, threads)
+    mu, case_bound = verify_finsler_expansion(
+        f, metric, k_eff, margin, m, fiber_res, t_res, n_dirs, threads, seed)
+    adapted = build_adapted_metric(f, metric, mu, k_eff, fiber_res, t_res, threads)
+    c_eq = constants.c_eq
+    chain_floor = c_eq * c_eq * constants.base ** k * constants.conorm_C
     checks = {
         "vertical_margin_ok": bool(margin >= nu_target * (1.0 - tol_rel)),
         "mu_above_one": bool(mu > 1.0),
         "adapted_rate_above_one": bool(adapted.rate > 1.0),
-        "chain_floor_ok": bool(c_eq * c_eq * base ** k * c_val > lam),
+        "chain_floor_ok": bool(chain_floor > constants.lambda_target),
     }
-    report = ExpansionReport(
+    return ExpansionReport(
         k=k, m=m, nu_target=nu_target, tol_rel=tol_rel,
         vertical_margin=margin, mu=mu, case_bound=case_bound,
         adapted_steps=adapted.n_steps, adapted_rate=adapted.rate,
         checks=checks, passed=all(checks.values()),
     )
+
+
+def run_pipeline(h_field: TrigDisplacementField, m: int, *, k: int | None = None,
+                 base: int = 3, fiber_res: int = 64, t_res: int = 32,
+                 n_dirs: int = 16, nu_target: float = 2.0, tol_rel: float = 1e-3,
+                 k_cap: int = 12, seed: int = 0, threads: int = 1):
+    """Measure all constants, choose k, and verify expansion end to end.
+
+    Returns (ConstantsReport, ExpansionReport).
+    """
+    constants, k, f, metric = measure_constants(
+        h_field, m, k=k, base=base, fiber_res=fiber_res, t_res=t_res,
+        nu_target=nu_target, k_cap=k_cap, threads=threads)
+    report = verify_expansion(constants, k, f, metric, m, n_dirs=n_dirs,
+                              nu_target=nu_target, tol_rel=tol_rel, seed=seed,
+                              threads=threads)
     return constants, report

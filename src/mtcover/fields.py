@@ -162,18 +162,6 @@ class TrigDisplacementField:
         return self.is_invariant_along(self.moved_coordinates())
 
 
-def eval_displacement(field: TrigDisplacementField, x) -> np.ndarray:
-    return field.evaluate(np.asarray(x, dtype=float))
-
-
-def jacobian_displacement(field: TrigDisplacementField, x) -> np.ndarray:
-    return field.jacobian(np.asarray(x, dtype=float))
-
-
-def dilate_displacement(field: TrigDisplacementField, factor: int) -> TrigDisplacementField:
-    return field.dilate(factor)
-
-
 def jacobian_sup_norm(field: TrigDisplacementField, per_axis: int = 64) -> float:
     """Max spectral norm of the displacement Jacobian on a regular grid."""
     grid = unit_grid(field.dim, per_axis)

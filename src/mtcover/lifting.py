@@ -17,7 +17,6 @@ import numpy as np
 from .errors import EndpointMismatch, UnsupportedForm
 from .fields import TrigDisplacementField
 from .torus_maps import (
-    HomothetyMap,
     IsotopyHandle,
     StraightLineIsotopy,
     TorusMapHandle,
@@ -117,9 +116,6 @@ class LiftTower:
     @property
     def dim(self) -> int:
         return self.maps[0].dim
-
-    def cover_map(self) -> HomothetyMap:
-        return HomothetyMap(self.dim, self.base)
 
     def level(self, i: int) -> TorusMapHandle:
         return self.maps[i]

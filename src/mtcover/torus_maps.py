@@ -19,7 +19,7 @@ from .errors import (
     SingularJacobian,
     UnsupportedForm,
 )
-from .fields import TrigDisplacementField, jacobian_sup_norm, unit_grid
+from .fields import TrigDisplacementField, jacobian_sup_norm
 
 _COND_LIMIT = 1e12
 
@@ -231,11 +231,6 @@ def invert(handle: TorusMapHandle, tol: float = 1e-12) -> TorusMapHandle:
     return NewtonInverseMap(handle, tol=tol)
 
 
-def check_degree_identity(handle: TorusMapHandle):
-    if not np.array_equal(handle.degree_matrix, np.eye(handle.dim, dtype=np.int64)):
-        raise UnsupportedForm(f"{handle.describe()} does not have identity degree")
-
-
 # ---------------------------------------------------------------------------
 # Isotopies
 
@@ -368,24 +363,9 @@ def bridge_isotopy(a: IsotopyHandle, b: IsotopyHandle, tol: float = 1e-10,
     return BridgedIsotopy(a, b)
 
 
-def isotopy_time_derivative(iso: IsotopyHandle, s: float, x) -> np.ndarray:
-    return iso.time_derivative(s, np.asarray(x, dtype=float))
-
-
 def isotopy_endpoint_gap(iso: IsotopyHandle, target: TorusMapHandle,
                          n_checks: int = 64) -> float:
     """Max |iso(1)(x) - target(x)| over sample points."""
     rng = np.random.default_rng(11)
     probe = rng.random((n_checks, iso.dim))
     return float(np.abs(iso.slice_at(1.0).apply(probe) - target.apply(probe)).max(initial=0.0))
-
-
-def diffeo_grid_check(handle: TorusMapHandle, per_axis: int = 16,
-                      det_floor: float = 1e-6) -> float:
-    """Min |det Jacobian| over a grid; raises NotDiffeotopy below the floor."""
-    grid = unit_grid(handle.dim, per_axis)
-    dets = np.linalg.det(handle.jacobian(grid))
-    worst = float(np.abs(dets).min())
-    if worst < det_floor:
-        raise NotDiffeotopy(f"Jacobian determinant reaches {worst:.3e} on the grid")
-    return worst

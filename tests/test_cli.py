@@ -1,9 +1,11 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
+import mtcover.expansion
 from mtcover.cli import load_config, main
 from mtcover.errors import ConfigError
 
@@ -175,6 +177,34 @@ def test_verify_failure_exit_code(tmp_path):
     doc = read_json(str(out))
     assert doc["pass"] is False
     assert doc["expansion"]["checks"]["vertical_margin_ok"] is False
+
+
+def test_constants_and_verify_share_one_pipeline(tmp_path, monkeypatch):
+    # both commands measure C(k) once per depth that select_k tries, and
+    # report the same constants; patched wherever mtcover binds the name
+    original = mtcover.expansion.estimate_C
+    depths = []
+
+    def counted(tower, *args, **kwargs):
+        depths.append(tower.k)
+        return original(tower, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "mtcover" or name.startswith("mtcover."):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counted)
+    cfg = write_config(tmp_path, fiber_res=16, t_res=8)
+    docs = {}
+    calls = {}
+    for command in ("constants", "verify"):
+        out = tmp_path / f"{command}.json"
+        depths.clear()
+        assert run([command, "--config", cfg, "--out", str(out)]) == 0
+        docs[command] = read_json(str(out))
+        calls[command] = list(depths)
+    assert calls == {"constants": [1, 2], "verify": [1, 2]}
+    assert docs["constants"]["constants"] == dict(docs["verify"]["constants"], k=2)
 
 
 # ---------------------------------------------------------------------------

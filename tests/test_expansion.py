@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+
+import mtcover
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -10,7 +15,7 @@ from mtcover.coverings import (
     fiber_alignment_map,
     pushforward,
 )
-from mtcover.errors import FinslerDegenerate, NotExpanding, UnboundedSelection
+from mtcover.errors import BoundViolation, FinslerDegenerate, NotExpanding, UnboundedSelection
 from mtcover.expansion import (
     build_adapted_metric,
     default_psi,
@@ -176,6 +181,33 @@ def test_conorm_c_stabilizes_in_k(shear):
     c3, _ = estimate_C(tower_from_field(shear, 3), 32, 16)
     # deeper towers add ever flatter levels, so the sweep minimum freezes
     assert_allclose(c3, c2, rtol=1e-12)
+
+
+def test_conorm_c_floor_raises_typed_error():
+    # a negative slack doubles the floor, which the measured conorm misses
+    with pytest.raises(BoundViolation, match="uniform bound"):
+        estimate_C(tower_from_field(shear_field(0.1), 1), 8, 4, floor_slack=-1.0)
+
+
+def test_conorm_c_floor_survives_optimized_mode():
+    # python -O strips assert statements; the floor check must not be one
+    script = """
+import sys
+from mtcover.errors import BoundViolation
+from mtcover.expansion import estimate_C
+from mtcover.fields import shear_field
+from mtcover.lifting import tower_from_field
+try:
+    estimate_C(tower_from_field(shear_field(0.1), 1), 8, 4, floor_slack=-1.0)
+except BoundViolation:
+    sys.exit(0)
+sys.exit(1)
+"""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mtcover.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 # ---------------------------------------------------------------------------

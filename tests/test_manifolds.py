@@ -199,8 +199,8 @@ def test_check_seams_detects_corrupted_gluing(shear_map, inventory):
     assert abs(gap - EPS) < 0.2 * EPS
 
 
-def test_build_spaces_shapes(tower2, psi):
-    spaces = build_spaces(tower2, 1, psi)
+def test_build_spaces_shapes(tower2):
+    spaces = build_spaces(tower2, 1)
     assert spaces["mh"].n_segments == 1
     assert spaces["mbar"].n_segments == 1
     assert spaces["mbar"].circumference == 3.0

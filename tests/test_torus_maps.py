@@ -20,7 +20,6 @@ from mtcover.torus_maps import (
     constant_identity_isotopy,
     identity_map,
     invert,
-    isotopy_time_derivative,
     newton_invert,
     straight_line_isotopy,
     torus_representative,
@@ -243,7 +242,7 @@ def test_bridged_time_derivative_matches_finite_difference(rng):
     for s in (0.3, 0.7):
         for x in rng.uniform(0, 1, (10, 2)):
             fd = (bridged.slice_at(s + step)(x) - bridged.slice_at(s - step)(x)) / (2 * step)
-            assert_allclose(isotopy_time_derivative(bridged, s, x), fd,
+            assert_allclose(bridged.time_derivative(s, x), fd,
                             rtol=1e-5, atol=1e-7)
 
 
