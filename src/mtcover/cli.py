@@ -261,16 +261,13 @@ def cmd_degree(cfg: RunConfig, out_path: str | None = None) -> int:
     probe = f.source.normalize(probe)
     points = preimages(f, probe, newton_tol=cfg.newton_tol)
     expected = cfg.base ** (inventory["H"].k * cfg.n) * (2 * cfg.m + 1)
-    min_sep = np.inf
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            min_sep = min(min_sep, f.source.distance(points[i], points[j]))
+    min_sep, _, _ = f.source.min_separation(points)
     doc = {
         "config_echo": cfg.echo(),
         "degree": {
             "preimage_count": len(points),
             "expected": expected,
-            "min_separation": float(min_sep),
+            "min_separation": min_sep,
             "pi1_linear_part": pi1_linear_part(f).tolist(),
             "probe": [probe.t, *probe.x],
         },

@@ -512,35 +512,34 @@ def preimages(cover: CoveringMapHandle, q: MTPoint, newton_tol: float = 1e-12,
     found = []
     for j in range(mu):
         t_j = (q.t + j) / mu
-        lift = cover.fiber_handle_at(t_j, +1)
         targets = q.x[None, :] + cosets
         x = targets / scale
         converged = False
         for _ in range(60):
-            residual = lift.apply(x) - targets
+            fr = cover.frame(t_j, x, +1)
+            residual = fr.x_out - targets
             if float(np.abs(residual).max(initial=0.0)) < newton_tol:
                 converged = True
                 break
-            step = np.linalg.solve(lift.jacobian(x), residual[..., None])[..., 0]
+            step = np.linalg.solve(fr.v, residual[..., None])[..., 0]
             x = x - step
         if not converged:
             raise MissingPreimage(
                 f"branch t={t_j}: fiber Newton did not meet tolerance {newton_tol}"
             )
-        for row in x:
-            found.append(MTPoint(0, t_j, torus_representative(row)))
-    for p in found:
-        gap = cover.target.distance(cover.apply_point(p), q)
-        if gap > verify_tol:
+        branch = MTPoint(0, t_j, torus_representative(x))
+        gaps = cover.target.distance(cover.apply_point(branch), q)
+        worst = float(gaps.max(initial=0.0))
+        if worst > verify_tol:
             raise MissingPreimage(
-                f"candidate at t={p.t:.6f} maps {gap:.3e} away from the target"
+                f"candidate at t={t_j:.6f} maps {worst:.3e} away from the target"
             )
-    for i in range(len(found)):
-        for j in range(i + 1, len(found)):
-            if cover.source.distance(found[i], found[j]) < dedupe_tol:
-                raise DuplicatePreimage(
-                    f"candidates {i} and {j} collapsed within {dedupe_tol}"
-                )
+        found.extend(MTPoint(0, t_j, row) for row in branch.x)
+    gap, i, j = cover.source.min_separation(found)
+    if gap < dedupe_tol:
+        raise DuplicatePreimage(
+            f"candidates {i} and {j} collapsed within {dedupe_tol}"
+        )
     if len(found) != expected:
         raise MissingPreimage(f"found {len(found)} of {expected} preimages")
     found.sort(key=lambda p: (round(p.t, 12),) + tuple(np.round(p.x, 12)))

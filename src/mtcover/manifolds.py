@@ -10,6 +10,7 @@ fiber coordinates in [0,1)^n.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -176,18 +177,25 @@ class MultiMappingTorus:
         return [(float(self.boundaries[i + 1]), self.gluings[i])
                 for i in range(len(self.gluings))]
 
-    def distance(self, p: MTPoint, q: MTPoint) -> float:
+    def distance(self, p: MTPoint, q: MTPoint):
         """Distance between nearby points, modulo the identifications.
 
         Compares in a common chart: directly when the segments agree, and
         through a single seam or wrap crossing when they are adjacent.
         Distant points in non-adjacent segments return inf.
+
+        p.x and q.x may be batches that broadcast against each other, such
+        as (N, 1, n) against (1, M, n); each side shares its scalar (seg, t).
+        The result has the broadcast shape without the fiber axis, and is a
+        float for two single points.  Each element equals the single-point
+        call whenever the gluings evaluate pointwise; a Newton-inverse gluing
+        iterates until the whole batch meets its tolerance.
         """
         p = self.normalize(p)
         q = self.normalize(q)
-        candidates = []
+        gap = np.full(np.broadcast_shapes(p.x.shape, q.x.shape)[:-1], np.inf)
         if p.seg == q.seg:
-            candidates.append(_chart_gap(p.t - q.t, p.x - q.x))
+            gap = np.minimum(gap, _chart_gap(p.t - q.t, p.x - q.x))
         for a, b in ((p, q), (q, p)):
             nxt = (a.seg + 1) % self.n_segments
             if nxt != b.seg:
@@ -198,13 +206,45 @@ class MultiMappingTorus:
             else:
                 handle = self.gluings[a.seg]
                 t_gap = (self.boundaries[a.seg + 1] - a.t) + (b.t - self.boundaries[b.seg])
-            candidates.append(_chart_gap(t_gap, handle.apply(a.x) - b.x))
-        return min(candidates) if candidates else float("inf")
+            gap = np.minimum(gap, _chart_gap(t_gap, _apply_pointwise(handle, a.x) - b.x))
+        return float(gap) if gap.ndim == 0 else gap
+
+    def min_separation(self, points):
+        """Smallest pairwise distance among points, as (gap, i, j) with i < j.
+
+        Points sharing (seg, t) form a group; each pair of groups is measured
+        by one broadcast distance call, and a group against itself by its
+        strict upper triangle, which suffices because distance is symmetric
+        bit for bit.  Returns (inf, None, None) for fewer than two points.
+        """
+        groups = {}
+        for idx, p in enumerate(points):
+            groups.setdefault((p.seg, p.t), []).append(idx)
+        keys = list(groups)
+        fibers = [np.stack([points[i].x for i in groups[key]]) for key in keys]
+        best = (float("inf"), None, None)
+        for a, b in itertools.combinations_with_replacement(range(len(keys)), 2):
+            gaps = self.distance(MTPoint(*keys[a], fibers[a][:, None, :]),
+                                 MTPoint(*keys[b], fibers[b][None, :, :]))
+            if a == b:
+                gaps[np.tril_indices_from(gaps)] = np.inf
+            r, c = np.unravel_index(np.argmin(gaps), gaps.shape)
+            if gaps[r, c] < best[0]:
+                i, j = sorted((groups[keys[a]][r], groups[keys[b]][c]))
+                best = (float(gaps[r, c]), i, j)
+        return best
 
 
-def _chart_gap(dt: float, dx: np.ndarray) -> float:
+def _apply_pointwise(handle: TorusMapHandle, x: np.ndarray) -> np.ndarray:
+    # One point per matrix product: numpy sums a multi-term field through
+    # BLAS in an order that depends on the batch shape, so a (M, n) batch
+    # can differ from M single-point calls in the last bit.
+    return handle.apply(x[..., None, :])[..., 0, :]
+
+
+def _chart_gap(dt: float, dx: np.ndarray) -> np.ndarray:
     dx = dx - np.round(dx)
-    return float(np.sqrt(dt * dt + float(np.sum(dx * dx))))
+    return np.sqrt(dt * dt + np.sum(dx * dx, axis=-1))
 
 
 def mapping_torus(h: TorusMapHandle, circumference: float = 1.0,
@@ -286,8 +326,6 @@ def check_seams(covering, n_samples: int = 100, rng=None, dedupe_tol: float = 1e
                 right = (t_b, y, +1)
         seg_l, t_l, x_l = covering.apply_raw(*left)
         seg_r, t_r, x_r = covering.apply_raw(*right)
-        for i in range(n_samples):
-            d = target.distance(MTPoint(seg_l, t_l, x_l[i]),
-                                MTPoint(seg_r, t_r, x_r[i]))
-            worst = max(worst, d)
+        gaps = target.distance(MTPoint(seg_l, t_l, x_l), MTPoint(seg_r, t_r, x_r))
+        worst = max(worst, float(gaps.max()))
     return worst

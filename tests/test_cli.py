@@ -8,8 +8,11 @@ import pytest
 import mtcover.expansion
 from mtcover.cli import load_config, main
 from mtcover.errors import ConfigError
+from mtcover.manifolds import MultiMappingTorus
 
 SHEAR_TERM = {"coeff": [1.0, 0.0], "freq": [0, 1], "phase": "sin"}
+# x1 += eps sin 2 pi x2 and x2 += eps sin 2 pi x1: no closed-form inverse
+MIXED_FIELD = [SHEAR_TERM, {"coeff": [0.0, 1.0], "freq": [1, 0], "phase": "sin"}]
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -232,6 +235,36 @@ def test_degree_seed_moves_probe(tmp_path):
     p2 = read_json(str(out2))["degree"]["probe"]
     assert p1 != p2
     assert read_json(str(out2))["degree"]["preimage_count"] == 27
+
+
+def test_degree_batches_distance_calls(tmp_path, monkeypatch):
+    """degree at k=2 compares 243 preimages with a few broadcast distance
+    calls, not one call per pair (59,049)."""
+    calls = []
+    original = MultiMappingTorus.distance
+
+    def counted(self, p, q):
+        calls.append(1)
+        return original(self, p, q)
+
+    monkeypatch.setattr(MultiMappingTorus, "distance", counted)
+    cfg = write_config(tmp_path, k=2, fiber_res=8, t_res=4)
+    out = tmp_path / "out.json"
+    assert run(["degree", "--config", cfg, "--out", str(out)]) == 0
+    assert read_json(str(out))["degree"]["preimage_count"] == 243
+    assert len(calls) < 30
+
+
+def test_degree_on_generic_field(tmp_path):
+    cfg = write_config(tmp_path, field=MIXED_FIELD, eps=0.05, k=1,
+                       fiber_res=8, t_res=4)
+    out = tmp_path / "out.json"
+    assert run(["degree", "--config", cfg, "--out", str(out)]) == 0
+    doc = read_json(str(out))
+    deg = doc["degree"]
+    assert deg["preimage_count"] == 27 and deg["expected"] == 27
+    assert deg["min_separation"] > 0.0
+    assert doc["pass"] is True
 
 
 # ---------------------------------------------------------------------------

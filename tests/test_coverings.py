@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -224,9 +226,13 @@ def test_preimages_rejects_multi_segment_charts(inventory):
 
 
 def test_preimages_dedupe_guard(inventory):
-    with pytest.raises(DuplicatePreimage):
+    with pytest.raises(DuplicatePreimage) as err:
         preimages(inventory["f"], MTPoint(0, 0.3, np.array([0.4, 0.7])),
                   dedupe_tol=1.0)
+    named = re.search(r"candidates (\d+) and (\d+) collapsed", str(err.value))
+    assert named is not None
+    i, j = int(named[1]), int(named[2])
+    assert 0 <= i < j < 27
 
 
 def test_stage_p_requires_positive_power(inventory):

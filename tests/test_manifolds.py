@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -5,6 +7,7 @@ from numpy.testing import assert_allclose
 from mtcover.coverings import IdentityCovering, StageQ, build_spaces
 from mtcover.errors import NotVertical, UnsupportedForm
 from mtcover.fields import unit_grid
+from mtcover.lifting import tower_from_field
 from mtcover.manifolds import (
     MTPoint,
     MultiMappingTorus,
@@ -175,6 +178,55 @@ def test_distance_sanity(shear_map):
     a = MTPoint(0, 1.0 - 1e-7, np.array([0.25, 0.25]))
     b = MTPoint(0, 0.0, shear_map(np.array([0.25, 0.25])))
     assert space.distance(a, b) < 1e-6
+
+
+@pytest.mark.parametrize("name", ["mprime", "mtilde", "nk"])
+def test_distance_broadcast_matches_scalar(shear, name, rng):
+    """A broadcast (N,1,n) x (1,M,n) distance equals the scalar call on
+    every pair: same segment, across a seam, across the wrap, and inf for
+    non-adjacent segments (five segments each at m=2, k=4)."""
+    space = build_spaces(tower_from_field(shear, 4), 2)[name]
+    assert space.n_segments == 5
+    bounds = space.boundaries
+    params = []
+    for seg in range(space.n_segments):
+        lo, hi = bounds[seg], bounds[seg + 1]
+        params += [(seg, lo + 1e-3), (seg, 0.5 * (lo + hi)), (seg, hi - 1e-3)]
+    kinds = set()
+    for (sa, ta), (sb, tb) in itertools.product(params, repeat=2):
+        xa = rng.random((3, space.dim))
+        xb = rng.random((4, space.dim))
+        got = space.distance(MTPoint(sa, ta, xa[:, None, :]),
+                             MTPoint(sb, tb, xb[None, :, :]))
+        assert got.shape == (3, 4)
+        for i, j in itertools.product(range(3), range(4)):
+            want = space.distance(MTPoint(sa, ta, xa[i]), MTPoint(sb, tb, xb[j]))
+            assert isinstance(want, float)
+            assert got[i, j] == want
+        step = (sb - sa) % space.n_segments
+        if step == 0:
+            kinds.add("same")
+        elif np.isinf(got).all():
+            kinds.add("non-adjacent")
+        elif {sa, sb} == {0, space.n_segments - 1}:
+            kinds.add("wrap")
+        else:
+            kinds.add("seam")
+    assert kinds == {"same", "seam", "wrap", "non-adjacent"}
+
+
+def test_min_separation_matches_pairwise_loop(tower2, rng):
+    space = build_spaces(tower2, 1)["mtilde"]
+    points = [MTPoint(seg, t, rng.random(2))
+              for seg, t in [(0, 0.9), (1, 1.1), (1, 1.1), (2, 2.5), (0, 0.9),
+                             (1, 1.1), (2, 2.99), (0, 0.01)]]
+    gap, i, j = space.min_separation(points)
+    pairs = {(a, b): space.distance(points[a], points[b])
+             for a in range(len(points)) for b in range(len(points)) if a < b}
+    assert gap == min(pairs.values())
+    assert i < j and pairs[(i, j)] == gap
+    assert space.min_separation(points[:1]) == (float("inf"), None, None)
+    assert space.min_separation([]) == (float("inf"), None, None)
 
 
 def test_check_seams_identity_is_exact(shear_map):
