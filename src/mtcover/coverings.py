@@ -90,9 +90,9 @@ def _identity_frame(t, x, slope=1.0):
     return StageFrame(t, x, slope, np.zeros_like(x), eye)
 
 
-def _handle_frame(t_out, handle, x):
-    return StageFrame(t_out, handle.apply(x), 1.0, np.zeros_like(x),
-                      handle.jacobian(x))
+def _handle_frame(t_out, handle, x, w=None):
+    x_out, v = handle.jet(x)
+    return StageFrame(t_out, x_out, 1.0, np.zeros_like(x) if w is None else w, v)
 
 
 class StageH(CoveringMapHandle):
@@ -120,9 +120,8 @@ class StageH(CoveringMapHandle):
             return _identity_frame(t, x)
         iso = self.tower.isotopy(self.k - j)
         s = float((self.k + 1) * t - j)
-        handle = iso.slice_at(s)
-        w = (self.k + 1) * iso.time_derivative(s, x)
-        return StageFrame(t, handle.apply(x), 1.0, w, handle.jacobian(x))
+        return _handle_frame(t, iso.slice_at(s), x,
+                             (self.k + 1) * iso.time_derivative(s, x))
 
 
 class StageF(CoveringMapHandle):
@@ -198,9 +197,8 @@ class StageS(CoveringMapHandle):
         if j % 2 == 0:
             return _identity_frame(t, x)
         s = t - j
-        handle = self.psi.slice_at(s)
-        w = self.psi.time_derivative(s, x)
-        return StageFrame(t, handle.apply(x), 1.0, w, handle.jacobian(x))
+        return _handle_frame(t, self.psi.slice_at(s), x,
+                             self.psi.time_derivative(s, x))
 
 
 class StageT(CoveringMapHandle):
@@ -320,11 +318,15 @@ class FiberSlice(TorusMapHandle):
         self.side = side
         self.dim = cover.source.dim
 
+    def jet(self, x):
+        fr = self.cover.frame(self.t, x, self.side)
+        return fr.x_out, fr.v
+
     def apply(self, x):
-        return self.cover.frame(self.t, x, self.side).x_out
+        return self.jet(x)[0]
 
     def jacobian(self, x):
-        return self.cover.frame(self.t, x, self.side).v
+        return self.jet(x)[1]
 
 
 # ---------------------------------------------------------------------------

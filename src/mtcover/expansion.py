@@ -25,6 +25,7 @@ from .torus_maps import (
     compose_isotopy,
     constant_identity_isotopy,
     straight_line_isotopy,
+    torus_representative,
 )
 
 
@@ -281,7 +282,7 @@ class AdaptedMetric:
             fr = self.cover.frame(float(t), x, +1)
             u = np.asarray(a)[..., None] * fr.w + np.einsum("...ij,...j->...i", fr.v, u)
             a = fr.slope * a
-            t, x = fr.t_out, fr.x_out
+            t, x = fr.t_out, torus_representative(fr.x_out)
         return np.sqrt(total)
 
 
@@ -322,7 +323,10 @@ def build_adapted_metric(f, metric: MetricG, mu_hat: float, k_eff: float,
             step[..., 1:, 0] = fr.w
             step[..., 1:, 1:] = fr.v
             jac = step if jac is None else step @ jac
-            t_cur, x = fr.t_out, fr.x_out
+            # frames and the metric are Z^n-periodic in x; unreduced lift
+            # coordinates grow until the absolute Newton tolerance falls
+            # below their rounding
+            t_cur, x = fr.t_out, torus_representative(fr.x_out)
         g_dst = metric.gram(MTPoint(0, t_cur, x))
         pulled = np.swapaxes(jac, -1, -2) @ g_dst @ jac
         sq = generalized_conorm_sq(pulled, g_src)

@@ -41,6 +41,12 @@ class NaturalLiftMap(TorusMapHandle):
         self.base = int(base)
         self.dim = inner.dim
 
+    def jet(self, x):
+        x = np.asarray(x, dtype=float)
+        y = self.base * x
+        value, jac = self.inner.jet(y)
+        return x + (value - y) / self.base, jac
+
     def apply(self, x):
         x = np.asarray(x, dtype=float)
         y = self.base * x

@@ -157,16 +157,16 @@ class MultiMappingTorus:
 
     @staticmethod
     def _push(handle: TorusMapHandle, x, tangents):
-        if tangents:
-            jac = handle.jacobian(x)
-            moved = []
-            for v in tangents:
-                if v.shape[-1] == jac.shape[-1] and v.ndim == x.ndim:
-                    moved.append(np.einsum("...ij,...j->...i", jac, v))
-                else:
-                    moved.append(jac @ v)
-            tangents = moved
-        return handle.apply(x), tangents
+        if not tangents:
+            return handle.apply(x), tangents
+        y, jac = handle.jet(x)
+        moved = []
+        for v in tangents:
+            if v.shape[-1] == jac.shape[-1] and v.ndim == x.ndim:
+                moved.append(np.einsum("...ij,...j->...i", jac, v))
+            else:
+                moved.append(jac @ v)
+        return y, moved
 
     def normalize(self, p: MTPoint) -> MTPoint:
         seg, t, x, _ = self.normalize_raw(p.seg, p.t, p.x)

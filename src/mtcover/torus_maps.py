@@ -33,12 +33,20 @@ def torus_representative(x: np.ndarray) -> np.ndarray:
 class TorusMapHandle:
     """A torus self-map given by a lift.
 
-    Subclasses provide apply/jacobian on arrays of shape (..., n) and the
-    integer degree matrix.  apply returns lift values (not reduced mod 1);
-    use torus_representative for the canonical point.
+    jet(x) -> (value, Jacobian) is the primitive: it evaluates the lift and
+    its Jacobian together on arrays of shape (..., n), so a composition tree
+    is walked once per point.  apply and jacobian are views of it, equal to
+    jet(x)[0] and jet(x)[1] bit for bit.  A leaf map may define only
+    apply/jacobian (the default jet calls both); a map built from other maps
+    overrides jet.  Subclasses also give the integer degree matrix.  Values
+    are lift values (not reduced mod 1); use torus_representative for the
+    canonical point.
     """
 
     dim: int
+
+    def jet(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return self.apply(x), self.jacobian(x)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -127,12 +135,16 @@ class CompositeMap(TorusMapHandle):
         self.inner = inner
         self.dim = outer.dim
 
+    def jet(self, x):
+        y, jac_inner = self.inner.jet(x)
+        z, jac_outer = self.outer.jet(y)
+        return z, jac_outer @ jac_inner
+
     def apply(self, x):
         return self.outer.apply(self.inner.apply(x))
 
     def jacobian(self, x):
-        y = self.inner.apply(x)
-        return self.outer.jacobian(y) @ self.inner.jacobian(x)
+        return self.jet(x)[1]
 
     @property
     def degree_matrix(self):
@@ -150,13 +162,18 @@ def newton_invert(handle: TorusMapHandle, y: np.ndarray, tol: float = 1e-12,
     well below 1 in norm; all maps constructed in this package satisfy that
     whenever the underlying isotopy checks pass.
     """
+    return _newton_jet(handle, y, tol, max_iter)[0]
+
+
+def _newton_jet(handle, y, tol, max_iter=60):
+    """newton_invert plus Dhandle at the solution, from the last iteration."""
     y = np.asarray(y, dtype=float)
     x = y.copy()
     for _ in range(max_iter):
-        residual = handle.apply(x) - y
+        value, jac = handle.jet(x)
+        residual = value - y
         if float(np.abs(residual).max(initial=0.0)) < tol:
-            return x
-        jac = handle.jacobian(x)
+            return x, jac
         try:
             step = np.linalg.solve(jac, residual[..., None])[..., 0]
         except np.linalg.LinAlgError as exc:
@@ -182,19 +199,21 @@ class NewtonInverseMap(TorusMapHandle):
         self.dim = inner.dim
         self.tol = tol
 
-    def apply(self, y):
-        return newton_invert(self.inner, y, tol=self.tol)
-
-    def jacobian(self, y):
-        x = self.apply(y)
-        jac = self.inner.jacobian(x)
+    def jet(self, y):
+        x, jac = _newton_jet(self.inner, y, tol=self.tol)
         cond = np.linalg.cond(jac)
         if not np.all(np.isfinite(cond)) or float(np.max(cond)) > _COND_LIMIT:
             raise SingularJacobian(
                 f"inner Jacobian condition {float(np.max(cond)):.3e} exceeds {_COND_LIMIT:.1e}"
             )
         eye = np.broadcast_to(np.eye(self.dim), jac.shape).copy()
-        return np.linalg.solve(jac, eye)
+        return x, np.linalg.solve(jac, eye)
+
+    def apply(self, y):
+        return newton_invert(self.inner, y, tol=self.tol)
+
+    def jacobian(self, y):
+        return self.jet(y)[1]
 
     @property
     def degree_matrix(self):

@@ -3,7 +3,7 @@ import pytest
 
 from mtcover.coverings import build_stage_inventory
 from mtcover.expansion import default_psi
-from mtcover.fields import shear_field
+from mtcover.fields import TrigDisplacementField, shear_field
 from mtcover.lifting import tower_from_field
 from mtcover.manifolds import MetricG
 from mtcover.torus_maps import TrigDisplacementMap
@@ -14,6 +14,16 @@ EPS = 0.1
 @pytest.fixture(scope="session")
 def shear():
     return shear_field(EPS)
+
+
+@pytest.fixture(scope="session")
+def mixed():
+    # x1 += 0.05 sin 2 pi x2, x2 += 0.05 sin 2 pi x1: the terms do not
+    # commute, so inverses and tower levels are Newton composition trees
+    return TrigDisplacementField.from_terms(2, [
+        (np.array([0.05, 0.0]), np.array([0, 1]), "sin"),
+        (np.array([0.0, 0.05]), np.array([1, 0]), "sin"),
+    ])
 
 
 @pytest.fixture(scope="session")

@@ -182,6 +182,21 @@ def test_verify_failure_exit_code(tmp_path):
     assert doc["expansion"]["checks"]["vertical_margin_ok"] is False
 
 
+def test_verify_on_generic_field_at_depth_three(tmp_path):
+    # each step of f multiplies lift coordinates by about 3^(k+1); carried
+    # unreduced into the next step of the adapted sweep, they left the Newton
+    # residual at 3.6e-12 against its 1e-12 tolerance (NoConvergence, exit 3)
+    cfg = write_config(tmp_path, field=MIXED_FIELD, eps=0.05, k=3, m=1,
+                       fiber_res=8, t_res=4, directions=8, seed=1)
+    out = tmp_path / "out.json"
+    assert run(["verify", "--config", cfg, "--out", str(out)]) == 0
+    doc = read_json(str(out))
+    exp = doc["expansion"]
+    assert doc["pass"] is True and exp["k"] == 3
+    assert exp["adapted_steps"] == 3
+    assert exp["adapted_rate"] > 1.0
+
+
 def test_constants_and_verify_share_one_pipeline(tmp_path, monkeypatch):
     # both commands measure C(k) once per depth that select_k tries, and
     # report the same constants; patched wherever mtcover binds the name

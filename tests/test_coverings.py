@@ -8,12 +8,15 @@ from mtcover.coverings import (
     IdentityCovering,
     StageP,
     differential,
+    fiber_alignment_map,
     orbit,
     pi1_linear_part,
     preimages,
     pushforward,
 )
 from mtcover.errors import DuplicatePreimage, UnsupportedForm
+from mtcover.fields import TrigDisplacementField, unit_grid
+from mtcover.lifting import tower_from_field
 from mtcover.manifolds import MTPoint, Tangent, mapping_torus
 
 EPS = 0.1
@@ -258,3 +261,22 @@ def test_orbit_steps_match_apply(inventory, rng):
     for a, b in zip(pts, pts[1:]):
         img = f.apply_point(a)
         assert f.target.distance(img, b) < 1e-12
+
+
+def test_alignment_frame_solves_each_newton_inverse_once(mixed, monkeypatch):
+    # one jet per Newton step: a composite's Jacobian does not re-apply its
+    # inner map and an inverse's Jacobian does not solve again (the nested
+    # re-solving made 3,480 evaluate and 2,862 jacobian calls here)
+    cover = fiber_alignment_map(tower_from_field(mixed, 2))
+    calls = {"evaluate": 0, "jacobian": 0}
+    for name in calls:
+        original = getattr(TrigDisplacementField, name)
+
+        def counted(self, x, _original=original, _name=name):
+            calls[_name] += 1
+            return _original(self, x)
+
+        monkeypatch.setattr(TrigDisplacementField, name, counted)
+    cover.frame(0.9, unit_grid(2, 8))
+    assert 0 < calls["evaluate"] <= 400
+    assert 0 < calls["jacobian"] <= 400

@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 from mtcover.errors import EndpointMismatch, UnsupportedForm
 from mtcover.fields import TrigDisplacementField, shear_field, unit_grid
 from mtcover.lifting import (
+    NaturalLiftMap,
     build_tower,
     default_phi1,
     lift_isotopy,
@@ -183,3 +184,13 @@ def test_default_phi1_connects_identity_to_lift_bridge(rng):
     h1 = lift_map(h)
     target = compose(invert(h1), h)
     assert_allclose(phi1.slice_at(1.0)(x), target(x), atol=1e-12)
+
+
+def test_jet_matches_apply_and_jacobian_on_lifts_and_towers(mixed, rng):
+    x = rng.uniform(-1, 2, (6, 4, 2))
+    lifted = lift_map(invert(TrigDisplacementMap(mixed)))
+    assert isinstance(lifted, NaturalLiftMap)
+    for handle in (lifted, tower_from_field(mixed, 2).level(2)):
+        value, jac = handle.jet(x)
+        assert np.array_equal(value, handle.apply(x))
+        assert np.array_equal(jac, handle.jacobian(x))

@@ -6,13 +6,17 @@ from mtcover.errors import (
     EndpointMismatch,
     NoConvergence,
     NotDiffeotopy,
+    SingularJacobian,
     UnsupportedForm,
 )
 from mtcover.fields import TrigDisplacementField, shear_field
 from mtcover.torus_maps import (
     BridgedIsotopy,
+    CompositeMap,
     HomothetyMap,
+    NewtonInverseMap,
     StraightLineIsotopy,
+    TorusMapHandle,
     TrigDisplacementMap,
     bridge_isotopy,
     compose,
@@ -30,6 +34,30 @@ EPS = 0.1
 
 def shear_map():
     return TrigDisplacementMap(shear_field(EPS))
+
+
+def assert_jet_matches_views(handle, x):
+    value, jac = handle.jet(x)
+    assert np.array_equal(value, handle.apply(x))
+    assert np.array_equal(jac, handle.jacobian(x))
+
+
+class ApplyJacobianOnly(TorusMapHandle):
+    """A leaf map written against apply/jacobian only, without a jet."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.dim = inner.dim
+
+    def apply(self, x):
+        return self.inner.apply(x)
+
+    def jacobian(self, x):
+        return self.inner.jacobian(x)
+
+    @property
+    def degree_matrix(self):
+        return np.eye(self.dim, dtype=np.int64)
 
 
 def shear_inverse_oracle(y):
@@ -72,6 +100,63 @@ def test_composite_jacobian_matches_finite_differences(rng):
             e[j] = step
             cols.append((g(x + e) - g(x - e)) / (2 * step))
         assert_allclose(g.jacobian(x), np.stack(cols, axis=-1), rtol=1e-6, atol=1e-8)
+
+
+def test_jet_matches_apply_and_jacobian(mixed, rng):
+    x = rng.uniform(-1, 2, (7, 5, 2))
+    plain = TrigDisplacementMap(mixed)
+    inv = invert(plain)
+    composite = compose(shear_map(), inv)
+    assert isinstance(inv, NewtonInverseMap) and isinstance(composite, CompositeMap)
+    for handle in (shear_map(), plain, HomothetyMap(2, 3), inv, composite,
+                   compose(inv, composite), invert(composite)):
+        assert_jet_matches_views(handle, x)
+        assert_jet_matches_views(handle, x[0, 0])
+
+
+def test_apply_jacobian_only_map_composes_and_inverts(mixed, rng):
+    # the default jet serves a leaf that defines only apply and jacobian
+    plain = TrigDisplacementMap(mixed)
+    leaf = ApplyJacobianOnly(plain)
+    x = rng.uniform(0, 1, (40, 2))
+    for built, reference in ((invert(leaf), invert(plain)),
+                             (compose(shear_map(), leaf), compose(shear_map(), plain)),
+                             (compose(invert(leaf), shear_map()),
+                              compose(invert(plain), shear_map()))):
+        assert isinstance(built, (CompositeMap, NewtonInverseMap))
+        assert_jet_matches_views(built, x)
+        value, jac = built.jet(x)
+        assert np.array_equal(value, reference.apply(x))
+        assert np.array_equal(jac, reference.jacobian(x))
+    assert_allclose(invert(leaf)(leaf(x)), x, atol=1e-12)
+
+
+class NearlySingular(TorusMapHandle):
+    """The identity on points, with a Jacobian of condition 1e13."""
+
+    dim = 2
+
+    def apply(self, x):
+        return np.array(x, dtype=float)
+
+    def jacobian(self, x):
+        x = np.asarray(x, dtype=float)
+        return np.broadcast_to(np.diag([1.0, 1e-13]), x.shape + (2,)).copy()
+
+    @property
+    def degree_matrix(self):
+        return np.eye(2, dtype=np.int64)
+
+
+def test_newton_inverse_rejects_ill_conditioned_jacobian(rng):
+    inv = invert(NearlySingular())
+    y = rng.uniform(0, 1, (6, 2))
+    assert isinstance(inv, NewtonInverseMap)
+    assert np.array_equal(inv.apply(y), y)  # only the derivative is refused
+    with pytest.raises(SingularJacobian, match="condition .* exceeds 1.0e\\+12"):
+        inv.jacobian(y)
+    with pytest.raises(SingularJacobian, match="condition .* exceeds 1.0e\\+12"):
+        inv.jet(y)
 
 
 def test_newton_invert_identity():
