@@ -64,27 +64,53 @@ def generalized_conorm_sq(a: np.ndarray, m: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(whitened)[..., 0]
 
 
+class SliceRecord:
+    """One slice t of a cover, pulled back through its frame (slope, w, V).
+
+    With the fiber Gram M at the image, P = V^T M V, q = V^T M w and
+    r = w^T M w, so the image of (a, u) has squared metric norm
+    u^T P u + 2a u.q + a^2 r.  Every sweep over a cover reads these.
+    """
+
+    def __init__(self, cover, metric: MetricG, t: float, grid: np.ndarray):
+        fr = cover.frame(t, grid, +1)
+        m_dst = metric.fiber_gram(fr.t_out, fr.x_out)
+        vt_m = np.swapaxes(fr.v, -1, -2) @ m_dst
+        self.metric, self.t, self.grid, self.slope = metric, t, grid, fr.slope
+        # einsum beats stacked matmul on (n, n) x (n,) products
+        self.p, self.q = vt_m @ fr.v, np.einsum("...ij,...j->...i", vt_m, fr.w)
+        self.r = np.einsum("...i,...ij,...j->...", fr.w, m_dst, fr.w)
+
+    def source_gram(self) -> np.ndarray:
+        """Fiber Gram at the source, built by each reduction that reads it."""
+        return self.metric.fiber_gram(self.t, self.grid)
+
+    def vertical_conorm(self, m_src: np.ndarray) -> np.ndarray:
+        return np.sqrt(np.maximum(generalized_conorm_sq(self.p, m_src), 0.0))
+
+
+def _sweep(cover, metric: MetricG, fiber_res: int, t_res: int, reduce, threads: int):
+    """reduce(SliceRecord) on every slice of the sweep grid, in slice order."""
+    grid = unit_grid(cover.source.dim, fiber_res)
+    return _run_slices(lambda t: reduce(SliceRecord(cover, metric, float(t), grid)),
+                       _t_slices(t_res), threads)
+
+
 def local_vertical_conorm(cover, metric: MetricG, t: float,
                           grid: np.ndarray) -> np.ndarray:
     """Vertical expansion of the chart differential at each point of the
     slice t, measured from the interpolated metric at the source to the one
     at the image."""
-    fr = cover.frame(t, grid, +1)
-    m_src = metric.fiber_gram(t, grid)
-    m_dst = metric.fiber_gram(fr.t_out, fr.x_out)
-    pulled = np.swapaxes(fr.v, -1, -2) @ m_dst @ fr.v
-    return np.sqrt(np.maximum(generalized_conorm_sq(pulled, m_src), 0.0))
+    rec = SliceRecord(cover, metric, t, grid)
+    return rec.vertical_conorm(rec.source_gram())
 
 
 def vertical_conorm_min(cover, metric: MetricG, fiber_res: int, t_res: int,
                         threads: int = 1) -> float:
     """Min over the grid of local_vertical_conorm."""
-    grid = unit_grid(cover.source.dim, fiber_res)
-
-    def job(t):
-        return float(local_vertical_conorm(cover, metric, float(t), grid).min())
-
-    return min(_run_slices(job, _t_slices(t_res), threads))
+    return min(_sweep(cover, metric, fiber_res, t_res,
+                      lambda rec: float(rec.vertical_conorm(rec.source_gram()).min()),
+                      threads))
 
 
 def estimate_metric_equiv(metric: MetricG, fiber_res: int = 64, t_res: int = 32,
@@ -162,13 +188,8 @@ def estimate_K(f, metric: MetricG, fiber_res: int = 64, t_res: int = 32,
                threads: int = 1):
     """Max metric norm of the vertical part of the image of the unit base
     vector, plus its floor at 1 used for the mixed-norm construction."""
-    grid = unit_grid(f.source.dim, fiber_res)
-
-    def job(t):
-        fr = f.frame(float(t), grid, +1)
-        return float(metric.vertical_norm(fr.t_out, fr.x_out, fr.w).max())
-
-    k_val = max(_run_slices(job, _t_slices(t_res), threads))
+    k_val = max(_sweep(f, metric, fiber_res, t_res,
+                       lambda rec: float(np.sqrt(rec.r).max()), threads))
     if not np.isfinite(k_val):
         raise FinslerDegenerate("base-to-fiber coupling is not finite")
     return k_val, max(k_val, 1.0)
@@ -200,6 +221,34 @@ def _direction_templates(dim: int, n_dirs: int, rng) -> list:
     return templates
 
 
+def _finsler_gain(dim: int, k_eff: float, n_dirs: int, seed: int):
+    """gain(record, m_src): min over the slice and the direction templates
+    (a, u) of max(|Vu + aw|_G / k_eff, |slope a|) / max(|u|_G / k_eff, |a|)."""
+    if not np.isfinite(k_eff) or k_eff <= 0.0:
+        raise FinslerDegenerate(f"norm weight {k_eff} is unusable")
+    templates = _direction_templates(dim, n_dirs, np.random.default_rng(seed))
+
+    def gain(rec: SliceRecord, m_src: np.ndarray) -> float:
+        src, img = m_src.reshape(-1, dim * dim), rec.p.reshape(-1, dim * dim)
+        worst = np.full(len(src), np.inf)
+        # one template at a time into a running minimum, so every
+        # temporary is (points,), never (points, templates)
+        for a, u in templates:
+            uu = np.outer(u, u).ravel()
+            scale = np.maximum(np.sqrt(src @ uu) / k_eff, abs(a))
+            sq = img @ uu + 2.0 * a * (rec.q @ u) + a * a * rec.r
+            worst = np.minimum(worst, np.maximum(np.sqrt(sq) / k_eff, abs(rec.slope * a)) / scale)
+        return float(worst.min())
+
+    return gain
+
+
+def _mu_and_case_bound(mu: float, vertical_margin: float, m: int):
+    if not np.isfinite(mu) or mu <= 0.0:
+        raise FinslerDegenerate(f"sampled contraction constant {mu}")
+    return mu, float(min(2 * m + 1, vertical_margin - 1.0))
+
+
 def verify_finsler_expansion(f, metric: MetricG, k_eff: float,
                              vertical_margin: float, m: int,
                              fiber_res: int = 64, t_res: int = 32,
@@ -211,33 +260,10 @@ def verify_finsler_expansion(f, metric: MetricG, k_eff: float,
     min(2m+1, vertical_margin - 1), the analytic floor from the two-case
     cone argument.
     """
-    if not np.isfinite(k_eff) or k_eff <= 0.0:
-        raise FinslerDegenerate(f"norm weight {k_eff} is unusable")
-    rng = np.random.default_rng(seed)
-    templates = _direction_templates(f.source.dim, n_dirs, rng)
-    grid = unit_grid(f.source.dim, fiber_res)
-    a_vec = np.array([a for a, _ in templates])
-    u_mat = np.array([u for _, u in templates])
-
-    def job(t):
-        fr = f.frame(float(t), grid, +1)
-        m_src = metric.fiber_gram(float(t), grid)
-        m_dst = metric.fiber_gram(fr.t_out, fr.x_out)
-        # (P, D) norms of the fixed fiber directions at every grid point
-        u_norm = np.sqrt(np.einsum("di,...ij,dj->...d", u_mat, m_src, u_mat))
-        scale = np.maximum(u_norm / k_eff, np.abs(a_vec))
-        a_img = fr.slope * a_vec / scale
-        u_img = (np.einsum("...ij,dj->...di", fr.v, u_mat)
-                 + a_vec[:, None] * fr.w[..., None, :]) / scale[..., None]
-        img_norm = np.sqrt(np.einsum("...di,...ij,...dj->...d", u_img, m_dst, u_img))
-        values = np.maximum(img_norm / k_eff, np.abs(a_img))
-        return float(values.min())
-
-    mu = min(_run_slices(job, _t_slices(t_res), threads))
-    if not np.isfinite(mu) or mu <= 0.0:
-        raise FinslerDegenerate(f"sampled contraction constant {mu}")
-    case_bound = float(min(2 * m + 1, vertical_margin - 1.0))
-    return mu, case_bound
+    gain = _finsler_gain(f.source.dim, k_eff, n_dirs, seed)
+    mu = min(_sweep(f, metric, fiber_res, t_res, lambda rec: gain(rec, rec.source_gram()),
+                    threads))
+    return _mu_and_case_bound(mu, vertical_margin, m)
 
 
 @dataclass
@@ -426,9 +452,16 @@ def verify_expansion(constants: ConstantsReport, k: int, f, metric: MetricG, m: 
     """Check that the composite f expands, from the constants measured for it."""
     fiber_res, t_res = constants.fiber_res, constants.t_res
     k_eff = constants.coupling_K_eff
-    margin = verify_vertical_expansion(f, metric, fiber_res, t_res, threads)
-    mu, case_bound = verify_finsler_expansion(
-        f, metric, k_eff, margin, m, fiber_res, t_res, n_dirs, threads, seed)
+    gain = _finsler_gain(f.source.dim, k_eff, n_dirs, seed)
+
+    def vertical_and_finsler(rec):
+        # the vertical margin and mu read one record: one frame per slice
+        m_src = rec.source_gram()
+        return float(rec.vertical_conorm(m_src).min()), gain(rec, m_src)
+
+    margins, gains = zip(*_sweep(f, metric, fiber_res, t_res, vertical_and_finsler, threads))
+    margin = min(margins)
+    mu, case_bound = _mu_and_case_bound(min(gains), margin, m)
     adapted = build_adapted_metric(f, metric, mu, k_eff, fiber_res, t_res, threads)
     c_eq = constants.c_eq
     chain_floor = c_eq * c_eq * constants.base ** k * constants.conorm_C

@@ -41,16 +41,10 @@ class Tangent:
     def __post_init__(self):
         self.u = np.asarray(self.u, dtype=float)
 
-    def vertical_part(self) -> "Tangent":
-        return Tangent(0.0, self.u.copy())
-
-    def horizontal_part(self) -> "Tangent":
-        return Tangent(self.a, np.zeros_like(self.u))
-
 
 def split(v: Tangent) -> tuple[Tangent, Tangent]:
     """Exact splitting into vertical and base-orthogonal parts."""
-    return v.vertical_part(), v.horizontal_part()
+    return Tangent(0.0, v.u.copy()), Tangent(v.a, np.zeros_like(v.u))
 
 
 def norm_0_vertical(v: Tangent) -> float:
@@ -78,8 +72,7 @@ class MultiMappingTorus:
             if g.dim != self.dim:
                 raise DimensionMismatch("gluing dimension mismatch")
         self.name = name
-        self._inverse_gluings = None
-        self._inverse_wrap = None
+        self._inverses = {}  # seam index (-1: wrap) -> inverse handle, built on first use
 
     @property
     def n_segments(self) -> int:
@@ -101,17 +94,10 @@ class MultiMappingTorus:
             j = int(np.searchsorted(self.boundaries, t, side="left")) - 1
         return min(max(j, 0), self.n_segments - 1)
 
-    def _inv_gluing(self, i: int) -> TorusMapHandle:
-        if self._inverse_gluings is None:
-            self._inverse_gluings = [None] * len(self.gluings)
-        if self._inverse_gluings[i] is None:
-            self._inverse_gluings[i] = invert(self.gluings[i])
-        return self._inverse_gluings[i]
-
-    def _inv_wrap(self) -> TorusMapHandle:
-        if self._inverse_wrap is None:
-            self._inverse_wrap = invert(self.wrap)
-        return self._inverse_wrap
+    def _inverse(self, i: int) -> TorusMapHandle:
+        if i not in self._inverses:
+            self._inverses[i] = invert(self.wrap if i < 0 else self.gluings[i])
+        return self._inverses[i]
 
     def normalize_raw(self, seg: int, t: float, x: np.ndarray, tangents=()):
         """Move a chart representative to canonical form.
@@ -130,30 +116,19 @@ class MultiMappingTorus:
             guard += 1
             if guard > 10000:  # pragma: no cover
                 raise UnsupportedForm("normalization did not terminate")
-            left = self.boundaries[seg]
-            right = self.boundaries[seg + 1]
-            if t >= right:
+            if t >= self.boundaries[seg + 1]:
                 if seg == self.n_segments - 1:
-                    handle = self.wrap
-                    t = t - self.circumference
-                    new_seg = 0
+                    handle, seg, t = self.wrap, 0, t - self.circumference
                 else:
-                    handle = self.gluings[seg]
-                    new_seg = seg + 1
-                x, tangents = self._push(handle, x, tangents)
-                seg = new_seg
-            elif t < left:
+                    handle, seg = self.gluings[seg], seg + 1
+            elif t < self.boundaries[seg]:
                 if seg == 0:
-                    handle = self._inv_wrap()
-                    t = t + self.circumference
-                    new_seg = self.n_segments - 1
+                    handle, seg, t = self._inverse(-1), self.n_segments - 1, t + self.circumference
                 else:
-                    handle = self._inv_gluing(seg - 1)
-                    new_seg = seg - 1
-                x, tangents = self._push(handle, x, tangents)
-                seg = new_seg
+                    handle, seg = self._inverse(seg - 1), seg - 1
             else:
                 return seg, t, x, tangents
+            x, tangents = self._push(handle, x, tangents)
 
     @staticmethod
     def _push(handle: TorusMapHandle, x, tangents):
@@ -270,7 +245,7 @@ class MetricG:
         if not 0.0 <= t <= 1.0:
             raise UnsupportedForm(f"metric chart needs t in [0,1], got {t}")
         jac = self.h.jacobian(x)
-        pulled = np.einsum("...ki,...kj->...ij", jac, jac)
+        pulled = np.swapaxes(jac, -1, -2) @ jac
         eye = np.eye(self.dim)
         return (1.0 - t) * eye + t * pulled
 
@@ -284,11 +259,6 @@ class MetricG:
     def norm(self, p: MTPoint, v: Tangent) -> float:
         m = self.fiber_gram(p.t, p.x)
         return float(np.sqrt(v.a * v.a + v.u @ m @ v.u))
-
-    def vertical_norm(self, t: float, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Batched fiber norm sqrt(u^T M_t(x) u)."""
-        m = self.fiber_gram(t, x)
-        return np.sqrt(np.einsum("...i,...ij,...j->...", u, m, u))
 
 
 def check_seams(covering, n_samples: int = 100, rng=None, dedupe_tol: float = 1e-12):
@@ -314,18 +284,12 @@ def check_seams(covering, n_samples: int = 100, rng=None, dedupe_tol: float = 1e
     for kind, t_b in points:
         y = rng.random((n_samples, space.dim))
         if kind == "wrap":
-            left = (t_b, y, -1)
-            right = (0.0, space.wrap.apply(y), +1)
+            right = (0.0, space.wrap.apply(y))
         else:
             g = seam_params.get(round(t_b, 12))
-            if g is not None:
-                left = (t_b, y, -1)
-                right = (t_b, g.apply(y), +1)
-            else:
-                left = (t_b, y, -1)
-                right = (t_b, y, +1)
-        seg_l, t_l, x_l = covering.apply_raw(*left)
-        seg_r, t_r, x_r = covering.apply_raw(*right)
+            right = (t_b, y if g is None else g.apply(y))
+        seg_l, t_l, x_l = covering.apply_raw(t_b, y, -1)
+        seg_r, t_r, x_r = covering.apply_raw(*right, +1)
         gaps = target.distance(MTPoint(seg_l, t_l, x_l), MTPoint(seg_r, t_r, x_r))
         worst = max(worst, float(gaps.max()))
     return worst

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -25,8 +26,10 @@ from mtcover.expansion import (
     estimate_metric_equiv,
     finsler_norm,
     generalized_conorm_sq,
+    measure_constants,
     run_pipeline,
     select_k,
+    verify_expansion,
     verify_finsler_expansion,
     verify_vertical_expansion,
     vertical_conorm_min,
@@ -393,12 +396,69 @@ def test_finsler_two_case_inequality(f_k2, metric, rng):
         w, q = pushforward(f_k2, p, v, return_point=True)
         before = finsler_norm(metric, k_eff, p, v)
         after = finsler_norm(metric, k_eff, q, w)
-        vert = metric.vertical_norm(p.t, p.x, v.u) / k_eff
+        vert = metric.norm(p, Tangent(0.0, v.u)) / k_eff
         if vert >= abs(v.a):
             floor = (margin - k_raw / k_eff) * before
         else:
             floor = 3 * before
         assert after >= floor * (1 - 1e-9)
+
+
+def test_finsler_sweep_matches_pointwise_norms(f_k2, metric):
+    # the sweep expands |Vu + aw|_G^2 as a quadratic form in (a, u); pin it
+    # against the mixed norm of each pushed-forward tangent, point by point
+    _, k_eff = estimate_K(f_k2, metric, 8, 4)
+    # the stratified templates for n=2 and 4 directions, written out
+    dirs = [np.array([np.cos(ang), np.sin(ang)]) for ang in np.pi / 2 * np.arange(4)]
+    betas = np.pi * np.arange(1, 5) / 10
+    templates = ([(1.0, np.zeros(2))] + [(0.0, u) for u in dirs]
+                 + [((-1.0) ** i * np.cos(b), np.sin(b) * u)
+                    for i, (b, u) in enumerate(zip(betas, dirs))])
+    pushed = []
+    for t in np.arange(4) / 4:
+        for x in unit_grid(2, 8):
+            p = MTPoint(0, float(t), x)
+            for a, u in templates:
+                v = Tangent(a, u)
+                pushed.append((p, v) + pushforward(f_k2, p, v, return_point=True)[::-1])
+    # at k_eff the base slope 3 is the minimum; at k_eff / 20 a mixed
+    # template is, so the cross term 2a u.q and a^2 r decide it
+    for weight in (k_eff, k_eff / 20):
+        mu, _ = verify_finsler_expansion(f_k2, metric, weight, 6.0, 1, 8, 4, n_dirs=4)
+        ratios = [finsler_norm(metric, weight, q, w) / finsler_norm(metric, weight, p, v)
+                  for p, v, q, w in pushed]
+        assert_allclose(mu, min(ratios), rtol=1e-12)
+    assert mu < 2.9
+
+
+@pytest.fixture(scope="module")
+def shear_measured(shear):
+    # constants, k, f and metric of the shear at 16^2 x 8
+    return measure_constants(shear, 1, fiber_res=16, t_res=8)
+
+
+def test_verify_expansion_builds_one_frame_per_slice(shear_measured, monkeypatch):
+    constants, k, f, metric = shear_measured
+    frame = f.frame
+    calls = []
+
+    def counting_frame(*args, **kwargs):
+        calls.append(args[0])
+        return frame(*args, **kwargs)
+
+    monkeypatch.setattr(f, "frame", counting_frame)
+    report = verify_expansion(constants, k, f, metric, 1)
+    # one frame per slice feeds the vertical margin and mu; the adapted
+    # sweep walks adapted_steps frames per slice
+    assert len(calls) == constants.t_res * (1 + report.adapted_steps)
+
+
+def test_fused_verify_keeps_finsler_checks(shear_measured):
+    constants, k, f, metric = shear_measured
+    for bad in (0.0, np.nan):
+        broken = dataclasses.replace(constants, coupling_K_eff=bad)
+        with pytest.raises(FinslerDegenerate):
+            verify_expansion(broken, k, f, metric, 1)
 
 
 # ---------------------------------------------------------------------------

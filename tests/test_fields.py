@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 from mtcover.errors import DimensionMismatch, UnsupportedForm
 from mtcover.fields import (
+    SIN,
     TrigDisplacementField,
     jacobian_sup_norm,
     shear_field,
@@ -69,6 +70,28 @@ def test_jacobian_matches_finite_differences(rng):
         approx = fd_jacobian(v.evaluate, x)
         exact = v.jacobian(x)
         assert_allclose(exact, approx, rtol=1e-6, atol=1e-9)
+
+
+def test_jacobian_matches_per_term_sum(rng):
+    field = TrigDisplacementField.from_terms(3, [
+        ([0.1, -0.2, 0.05], [1, 0, 2], "sin"),
+        ([0.0, 0.3, -0.1], [0, -1, 1], "cos"),
+        ([-0.15, 0.0, 0.2], [2, 1, -3], "sin"),
+    ])
+
+    def written_out(x):
+        # sum over terms of dwave_t * c_t (x) 2 pi b_t
+        jac = np.zeros((3, 3))
+        for c, b, phase in zip(field.coeffs, field.freqs, field.phases):
+            theta = 2.0 * np.pi * (b @ x)
+            dwave = np.cos(theta) if phase == SIN else -np.sin(theta)
+            jac += dwave * np.outer(c, 2.0 * np.pi * b)
+        return jac
+
+    x = rng.uniform(-1.0, 2.0, (6, 3))
+    expected = np.stack([written_out(pt) for pt in x])
+    assert_allclose(field.jacobian(x), expected, rtol=1e-14)
+    assert_allclose(field.jacobian(x[0]), expected[0], rtol=1e-14)
 
 
 def test_dilate_zero_field():

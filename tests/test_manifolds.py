@@ -156,8 +156,8 @@ def test_wrap_is_isometry(metric, shear_map, rng):
     for _ in range(200):
         x = rng.uniform(0, 1, 2)
         u = rng.standard_normal(2)
-        before = metric.vertical_norm(1.0, x, u)
-        after = metric.vertical_norm(0.0, shear_map(x), shear_map.jacobian(x) @ u)
+        before = metric.norm(MTPoint(0, 1.0, x), Tangent(0.0, u))
+        after = metric.norm(MTPoint(0, 0.0, shear_map(x)), Tangent(0.0, shear_map.jacobian(x) @ u))
         assert abs(before - after) < 1e-10
 
 
