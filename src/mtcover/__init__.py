@@ -2,7 +2,7 @@
 
 The package builds two families of self-covering maps of (multiple) mapping
 tori, one expanding along the torus fibers and one along the base circle,
-composes them, and certifies expansion of the composite through measured
+composes them, and checks expansion of the composite on a grid through measured
 constants, a mixed-norm cone argument, and an averaged adapted metric.
 """
 

@@ -26,6 +26,7 @@ from .torus_maps import (
     HomothetyMap,
     IsotopyHandle,
     TorusMapHandle,
+    _newton_jet,
     compose,
     identity_map,
     invert,
@@ -46,22 +47,43 @@ class StageFrame(NamedTuple):
     w: np.ndarray
     v: np.ndarray
 
+    def push(self, a, u):
+        """Image (slope a, a w + v u) of tangents (a, u), batched like u (..., n)."""
+        a = np.asarray(a)
+        return self.slope * a, a[..., None] * self.w + np.einsum("...ij,...j->...i", self.v, u)
+
+    def matrix(self) -> np.ndarray:
+        """The (n+1) x (n+1) chart Jacobian [[slope, 0], [w, v]], batched."""
+        n = self.w.shape[-1]
+        jac = np.zeros(self.w.shape[:-1] + (n + 1, n + 1))
+        jac[..., 0, 0] = self.slope
+        jac[..., 1:, 0] = self.w
+        jac[..., 1:, 1:] = self.v
+        return jac
+
 
 class CoveringMapHandle:
     """Common interface of stage maps and their composites.
 
     frame is the single description of a map: the parameter rule, the
-    branch choice and the chart derivative; everything else reads it.
+    branch choice and the chart derivative; everything else reads it.  A
+    branching stage takes branch j on segment j of branch_space (its source,
+    or its target when it keeps t), whose interior boundaries are breakpoints.
     """
 
-    source: MultiMappingTorus
-    target: MultiMappingTorus
     name: str = ""
     t_slope: float = 1.0
 
+    def __init__(self, source, target, branch_space=None):
+        self.source = source
+        self.target = target
+        self.branch_space = branch_space
+
     def breakpoints(self):
-        """Interior source parameters where the chart formula can switch."""
-        return []
+        """Sorted interior source parameters where the chart formula can switch."""
+        if self.branch_space is None:
+            return []
+        return self.branch_space.boundaries[1:-1].tolist()
 
     def frame(self, t: float, x: np.ndarray, side: int = +1) -> StageFrame:
         raise NotImplementedError
@@ -103,19 +125,16 @@ class StageH(CoveringMapHandle):
     branch is the identity.
     """
 
+    name = "H"
+
     def __init__(self, tower, source, target):
+        super().__init__(source, target, branch_space=target)
         self.tower = tower
         self.k = tower.k
-        self.source = source
-        self.target = target
-        self.name = "H"
-
-    def breakpoints(self):
-        return [float(b) for b in self.target.boundaries[1:-1]]
 
     def frame(self, t, x, side=+1):
         x = np.asarray(x, dtype=float)
-        j = self.target.seg_of(t, side)
+        j = self.branch_space.seg_of(t, side)
         if j == self.k:
             return _identity_frame(t, x)
         iso = self.tower.isotopy(self.k - j)
@@ -127,36 +146,31 @@ class StageH(CoveringMapHandle):
 class StageF(CoveringMapHandle):
     """Aligns every branch to the top tower level: x -> h_k^{-1}(h_{k-j}(x))."""
 
-    def __init__(self, tower, source, target):
-        self.tower = tower
-        self.k = tower.k
-        self.source = source
-        self.target = target
-        self.name = "F"
-        top_inv = invert(tower.level(self.k))
-        self._branch_maps = [identity_map(tower.dim)]
-        for j in range(1, self.k + 1):
-            self._branch_maps.append(compose(top_inv, tower.level(self.k - j)))
+    name = "F"
 
-    def breakpoints(self):
-        return [float(b) for b in self.source.boundaries[1:-1]]
+    def __init__(self, tower, source, target):
+        super().__init__(source, target, branch_space=source)
+        top_inv = invert(tower.level(tower.k))
+        self._branch_maps = [identity_map(tower.dim)]
+        for j in range(1, tower.k + 1):
+            self._branch_maps.append(compose(top_inv, tower.level(tower.k - j)))
 
     def frame(self, t, x, side=+1):
         x = np.asarray(x, dtype=float)
-        j = self.source.seg_of(t, side)
+        j = self.branch_space.seg_of(t, side)
         return _handle_frame(t, self._branch_maps[j], x)
 
 
 class StageP(CoveringMapHandle):
     """Fiberwise power of the torus self-cover; the parameter is untouched."""
 
+    name = "P"
+
     def __init__(self, dim, base, k, source, target):
         if k < 1:
             raise UnsupportedForm("fiber cover stage needs k >= 1")
-        self.source = source
-        self.target = target
+        super().__init__(source, target)
         self.handle = HomothetyMap(dim, base ** k)
-        self.name = "P"
 
     def frame(self, t, x, side=+1):
         return _handle_frame(t, self.handle, np.asarray(x, dtype=float))
@@ -165,35 +179,29 @@ class StageP(CoveringMapHandle):
 class StageR(CoveringMapHandle):
     """Stretch onto the long mapping torus: t -> (2m+1) t."""
 
+    name = "R"
+
     def __init__(self, m, source, target):
-        self.m = m
-        self.factor = 2 * m + 1
-        self.t_slope = float(self.factor)
-        self.source = source
-        self.target = target
-        self.name = "R"
+        super().__init__(source, target)
+        self.t_slope = float(2 * m + 1)
 
     def frame(self, t, x, side=+1):
-        return _identity_frame(self.factor * t, np.asarray(x, dtype=float),
-                               slope=float(self.factor))
+        return _identity_frame(self.t_slope * t, np.asarray(x, dtype=float),
+                               slope=self.t_slope)
 
 
 class StageS(CoveringMapHandle):
     """Inserts the untwisting isotopy on every odd unit segment."""
 
-    def __init__(self, m, psi: IsotopyHandle, source, target):
-        self.m = m
-        self.psi = psi
-        self.source = source
-        self.target = target
-        self.name = "S"
+    name = "S"
 
-    def breakpoints(self):
-        return [float(i) for i in range(1, 2 * self.m + 1)]
+    def __init__(self, psi: IsotopyHandle, source, target):
+        super().__init__(source, target, branch_space=target)
+        self.psi = psi
 
     def frame(self, t, x, side=+1):
         x = np.asarray(x, dtype=float)
-        j = self.target.seg_of(t, side)
+        j = self.branch_space.seg_of(t, side)
         if j % 2 == 0:
             return _identity_frame(t, x)
         s = t - j
@@ -204,19 +212,15 @@ class StageS(CoveringMapHandle):
 class StageT(CoveringMapHandle):
     """Applies the base gluing map on every odd unit segment."""
 
-    def __init__(self, m, h: TorusMapHandle, source, target):
-        self.m = m
-        self.h = h
-        self.source = source
-        self.target = target
-        self.name = "T"
+    name = "T"
 
-    def breakpoints(self):
-        return [float(i) for i in range(1, 2 * self.m + 1)]
+    def __init__(self, h: TorusMapHandle, source, target):
+        super().__init__(source, target, branch_space=source)
+        self.h = h
 
     def frame(self, t, x, side=+1):
         x = np.asarray(x, dtype=float)
-        j = self.source.seg_of(t, side)
+        j = self.branch_space.seg_of(t, side)
         if j % 2 == 0:
             return _identity_frame(t, x)
         return _handle_frame(t, self.h, x)
@@ -225,27 +229,23 @@ class StageT(CoveringMapHandle):
 class StageQ(CoveringMapHandle):
     """Folds the unit segments of the twisted product back onto one."""
 
-    def __init__(self, m, source, target):
-        self.m = m
-        self.source = source
-        self.target = target
-        self.name = "Q"
+    name = "Q"
 
-    def breakpoints(self):
-        return [float(i) for i in range(1, 2 * self.m + 1)]
+    def __init__(self, source, target):
+        super().__init__(source, target, branch_space=source)
 
     def frame(self, t, x, side=+1):
-        j = self.source.seg_of(t, side)
+        j = self.branch_space.seg_of(t, side)
         return _identity_frame(t - j, np.asarray(x, dtype=float))
 
 
 class IdentityCovering(CoveringMapHandle):
     """Identity chart map of a space; used by seam diagnostics."""
 
+    name = "id"
+
     def __init__(self, space):
-        self.source = space
-        self.target = space
-        self.name = "id"
+        super().__init__(space, space)
 
     def frame(self, t, x, side=+1):
         return _identity_frame(t, np.asarray(x, dtype=float))
@@ -262,9 +262,8 @@ class CompositeCovering(CoveringMapHandle):
                 raise UnsupportedForm(
                     f"stage chain broken between {a.describe()} and {b.describe()}"
                 )
+        super().__init__(stages[0].source, stages[-1].target)
         self.stages = list(stages)
-        self.source = stages[0].source
-        self.target = stages[-1].target
         self.name = name
 
     @property
@@ -291,36 +290,31 @@ class CompositeCovering(CoveringMapHandle):
         return uniq
 
     def frame(self, t, x, side=+1):
-        x = np.asarray(x, dtype=float)
-        slope = 1.0
-        w = np.zeros_like(x)
-        n = x.shape[-1]
-        v = np.broadcast_to(np.eye(n), x.shape + (n,)).copy()
+        fr = _identity_frame(t, np.asarray(x, dtype=float))
         for st in self.stages:
-            fr = st.frame(t, x, side)
-            w = fr.w * slope + np.einsum("...ij,...j->...i", fr.v, w)
-            v = fr.v @ v
-            slope *= fr.slope
-            t, x = fr.t_out, fr.x_out
-        return StageFrame(t, x, slope, w, v)
+            step = st.frame(fr.t_out, fr.x_out, side)
+            fr = StageFrame(step.t_out, step.x_out, *step.push(fr.slope, fr.w), step.v @ fr.v)
+        return fr
 
-    def fiber_handle_at(self, t, side=+1):
+    def fiber_handle_at(self, t):
         """Torus map handle for the fiber action at parameter t."""
-        return FiberSlice(self, t, side)
+        return FiberSlice(self, t)
 
 
 class FiberSlice(TorusMapHandle):
     """Fiber action of a chart map at a fixed parameter, read off its frame."""
 
-    def __init__(self, cover: CoveringMapHandle, t: float, side: int = +1):
+    def __init__(self, cover: CoveringMapHandle, t: float):
         self.cover = cover
         self.t = t
-        self.side = side
         self.dim = cover.source.dim
 
     def jet(self, x):
-        fr = self.cover.frame(self.t, x, self.side)
+        fr = self.cover.frame(self.t, x, +1)
         return fr.x_out, fr.v
+
+    def describe(self):
+        return f"{self.cover.describe()} at t={self.t}"
 
     def apply(self, x):
         return self.jet(x)[0]
@@ -380,9 +374,9 @@ def _base_stages(h, m, psi, spaces):
     """Stages R, S, T, Q of the base cover, unit torus to unit torus."""
     return [
         StageR(m, spaces["mh"], spaces["mbar"]),
-        StageS(m, psi, spaces["mbar"], spaces["mprime"]),
-        StageT(m, h, spaces["mprime"], spaces["mtilde"]),
-        StageQ(m, spaces["mtilde"], spaces["mh"]),
+        StageS(psi, spaces["mbar"], spaces["mprime"]),
+        StageT(h, spaces["mprime"], spaces["mtilde"]),
+        StageQ(spaces["mtilde"], spaces["mh"]),
     ]
 
 
@@ -431,9 +425,7 @@ def pushforward(cover: CoveringMapHandle, p: MTPoint, v: Tangent,
     """
     seg, t, x, (u,) = cover.source.normalize_raw(p.seg, p.t, p.x, (v.u,))
     fr = cover.frame(t, x, +1)
-    a_out = fr.slope * v.a
-    u_out = v.a * fr.w + fr.v @ u
-    w = Tangent(a_out, u_out)
+    w = Tangent(*fr.push(v.a, u))
     if return_point:
         q = MTPoint(cover.target.seg_of(fr.t_out, +1), fr.t_out,
                     torus_representative(fr.x_out))
@@ -444,13 +436,7 @@ def pushforward(cover: CoveringMapHandle, p: MTPoint, v: Tangent,
 def differential(cover: CoveringMapHandle, p: MTPoint) -> np.ndarray:
     """Full (n+1) x (n+1) chart Jacobian at the canonical representative."""
     seg, t, x, _ = cover.source.normalize_raw(p.seg, p.t, p.x)
-    fr = cover.frame(t, x, +1)
-    n = cover.source.dim
-    jac = np.zeros((n + 1, n + 1))
-    jac[0, 0] = fr.slope
-    jac[1:, 0] = fr.w
-    jac[1:, 1:] = fr.v
-    return jac
+    return cover.frame(t, x, +1).matrix()
 
 
 def _probe_parameter(cover: CoveringMapHandle) -> float:
@@ -515,20 +501,9 @@ def preimages(cover: CoveringMapHandle, q: MTPoint, newton_tol: float = 1e-12,
     for j in range(mu):
         t_j = (q.t + j) / mu
         targets = q.x[None, :] + cosets
-        x = targets / scale
-        converged = False
-        for _ in range(60):
-            fr = cover.frame(t_j, x, +1)
-            residual = fr.x_out - targets
-            if float(np.abs(residual).max(initial=0.0)) < newton_tol:
-                converged = True
-                break
-            step = np.linalg.solve(fr.v, residual[..., None])[..., 0]
-            x = x - step
-        if not converged:
-            raise MissingPreimage(
-                f"branch t={t_j}: fiber Newton did not meet tolerance {newton_tol}"
-            )
+        # the coset seeds, not the targets, keep the preimages distinct
+        x, _ = _newton_jet(cover.fiber_handle_at(t_j), targets, newton_tol,
+                           x0=targets / scale)
         branch = MTPoint(0, t_j, torus_representative(x))
         gaps = cover.target.distance(cover.apply_point(branch), q)
         worst = float(gaps.max(initial=0.0))

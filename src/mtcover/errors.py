@@ -57,6 +57,10 @@ class BoundViolation(MTCoverError):
     """A measured quantity fell below a lower bound it must respect."""
 
 
+class NonFiniteSlice(MTCoverError):
+    """A parameter slice of a sweep gave a non-finite value or failed to factor."""
+
+
 class UnboundedSelection(MTCoverError):
     """Parameter search exceeded its configured cap."""
 

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coverings import CompositeCovering, build_f, build_qm_only, fiber_alignment_map
-from .errors import BoundViolation, FinslerDegenerate, NotExpanding, UnboundedSelection
+from .errors import (BoundViolation, FinslerDegenerate, NonFiniteSlice, NotExpanding,
+                     UnboundedSelection)
 from .fields import TrigDisplacementField, unit_grid
 from .lifting import tower_from_field
 from .manifolds import MetricG, MTPoint, Tangent
@@ -40,19 +41,30 @@ def default_psi(h_field: TrigDisplacementField):
     return bridge_isotopy(constant_identity_isotopy(h_field.dim), squared)
 
 
-def _t_slices(t_res: int, closed: bool = False) -> np.ndarray:
-    # closed sweeps include t = 1: chart-level (flat-norm) quantities differ
-    # between the two seam charts, so their extrema need both endpoints
-    if closed:
-        return np.linspace(0.0, 1.0, t_res + 1)
-    return np.arange(t_res, dtype=float) / t_res
+def _sweep(job, t_res: int, threads: int, closed: bool = False) -> np.ndarray:
+    """job(t) on the slices t = i / t_res of [0, 1), in slice order, as one array.
 
+    Closed sweeps add t = 1: chart-level (flat-norm) quantities differ between
+    the two seam charts, so their extrema need both endpoints.  A non-finite
+    slice value, or a factorization that fails on one, raises NonFiniteSlice.
+    """
+    t_values = np.linspace(0.0, 1.0, t_res + 1) if closed else np.arange(t_res) / t_res
 
-def _run_slices(job, t_values, threads: int):
-    if threads and threads > 1:
+    def guarded(t):
+        try:
+            return job(t)
+        except np.linalg.LinAlgError as exc:
+            raise NonFiniteSlice(f"slice t={t}: {exc}") from exc
+
+    if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(job, t_values))
-    return [job(t) for t in t_values]
+            values = np.array(list(pool.map(guarded, t_values.tolist())))
+    else:
+        values = np.array([guarded(t) for t in t_values.tolist()])
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        raise NonFiniteSlice(f"slice t={t_values[bad[0, 0]]} gave a non-finite value")
+    return values
 
 
 def generalized_conorm_sq(a: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -89,11 +101,10 @@ class SliceRecord:
         return np.sqrt(np.maximum(generalized_conorm_sq(self.p, m_src), 0.0))
 
 
-def _sweep(cover, metric: MetricG, fiber_res: int, t_res: int, reduce, threads: int):
-    """reduce(SliceRecord) on every slice of the sweep grid, in slice order."""
+def _record_job(cover, metric: MetricG, fiber_res: int, reduce):
+    """Slice job t -> reduce(SliceRecord of the cover at t) on the fiber grid."""
     grid = unit_grid(cover.source.dim, fiber_res)
-    return _run_slices(lambda t: reduce(SliceRecord(cover, metric, float(t), grid)),
-                       _t_slices(t_res), threads)
+    return lambda t: reduce(SliceRecord(cover, metric, t, grid))
 
 
 def local_vertical_conorm(cover, metric: MetricG, t: float,
@@ -108,9 +119,9 @@ def local_vertical_conorm(cover, metric: MetricG, t: float,
 def vertical_conorm_min(cover, metric: MetricG, fiber_res: int, t_res: int,
                         threads: int = 1) -> float:
     """Min over the grid of local_vertical_conorm."""
-    return min(_sweep(cover, metric, fiber_res, t_res,
-                      lambda rec: float(rec.vertical_conorm(rec.source_gram()).min()),
-                      threads))
+    job = _record_job(cover, metric, fiber_res,
+                      lambda rec: float(rec.vertical_conorm(rec.source_gram()).min()))
+    return float(_sweep(job, t_res, threads).min())
 
 
 def estimate_metric_equiv(metric: MetricG, fiber_res: int = 64, t_res: int = 32,
@@ -119,12 +130,12 @@ def estimate_metric_equiv(metric: MetricG, fiber_res: int = 64, t_res: int = 32,
     grid = unit_grid(metric.dim, fiber_res)
 
     def job(t):
-        ev = np.linalg.eigvalsh(metric.fiber_gram(float(t), grid))
+        ev = np.linalg.eigvalsh(metric.fiber_gram(t, grid))
         lo = np.sqrt(np.maximum(ev[..., 0], 0.0))
         hi = np.sqrt(ev[..., -1])
         return float(np.minimum(lo, 1.0 / hi).min())
 
-    return min(_run_slices(job, _t_slices(t_res, closed=True), threads))
+    return float(_sweep(job, t_res, threads, closed=True).min())
 
 
 def estimate_C(tower, fiber_res: int = 64, t_res: int = 32,
@@ -136,25 +147,25 @@ def estimate_C(tower, fiber_res: int = 64, t_res: int = 32,
     isotopy slices; the measured value must not fall below it.
     """
     fh = fiber_alignment_map(tower)
+    phi = tower.isotopy(1)
     grid = unit_grid(tower.dim, fiber_res)
 
     def job(t):
-        fr = fh.frame(float(t), grid, +1)
+        fr = fh.frame(t, grid, +1)
         sq = np.linalg.eigvalsh(np.swapaxes(fr.v, -1, -2) @ fr.v)[..., 0]
         return float(np.sqrt(np.maximum(sq, 0.0)).min())
 
-    c_val = min(_run_slices(job, _t_slices(t_res, closed=True), threads))
+    def phi_job(s):
+        return np.linalg.svd(phi.slice_at(s).jacobian(grid), compute_uv=False)[..., -1].min()
+
+    c_val = float(_sweep(job, t_res, threads, closed=True).min())
 
     h = tower.level(0)
     jac = h.jacobian(grid)
     sing = np.linalg.svd(jac, compute_uv=False)
     min_h = float(sing[..., -1].min())
     min_h_inv = float(1.0 / sing[..., 0].max())
-    phi = tower.isotopy(1)
-    min_phi = 1.0
-    for s in np.linspace(0.0, 1.0, t_res + 1):
-        jac_s = phi.slice_at(float(s)).jacobian(grid)
-        min_phi = min(min_phi, float(np.linalg.svd(jac_s, compute_uv=False)[..., -1].min()))
+    min_phi = float(np.minimum(1.0, _sweep(phi_job, t_res, threads, closed=True).min()))
     bound = min_h * min_h_inv * min_phi
     if not c_val >= bound * (1.0 - floor_slack):
         raise BoundViolation(f"measured conorm {c_val} fell below its uniform bound {bound}")
@@ -188,10 +199,8 @@ def estimate_K(f, metric: MetricG, fiber_res: int = 64, t_res: int = 32,
                threads: int = 1):
     """Max metric norm of the vertical part of the image of the unit base
     vector, plus its floor at 1 used for the mixed-norm construction."""
-    k_val = max(_sweep(f, metric, fiber_res, t_res,
-                       lambda rec: float(np.sqrt(rec.r).max()), threads))
-    if not np.isfinite(k_val):
-        raise FinslerDegenerate("base-to-fiber coupling is not finite")
+    job = _record_job(f, metric, fiber_res, lambda rec: float(np.sqrt(rec.r).max()))
+    k_val = float(_sweep(job, t_res, threads).max())
     return k_val, max(k_val, 1.0)
 
 
@@ -261,9 +270,8 @@ def verify_finsler_expansion(f, metric: MetricG, k_eff: float,
     cone argument.
     """
     gain = _finsler_gain(f.source.dim, k_eff, n_dirs, seed)
-    mu = min(_sweep(f, metric, fiber_res, t_res, lambda rec: gain(rec, rec.source_gram()),
-                    threads))
-    return _mu_and_case_bound(mu, vertical_margin, m)
+    job = _record_job(f, metric, fiber_res, lambda rec: gain(rec, rec.source_gram()))
+    return _mu_and_case_bound(float(_sweep(job, t_res, threads).min()), vertical_margin, m)
 
 
 @dataclass
@@ -281,35 +289,31 @@ class AdaptedMetric:
     equiv_upper: float
     equiv_lower: float
 
-    def chain_norms(self, p: MTPoint, v: Tangent):
+    def _squared_chain(self, t: float, x: np.ndarray, a, u: np.ndarray, steps: int):
+        """Stacked [|v|_G^2, |Df v|_G^2, ..., |Df^steps v|_G^2] of v = (a, u) at (t, x)."""
+        chain = []
+        for j in range(steps + 1):
+            if j:
+                fr = self.cover.frame(t, x, +1)
+                a, u = fr.push(a, u)
+                t, x = fr.t_out, torus_representative(fr.x_out)
+            m = self.metric.fiber_gram(t, x)
+            chain.append(a * a + np.einsum("...i,...ij,...j->...", u, m, u))
+        return np.stack(chain)
+
+    def chain_norms(self, p: MTPoint, v: Tangent) -> np.ndarray:
         """[|v|_G, |Df v|_G, ..., |Df^n v|_G] along the orbit of p."""
-        space = self.cover.source
-        p = space.normalize(p)
-        norms = [self.metric.norm(p, v)]
-        for _ in range(self.n_steps):
-            fr = self.cover.frame(p.t, p.x, +1)
-            v = Tangent(fr.slope * v.a, v.a * fr.w + fr.v @ v.u)
-            p = space.normalize(MTPoint(0, fr.t_out, fr.x_out))
-            norms.append(self.metric.norm(p, v))
-        return norms
+        _, t, x, (u,) = self.cover.source.normalize_raw(p.seg, p.t, p.x, (v.u,))
+        return np.sqrt(self._squared_chain(t, torus_representative(x), v.a, u, self.n_steps))
 
     def norm(self, p: MTPoint, v: Tangent) -> float:
-        chain = self.chain_norms(p, v)
-        weights = self.rate ** (-2.0 * np.arange(self.n_steps))
-        return float(np.sqrt(np.sum(weights * np.square(chain[:self.n_steps]))))
+        _, t, x, (u,) = self.cover.source.normalize_raw(p.seg, p.t, p.x, (v.u,))
+        return float(self.norm_batch(t, torus_representative(x), v.a, u))
 
-    def norm_batch(self, t: float, x: np.ndarray, a: np.ndarray, u: np.ndarray):
+    def norm_batch(self, t: float, x: np.ndarray, a, u: np.ndarray):
         """Batched adapted norm for a shared parameter slice."""
-        total = np.zeros(x.shape[:-1])
-        for j in range(self.n_steps):
-            m = self.metric.fiber_gram(t, x)
-            sq = a * a + np.einsum("...i,...ij,...j->...", u, m, u)
-            total = total + self.rate ** (-2.0 * j) * sq
-            fr = self.cover.frame(float(t), x, +1)
-            u = np.asarray(a)[..., None] * fr.w + np.einsum("...ij,...j->...i", fr.v, u)
-            a = fr.slope * a
-            t, x = fr.t_out, torus_representative(fr.x_out)
-        return np.sqrt(total)
+        weights = self.rate ** (-2.0 * np.arange(self.n_steps))
+        return np.sqrt(np.tensordot(weights, self._squared_chain(t, x, a, u, self.n_steps - 1), 1))
 
 
 def build_adapted_metric(f, metric: MetricG, mu_hat: float, k_eff: float,
@@ -335,30 +339,26 @@ def build_adapted_metric(f, metric: MetricG, mu_hat: float, k_eff: float,
     while mu_hat ** n_steps <= ratio:
         n_steps += 1
     grid = unit_grid(f.source.dim, fiber_res)
-    dim = f.source.dim
 
     def job(t):
-        t_cur = float(t)
         x = grid
         jac = None
-        g_src = metric.gram(MTPoint(0, t_cur, x))
+        l_src = np.linalg.cholesky(metric.gram(MTPoint(0, t, x)))
         for _ in range(n_steps):
-            fr = f.frame(t_cur, x, +1)
-            step = np.zeros(x.shape[:-1] + (dim + 1, dim + 1))
-            step[..., 0, 0] = fr.slope
-            step[..., 1:, 0] = fr.w
-            step[..., 1:, 1:] = fr.v
-            jac = step if jac is None else step @ jac
+            fr = f.frame(t, x, +1)
+            jac = fr.matrix() if jac is None else fr.matrix() @ jac
             # frames and the metric are Z^n-periodic in x; unreduced lift
             # coordinates grow until the absolute Newton tolerance falls
             # below their rounding
-            t_cur, x = fr.t_out, torus_representative(fr.x_out)
-        g_dst = metric.gram(MTPoint(0, t_cur, x))
-        pulled = np.swapaxes(jac, -1, -2) @ g_dst @ jac
-        sq = generalized_conorm_sq(pulled, g_src)
-        return float(np.sqrt(np.maximum(sq, 0.0)).min())
+            t, x = fr.t_out, torus_representative(fr.x_out)
+        l_dst = np.linalg.cholesky(metric.gram(MTPoint(0, t, x)))
+        # sigma_min(L_dst^T J L_src^-T), through its transpose; the pencil
+        # (J^T G_dst J, G_src) squares the condition number of the n-step
+        # product, which loses the smallest eigenvalue on a 1-dimensional fiber
+        whitened = np.linalg.solve(l_src, np.swapaxes(jac, -1, -2) @ l_dst)
+        return np.linalg.svd(whitened, compute_uv=False)[..., -1].min()
 
-    worst = min(_run_slices(job, _t_slices(t_res), threads))
+    worst = float(_sweep(job, t_res, threads).min())
     rate = worst ** (1.0 / n_steps)
     if rate <= 1.0:
         raise NotExpanding(
@@ -459,9 +459,9 @@ def verify_expansion(constants: ConstantsReport, k: int, f, metric: MetricG, m: 
         m_src = rec.source_gram()
         return float(rec.vertical_conorm(m_src).min()), gain(rec, m_src)
 
-    margins, gains = zip(*_sweep(f, metric, fiber_res, t_res, vertical_and_finsler, threads))
-    margin = min(margins)
-    mu, case_bound = _mu_and_case_bound(min(gains), margin, m)
+    job = _record_job(f, metric, fiber_res, vertical_and_finsler)
+    margin, mu = _sweep(job, t_res, threads).min(axis=0).tolist()
+    mu, case_bound = _mu_and_case_bound(mu, margin, m)
     adapted = build_adapted_metric(f, metric, mu, k_eff, fiber_res, t_res, threads)
     c_eq = constants.c_eq
     chain_floor = c_eq * c_eq * constants.base ** k * constants.conorm_C

@@ -272,12 +272,8 @@ def check_seams(covering, n_samples: int = 100, rng=None, dedupe_tol: float = 1e
     target = covering.target
     if rng is None:
         rng = np.random.default_rng(0)
-    breaks = sorted(set(float(b) for b in covering.breakpoints()))
-    points = []
-    for t_b in breaks:
-        if t_b <= dedupe_tol or t_b >= space.circumference - dedupe_tol:
-            continue
-        points.append(("interior", t_b))
+    points = [("interior", t_b) for t_b in covering.breakpoints()
+              if dedupe_tol < t_b < space.circumference - dedupe_tol]
     points.append(("wrap", space.circumference))
     seam_params = {round(b, 12): g for b, g in space.seams()}
     worst = 0.0

@@ -165,10 +165,10 @@ def newton_invert(handle: TorusMapHandle, y: np.ndarray, tol: float = 1e-12,
     return _newton_jet(handle, y, tol, max_iter)[0]
 
 
-def _newton_jet(handle, y, tol, max_iter=60):
-    """newton_invert plus Dhandle at the solution, from the last iteration."""
+def _newton_jet(handle, y, tol, max_iter=60, x0=None):
+    """newton_invert from the seed x0 (default y), plus Dhandle from the last iteration."""
     y = np.asarray(y, dtype=float)
-    x = y.copy()
+    x = y.copy() if x0 is None else np.asarray(x0, dtype=float)
     for _ in range(max_iter):
         value, jac = handle.jet(x)
         residual = value - y

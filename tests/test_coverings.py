@@ -14,7 +14,7 @@ from mtcover.coverings import (
     preimages,
     pushforward,
 )
-from mtcover.errors import DuplicatePreimage, UnsupportedForm
+from mtcover.errors import DuplicatePreimage, MTCoverError, UnsupportedForm
 from mtcover.fields import TrigDisplacementField, unit_grid
 from mtcover.lifting import tower_from_field
 from mtcover.manifolds import MTPoint, Tangent, mapping_torus
@@ -236,6 +236,14 @@ def test_preimages_dedupe_guard(inventory):
     assert named is not None
     i, j = int(named[1]), int(named[2])
     assert 0 <= i < j < 27
+
+
+def test_preimage_newton_failure_names_its_branch(inventory):
+    # a zero tolerance is never met: the fiber Newton solve gives up on the
+    # first branch, and the typed error says which cover and which t
+    q = MTPoint(0, 0.3, np.array([0.4, 0.7]))
+    with pytest.raises(MTCoverError, match=re.escape(f"f at t={q.t / 3};")):
+        preimages(inventory["f"], q, newton_tol=0.0)
 
 
 def test_stage_p_requires_positive_power(inventory):

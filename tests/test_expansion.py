@@ -9,6 +9,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from mtcover.coverings import (
+    CompositeCovering,
     build_f,
     build_pk,
     build_qm_only,
@@ -16,7 +17,13 @@ from mtcover.coverings import (
     fiber_alignment_map,
     pushforward,
 )
-from mtcover.errors import BoundViolation, FinslerDegenerate, NotExpanding, UnboundedSelection
+from mtcover.errors import (
+    BoundViolation,
+    FinslerDegenerate,
+    NonFiniteSlice,
+    NotExpanding,
+    UnboundedSelection,
+)
 from mtcover.expansion import (
     build_adapted_metric,
     default_psi,
@@ -34,7 +41,7 @@ from mtcover.expansion import (
     verify_vertical_expansion,
     vertical_conorm_min,
 )
-from mtcover.fields import shear_field, unit_grid
+from mtcover.fields import TrigDisplacementField, shear_field, unit_grid
 from mtcover.lifting import tower_from_field
 from mtcover.manifolds import MetricG, MTPoint, Tangent
 from mtcover.torus_maps import TrigDisplacementMap
@@ -333,9 +340,21 @@ def test_coupling_rerun_is_bitwise(f_k2, metric):
     assert first == second == threaded
 
 
-def test_threaded_sweeps_are_bitwise(f_k2, metric):
+def test_threaded_sweeps_are_bitwise(f_k2, metric, tower2):
+    # every sweep reduces one array kept in slice order, so the thread
+    # count cannot change a result, not even in its last bit
     assert (vertical_conorm_min(f_k2, metric, 16, 8)
             == vertical_conorm_min(f_k2, metric, 16, 8, threads=4))
+    assert (estimate_metric_equiv(metric, 16, 8)
+            == estimate_metric_equiv(metric, 16, 8, threads=3))
+    assert estimate_C(tower2, 16, 8) == estimate_C(tower2, 16, 8, threads=3)
+    assert estimate_K(f_k2, metric, 16, 8) == estimate_K(f_k2, metric, 16, 8, threads=3)
+    _, k_eff = estimate_K(f_k2, metric, 16, 8)
+    assert (verify_finsler_expansion(f_k2, metric, k_eff, 6.0, 1, 16, 8, n_dirs=4)
+            == verify_finsler_expansion(f_k2, metric, k_eff, 6.0, 1, 16, 8, n_dirs=4,
+                                        threads=3))
+    assert (build_adapted_metric(f_k2, metric, 3.0, k_eff, 16, 8).rate
+            == build_adapted_metric(f_k2, metric, 3.0, k_eff, 16, 8, threads=3).rate)
 
 
 # ---------------------------------------------------------------------------
@@ -461,6 +480,56 @@ def test_fused_verify_keeps_finsler_checks(shear_measured):
             verify_expansion(broken, k, f, metric, 1)
 
 
+def _nan_on_slices(t):
+    # the slices t = 0.5 (and 0.625 at eight slices) of every sweep grid
+    return 0.5 <= t < 0.75
+
+
+@pytest.mark.parametrize("patched", ["fiber_gram", "frame"])
+def test_nan_slice_raises_typed_error(shear_measured, tower2, shear_map, psi, metric,
+                                     monkeypatch, patched):
+    # a NaN on a slice that is not the first one must not vanish into a
+    # minimum or maximum: every sweep that reads it stops with a typed error
+    constants, k, _, _ = shear_measured
+    # covers built here, so that no earlier test has bound their frame
+    f, qm = build_f(tower2, 1, psi), build_qm_only(shear_map, 1, psi)
+    if patched == "fiber_gram":
+        gram = MetricG.fiber_gram
+
+        def nan_gram(self, t, x):
+            m = gram(self, t, x)
+            return np.full_like(m, np.nan) if _nan_on_slices(t) else m
+
+        monkeypatch.setattr(MetricG, "fiber_gram", nan_gram)
+    else:
+        frame = CompositeCovering.frame
+
+        def nan_frame(self, t, x, side=+1):
+            fr = frame(self, t, x, side)
+            return fr._replace(v=np.full_like(fr.v, np.nan)) if _nan_on_slices(t) else fr
+
+        monkeypatch.setattr(CompositeCovering, "frame", nan_frame)
+    sweeps = {
+        "estimate_cq": lambda: estimate_cq(qm, metric, 8, 4),
+        "estimate_C": lambda: estimate_C(tower2, 8, 4),
+        "estimate_K": lambda: estimate_K(f, metric, 8, 4),
+        "verify_finsler_expansion": lambda: verify_finsler_expansion(
+            f, metric, 4.0, 6.0, 1, 8, 4, n_dirs=4),
+        "verify_expansion": lambda: verify_expansion(constants, k, f, metric, 1),
+        "build_adapted_metric": lambda: build_adapted_metric(f, metric, 3.0, 4.0, 8, 4),
+    }
+    if patched == "fiber_gram":
+        # the flat conorm C reads no Gram, and c_eq reads nothing else
+        del sweeps["estimate_C"]
+        sweeps["estimate_metric_equiv"] = lambda: estimate_metric_equiv(metric, 8, 4)
+    else:
+        # K reads only the image w of the base direction, not v
+        del sweeps["estimate_K"]
+    for sweep in sweeps.values():
+        with pytest.raises(NonFiniteSlice, match=r"t=0\.5\b"):
+            sweep()
+
+
 # ---------------------------------------------------------------------------
 # Adapted metric
 
@@ -531,6 +600,18 @@ def test_adapted_expands_off_grid(adapted, rng):
         assert adapted.norm(q, w) > adapted.norm(p, v)
 
 
+def test_adapted_norm_is_chart_independent(adapted, shear_map, rng):
+    # t = 1 is glued to t = 0 by h, so a tangent there crosses through Dh,
+    # as pushforward transports it
+    for _ in range(5):
+        x = rng.uniform(0, 1, 2)
+        v = Tangent(rng.standard_normal(), rng.standard_normal(2))
+        p, q = MTPoint(0, 1.0, x), MTPoint(0, 0.0, shear_map(x))
+        w = Tangent(v.a, shear_map.jacobian(x) @ v.u)
+        assert_allclose(adapted.norm(p, v), adapted.norm(q, w), rtol=1e-12)
+        assert_allclose(adapted.chain_norms(p, v), adapted.chain_norms(q, w), rtol=1e-12)
+
+
 def test_adapted_norm_batch_matches_scalar(adapted, rng):
     t = 0.37
     x = rng.uniform(0, 1, (10, 2))
@@ -541,6 +622,18 @@ def test_adapted_norm_batch_matches_scalar(adapted, rng):
         assert_allclose(batch[i],
                         adapted.norm(MTPoint(0, t, x[i]), Tangent(a[i], u[i])),
                         rtol=1e-12)
+
+
+def test_adapted_rate_on_a_one_dimensional_fiber():
+    # x += 0.1 sin 2 pi x at depth 5: the 5-step product spans about twelve
+    # orders of magnitude, so the pencil form of the rate lost its smallest
+    # eigenvalue and reported no expansion
+    field = TrigDisplacementField.from_terms(1, [(np.array([1.0]), np.array([1]), "sin")])
+    _, report = run_pipeline(field.scaled(0.1), 1, k=5, fiber_res=16, t_res=4, n_dirs=4)
+    assert report.passed
+    assert report.adapted_steps == 5
+    # sigma_min of the 5-step product is itself conditioned at about 1e-8
+    assert_allclose(report.adapted_rate, 2.8556513129, rtol=1e-6)
 
 
 # ---------------------------------------------------------------------------

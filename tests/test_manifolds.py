@@ -247,7 +247,7 @@ def test_check_seams_detects_corrupted_gluing(shear_map, inventory):
     bad = MultiMappingTorus(good.boundaries,
                             [good.gluings[0], identity_map(2)],
                             good.wrap)
-    gap = check_seams(StageQ(1, bad, mh), n_samples=200)
+    gap = check_seams(StageQ(bad, mh), n_samples=200)
     assert abs(gap - EPS) < 0.2 * EPS
 
 
