@@ -26,10 +26,10 @@ from .torus_maps import (
     HomothetyMap,
     IsotopyHandle,
     TorusMapHandle,
-    _newton_jet,
     compose,
     identity_map,
     invert,
+    newton_invert,
     torus_representative,
 )
 
@@ -502,8 +502,8 @@ def preimages(cover: CoveringMapHandle, q: MTPoint, newton_tol: float = 1e-12,
         t_j = (q.t + j) / mu
         targets = q.x[None, :] + cosets
         # the coset seeds, not the targets, keep the preimages distinct
-        x, _ = _newton_jet(cover.fiber_handle_at(t_j), targets, newton_tol,
-                           x0=targets / scale)
+        x = newton_invert(cover.fiber_handle_at(t_j), targets, newton_tol,
+                          x0=targets / scale)
         branch = MTPoint(0, t_j, torus_representative(x))
         gaps = cover.target.distance(cover.apply_point(branch), q)
         worst = float(gaps.max(initial=0.0))

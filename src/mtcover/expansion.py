@@ -139,12 +139,13 @@ def estimate_metric_equiv(metric: MetricG, fiber_res: int = 64, t_res: int = 32,
 
 
 def estimate_C(tower, fiber_res: int = 64, t_res: int = 32,
-               threads: int = 1, floor_slack: float = 1e-6):
+               threads: int = 1, floor_slack: float = 1e-6, *, _bound: float | None = None):
     """Min flat conorm of the fiber derivative of the aligning stages.
 
     Also returns the uniform lower bound given by the product of the grid
     minima of the conorms of the base map, its inverse, and the connecting
-    isotopy slices; the measured value must not fall below it.
+    isotopy slices; the measured value must not fall below it.  That bound
+    reads only h and tower.isotopy(1), so a known one is passed as _bound.
     """
     fh = fiber_alignment_map(tower)
     phi = tower.isotopy(1)
@@ -159,17 +160,15 @@ def estimate_C(tower, fiber_res: int = 64, t_res: int = 32,
         return np.linalg.svd(phi.slice_at(s).jacobian(grid), compute_uv=False)[..., -1].min()
 
     c_val = float(_sweep(job, t_res, threads, closed=True).min())
-
-    h = tower.level(0)
-    jac = h.jacobian(grid)
-    sing = np.linalg.svd(jac, compute_uv=False)
-    min_h = float(sing[..., -1].min())
-    min_h_inv = float(1.0 / sing[..., 0].max())
-    min_phi = float(np.minimum(1.0, _sweep(phi_job, t_res, threads, closed=True).min()))
-    bound = min_h * min_h_inv * min_phi
-    if not c_val >= bound * (1.0 - floor_slack):
-        raise BoundViolation(f"measured conorm {c_val} fell below its uniform bound {bound}")
-    return c_val, bound
+    if _bound is None:
+        sing = np.linalg.svd(tower.level(0).jacobian(grid), compute_uv=False)
+        min_h = float(sing[..., -1].min())
+        min_h_inv = float(1.0 / sing[..., 0].max())
+        min_phi = float(np.minimum(1.0, _sweep(phi_job, t_res, threads, closed=True).min()))
+        _bound = min_h * min_h_inv * min_phi
+    if not c_val >= _bound * (1.0 - floor_slack):
+        raise BoundViolation(f"measured conorm {c_val} fell below its uniform bound {_bound}")
+    return c_val, _bound
 
 
 def estimate_cq(qm, metric: MetricG, fiber_res: int = 64, t_res: int = 32,
@@ -425,16 +424,17 @@ def measure_constants(h_field: TrigDisplacementField, m: int, *, k: int | None =
             towers[kk] = tower_from_field(h_field, kk, base)
         return towers[kk]
 
-    c_cache: dict = {}
+    c_cache: dict = {}  # depth -> (C, bound); every depth shares the first bound
 
-    def c_provider(kk: int) -> float:
+    def c_at(kk: int):
         if kk not in c_cache:
-            c_cache[kk] = estimate_C(tower_at(kk), fiber_res, t_res, threads)
-        return c_cache[kk][0]
+            known = next(iter(c_cache.values()), (None, None))[1]
+            c_cache[kk] = estimate_C(tower_at(kk), fiber_res, t_res, threads, _bound=known)
+        return c_cache[kk]
 
     if k is None:
-        k = select_k(c_eq, c_provider, lam, base=base, k_cap=k_cap)
-    c_val, c_bound = c_cache.get(k) or estimate_C(tower_at(k), fiber_res, t_res, threads)
+        k = select_k(c_eq, lambda kk: c_at(kk)[0], lam, base=base, k_cap=k_cap)
+    c_val, c_bound = c_at(k)
 
     f = build_f(tower_at(k), m, psi)
     k_raw, k_eff = estimate_K(f, metric, fiber_res, t_res, threads)

@@ -33,7 +33,7 @@ class NaturalLiftMap(TorusMapHandle):
     """Generic natural lift of a degree-identity map.
 
     apply(x) = x + (g(base x) - base x) / base, whose Jacobian is exactly
-    Dg(base x).
+    Dg(base x); it is conjugation by x -> base x, so inv(lift g) = lift(inv g).
     """
 
     def __init__(self, inner: TorusMapHandle, base: int):
@@ -59,6 +59,9 @@ class NaturalLiftMap(TorusMapHandle):
     @property
     def degree_matrix(self):
         return np.eye(self.dim, dtype=np.int64)
+
+    def inverse(self, tol=1e-12):
+        return lift_map(self.inner.inverse(tol), self.base)
 
     def describe(self):
         return f"lift_{self.base}({self.inner.describe()})"

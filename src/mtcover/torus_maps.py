@@ -4,7 +4,7 @@ Maps are stored as lifts R^n -> R^n satisfying g(x + m) = g(x) + L m for
 an integer degree matrix L.  Displacement-backed maps (id + trig field)
 compose and invert in closed form whenever the relevant field is constant
 along the coordinates the other one moves; otherwise generic composition
-trees with Newton inversion are used.
+trees are used, inverted leaf by leaf so that Newton solves only leaf maps.
 """
 
 from __future__ import annotations
@@ -38,9 +38,9 @@ class TorusMapHandle:
     is walked once per point.  apply and jacobian are views of it, equal to
     jet(x)[0] and jet(x)[1] bit for bit.  A leaf map may define only
     apply/jacobian (the default jet calls both); a map built from other maps
-    overrides jet.  Subclasses also give the integer degree matrix.  Values
-    are lift values (not reduced mod 1); use torus_representative for the
-    canonical point.
+    overrides jet.  Subclasses give the degree matrix and inverse(tol), which
+    is Newton unless an exact identity applies.  Values are lift values (not
+    reduced mod 1); use torus_representative for the canonical point.
     """
 
     dim: int
@@ -57,6 +57,9 @@ class TorusMapHandle:
     @property
     def degree_matrix(self) -> np.ndarray:
         raise NotImplementedError
+
+    def inverse(self, tol: float = 1e-12) -> TorusMapHandle:
+        return NewtonInverseMap(self, tol=tol)
 
     def describe(self) -> str:
         return type(self).__name__
@@ -86,6 +89,11 @@ class TrigDisplacementMap(TorusMapHandle):
     @property
     def degree_matrix(self):
         return np.eye(self.dim, dtype=np.int64)
+
+    def inverse(self, tol=1e-12):
+        if self.field.is_self_invariant():
+            return TrigDisplacementMap(self.field.scaled(-1.0))
+        return super().inverse(tol)
 
     def describe(self):
         return f"id+field[{self.field.n_terms} terms]"
@@ -150,34 +158,39 @@ class CompositeMap(TorusMapHandle):
     def degree_matrix(self):
         return self.outer.degree_matrix @ self.inner.degree_matrix
 
+    def inverse(self, tol=1e-12):
+        return compose(self.inner.inverse(tol), self.outer.inverse(tol))
+
     def describe(self):
         return f"({self.outer.describe()} o {self.inner.describe()})"
 
 
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.linalg.solve, raising SingularJacobian on an exactly singular matrix."""
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError as exc:
+        raise SingularJacobian(str(exc)) from exc
+
+
 def newton_invert(handle: TorusMapHandle, y: np.ndarray, tol: float = 1e-12,
-                  max_iter: int = 60) -> np.ndarray:
-    """Solve handle(x) = y by Newton iteration seeded at x = y.
+                  max_iter: int = 60, x0: np.ndarray | None = None) -> np.ndarray:
+    """Solve handle(x) = y by Newton iteration seeded at x0 (default y).
 
     Valid for maps with identity degree whose displacement Jacobian stays
     well below 1 in norm; all maps constructed in this package satisfy that
-    whenever the underlying isotopy checks pass.
+    whenever the underlying isotopy checks pass.  The step computed where the
+    residual falls below tol is still taken: it brings x from up to tol off
+    the root to rounding level, so chained inverses do not add up errors.
     """
-    return _newton_jet(handle, y, tol, max_iter)[0]
-
-
-def _newton_jet(handle, y, tol, max_iter=60, x0=None):
-    """newton_invert from the seed x0 (default y), plus Dhandle from the last iteration."""
     y = np.asarray(y, dtype=float)
     x = y.copy() if x0 is None else np.asarray(x0, dtype=float)
     for _ in range(max_iter):
         value, jac = handle.jet(x)
         residual = value - y
+        step = _solve(jac, residual[..., None])[..., 0]
         if float(np.abs(residual).max(initial=0.0)) < tol:
-            return x, jac
-        try:
-            step = np.linalg.solve(jac, residual[..., None])[..., 0]
-        except np.linalg.LinAlgError as exc:
-            raise SingularJacobian(str(exc)) from exc
+            return x - step
         x = x - step
     raise NoConvergence(
         f"Newton stalled for {handle.describe()}; residual "
@@ -200,14 +213,16 @@ class NewtonInverseMap(TorusMapHandle):
         self.tol = tol
 
     def jet(self, y):
-        x, jac = _newton_jet(self.inner, y, tol=self.tol)
-        cond = np.linalg.cond(jac)
+        x = newton_invert(self.inner, y, tol=self.tol)
+        jac = self.inner.jacobian(x)
+        inv = _solve(jac, np.broadcast_to(np.eye(self.dim), jac.shape))
+        # |J|_F |J^-1|_F >= cond_2(J), so this refuses whatever cond_2 would
+        cond = np.linalg.norm(jac, axis=(-2, -1)) * np.linalg.norm(inv, axis=(-2, -1))
         if not np.all(np.isfinite(cond)) or float(np.max(cond)) > _COND_LIMIT:
             raise SingularJacobian(
                 f"inner Jacobian condition {float(np.max(cond)):.3e} exceeds {_COND_LIMIT:.1e}"
             )
-        eye = np.broadcast_to(np.eye(self.dim), jac.shape).copy()
-        return x, np.linalg.solve(jac, eye)
+        return x, inv
 
     def apply(self, y):
         return newton_invert(self.inner, y, tol=self.tol)
@@ -218,6 +233,9 @@ class NewtonInverseMap(TorusMapHandle):
     @property
     def degree_matrix(self):
         return np.eye(self.dim, dtype=np.int64)
+
+    def inverse(self, tol=1e-12):
+        return self.inner
 
     def describe(self):
         return f"inv({self.inner.describe()})"
@@ -242,12 +260,8 @@ def compose(outer: TorusMapHandle, inner: TorusMapHandle) -> TorusMapHandle:
 
 
 def invert(handle: TorusMapHandle, tol: float = 1e-12) -> TorusMapHandle:
-    """Inverse handle; exact id - v when v is self-invariant, Newton otherwise."""
-    if isinstance(handle, NewtonInverseMap):
-        return handle.inner
-    if isinstance(handle, TrigDisplacementMap) and handle.field.is_self_invariant():
-        return TrigDisplacementMap(handle.field.scaled(-1.0))
-    return NewtonInverseMap(handle, tol=tol)
+    """Inverse handle, inverted factor by factor; Newton wraps only leaf maps."""
+    return handle.inverse(tol)
 
 
 # ---------------------------------------------------------------------------
@@ -351,10 +365,7 @@ class BridgedIsotopy(IsotopyHandle):
         da = self.a.time_derivative(s, x)
         db = self.b.time_derivative(s, z)
         jac_b = self.b.slice_at(s).jacobian(z)
-        try:
-            return np.linalg.solve(jac_b, (da - db)[..., None])[..., 0]
-        except np.linalg.LinAlgError as exc:
-            raise SingularJacobian(str(exc)) from exc
+        return _solve(jac_b, (da - db)[..., None])[..., 0]
 
 
 def bridge_isotopy(a: IsotopyHandle, b: IsotopyHandle, tol: float = 1e-10,

@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import subprocess
 import sys
 
 import numpy as np
@@ -341,3 +343,21 @@ def test_exit_code_numerical_failure(tmp_path):
     term = {"coeff": [3.0, 0.0], "freq": [0, 1], "phase": "sin"}
     cfg = write_config(tmp_path, field=[term], fiber_res=8, t_res=4)
     assert run(["verify", "--config", cfg]) == 3
+
+
+def test_verify_under_optimize_flag_matches_plain_run(tmp_path):
+    # no check may disappear under python -O: configs/mixed2.json (the
+    # generic n=2 field at k=3, 8^2 x 4) gives the same report either way
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    reports = []
+    for flags in ([], ["-O"]):
+        out = tmp_path / f"report{len(flags)}.json"
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "mtcover", "verify",
+             "--config", os.path.join(root, "configs", "mixed2.json"), "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+    assert json.loads(reports[1])["pass"] is True

@@ -458,14 +458,17 @@ def shear_measured(shear):
 
 def test_verify_expansion_builds_one_frame_per_slice(shear_measured, monkeypatch):
     constants, k, f, metric = shear_measured
-    frame = f.frame
+    frame = CompositeCovering.frame
     calls = []
 
-    def counting_frame(*args, **kwargs):
-        calls.append(args[0])
-        return frame(*args, **kwargs)
+    def counting_frame(self, t, *args, **kwargs):
+        if self is f:
+            calls.append(t)
+        return frame(self, t, *args, **kwargs)
 
-    monkeypatch.setattr(f, "frame", counting_frame)
+    # patched on the class: an instance attribute would outlive the undo on
+    # the module-scoped f and hide it from later class-level patches
+    monkeypatch.setattr(CompositeCovering, "frame", counting_frame)
     report = verify_expansion(constants, k, f, metric, 1)
     # one frame per slice feeds the vertical margin and mu; the adapted
     # sweep walks adapted_steps frames per slice

@@ -159,6 +159,22 @@ def test_newton_inverse_rejects_ill_conditioned_jacobian(rng):
         inv.jet(y)
 
 
+class ExactlySingular(NearlySingular):
+    """The identity on points, with a singular Jacobian."""
+
+    def jacobian(self, x):
+        x = np.asarray(x, dtype=float)
+        return np.broadcast_to(np.diag([1.0, 0.0]), x.shape + (2,)).copy()
+
+
+def test_newton_inverse_rejects_singular_jacobian(rng):
+    # the conditioning test reads the inverse it solves, so a singular
+    # Jacobian must stop in that solve with the typed error
+    inv = invert(ExactlySingular())
+    with pytest.raises(SingularJacobian):
+        inv.jet(rng.uniform(0, 1, (6, 2)))
+
+
 def test_newton_invert_identity():
     y = np.array([0.3, 0.7])
     assert_allclose(newton_invert(identity_map(2), y), y, atol=1e-14)
