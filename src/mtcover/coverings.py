@@ -29,6 +29,7 @@ from .torus_maps import (
     compose,
     identity_map,
     invert,
+    is_identity,
     newton_invert,
     torus_representative,
 )
@@ -60,6 +61,12 @@ class StageFrame(NamedTuple):
         jac[..., 1:, 0] = self.w
         jac[..., 1:, 1:] = self.v
         return jac
+
+
+class IdentityFrame(StageFrame):
+    """Frame of a stage whose fiber action is the identity: w = 0 and v = I."""
+
+    __slots__ = ()
 
 
 class CoveringMapHandle:
@@ -107,12 +114,14 @@ class CoveringMapHandle:
 
 
 def _identity_frame(t, x, slope=1.0):
-    n = x.shape[-1]
-    eye = np.broadcast_to(np.eye(n), x.shape + (n,)).copy()
-    return StageFrame(t, x, slope, np.zeros_like(x), eye)
+    # v is a read-only view of I: no reader of a frame writes into it
+    eye = np.broadcast_to(np.eye(x.shape[-1]), x.shape + x.shape[-1:])
+    return IdentityFrame(t, x, slope, np.zeros_like(x), eye)
 
 
 def _handle_frame(t_out, handle, x, w=None):
+    if w is None and is_identity(handle):
+        return _identity_frame(t_out, x)
     x_out, v = handle.jet(x)
     return StageFrame(t_out, x_out, 1.0, np.zeros_like(x) if w is None else w, v)
 
@@ -293,7 +302,13 @@ class CompositeCovering(CoveringMapHandle):
         fr = _identity_frame(t, np.asarray(x, dtype=float))
         for st in self.stages:
             step = st.frame(fr.t_out, fr.x_out, side)
-            fr = StageFrame(step.t_out, step.x_out, *step.push(fr.slope, fr.w), step.v @ fr.v)
+            # an identity frame passes the other side's w and v through unchanged
+            if isinstance(step, IdentityFrame):
+                fr = fr._replace(t_out=step.t_out, x_out=step.x_out, slope=step.slope * fr.slope)
+            elif isinstance(fr, IdentityFrame):
+                fr = step._replace(slope=step.slope * fr.slope, w=fr.slope * step.w)
+            else:
+                fr = StageFrame(step.t_out, step.x_out, *step.push(fr.slope, fr.w), step.v @ fr.v)
         return fr
 
     def fiber_handle_at(self, t):
@@ -402,8 +417,7 @@ def build_qm_only(h, m, psi) -> CompositeCovering:
 
 
 def build_f(tower, m, psi) -> CompositeCovering:
-    inv = build_stage_inventory(tower, m, psi)
-    return inv["f"]
+    return build_stage_inventory(tower, m, psi)["f"]
 
 
 def fiber_alignment_map(tower) -> CompositeCovering:

@@ -342,7 +342,7 @@ def build_adapted_metric(f, metric: MetricG, mu_hat: float, k_eff: float,
     def job(t):
         x = grid
         jac = None
-        l_src = np.linalg.cholesky(metric.gram(MTPoint(0, t, x)))
+        l_src = np.linalg.cholesky(metric.fiber_gram(t, x))
         for _ in range(n_steps):
             fr = f.frame(t, x, +1)
             jac = fr.matrix() if jac is None else fr.matrix() @ jac
@@ -350,11 +350,14 @@ def build_adapted_metric(f, metric: MetricG, mu_hat: float, k_eff: float,
             # coordinates grow until the absolute Newton tolerance falls
             # below their rounding
             t, x = fr.t_out, torus_representative(fr.x_out)
-        l_dst = np.linalg.cholesky(metric.gram(MTPoint(0, t, x)))
+        l_dst = np.linalg.cholesky(metric.fiber_gram(t, x))
         # sigma_min(L_dst^T J L_src^-T), through its transpose; the pencil
         # (J^T G_dst J, G_src) squares the condition number of the n-step
-        # product, which loses the smallest eigenvalue on a 1-dimensional fiber
-        whitened = np.linalg.solve(l_src, np.swapaxes(jac, -1, -2) @ l_dst)
+        # product, which loses the smallest eigenvalue on a 1-dimensional fiber.
+        # G = diag(1, M) factors as diag(1, L_M): whiten fiber blocks only
+        whitened = np.swapaxes(jac, -1, -2)
+        whitened[..., 1:] = whitened[..., 1:] @ l_dst
+        whitened[..., 1:, :] = np.linalg.solve(l_src, whitened[..., 1:, :])
         return np.linalg.svd(whitened, compute_uv=False)[..., -1].min()
 
     worst = float(_sweep(job, t_res, threads).min())

@@ -96,29 +96,27 @@ class TrigDisplacementField:
         # (..., T) array of 2 pi <b_t, x>
         return 2.0 * np.pi * (x @ self.freqs.astype(float).T)
 
-    def evaluate(self, x: np.ndarray) -> np.ndarray:
-        """Displacement vectors at points x, shape (..., n) -> (..., n)."""
+    def jet(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Displacement and exact Jacobian, (..., n) -> (..., n), (..., n, n),
+        from one pass over the angles, their sines and their cosines."""
         x = np.asarray(x, dtype=float)
         if x.shape[-1] != self.dim:
             raise DimensionMismatch(f"points have dim {x.shape[-1]}, field has {self.dim}")
         if self.n_terms == 0:
-            return np.zeros_like(x)
+            return np.zeros_like(x), np.zeros(x.shape + (self.dim,))
         theta = self._angles(x)
-        waves = np.where(self.phases == SIN, np.sin(theta), np.cos(theta))
-        return waves @ self.coeffs
+        sin, cos, is_sin = np.sin(theta), np.cos(theta), self.phases == SIN
+        # d/dx_j of sin(theta) is cos(theta) * 2 pi b_j; cos goes to -sin.
+        waves, dwaves = np.where(is_sin, sin, cos), np.where(is_sin, cos, -sin)
+        return waves @ self.coeffs, (dwaves @ self._jac_table).reshape(x.shape + (self.dim,))
+
+    def evaluate(self, x: np.ndarray) -> np.ndarray:
+        """Displacement vectors at points x: jet(x)[0]."""
+        return self.jet(x)[0]
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
-        """Exact Jacobian of the displacement, shape (..., n, n)."""
-        x = np.asarray(x, dtype=float)
-        if x.shape[-1] != self.dim:
-            raise DimensionMismatch(f"points have dim {x.shape[-1]}, field has {self.dim}")
-        out_shape = x.shape + (self.dim,)
-        if self.n_terms == 0:
-            return np.zeros(out_shape)
-        theta = self._angles(x)
-        # d/dx_j of sin(theta) is cos(theta) * 2 pi b_j; cos goes to -sin.
-        dwaves = np.where(self.phases == SIN, np.cos(theta), -np.sin(theta))
-        return (dwaves @ self._jac_table).reshape(out_shape)
+        """Exact Jacobian of the displacement: jet(x)[1]."""
+        return self.jet(x)[1]
 
     def dilate(self, factor: int) -> "TrigDisplacementField":
         """Replace v(x) by v(factor * x) / factor.
@@ -162,6 +160,14 @@ class TrigDisplacementField:
     def is_self_invariant(self) -> bool:
         """True if v(x + t v(x)) == v(x) for all t (exact shear algebra)."""
         return self.is_invariant_along(self.moved_coordinates())
+
+
+def jacobian_norm_bound(field: TrigDisplacementField) -> float:
+    """||E||_2 with E_ij = sum_t |c_t,i| 2 pi |b_t,j|, a certified bound on
+    sup_x ||Dv(x)||_2: |Dv(x)| <= E entrywise, and the spectral norm is
+    monotone on nonnegative matrices."""
+    e = np.abs(field._jac_table).sum(axis=0).reshape(field.dim, field.dim)
+    return float(np.linalg.norm(e, ord=2))
 
 
 def jacobian_sup_norm(field: TrigDisplacementField, per_axis: int = 64) -> float:

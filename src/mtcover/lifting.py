@@ -3,9 +3,9 @@
 With pi(x) = base * x mod Z^n, any map g = id + w with identity degree has
 the natural lift x -> x + w(base * x) / base, the unique lift whose
 displacement averages to the same translation class (zero here).  Towers
-iterate this: each level is the previous map corrected by the inverse of
-the time-1 slice of the lifted connecting isotopy, which keeps every level
-a lift of the one below.
+iterate this: each level is the natural lift of the one below, which is the
+previous map corrected by the inverse of the time-1 slice of the lifted
+connecting isotopy.
 """
 
 from __future__ import annotations
@@ -140,8 +140,9 @@ def build_tower(h: TorusMapHandle, phi1: IsotopyHandle, k: int, base: int = 3,
     """Build the lift tower of depth k over h.
 
     phi1 must run from the identity to (lift of h)^-1 o h; the endpoint is
-    checked on sample points.  Levels are stored in displacement form when
-    the closed-form algebra applies and as composition trees otherwise.
+    checked on sample points.  Lifting is conjugation, so level i composed
+    with the inverse time-1 slice of isotopy i+1 is lift^(i+1)(h), which is
+    stored in closed form (a displacement map when h is one).
     """
     if k < 0:
         raise UnsupportedForm("tower depth must be >= 0")
@@ -154,11 +155,9 @@ def build_tower(h: TorusMapHandle, phi1: IsotopyHandle, k: int, base: int = 3,
         )
     tower = LiftTower(base=int(base), maps=[h], isotopies=[None])
     phi = phi1
-    current = h
     for _ in range(k):
         tower.isotopies.append(phi)
-        current = compose(current, invert(phi.slice_at(1.0)))
-        tower.maps.append(current)
+        tower.maps.append(lift_map(tower.maps[-1], base))
         phi = lift_isotopy(phi, base)
     return tower
 

@@ -19,7 +19,8 @@ def shear():
 @pytest.fixture(scope="session")
 def mixed():
     # x1 += 0.05 sin 2 pi x2, x2 += 0.05 sin 2 pi x1: the terms do not
-    # commute, so inverses and tower levels are Newton composition trees
+    # commute, so inverses are Newton solves; tower levels are still the
+    # closed-form lifts lift^i(h)
     return TrigDisplacementField.from_terms(2, [
         (np.array([0.05, 0.0]), np.array([0, 1]), "sin"),
         (np.array([0.0, 0.05]), np.array([1, 0]), "sin"),

@@ -361,3 +361,18 @@ def test_verify_under_optimize_flag_matches_plain_run(tmp_path):
         reports.append(out.read_bytes())
     assert reports[0] == reports[1]
     assert json.loads(reports[1])["pass"] is True
+
+
+def test_verify_on_the_cyclic_three_torus_config(tmp_path):
+    # configs/cyc3.json: the cyclic n=3 field at 8^3 x 8; reports must not
+    # depend on the thread count
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    cfg = os.path.join(root, "configs", "cyc3.json")
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"cyc3-{threads}.json"
+        assert run(["verify", "--config", cfg, "--out", str(out), "--threads", threads]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+    doc = json.loads(reports[0])
+    assert doc["pass"] is True and doc["expansion"]["k"] == 2

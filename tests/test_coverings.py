@@ -6,7 +6,10 @@ from numpy.testing import assert_allclose
 
 from mtcover.coverings import (
     IdentityCovering,
+    IdentityFrame,
+    StageFrame,
     StageP,
+    build_stage_inventory,
     differential,
     fiber_alignment_map,
     orbit,
@@ -15,6 +18,7 @@ from mtcover.coverings import (
     pushforward,
 )
 from mtcover.errors import DuplicatePreimage, MTCoverError, UnsupportedForm
+from mtcover.expansion import default_psi
 from mtcover.fields import TrigDisplacementField, unit_grid
 from mtcover.lifting import tower_from_field
 from mtcover.manifolds import MTPoint, Tangent, mapping_torus
@@ -274,17 +278,52 @@ def test_orbit_steps_match_apply(inventory, rng):
 def test_alignment_frame_solves_each_newton_inverse_once(mixed, monkeypatch):
     # one jet per Newton step: a composite's Jacobian does not re-apply its
     # inner map and an inverse's Jacobian does not solve again (the nested
-    # re-solving made 3,480 evaluate and 2,862 jacobian calls here)
+    # re-solving made 3,480 evaluate and 2,862 jacobian calls here); the
+    # field's jet is its one trig pass, so it counts every evaluation
     cover = fiber_alignment_map(tower_from_field(mixed, 2))
-    calls = {"evaluate": 0, "jacobian": 0}
-    for name in calls:
-        original = getattr(TrigDisplacementField, name)
+    calls = []
+    original = TrigDisplacementField.jet
 
-        def counted(self, x, _original=original, _name=name):
-            calls[_name] += 1
-            return _original(self, x)
+    def counted(self, x):
+        calls.append(1)
+        return original(self, x)
 
-        monkeypatch.setattr(TrigDisplacementField, name, counted)
+    monkeypatch.setattr(TrigDisplacementField, "jet", counted)
     cover.frame(0.9, unit_grid(2, 8))
-    assert 0 < calls["evaluate"] <= 400
-    assert 0 < calls["jacobian"] <= 400
+    assert 0 < len(calls) <= 40
+
+
+def explicit_fold(cover, t, x):
+    """A composite's frame folded stage by stage, identity stages included."""
+    n = x.shape[-1]
+    fr = StageFrame(t, x, 1.0, np.zeros_like(x), np.broadcast_to(np.eye(n), x.shape + (n,)))
+    for st in cover.stages:
+        step = st.frame(fr.t_out, fr.x_out, +1)
+        fr = StageFrame(step.t_out, step.x_out, *step.push(fr.slope, fr.w), step.v @ fr.v)
+    return fr
+
+
+@pytest.mark.parametrize("dim, terms", [
+    (1, [([0.1], [1], "sin")]),
+    (2, [([0.05, 0.0], [0, 1], "sin"), ([0.0, 0.05], [1, 0], "cos")]),
+    (3, [([0.05, 0.0, 0.0], [0, 1, 0], "sin"), ([0.0, 0.05, 0.0], [0, 0, 1], "sin"),
+         ([0.0, 0.0, 0.05], [1, 0, 0], "sin")]),
+])
+def test_identity_stages_pass_frames_through(dim, terms, rng):
+    # k = 2, m = 1: t = 0.1 takes F's identity branch and the even segments
+    # of S and T, t = 0.5 their odd ones, t = 0.9 the identity branch of H;
+    # R and Q are identities everywhere
+    field = TrigDisplacementField.from_terms(dim, terms)
+    inv = build_stage_inventory(tower_from_field(field, 2), 1, default_psi(field))
+    x = rng.uniform(0, 1, (6, dim))
+    for name in ("f", "qm", "pk"):
+        for t in (0.1, 0.5, 0.9):
+            got, want = inv[name].frame(t, x), explicit_fold(inv[name], t, x)
+            assert got.t_out == want.t_out and got.slope == want.slope
+            for a, b in zip(got[1:], want[1:]):
+                assert np.array_equal(a, b)
+    assert isinstance(inv["H"].frame(0.9, x), IdentityFrame)
+    assert isinstance(inv["F"].frame(0.1, x), IdentityFrame)
+    # every stage of qm is an identity at t = 0.1: no fold reaches a matmul
+    assert isinstance(inv["qm"].frame(0.1, x), IdentityFrame)
+    assert not isinstance(inv["qm"].frame(0.5, x), IdentityFrame)

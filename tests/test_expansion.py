@@ -44,7 +44,7 @@ from mtcover.expansion import (
 from mtcover.fields import TrigDisplacementField, shear_field, unit_grid
 from mtcover.lifting import tower_from_field
 from mtcover.manifolds import MetricG, MTPoint, Tangent
-from mtcover.torus_maps import TrigDisplacementMap
+from mtcover.torus_maps import TrigDisplacementMap, torus_representative
 
 EPS = 0.1
 
@@ -637,6 +637,38 @@ def test_adapted_rate_on_a_one_dimensional_fiber():
     assert report.adapted_steps == 5
     # sigma_min of the 5-step product is itself conditioned at about 1e-8
     assert_allclose(report.adapted_rate, 2.8556513129, rtol=1e-6)
+
+
+def full_gram_rate(f, metric, n_steps, fiber_res, t_res):
+    """The adapted rate whitened by Cholesky factors of the full (n+1)^2 Gram."""
+    worst = np.inf
+    for t0 in np.arange(t_res) / t_res:
+        t, x, jac = t0, unit_grid(f.source.dim, fiber_res), None
+        l_src = np.linalg.cholesky(metric.gram(MTPoint(0, t, x)))
+        for _ in range(n_steps):
+            fr = f.frame(t, x, +1)
+            jac = fr.matrix() if jac is None else fr.matrix() @ jac
+            t, x = fr.t_out, torus_representative(fr.x_out)
+        l_dst = np.linalg.cholesky(metric.gram(MTPoint(0, t, x)))
+        whitened = np.linalg.solve(l_src, np.swapaxes(jac, -1, -2) @ l_dst)
+        worst = min(worst, np.linalg.svd(whitened, compute_uv=False)[..., -1].min())
+    return worst ** (1.0 / n_steps)
+
+
+@pytest.mark.parametrize("name", ["shear", "mixed", "n1"])
+def test_adapted_rate_whitens_fiber_blocks_only(name, shear, mixed):
+    # G = diag(1, M) factors as diag(1, L_M): whitening the fiber blocks
+    # alone gives the full-Gram rate bit for bit
+    field = {"shear": shear, "mixed": mixed,
+             "n1": TrigDisplacementField.from_terms(1, [([0.1], [1], "sin")])}[name]
+    metric = MetricG(TrigDisplacementMap(field))
+    f = build_f(tower_from_field(field, 2), 1, default_psi(field))
+    adapted = build_adapted_metric(f, metric, 2.5, 1.0, 8, 4)
+    assert adapted.n_steps == 1
+    assert adapted.rate == full_gram_rate(f, metric, 1, 8, 4)
+    chained = build_adapted_metric(f, metric, 1.1, 1.0, 8, 4)
+    assert chained.n_steps == 4
+    assert chained.rate == full_gram_rate(f, metric, 4, 8, 4)
 
 
 # ---------------------------------------------------------------------------

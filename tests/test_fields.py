@@ -4,8 +4,10 @@ from numpy.testing import assert_allclose
 
 from mtcover.errors import DimensionMismatch, UnsupportedForm
 from mtcover.fields import (
+    COS,
     SIN,
     TrigDisplacementField,
+    jacobian_norm_bound,
     jacobian_sup_norm,
     shear_field,
     unit_grid,
@@ -169,3 +171,58 @@ def test_batched_evaluation_matches_pointwise(rng):
     assert vals.shape == (7, 5, 2) and jacs.shape == (7, 5, 2, 2)
     assert_allclose(vals[3, 2], v.evaluate(pts[3, 2]), atol=1e-15)
     assert_allclose(jacs[3, 2], v.jacobian(pts[3, 2]), atol=1e-15)
+
+
+def per_term_jet(field, x):
+    """Displacement and Jacobian summed term by term, apart from field.jet."""
+    x = np.asarray(x, dtype=float)
+    value = np.zeros(x.shape)
+    jac = np.zeros(x.shape + (field.dim,))
+    for c, b, phase in zip(field.coeffs, field.freqs, field.phases):
+        theta = 2.0 * np.pi * (x @ b)
+        if phase == SIN:
+            wave, dwave = np.sin(theta), np.cos(theta)
+        else:
+            wave, dwave = np.cos(theta), -np.sin(theta)
+        value += wave[..., None] * c
+        jac += dwave[..., None, None] * np.multiply.outer(c, 2.0 * np.pi * b)
+    return value, jac
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_jet_matches_per_term_sum(rng, dim):
+    base = random_field(rng, dim=dim, n_terms=4)
+    field = TrigDisplacementField(dim, base.coeffs, base.freqs, [SIN, COS, COS, SIN])
+    for x in (rng.uniform(-1, 2, (6, 5, dim)), rng.uniform(0, 1, dim)):
+        value, jac = field.jet(x)
+        ref_value, ref_jac = per_term_jet(field, x)
+        assert value.shape == x.shape and jac.shape == x.shape + (dim,)
+        # angles up to about 2 pi * 24 carry rounding of order 1e-14
+        assert_allclose(value, ref_value, rtol=0, atol=1e-13)
+        assert_allclose(jac, ref_jac, rtol=0, atol=1e-12)
+        # evaluate and jacobian are views of the one trig pass
+        assert np.array_equal(field.evaluate(x), value)
+        assert np.array_equal(field.jacobian(x), jac)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_jet_of_zero_field(rng, dim):
+    zero = TrigDisplacementField.zero(dim)
+    for x in (rng.uniform(0, 1, (4, dim)), rng.uniform(0, 1, dim)):
+        value, jac = zero.jet(x)
+        assert value.shape == x.shape and not value.any()
+        assert jac.shape == x.shape + (dim,) and not jac.any()
+
+
+def test_jacobian_norm_bound_of_shear_is_exact():
+    # E has the single entry 2 pi eps, which the grid attains at x2 = 0
+    assert jacobian_norm_bound(shear_field(EPS)) == pytest.approx(0.2 * np.pi, rel=1e-15)
+    assert jacobian_norm_bound(TrigDisplacementField.zero(3)) == 0.0
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_jacobian_norm_bound_dominates_the_grid(rng, dim):
+    for _ in range(5):
+        field = random_field(rng, dim=dim, n_terms=3, max_freq=3)
+        per_axis = 64 if dim < 3 else 16
+        assert jacobian_norm_bound(field) >= jacobian_sup_norm(field, per_axis=per_axis)

@@ -126,13 +126,17 @@ def test_shear_tower_closed_form(rng):
                                 x + s * np.array([gain, 0.0]), atol=1e-14)
 
 
-def test_tower_matches_generic_induction(rng):
-    # closed-form levels must equal the composition-tree definition
-    tower = tower_from_field(shear_field(EPS), 2)
-    for i in range(tower.k):
-        generic = compose(tower.level(i), invert(tower.isotopy(i + 1).slice_at(1.0)))
-        for x in rng.uniform(0, 1, (20, 2)):
-            assert_allclose(tower.level(i + 1)(x), generic(x), atol=1e-12)
+def test_tower_matches_generic_induction(rng, shear, mixed):
+    # closed-form levels lift^i(h) must equal the composition-tree definition
+    x = rng.uniform(0, 1, (20, 2))
+    for tower in (tower_from_field(shear, 2), tower_from_field(mixed, 3)):
+        for i in range(tower.k):
+            assert isinstance(tower.level(i + 1), TrigDisplacementMap)
+            generic = compose(tower.level(i), invert(tower.isotopy(i + 1).slice_at(1.0)))
+            value, jac = tower.level(i + 1).jet(x)
+            tree_value, tree_jac = generic.jet(x)
+            assert_allclose(value, tree_value, rtol=0, atol=1e-12)
+            assert_allclose(jac, tree_jac, rtol=0, atol=1e-12)
 
 
 def test_tower_endpoint_mismatch():

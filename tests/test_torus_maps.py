@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from mtcover import torus_maps
 from mtcover.errors import (
     EndpointMismatch,
     NoConvergence,
@@ -269,6 +270,38 @@ def test_straight_line_rejects_large_field():
     big = shear_field(0.2)  # sup-norm of the Jacobian is 0.4 pi > 1
     with pytest.raises(NotDiffeotopy):
         StraightLineIsotopy(big)
+
+
+def test_certified_bound_passes_the_field_without_the_grid(monkeypatch):
+    # |Dv| <= 2 pi eps everywhere, so 0.2 pi * 1.1 < 1 decides the check
+    def no_grid(*args, **kwargs):
+        raise AssertionError("the grid was sampled")
+
+    monkeypatch.setattr(torus_maps, "jacobian_sup_norm", no_grid)
+    StraightLineIsotopy(shear_field(EPS))
+
+
+def test_grid_decides_where_the_bound_cannot(monkeypatch):
+    # x1 += a (sin + cos)(2 pi x2): the bound 4 pi a misses 1 / 1.1, while
+    # the true sup 2 sqrt(2) pi a is clear of it
+    a = 0.08
+    field = TrigDisplacementField.from_terms(2, [
+        (np.array([a, 0.0]), np.array([0, 1]), "sin"),
+        (np.array([a, 0.0]), np.array([0, 1]), "cos"),
+    ])
+    sampled = []
+    original = torus_maps.jacobian_sup_norm
+
+    def counted(*args, **kwargs):
+        sampled.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(torus_maps, "jacobian_sup_norm", counted)
+    StraightLineIsotopy(field)
+    assert sampled == [1]
+    with pytest.raises(NotDiffeotopy, match="field Jacobian sup norm 1.2566 leaves no margin below 1"):
+        StraightLineIsotopy(shear_field(0.2))
+    assert sampled == [1, 1]
 
 
 def test_bridge_of_equal_isotopies_is_identity(rng):
