@@ -29,7 +29,7 @@ import numpy as np
 
 from .coverings import build_stage_inventory, orbit, pi1_linear_part, preimages
 from .errors import ConfigError, MTCoverError
-from .expansion import default_psi, local_vertical_conorm, measure_constants, verify_expansion
+from .expansion import default_psi, local_vertical_conorms, measure_constants, verify_expansion
 from .fields import TrigDisplacementField, unit_grid
 from .lifting import tower_from_field
 from .manifolds import MetricG, MTPoint, check_seams
@@ -192,10 +192,10 @@ def _csv_rows(rows, header: str, out_path: str | None):
 def _dump_conorm_csv(cfg: RunConfig, f, metric: MetricG):
     """Grid dump of the local vertical conorm of the composite map."""
     grid = unit_grid(cfg.n, cfg.fiber_res)
+    local = local_vertical_conorms(f, metric, cfg.fiber_res, cfg.t_res, cfg.threads)
     rows = []
-    for t in np.arange(cfg.t_res, dtype=float) / cfg.t_res:
-        local = local_vertical_conorm(f, metric, float(t), grid)
-        for x, c in zip(grid, local):
+    for t, slice_values in zip(np.arange(cfg.t_res, dtype=float) / cfg.t_res, local):
+        for x, c in zip(grid, slice_values):
             rows.append([t, *x, c])
     header = "t," + ",".join(f"x_{i + 1}" for i in range(cfg.n)) + ",local_conorm"
     _csv_rows(rows, header, cfg.csv_out)

@@ -119,11 +119,11 @@ def _identity_frame(t, x, slope=1.0):
     return IdentityFrame(t, x, slope, np.zeros_like(x), eye)
 
 
-def _handle_frame(t_out, handle, x, w=None):
-    if w is None and is_identity(handle):
+def _handle_frame(t_out, handle, x):
+    if is_identity(handle):
         return _identity_frame(t_out, x)
     x_out, v = handle.jet(x)
-    return StageFrame(t_out, x_out, 1.0, np.zeros_like(x) if w is None else w, v)
+    return StageFrame(t_out, x_out, 1.0, np.zeros_like(x), v)
 
 
 class StageH(CoveringMapHandle):
@@ -146,10 +146,8 @@ class StageH(CoveringMapHandle):
         j = self.branch_space.seg_of(t, side)
         if j == self.k:
             return _identity_frame(t, x)
-        iso = self.tower.isotopy(self.k - j)
-        s = float((self.k + 1) * t - j)
-        return _handle_frame(t, iso.slice_at(s), x,
-                             (self.k + 1) * iso.time_derivative(s, x))
+        x_out, v, dx_ds = self.tower.isotopy(self.k - j).jet(float((self.k + 1) * t - j), x)
+        return StageFrame(t, x_out, 1.0, (self.k + 1) * dx_ds, v)
 
 
 class StageF(CoveringMapHandle):
@@ -213,9 +211,8 @@ class StageS(CoveringMapHandle):
         j = self.branch_space.seg_of(t, side)
         if j % 2 == 0:
             return _identity_frame(t, x)
-        s = t - j
-        return _handle_frame(t, self.psi.slice_at(s), x,
-                             self.psi.time_derivative(s, x))
+        x_out, v, dx_ds = self.psi.jet(t - j, x)
+        return StageFrame(t, x_out, 1.0, dx_ds, v)
 
 
 class StageT(CoveringMapHandle):

@@ -67,13 +67,44 @@ def _sweep(job, t_res: int, threads: int, closed: bool = False) -> np.ndarray:
     return values
 
 
+def _whitener(eigvals: np.ndarray, eigvecs: np.ndarray) -> np.ndarray:
+    """W = Q diag(eigvals)^(-1/2), so W^T M W = I for M = Q diag(eigvals) Q^T."""
+    return eigvecs / np.sqrt(eigvals)[..., None, :]
+
+
+def _whitened_min_eig(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of the symmetrised W^T a W, batched."""
+    whitened = np.swapaxes(w, -1, -2) @ a @ w
+    return np.linalg.eigvalsh(0.5 * (whitened + np.swapaxes(whitened, -1, -2)))[..., 0]
+
+
 def generalized_conorm_sq(a: np.ndarray, m: np.ndarray) -> np.ndarray:
     """Smallest eigenvalue of the pencil (a, m) for SPD m, batched."""
-    chol = np.linalg.cholesky(m)
-    half = np.linalg.solve(chol, a)
-    whitened = np.linalg.solve(chol, np.swapaxes(half, -1, -2))
-    whitened = 0.5 * (whitened + np.swapaxes(whitened, -1, -2))
-    return np.linalg.eigvalsh(whitened)[..., 0]
+    return _whitened_min_eig(a, _whitener(*np.linalg.eigh(m)))
+
+
+class SourceGram:
+    """The fiber Gram at the source points of a sweep, factored once.
+
+    On a fixed grid the Gram is affine in t, M(t) = (1-t) I + t D with
+    D = Dh^T Dh, so one eigendecomposition D = Q diag(lam) Q^T whitens every
+    slice: W(t) = Q diag((1-t) + t lam)^(-1/2) has W^T M(t) W = I.
+    """
+
+    def __init__(self, metric: MetricG, grid: np.ndarray):
+        self.metric, self.grid = metric, grid
+        self.d, self.eye = metric.fiber_gram(1.0, grid), np.eye(metric.dim)
+        # eigh returns NaN for NaN input, outside the guard of _sweep
+        if not np.isfinite(self.d).all():
+            raise NonFiniteSlice("slice t=1.0 gave a non-finite source Gram")
+        self.eigvals, self.eigvecs = np.linalg.eigh(self.d)
+
+    def gram(self, t: float) -> np.ndarray:
+        """M(t), by the expression of MetricG.fiber_gram, so equal to it bit for bit."""
+        return (1.0 - t) * self.eye + t * self.d
+
+    def whitener(self, t: float) -> np.ndarray:
+        return _whitener((1.0 - t) + t * self.eigvals, self.eigvecs)
 
 
 class SliceRecord:
@@ -84,43 +115,41 @@ class SliceRecord:
     u^T P u + 2a u.q + a^2 r.  Every sweep over a cover reads these.
     """
 
-    def __init__(self, cover, metric: MetricG, t: float, grid: np.ndarray):
-        fr = cover.frame(t, grid, +1)
-        m_dst = metric.fiber_gram(fr.t_out, fr.x_out)
+    def __init__(self, cover, source: SourceGram, t: float):
+        fr = cover.frame(t, source.grid, +1)
+        m_dst = source.metric.fiber_gram(fr.t_out, fr.x_out)
         vt_m = np.swapaxes(fr.v, -1, -2) @ m_dst
-        self.metric, self.t, self.grid, self.slope = metric, t, grid, fr.slope
+        self.source, self.t, self.slope = source, t, fr.slope
         # einsum beats stacked matmul on (n, n) x (n,) products
         self.p, self.q = vt_m @ fr.v, np.einsum("...ij,...j->...i", vt_m, fr.w)
         self.r = np.einsum("...i,...ij,...j->...", fr.w, m_dst, fr.w)
 
-    def source_gram(self) -> np.ndarray:
-        """Fiber Gram at the source, built by each reduction that reads it."""
-        return self.metric.fiber_gram(self.t, self.grid)
-
-    def vertical_conorm(self, m_src: np.ndarray) -> np.ndarray:
-        return np.sqrt(np.maximum(generalized_conorm_sq(self.p, m_src), 0.0))
+    def vertical_conorm(self) -> np.ndarray:
+        """Vertical expansion of the chart differential at each point of the
+        slice, from the metric at the source to the one at the image."""
+        sq = _whitened_min_eig(self.p, self.source.whitener(self.t))
+        return np.sqrt(np.maximum(sq, 0.0))
 
 
 def _record_job(cover, metric: MetricG, fiber_res: int, reduce):
-    """Slice job t -> reduce(SliceRecord of the cover at t) on the fiber grid."""
-    grid = unit_grid(cover.source.dim, fiber_res)
-    return lambda t: reduce(SliceRecord(cover, metric, t, grid))
+    """Slice job t -> reduce(SliceRecord of the cover at t) on the fiber grid,
+    with the source Gram factored once for all slices."""
+    source = SourceGram(metric, unit_grid(cover.source.dim, fiber_res))
+    return lambda t: reduce(SliceRecord(cover, source, t))
 
 
-def local_vertical_conorm(cover, metric: MetricG, t: float,
-                          grid: np.ndarray) -> np.ndarray:
-    """Vertical expansion of the chart differential at each point of the
-    slice t, measured from the interpolated metric at the source to the one
-    at the image."""
-    rec = SliceRecord(cover, metric, t, grid)
-    return rec.vertical_conorm(rec.source_gram())
+def local_vertical_conorms(cover, metric: MetricG, fiber_res: int, t_res: int,
+                           threads: int = 1) -> np.ndarray:
+    """SliceRecord.vertical_conorm at every grid point, (t_res, points) in
+    slice order."""
+    return _sweep(_record_job(cover, metric, fiber_res, SliceRecord.vertical_conorm),
+                  t_res, threads)
 
 
 def vertical_conorm_min(cover, metric: MetricG, fiber_res: int, t_res: int,
                         threads: int = 1) -> float:
-    """Min over the grid of local_vertical_conorm."""
-    job = _record_job(cover, metric, fiber_res,
-                      lambda rec: float(rec.vertical_conorm(rec.source_gram()).min()))
+    """Min over the grid of the local vertical conorm."""
+    job = _record_job(cover, metric, fiber_res, lambda rec: float(rec.vertical_conorm().min()))
     return float(_sweep(job, t_res, threads).min())
 
 
@@ -151,19 +180,22 @@ def estimate_C(tower, fiber_res: int = 64, t_res: int = 32,
     phi = tower.isotopy(1)
     grid = unit_grid(tower.dim, fiber_res)
 
+    def sq_sing(jac):
+        # squared singular values from the Gram's eigvalsh: these one-step
+        # Jacobians are well conditioned, so no SVD is needed
+        return np.linalg.eigvalsh(np.swapaxes(jac, -1, -2) @ jac)
+
     def job(t):
-        fr = fh.frame(t, grid, +1)
-        sq = np.linalg.eigvalsh(np.swapaxes(fr.v, -1, -2) @ fr.v)[..., 0]
-        return float(np.sqrt(np.maximum(sq, 0.0)).min())
+        return float(np.sqrt(np.maximum(sq_sing(fh.frame(t, grid, +1).v)[..., 0].min(), 0.0)))
 
     def phi_job(s):
-        return np.linalg.svd(phi.slice_at(s).jacobian(grid), compute_uv=False)[..., -1].min()
+        return np.sqrt(np.maximum(sq_sing(phi.slice_at(s).jacobian(grid))[..., 0].min(), 0.0))
 
     c_val = float(_sweep(job, t_res, threads, closed=True).min())
     if _bound is None:
-        sing = np.linalg.svd(tower.level(0).jacobian(grid), compute_uv=False)
-        min_h = float(sing[..., -1].min())
-        min_h_inv = float(1.0 / sing[..., 0].max())
+        sq = sq_sing(tower.level(0).jacobian(grid))
+        min_h = float(np.sqrt(np.maximum(sq[..., 0].min(), 0.0)))
+        min_h_inv = float(1.0 / np.sqrt(sq[..., -1].max()))
         min_phi = float(np.minimum(1.0, _sweep(phi_job, t_res, threads, closed=True).min()))
         _bound = min_h * min_h_inv * min_phi
     if not c_val >= _bound * (1.0 - floor_slack):
@@ -230,14 +262,15 @@ def _direction_templates(dim: int, n_dirs: int, rng) -> list:
 
 
 def _finsler_gain(dim: int, k_eff: float, n_dirs: int, seed: int):
-    """gain(record, m_src): min over the slice and the direction templates
+    """gain(record): min over the slice and the direction templates
     (a, u) of max(|Vu + aw|_G / k_eff, |slope a|) / max(|u|_G / k_eff, |a|)."""
     if not np.isfinite(k_eff) or k_eff <= 0.0:
         raise FinslerDegenerate(f"norm weight {k_eff} is unusable")
     templates = _direction_templates(dim, n_dirs, np.random.default_rng(seed))
 
-    def gain(rec: SliceRecord, m_src: np.ndarray) -> float:
-        src, img = m_src.reshape(-1, dim * dim), rec.p.reshape(-1, dim * dim)
+    def gain(rec: SliceRecord) -> float:
+        src = rec.source.gram(rec.t).reshape(-1, dim * dim)
+        img = rec.p.reshape(-1, dim * dim)
         worst = np.full(len(src), np.inf)
         # one template at a time into a running minimum, so every
         # temporary is (points,), never (points, templates)
@@ -269,7 +302,7 @@ def verify_finsler_expansion(f, metric: MetricG, k_eff: float,
     cone argument.
     """
     gain = _finsler_gain(f.source.dim, k_eff, n_dirs, seed)
-    job = _record_job(f, metric, fiber_res, lambda rec: gain(rec, rec.source_gram()))
+    job = _record_job(f, metric, fiber_res, gain)
     return _mu_and_case_bound(float(_sweep(job, t_res, threads).min()), vertical_margin, m)
 
 
@@ -337,12 +370,12 @@ def build_adapted_metric(f, metric: MetricG, mu_hat: float, k_eff: float,
     n_steps = 1
     while mu_hat ** n_steps <= ratio:
         n_steps += 1
-    grid = unit_grid(f.source.dim, fiber_res)
+    source = SourceGram(metric, unit_grid(f.source.dim, fiber_res))
 
     def job(t):
-        x = grid
+        x = source.grid
         jac = None
-        l_src = np.linalg.cholesky(metric.fiber_gram(t, x))
+        l_src = np.linalg.cholesky(source.gram(t))
         for _ in range(n_steps):
             fr = f.frame(t, x, +1)
             jac = fr.matrix() if jac is None else fr.matrix() @ jac
@@ -459,8 +492,7 @@ def verify_expansion(constants: ConstantsReport, k: int, f, metric: MetricG, m: 
 
     def vertical_and_finsler(rec):
         # the vertical margin and mu read one record: one frame per slice
-        m_src = rec.source_gram()
-        return float(rec.vertical_conorm(m_src).min()), gain(rec, m_src)
+        return float(rec.vertical_conorm().min()), gain(rec)
 
     job = _record_job(f, metric, fiber_res, vertical_and_finsler)
     margin, mu = _sweep(job, t_res, threads).min(axis=0).tolist()

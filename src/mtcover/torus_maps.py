@@ -282,6 +282,11 @@ class IsotopyHandle:
         """d/ds of the slice, evaluated at source points x."""
         raise NotImplementedError
 
+    def jet(self, s: float, x: np.ndarray):
+        """Slice value, its Jacobian and d/ds of the slice at source points x."""
+        x_out, jac = self.slice_at(s).jet(x)
+        return x_out, jac, self.time_derivative(s, x)
+
 
 class StraightLineIsotopy(IsotopyHandle):
     """s -> id + s * v along a fixed displacement field."""
@@ -303,6 +308,15 @@ class StraightLineIsotopy(IsotopyHandle):
 
     def time_derivative(self, s, x):
         return self.field.evaluate(np.asarray(x, dtype=float))
+
+    def jet(self, s, x):
+        # one trig pass: v and Dv give the slice x + s v, I + s Dv and d/ds = v
+        x = np.asarray(x, dtype=float)
+        disp, jac = self.field.jet(x)
+        jac *= float(s)
+        idx = np.arange(self.dim)
+        jac[..., idx, idx] += 1.0
+        return x + float(s) * disp, jac, disp
 
 
 def constant_identity_isotopy(dim: int) -> StraightLineIsotopy:

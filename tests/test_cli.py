@@ -136,6 +136,18 @@ def test_constants_csv_dump(tmp_path):
     assert float(first[-1]) == pytest.approx(3.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_verify_csv_minimum_is_the_vertical_margin(tmp_path, threads):
+    # the dump and the verify sweep read the same records of the same slices
+    csv_path = tmp_path / "conorm.csv"
+    cfg = write_config(tmp_path, fiber_res=8, t_res=4, csv_out=str(csv_path))
+    out = tmp_path / "out.json"
+    assert run(["verify", "--config", cfg, "--out", str(out), "--threads", threads]) == 0
+    column = [float(line.rsplit(",", 1)[1]) for line in csv_path.read_text().splitlines()[1:]]
+    assert len(column) == 4 * 64
+    assert min(column) == read_json(str(out))["expansion"]["vertical_margin"]
+
+
 # ---------------------------------------------------------------------------
 # verify
 

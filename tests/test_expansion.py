@@ -25,6 +25,8 @@ from mtcover.errors import (
     UnboundedSelection,
 )
 from mtcover.expansion import (
+    SliceRecord,
+    SourceGram,
     build_adapted_metric,
     default_psi,
     estimate_C,
@@ -147,6 +149,52 @@ def test_generalized_conorm_batched(rng):
                         atol=1e-13)
 
 
+CYC3 = TrigDisplacementField.from_terms(3, [
+    (np.array([0.05, 0.0, 0.0]), np.array([0, 1, 0]), "sin"),
+    (np.array([0.0, 0.05, 0.0]), np.array([0, 0, 1]), "sin"),
+    (np.array([0.0, 0.0, 0.05]), np.array([1, 0, 0]), "sin"),
+])
+
+
+def pencil_oracle(a, m):
+    """Smallest eigenvalue of the pencil (a, m) through a Cholesky factor of m."""
+    chol = np.linalg.cholesky(m)
+    whitened = np.linalg.solve(chol, np.swapaxes(np.linalg.solve(chol, a), -1, -2))
+    return np.linalg.eigvalsh(0.5 * (whitened + np.swapaxes(whitened, -1, -2)))[..., 0]
+
+
+@pytest.mark.parametrize("name", ["shear qm", "shear f", "mixed f", "cyc3 f"])
+def test_factored_source_gram_matches_the_pencil(name, shear, mixed):
+    # one eigh of D per sweep whitens every slice of M(t) = (1-t) I + t D
+    field = {"shear": shear, "mixed": mixed, "cyc3": CYC3}[name.split()[0]]
+    h, psi = TrigDisplacementMap(field), default_psi(field)
+    metric = MetricG(h)
+    cover = (build_qm_only(h, 1, psi) if name.endswith("qm")
+             else build_f(tower_from_field(field, 1), 1, psi))
+    source = SourceGram(metric, unit_grid(field.dim, 8 if field.dim == 2 else 4))
+    for t in np.arange(4) / 4:
+        m_src = metric.fiber_gram(t, source.grid)
+        assert np.array_equal(source.gram(t), m_src)
+        rec = SliceRecord(cover, source, t)
+        local = rec.vertical_conorm()
+        assert_allclose(local, np.sqrt(generalized_conorm_sq(rec.p, m_src)), rtol=1e-13)
+        assert_allclose(local, np.sqrt(pencil_oracle(rec.p, m_src)), rtol=1e-13)
+
+
+def test_vertical_sweep_factors_the_source_gram_once(f_k2, metric, monkeypatch):
+    counts = {"cholesky": 0, "solve": 0, "eigh": 0}
+    for name in counts:
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    vertical_conorm_min(f_k2, metric, 8, 4)
+    assert counts == {"cholesky": 0, "solve": 0, "eigh": 1}
+
+
 # ---------------------------------------------------------------------------
 # Flat-norm equivalence constant
 
@@ -191,6 +239,31 @@ def test_conorm_c_stabilizes_in_k(shear):
     c3, _ = estimate_C(tower_from_field(shear, 3), 32, 16)
     # deeper towers add ever flatter levels, so the sweep minimum freezes
     assert_allclose(c3, c2, rtol=1e-12)
+
+
+@pytest.mark.parametrize("name", ["shear", "mixed", "cyc3"])
+def test_conorm_c_bound_without_svd(name, shear, mixed, monkeypatch):
+    # the one-step Jacobians of h and of the isotopy slices are well
+    # conditioned, so the singular values of their Grams' eigvalsh match an SVD
+    field = {"shear": shear, "mixed": mixed, "cyc3": CYC3}[name]
+    tower = tower_from_field(field, 1)
+    grid = unit_grid(field.dim, 8 if field.dim == 2 else 4)
+    sing_h = np.linalg.svd(tower.level(0).jacobian(grid), compute_uv=False)
+    min_phi = min(1.0, min(
+        np.linalg.svd(tower.isotopy(1).slice_at(s).jacobian(grid), compute_uv=False)[..., -1].min()
+        for s in np.linspace(0.0, 1.0, 5)))
+    oracle = sing_h[..., -1].min() / sing_h[..., 0].max() * min_phi
+    svd = np.linalg.svd
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    _, bound = estimate_C(tower, 8 if field.dim == 2 else 4, 4)
+    assert calls == []
+    assert_allclose(bound, oracle, rtol=1e-13)
 
 
 def test_conorm_c_floor_raises_typed_error():
@@ -530,6 +603,27 @@ def test_nan_slice_raises_typed_error(shear_measured, tower2, shear_map, psi, me
         del sweeps["estimate_K"]
     for sweep in sweeps.values():
         with pytest.raises(NonFiniteSlice, match=r"t=0\.5\b"):
+            sweep()
+
+
+def test_nan_in_the_factored_source_gram_raises_typed_error(shear_measured, tower2,
+                                                            shear_map, psi, monkeypatch):
+    # each sweep factors the Gram at t = 1 once, before its slices run, and
+    # eigh returns NaN for NaN input without raising
+    constants, k, _, metric = shear_measured
+    f, qm = build_f(tower2, 1, psi), build_qm_only(shear_map, 1, psi)
+    gram = MetricG.fiber_gram
+
+    def nan_at_one(self, t, x):
+        m = gram(self, t, x)
+        return np.full_like(m, np.nan) if t == 1.0 else m
+
+    monkeypatch.setattr(MetricG, "fiber_gram", nan_at_one)
+    sweeps = [lambda: estimate_cq(qm, metric, 8, 4),
+              lambda: verify_expansion(constants, k, f, metric, 1),
+              lambda: build_adapted_metric(f, metric, 3.0, 4.0, 8, 4)]
+    for sweep in sweeps:
+        with pytest.raises(NonFiniteSlice, match=r"t=1\.0\b"):
             sweep()
 
 

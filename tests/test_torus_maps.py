@@ -380,6 +380,49 @@ def test_bridged_time_derivative_matches_finite_difference(rng):
                             rtol=1e-5, atol=1e-7)
 
 
+# non-commuting sin and cos terms
+SIN_COS_FIELD = TrigDisplacementField.from_terms(2, [
+    (np.array([0.05, 0.0]), np.array([0, 1]), "sin"),
+    (np.array([0.0, 0.05]), np.array([1, 0]), "cos"),
+])
+
+
+@pytest.mark.parametrize("field", [shear_field(EPS), SIN_COS_FIELD, TrigDisplacementField.zero(2)])
+def test_straight_line_jet_is_one_trig_pass(field, rng, monkeypatch):
+    # slice, Jacobian and d/ds from one jet of the field; the slice's own
+    # jet scales the coefficients first, so the two agree to rounding
+    iso = StraightLineIsotopy(field, check=False)
+    x = rng.uniform(0, 1, (50, 2))
+    jet = TrigDisplacementField.jet
+    calls = []
+
+    def counted(self, pts):
+        calls.append(self)
+        return jet(self, pts)
+
+    refs = {s: (*iso.slice_at(s).jet(x), iso.time_derivative(s, x)) for s in (0.0, 0.3, 1.0)}
+    monkeypatch.setattr(TrigDisplacementField, "jet", counted)
+    for s, (ref_x, ref_jac, ref_dx) in refs.items():
+        calls.clear()
+        x_out, jac, dx_ds = iso.jet(s, x)
+        assert len(calls) == 1 and calls[0] is field
+        assert_allclose(x_out, ref_x, rtol=0, atol=1e-15)
+        assert_allclose(jac, ref_jac, rtol=0, atol=1e-15)
+        assert np.array_equal(dx_ds, ref_dx)
+
+
+def test_isotopy_jet_defaults_to_slice_and_derivative(rng):
+    bridged = bridge_isotopy(straight_line_isotopy(shear_field(0.05)),
+                             straight_line_isotopy(TrigDisplacementField.from_terms(
+                                 2, [(np.array([0.0, 0.05]), np.array([1, 0]), "sin")])))
+    assert isinstance(bridged, BridgedIsotopy)
+    x = rng.uniform(0, 1, (20, 2))
+    x_out, jac, dx_ds = bridged.jet(0.4, x)
+    ref_x, ref_jac = bridged.slice_at(0.4).jet(x)
+    assert np.array_equal(x_out, ref_x) and np.array_equal(jac, ref_jac)
+    assert np.array_equal(dx_ds, bridged.time_derivative(0.4, x))
+
+
 def test_isotopy_slices_are_diffeomorphisms(rng):
     iso = straight_line_isotopy(shear_field(EPS))
     for s in (0.0, 0.5, 1.0):
