@@ -45,7 +45,6 @@ from .torus_maps import (
     bridge_isotopy,
     compose,
     compose_isotopy,
-    invert,
 )
 
 __version__ = "0.1.0"

@@ -28,11 +28,13 @@ from .torus_maps import (
     TorusMapHandle,
     compose,
     identity_map,
-    invert,
     is_identity,
     newton_invert,
     torus_representative,
 )
+
+_INTEGRAL_TOL = 1e-8  # how far a slope or translation law may sit from an integer
+_PREIMAGE_TOL = 1e-9  # how far a refined preimage may map from its target
 
 
 class StageFrame(NamedTuple):
@@ -157,7 +159,7 @@ class StageF(CoveringMapHandle):
 
     def __init__(self, tower, source, target):
         super().__init__(source, target, branch_space=source)
-        top_inv = invert(tower.level(tower.k))
+        top_inv = tower.level(tower.k).inverse()
         self._branch_maps = [identity_map(tower.dim)]
         for j in range(1, tower.k + 1):
             self._branch_maps.append(compose(top_inv, tower.level(tower.k - j)))
@@ -365,7 +367,7 @@ def build_spaces(tower, m):
     k = tower.k
     width = 1.0 / (k + 1)
     nk_bounds = [i * width for i in range(k + 1)] + [1.0]
-    nk_gluings = [compose(invert(tower.level(k - i - 1)), tower.level(k - i))
+    nk_gluings = [compose(tower.level(k - i - 1).inverse(), tower.level(k - i))
                   for i in range(k)]
     spaces = _base_spaces(h, m)
     spaces["nk"] = MultiMappingTorus(nk_bounds, nk_gluings, h, name="tower-segments")
@@ -459,7 +461,7 @@ def _probe_parameter(cover: CoveringMapHandle) -> float:
     return a + (b - a) / 2.0
 
 
-def pi1_linear_part(cover: CoveringMapHandle, tol: float = 1e-8) -> np.ndarray:
+def pi1_linear_part(cover: CoveringMapHandle) -> np.ndarray:
     """Integer matrix induced on the lattice of deck translations.
 
     The base slope comes from the chart t-rule; the fiber block is measured
@@ -468,7 +470,7 @@ def pi1_linear_part(cover: CoveringMapHandle, tol: float = 1e-8) -> np.ndarray:
     n = cover.source.dim
     slope = cover.t_slope
     mu = round(slope)
-    if abs(slope - mu) > tol:
+    if abs(slope - mu) > _INTEGRAL_TOL:
         raise NonIntegral(f"base slope {slope} is not an integer")
     rng = np.random.default_rng(12345)
     x0 = rng.random(n)
@@ -477,7 +479,7 @@ def pi1_linear_part(cover: CoveringMapHandle, tol: float = 1e-8) -> np.ndarray:
     images = cover.frame(_probe_parameter(cover), points, +1).x_out
     cols = (images[1:] - images[0]).T
     rounded = np.round(cols)
-    if float(np.abs(cols - rounded).max()) > tol:
+    if float(np.abs(cols - rounded).max()) > _INTEGRAL_TOL:
         raise NonIntegral(
             f"fiber translation law deviates by {float(np.abs(cols - rounded).max()):.3e}"
         )
@@ -488,7 +490,7 @@ def pi1_linear_part(cover: CoveringMapHandle, tol: float = 1e-8) -> np.ndarray:
 
 
 def preimages(cover: CoveringMapHandle, q: MTPoint, newton_tol: float = 1e-12,
-              verify_tol: float = 1e-9, dedupe_tol: float = 1e-6):
+              dedupe_tol: float = 1e-6):
     """All preimages of q, refined by Newton on the fiber lift.
 
     Requires single-segment source and target charts (the unit mapping
@@ -518,7 +520,7 @@ def preimages(cover: CoveringMapHandle, q: MTPoint, newton_tol: float = 1e-12,
         branch = MTPoint(0, t_j, torus_representative(x))
         gaps = cover.target.distance(cover.apply_point(branch), q)
         worst = float(gaps.max(initial=0.0))
-        if worst > verify_tol:
+        if worst > _PREIMAGE_TOL:
             raise MissingPreimage(
                 f"candidate at t={t_j:.6f} maps {worst:.3e} away from the target"
             )

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -21,13 +22,15 @@ from .fields import TrigDisplacementField, unit_grid
 from .lifting import tower_from_field
 from .manifolds import MetricG, MTPoint, Tangent
 from .torus_maps import (
+    StraightLineIsotopy,
     TrigDisplacementMap,
     bridge_isotopy,
     compose_isotopy,
     constant_identity_isotopy,
-    straight_line_isotopy,
     torus_representative,
 )
+
+_TOL_REL = 1e-3  # relative slack of the vertical-margin check; reported as tol_rel
 
 
 def default_psi(h_field: TrigDisplacementField):
@@ -36,7 +39,7 @@ def default_psi(h_field: TrigDisplacementField):
     Built as the bridge from the constant identity to the slice-wise square
     of the straight-line path, so it needs no closed form for the square.
     """
-    line = straight_line_isotopy(h_field)
+    line = StraightLineIsotopy(h_field)
     squared = compose_isotopy(line, line)
     return bridge_isotopy(constant_identity_isotopy(h_field.dim), squared)
 
@@ -88,7 +91,9 @@ class SourceGram:
 
     On a fixed grid the Gram is affine in t, M(t) = (1-t) I + t D with
     D = Dh^T Dh, so one eigendecomposition D = Q diag(lam) Q^T whitens every
-    slice: W(t) = Q diag((1-t) + t lam)^(-1/2) has W^T M(t) W = I.
+    slice: W(t) = Q diag((1-t) + t lam)^(-1/2) has W^T M(t) W = I.  It runs on
+    first use, since the K, Finsler and adapted sweeps never whiten; slice
+    threads that race on it compute the same bits.
     """
 
     def __init__(self, metric: MetricG, grid: np.ndarray):
@@ -97,14 +102,19 @@ class SourceGram:
         # eigh returns NaN for NaN input, outside the guard of _sweep
         if not np.isfinite(self.d).all():
             raise NonFiniteSlice("slice t=1.0 gave a non-finite source Gram")
-        self.eigvals, self.eigvecs = np.linalg.eigh(self.d)
+
+    @cached_property
+    def eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        """(lam, Q) of D."""
+        return np.linalg.eigh(self.d)
 
     def gram(self, t: float) -> np.ndarray:
         """M(t), by the expression of MetricG.fiber_gram, so equal to it bit for bit."""
         return (1.0 - t) * self.eye + t * self.d
 
     def whitener(self, t: float) -> np.ndarray:
-        return _whitener((1.0 - t) + t * self.eigvals, self.eigvecs)
+        lam, q = self.eigh
+        return _whitener((1.0 - t) + t * lam, q)
 
 
 class SliceRecord:
@@ -153,18 +163,16 @@ def vertical_conorm_min(cover, metric: MetricG, fiber_res: int, t_res: int,
     return float(_sweep(job, t_res, threads).min())
 
 
-def estimate_metric_equiv(metric: MetricG, fiber_res: int = 64, t_res: int = 32,
-                          threads: int = 1) -> float:
-    """Largest c with c <= |v|_G / |v|_flat <= 1/c for vertical v on the grid."""
-    grid = unit_grid(metric.dim, fiber_res)
+def estimate_metric_equiv(metric: MetricG, fiber_res: int = 64) -> float:
+    """Largest c with c <= |v|_G / |v|_flat <= 1/c for vertical v on the grid
+    and every t in [0, 1].
 
-    def job(t):
-        ev = np.linalg.eigvalsh(metric.fiber_gram(t, grid))
-        lo = np.sqrt(np.maximum(ev[..., 0], 0.0))
-        hi = np.sqrt(ev[..., -1])
-        return float(np.minimum(lo, 1.0 / hi).min())
-
-    return float(_sweep(job, t_res, threads, closed=True).min())
+    The eigenvalues (1-t) + t lam of M(t) are monotone in t, so they are
+    extreme at t = 0, where all are 1, and at t = 1, where they are those of D.
+    """
+    lam = SourceGram(metric, unit_grid(metric.dim, fiber_res)).eigh[0]
+    lo = np.sqrt(max(float(lam[..., 0].min()), 0.0))
+    return float(min(1.0, lo, 1.0 / np.sqrt(lam[..., -1].max())))
 
 
 def estimate_C(tower, fiber_res: int = 64, t_res: int = 32,
@@ -448,7 +456,7 @@ def measure_constants(h_field: TrigDisplacementField, m: int, *, k: int | None =
     h = TrigDisplacementMap(h_field)
     metric = MetricG(h)
     psi = default_psi(h_field)
-    c_eq = estimate_metric_equiv(metric, fiber_res, t_res, threads)
+    c_eq = estimate_metric_equiv(metric, fiber_res)
     qm = build_qm_only(h, m, psi)
     c_q = estimate_cq(qm, metric, fiber_res, t_res, threads)
     lam = nu_target / c_q
@@ -483,7 +491,7 @@ def measure_constants(h_field: TrigDisplacementField, m: int, *, k: int | None =
 
 
 def verify_expansion(constants: ConstantsReport, k: int, f, metric: MetricG, m: int, *,
-                     n_dirs: int = 16, nu_target: float = 2.0, tol_rel: float = 1e-3,
+                     n_dirs: int = 16, nu_target: float = 2.0,
                      seed: int = 0, threads: int = 1) -> ExpansionReport:
     """Check that the composite f expands, from the constants measured for it."""
     fiber_res, t_res = constants.fiber_res, constants.t_res
@@ -501,13 +509,13 @@ def verify_expansion(constants: ConstantsReport, k: int, f, metric: MetricG, m: 
     c_eq = constants.c_eq
     chain_floor = c_eq * c_eq * constants.base ** k * constants.conorm_C
     checks = {
-        "vertical_margin_ok": bool(margin >= nu_target * (1.0 - tol_rel)),
+        "vertical_margin_ok": bool(margin >= nu_target * (1.0 - _TOL_REL)),
         "mu_above_one": bool(mu > 1.0),
         "adapted_rate_above_one": bool(adapted.rate > 1.0),
         "chain_floor_ok": bool(chain_floor > constants.lambda_target),
     }
     return ExpansionReport(
-        k=k, m=m, nu_target=nu_target, tol_rel=tol_rel,
+        k=k, m=m, nu_target=nu_target, tol_rel=_TOL_REL,
         vertical_margin=margin, mu=mu, case_bound=case_bound,
         adapted_steps=adapted.n_steps, adapted_rate=adapted.rate,
         checks=checks, passed=all(checks.values()),
@@ -516,7 +524,7 @@ def verify_expansion(constants: ConstantsReport, k: int, f, metric: MetricG, m: 
 
 def run_pipeline(h_field: TrigDisplacementField, m: int, *, k: int | None = None,
                  base: int = 3, fiber_res: int = 64, t_res: int = 32,
-                 n_dirs: int = 16, nu_target: float = 2.0, tol_rel: float = 1e-3,
+                 n_dirs: int = 16, nu_target: float = 2.0,
                  k_cap: int = 12, seed: int = 0, threads: int = 1):
     """Measure all constants, choose k, and verify expansion end to end.
 
@@ -526,6 +534,5 @@ def run_pipeline(h_field: TrigDisplacementField, m: int, *, k: int | None = None
         h_field, m, k=k, base=base, fiber_res=fiber_res, t_res=t_res,
         nu_target=nu_target, k_cap=k_cap, threads=threads)
     report = verify_expansion(constants, k, f, metric, m, n_dirs=n_dirs,
-                              nu_target=nu_target, tol_rel=tol_rel, seed=seed,
-                              threads=threads)
+                              nu_target=nu_target, seed=seed, threads=threads)
     return constants, report

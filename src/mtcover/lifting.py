@@ -23,10 +23,10 @@ from .torus_maps import (
     TrigDisplacementMap,
     bridge_isotopy,
     compose,
-    invert,
     isotopy_endpoint_gap,
-    straight_line_isotopy,
 )
+
+_ENDPOINT_TOL = 1e-9  # how far phi1's time-1 slice may miss the lift correction
 
 
 class NaturalLiftMap(TorusMapHandle):
@@ -94,9 +94,11 @@ class LiftedIsotopy(IsotopyHandle):
     def slice_at(self, s):
         return lift_map(self.inner.slice_at(s), self.base)
 
-    def time_derivative(self, s, x):
+    def jet(self, s, x):
         x = np.asarray(x, dtype=float)
-        return self.inner.time_derivative(s, self.base * x) / self.base
+        y = self.base * x
+        value, jac, d_ds = self.inner.jet(s, y)
+        return x + (value - y) / self.base, jac, d_ds / self.base
 
 
 def lift_isotopy(iso: IsotopyHandle, base: int = 3) -> IsotopyHandle:
@@ -135,8 +137,7 @@ class LiftTower:
         return self.isotopies[i]
 
 
-def build_tower(h: TorusMapHandle, phi1: IsotopyHandle, k: int, base: int = 3,
-                endpoint_tol: float = 1e-9) -> LiftTower:
+def build_tower(h: TorusMapHandle, phi1: IsotopyHandle, k: int, base: int = 3) -> LiftTower:
     """Build the lift tower of depth k over h.
 
     phi1 must run from the identity to (lift of h)^-1 o h; the endpoint is
@@ -147,9 +148,9 @@ def build_tower(h: TorusMapHandle, phi1: IsotopyHandle, k: int, base: int = 3,
     if k < 0:
         raise UnsupportedForm("tower depth must be >= 0")
     h1 = lift_map(h, base)
-    target = compose(invert(h1), h)
+    target = compose(h1.inverse(), h)
     gap = isotopy_endpoint_gap(phi1, target)
-    if gap > endpoint_tol:
+    if gap > _ENDPOINT_TOL:
         raise EndpointMismatch(
             f"phi1 time-1 slice misses lift correction by {gap:.3e}"
         )
@@ -164,7 +165,7 @@ def build_tower(h: TorusMapHandle, phi1: IsotopyHandle, k: int, base: int = 3,
 
 def default_phi1(h_field: TrigDisplacementField, base: int = 3) -> IsotopyHandle:
     """Connecting isotopy from straight lines to h and to its natural lift."""
-    to_h = straight_line_isotopy(h_field)
+    to_h = StraightLineIsotopy(h_field)
     to_lift = StraightLineIsotopy(h_field.dilate(base), check=False)
     return bridge_isotopy(to_h, to_lift)
 

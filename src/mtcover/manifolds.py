@@ -16,7 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NotVertical, UnsupportedForm
-from .torus_maps import TorusMapHandle, invert, torus_representative
+from .torus_maps import TorusMapHandle, torus_representative
+
+_SEAM_DEDUPE_TOL = 1e-12  # breakpoints this close to 0 or the circumference are the wrap
 
 
 @dataclass
@@ -96,7 +98,7 @@ class MultiMappingTorus:
 
     def _inverse(self, i: int) -> TorusMapHandle:
         if i not in self._inverses:
-            self._inverses[i] = invert(self.wrap if i < 0 else self.gluings[i])
+            self._inverses[i] = (self.wrap if i < 0 else self.gluings[i]).inverse()
         return self._inverses[i]
 
     def normalize_raw(self, seg: int, t: float, x: np.ndarray, tangents=()):
@@ -261,7 +263,7 @@ class MetricG:
         return float(np.sqrt(v.a * v.a + v.u @ m @ v.u))
 
 
-def check_seams(covering, n_samples: int = 100, rng=None, dedupe_tol: float = 1e-12):
+def check_seams(covering, n_samples: int = 100, rng=None):
     """Max discrepancy of a chart map across every source seam.
 
     For each breakpoint of the map (including source seams and the wrap),
@@ -273,7 +275,7 @@ def check_seams(covering, n_samples: int = 100, rng=None, dedupe_tol: float = 1e
     if rng is None:
         rng = np.random.default_rng(0)
     points = [("interior", t_b) for t_b in covering.breakpoints()
-              if dedupe_tol < t_b < space.circumference - dedupe_tol]
+              if _SEAM_DEDUPE_TOL < t_b < space.circumference - _SEAM_DEDUPE_TOL]
     points.append(("wrap", space.circumference))
     seam_params = {round(b, 12): g for b, g in space.seams()}
     worst = 0.0

@@ -22,6 +22,11 @@ from .errors import (
 from .fields import TrigDisplacementField, jacobian_norm_bound, jacobian_sup_norm
 
 _COND_LIMIT = 1e12
+_DIFFEOTOPY_GRID = 64  # grid points per axis of the sampled diffeotopy check
+_DIFFEOTOPY_MARGIN = 1.1  # sup |Dv| times this must stay below 1
+_BRIDGE_START_TOL = 1e-10  # how far bridged paths may differ at s = 0
+_BRIDGE_CHECKS = 16  # sample points of that check
+_ENDPOINT_CHECKS = 64  # sample points of isotopy_endpoint_gap
 
 
 def torus_representative(x: np.ndarray) -> np.ndarray:
@@ -261,42 +266,35 @@ def compose(outer: TorusMapHandle, inner: TorusMapHandle) -> TorusMapHandle:
     return CompositeMap(outer, inner)
 
 
-def invert(handle: TorusMapHandle, tol: float = 1e-12) -> TorusMapHandle:
-    """Inverse handle, inverted factor by factor; Newton wraps only leaf maps."""
-    return handle.inverse(tol)
-
-
 # ---------------------------------------------------------------------------
 # Isotopies
 
 
 class IsotopyHandle:
-    """A path s in [0,1] of torus diffeomorphisms."""
+    """A path s in [0,1] of torus diffeomorphisms.
+
+    jet(s, x) -> (value, Jacobian, d/ds) of the slice at source points x is
+    the one way to evaluate it; slice_at(s) is the map at time s, for
+    inversion and endpoint checks.
+    """
 
     dim: int
 
     def slice_at(self, s: float) -> TorusMapHandle:
         raise NotImplementedError
 
-    def time_derivative(self, s: float, x: np.ndarray) -> np.ndarray:
-        """d/ds of the slice, evaluated at source points x."""
-        raise NotImplementedError
-
     def jet(self, s: float, x: np.ndarray):
-        """Slice value, its Jacobian and d/ds of the slice at source points x."""
-        x_out, jac = self.slice_at(s).jet(x)
-        return x_out, jac, self.time_derivative(s, x)
+        raise NotImplementedError
 
 
 class StraightLineIsotopy(IsotopyHandle):
     """s -> id + s * v along a fixed displacement field."""
 
-    def __init__(self, field: TrigDisplacementField, check: bool = True,
-                 grid_per_axis: int = 64, margin: float = 1.1):
+    def __init__(self, field: TrigDisplacementField, check: bool = True):
         # the certified bound, clear of 1 past rounding, passes without the grid
-        if check and jacobian_norm_bound(field) * margin * (1.0 + 1e-12) >= 1.0:
-            sup = jacobian_sup_norm(field, per_axis=grid_per_axis)
-            if sup * margin >= 1.0:
+        if check and jacobian_norm_bound(field) * _DIFFEOTOPY_MARGIN * (1.0 + 1e-12) >= 1.0:
+            sup = jacobian_sup_norm(field, per_axis=_DIFFEOTOPY_GRID)
+            if sup * _DIFFEOTOPY_MARGIN >= 1.0:
                 raise NotDiffeotopy(
                     f"field Jacobian sup norm {sup:.4f} leaves no margin below 1"
                 )
@@ -305,9 +303,6 @@ class StraightLineIsotopy(IsotopyHandle):
 
     def slice_at(self, s):
         return TrigDisplacementMap(self.field.scaled(float(s)))
-
-    def time_derivative(self, s, x):
-        return self.field.evaluate(np.asarray(x, dtype=float))
 
     def jet(self, s, x):
         # one trig pass: v and Dv give the slice x + s v, I + s Dv and d/ds = v
@@ -323,10 +318,6 @@ def constant_identity_isotopy(dim: int) -> StraightLineIsotopy:
     return StraightLineIsotopy(TrigDisplacementField.zero(dim), check=False)
 
 
-def straight_line_isotopy(field: TrigDisplacementField) -> StraightLineIsotopy:
-    return StraightLineIsotopy(field)
-
-
 class ComposedIsotopy(IsotopyHandle):
     """Slice-wise composition s -> a(s) o b(s)."""
 
@@ -340,13 +331,10 @@ class ComposedIsotopy(IsotopyHandle):
     def slice_at(self, s):
         return compose(self.a.slice_at(s), self.b.slice_at(s))
 
-    def time_derivative(self, s, x):
-        x = np.asarray(x, dtype=float)
-        y = self.b.slice_at(s).apply(x)
-        da = self.a.time_derivative(s, y)
-        jac_a = self.a.slice_at(s).jacobian(y)
-        db = self.b.time_derivative(s, x)
-        return da + np.einsum("...ij,...j->...i", jac_a, db)
+    def jet(self, s, x):
+        y, jac_b, db = self.b.jet(s, x)
+        z, jac_a, da = self.a.jet(s, y)
+        return z, jac_a @ jac_b, da + np.einsum("...ij,...j->...i", jac_a, db)
 
 
 def compose_isotopy(a: IsotopyHandle, b: IsotopyHandle) -> IsotopyHandle:
@@ -365,28 +353,25 @@ class BridgedIsotopy(IsotopyHandle):
         dz/ds = Db(s)(z)^-1 [ d/ds a(s)(x) - d/ds b(s)(z) ].
     """
 
-    def __init__(self, a: IsotopyHandle, b: IsotopyHandle, tol: float = 1e-12):
+    def __init__(self, a: IsotopyHandle, b: IsotopyHandle):
         if a.dim != b.dim:
             raise DimensionMismatch("isotopies on different tori")
         self.a = a
         self.b = b
         self.dim = a.dim
-        self.tol = tol
 
     def slice_at(self, s):
-        return compose(invert(self.b.slice_at(s), tol=self.tol), self.a.slice_at(s))
+        return compose(self.b.slice_at(s).inverse(), self.a.slice_at(s))
 
-    def time_derivative(self, s, x):
-        x = np.asarray(x, dtype=float)
-        z = self.slice_at(s).apply(x)
-        da = self.a.time_derivative(s, x)
-        db = self.b.time_derivative(s, z)
-        jac_b = self.b.slice_at(s).jacobian(z)
-        return _solve(jac_b, (da - db)[..., None])[..., 0]
+    def jet(self, s, x):
+        # the slice jet solves each leaf inverse once and checks its conditioning
+        z, jac = self.slice_at(s).jet(x)
+        da = self.a.jet(s, x)[2]
+        _, jac_b, db = self.b.jet(s, z)
+        return z, jac, _solve(jac_b, (da - db)[..., None])[..., 0]
 
 
-def bridge_isotopy(a: IsotopyHandle, b: IsotopyHandle, tol: float = 1e-10,
-                   n_checks: int = 16) -> IsotopyHandle:
+def bridge_isotopy(a: IsotopyHandle, b: IsotopyHandle) -> IsotopyHandle:
     """The path s -> b(s)^-1 o a(s).
 
     Requires a(0) = b(0) so the result starts at the identity; checked on a
@@ -397,9 +382,9 @@ def bridge_isotopy(a: IsotopyHandle, b: IsotopyHandle, tol: float = 1e-10,
     if a.dim != b.dim:
         raise DimensionMismatch("isotopies on different tori")
     rng = np.random.default_rng(7)
-    probe = rng.random((n_checks, a.dim))
+    probe = rng.random((_BRIDGE_CHECKS, a.dim))
     gap = np.abs(a.slice_at(0.0).apply(probe) - b.slice_at(0.0).apply(probe))
-    if float(gap.max(initial=0.0)) > tol:
+    if float(gap.max(initial=0.0)) > _BRIDGE_START_TOL:
         raise EndpointMismatch(
             f"isotopies start {float(gap.max()):.3e} apart; need matching slices at s=0"
         )
@@ -410,9 +395,8 @@ def bridge_isotopy(a: IsotopyHandle, b: IsotopyHandle, tol: float = 1e-10,
     return BridgedIsotopy(a, b)
 
 
-def isotopy_endpoint_gap(iso: IsotopyHandle, target: TorusMapHandle,
-                         n_checks: int = 64) -> float:
+def isotopy_endpoint_gap(iso: IsotopyHandle, target: TorusMapHandle) -> float:
     """Max |iso(1)(x) - target(x)| over sample points."""
     rng = np.random.default_rng(11)
-    probe = rng.random((n_checks, iso.dim))
+    probe = rng.random((_ENDPOINT_CHECKS, iso.dim))
     return float(np.abs(iso.slice_at(1.0).apply(probe) - target.apply(probe)).max(initial=0.0))

@@ -375,9 +375,31 @@ def test_verify_under_optimize_flag_matches_plain_run(tmp_path):
     assert json.loads(reports[1])["pass"] is True
 
 
+# the configs/cyc3.json verify report: every Newton-backed stage of an n=3
+# field feeds these, and reruns must match them to rounding
+CYC3_REF = {
+    "constants": {
+        "c_eq": 0.6858407346410206,
+        "c_q": 0.8020923703701007,
+        "conorm_C": 0.6576659566698718,
+        "conorm_C_bound": 0.3313250085748365,
+        "coupling_K": 3.772394500549991,
+        "coupling_K_eff": 3.772394500549991,
+        "lambda_target": 2.4934783995977443,
+    },
+    "expansion": {
+        "adapted_rate": 2.911489305054229,
+        "adapted_steps": 2,
+        "case_bound": 3.0,
+        "mu": 3.0,
+        "vertical_margin": 6.677050421996585,
+    },
+}
+
+
 def test_verify_on_the_cyclic_three_torus_config(tmp_path):
     # configs/cyc3.json: the cyclic n=3 field at 8^3 x 8; reports must not
-    # depend on the thread count
+    # depend on the thread count, and their constants are pinned
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     cfg = os.path.join(root, "configs", "cyc3.json")
     reports = []
@@ -388,3 +410,6 @@ def test_verify_on_the_cyclic_three_torus_config(tmp_path):
     assert reports[0] == reports[1]
     doc = json.loads(reports[0])
     assert doc["pass"] is True and doc["expansion"]["k"] == 2
+    for block, ref in CYC3_REF.items():
+        for key, value in ref.items():
+            assert math.isclose(doc[block][key], value, rel_tol=1e-12, abs_tol=0.0), key

@@ -195,24 +195,69 @@ def test_vertical_sweep_factors_the_source_gram_once(f_k2, metric, monkeypatch):
     assert counts == {"cholesky": 0, "solve": 0, "eigh": 1}
 
 
+def test_sweeps_that_never_whiten_skip_the_eigh(f_k2, metric, monkeypatch):
+    # K, the Finsler sweep and the adapted sweep read gram(t) only, so the
+    # source Gram's eigendecomposition is left for a first whitener to compute
+    calls = []
+    original = np.linalg.eigh
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    _, k_eff = estimate_K(f_k2, metric, 8, 4)
+    verify_finsler_expansion(f_k2, metric, k_eff, 6.0, 1, 8, 4, n_dirs=4)
+    build_adapted_metric(f_k2, metric, 3.0, k_eff, 8, 4)
+    assert calls == []
+    source = SourceGram(metric, unit_grid(2, 8))
+    assert calls == []
+    source.whitener(0.5)
+    source.whitener(1.0)
+    assert calls == [1]
+
+
 # ---------------------------------------------------------------------------
 # Flat-norm equivalence constant
 
 def test_metric_equiv_linear_model(linear_setup):
     _, metric0 = linear_setup
-    assert estimate_metric_equiv(metric0, 16, 8) == 1.0
+    assert estimate_metric_equiv(metric0, 16) == 1.0
 
 
 def test_metric_equiv_matches_closed_form(metric):
-    measured = estimate_metric_equiv(metric, 64, 32)
+    measured = estimate_metric_equiv(metric, 64)
     assert_allclose(measured, c_eq_closed_form(), atol=1e-14)
     assert_allclose(measured, C_EQ_REF, rtol=1e-12)
 
 
 def test_metric_equiv_grid_stable(metric):
     # the extreme point sits on every even grid, so refinement is a no-op
-    assert_allclose(estimate_metric_equiv(metric, 32, 16),
-                    estimate_metric_equiv(metric, 64, 32), rtol=1e-14)
+    assert_allclose(estimate_metric_equiv(metric, 32),
+                    estimate_metric_equiv(metric, 64), rtol=1e-14)
+
+
+def _metric_equiv_sweep(metric, fiber_res, t_res):
+    """c_eq as the closed sweep over t of eigvalsh(M(t)) on the grid."""
+    grid = unit_grid(metric.dim, fiber_res)
+    worst = np.inf
+    for t in np.linspace(0.0, 1.0, t_res + 1).tolist():
+        ev = np.linalg.eigvalsh(metric.fiber_gram(t, grid))
+        lo, hi = np.sqrt(np.maximum(ev[..., 0], 0.0)), np.sqrt(ev[..., -1])
+        worst = min(worst, float(np.minimum(lo, 1.0 / hi).min()))
+    return worst
+
+
+@pytest.mark.parametrize("name", ["shear", "mixed", "cyc3", "zero"])
+def test_metric_equiv_is_the_sweep_at_its_endpoints(name, shear, mixed):
+    # the eigenvalues (1-t) + t lam(D) of M(t) are monotone in t, so the
+    # sweep's extremes sit at t = 0 and t = 1: equal to the last bit
+    field = {"shear": shear, "mixed": mixed, "cyc3": CYC3,
+             "zero": TrigDisplacementField.zero(2)}[name]
+    metric = MetricG(TrigDisplacementMap(field))
+    res = 16 if field.dim == 2 else 8
+    for t_res in (4, 16):
+        assert estimate_metric_equiv(metric, res) == _metric_equiv_sweep(metric, res, t_res)
 
 
 # ---------------------------------------------------------------------------
@@ -418,8 +463,6 @@ def test_threaded_sweeps_are_bitwise(f_k2, metric, tower2):
     # count cannot change a result, not even in its last bit
     assert (vertical_conorm_min(f_k2, metric, 16, 8)
             == vertical_conorm_min(f_k2, metric, 16, 8, threads=4))
-    assert (estimate_metric_equiv(metric, 16, 8)
-            == estimate_metric_equiv(metric, 16, 8, threads=3))
     assert estimate_C(tower2, 16, 8) == estimate_C(tower2, 16, 8, threads=3)
     assert estimate_K(f_k2, metric, 16, 8) == estimate_K(f_k2, metric, 16, 8, threads=3)
     _, k_eff = estimate_K(f_k2, metric, 16, 8)
@@ -595,9 +638,8 @@ def test_nan_slice_raises_typed_error(shear_measured, tower2, shear_map, psi, me
         "build_adapted_metric": lambda: build_adapted_metric(f, metric, 3.0, 4.0, 8, 4),
     }
     if patched == "fiber_gram":
-        # the flat conorm C reads no Gram, and c_eq reads nothing else
+        # the flat conorm C reads no Gram
         del sweeps["estimate_C"]
-        sweeps["estimate_metric_equiv"] = lambda: estimate_metric_equiv(metric, 8, 4)
     else:
         # K reads only the image w of the base direction, not v
         del sweeps["estimate_K"]
@@ -619,9 +661,11 @@ def test_nan_in_the_factored_source_gram_raises_typed_error(shear_measured, towe
         return np.full_like(m, np.nan) if t == 1.0 else m
 
     monkeypatch.setattr(MetricG, "fiber_gram", nan_at_one)
+    # c_eq reads only the factored Gram at t = 1
     sweeps = [lambda: estimate_cq(qm, metric, 8, 4),
               lambda: verify_expansion(constants, k, f, metric, 1),
-              lambda: build_adapted_metric(f, metric, 3.0, 4.0, 8, 4)]
+              lambda: build_adapted_metric(f, metric, 3.0, 4.0, 8, 4),
+              lambda: estimate_metric_equiv(metric, 8)]
     for sweep in sweeps:
         with pytest.raises(NonFiniteSlice, match=r"t=1\.0\b"):
             sweep()

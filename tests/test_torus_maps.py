@@ -11,8 +11,10 @@ from mtcover.errors import (
     UnsupportedForm,
 )
 from mtcover.fields import TrigDisplacementField, shear_field
+from mtcover.lifting import LiftedIsotopy, default_phi1, lift_isotopy
 from mtcover.torus_maps import (
     BridgedIsotopy,
+    ComposedIsotopy,
     CompositeMap,
     HomothetyMap,
     NewtonInverseMap,
@@ -24,9 +26,7 @@ from mtcover.torus_maps import (
     compose_isotopy,
     constant_identity_isotopy,
     identity_map,
-    invert,
     newton_invert,
-    straight_line_isotopy,
     torus_representative,
 )
 
@@ -92,7 +92,7 @@ def test_shear_jacobian():
 
 
 def test_composite_jacobian_matches_finite_differences(rng):
-    g = compose(shear_map(), invert(shear_map().__class__(shear_field(0.05))))
+    g = compose(shear_map(), shear_map().__class__(shear_field(0.05)).inverse())
     step = 1e-6
     for x in rng.uniform(0, 1, (20, 2)):
         cols = []
@@ -106,11 +106,11 @@ def test_composite_jacobian_matches_finite_differences(rng):
 def test_jet_matches_apply_and_jacobian(mixed, rng):
     x = rng.uniform(-1, 2, (7, 5, 2))
     plain = TrigDisplacementMap(mixed)
-    inv = invert(plain)
+    inv = plain.inverse()
     composite = compose(shear_map(), inv)
     assert isinstance(inv, NewtonInverseMap) and isinstance(composite, CompositeMap)
     for handle in (shear_map(), plain, HomothetyMap(2, 3), inv, composite,
-                   compose(inv, composite), invert(composite)):
+                   compose(inv, composite), composite.inverse()):
         assert_jet_matches_views(handle, x)
         assert_jet_matches_views(handle, x[0, 0])
 
@@ -120,16 +120,16 @@ def test_apply_jacobian_only_map_composes_and_inverts(mixed, rng):
     plain = TrigDisplacementMap(mixed)
     leaf = ApplyJacobianOnly(plain)
     x = rng.uniform(0, 1, (40, 2))
-    for built, reference in ((invert(leaf), invert(plain)),
+    for built, reference in ((leaf.inverse(), plain.inverse()),
                              (compose(shear_map(), leaf), compose(shear_map(), plain)),
-                             (compose(invert(leaf), shear_map()),
-                              compose(invert(plain), shear_map()))):
+                             (compose(leaf.inverse(), shear_map()),
+                              compose(plain.inverse(), shear_map()))):
         assert isinstance(built, (CompositeMap, NewtonInverseMap))
         assert_jet_matches_views(built, x)
         value, jac = built.jet(x)
         assert np.array_equal(value, reference.apply(x))
         assert np.array_equal(jac, reference.jacobian(x))
-    assert_allclose(invert(leaf)(leaf(x)), x, atol=1e-12)
+    assert_allclose(leaf.inverse()(leaf(x)), x, atol=1e-12)
 
 
 class NearlySingular(TorusMapHandle):
@@ -150,7 +150,7 @@ class NearlySingular(TorusMapHandle):
 
 
 def test_newton_inverse_rejects_ill_conditioned_jacobian(rng):
-    inv = invert(NearlySingular())
+    inv = NearlySingular().inverse()
     y = rng.uniform(0, 1, (6, 2))
     assert isinstance(inv, NewtonInverseMap)
     assert np.array_equal(inv.apply(y), y)  # only the derivative is refused
@@ -171,7 +171,7 @@ class ExactlySingular(NearlySingular):
 def test_newton_inverse_rejects_singular_jacobian(rng):
     # the conditioning test reads the inverse it solves, so a singular
     # Jacobian must stop in that solve with the typed error
-    inv = invert(ExactlySingular())
+    inv = ExactlySingular().inverse()
     with pytest.raises(SingularJacobian):
         inv.jet(rng.uniform(0, 1, (6, 2)))
 
@@ -198,7 +198,7 @@ def test_newton_invert_no_convergence():
 
 def test_invert_shear_is_exact_displacement(rng):
     # the shear displacement is self-invariant, so id - v is the exact inverse
-    inv = invert(shear_map())
+    inv = shear_map().inverse()
     assert isinstance(inv, TrigDisplacementMap)
     for y in rng.uniform(0, 1, (30, 2)):
         assert_allclose(inv(y), shear_inverse_oracle(y), atol=1e-15)
@@ -206,7 +206,7 @@ def test_invert_shear_is_exact_displacement(rng):
 
 def test_invert_rejects_non_identity_degree():
     with pytest.raises(UnsupportedForm):
-        invert(HomothetyMap(2, 3))
+        HomothetyMap(2, 3).inverse()
 
 
 def test_compose_identity_is_noop(rng):
@@ -250,20 +250,19 @@ def test_straight_line_zero_field_is_identity(rng):
     iso = constant_identity_isotopy(2)
     x = rng.uniform(0, 1, 2)
     assert_allclose(iso.slice_at(0.7)(x), x, atol=0)
-    assert_allclose(iso.time_derivative(0.7, x), np.zeros(2), atol=0)
+    assert_allclose(iso.jet(0.7, x)[2], np.zeros(2), atol=0)
 
 
 def test_straight_line_shear_midpoint():
-    iso = straight_line_isotopy(shear_field(EPS))
+    iso = StraightLineIsotopy(shear_field(EPS))
     assert_allclose(iso.slice_at(0.5)(np.array([0.25, 0.25])), [0.30, 0.25],
                     atol=1e-15)
 
 
 @pytest.mark.parametrize("s", [0.0, 0.3, 1.0])
 def test_straight_line_time_derivative_is_field(s):
-    iso = straight_line_isotopy(shear_field(EPS))
-    assert_allclose(iso.time_derivative(s, np.array([0.25, 0.25])), [EPS, 0.0],
-                    atol=1e-15)
+    iso = StraightLineIsotopy(shear_field(EPS))
+    assert_allclose(iso.jet(s, np.array([0.25, 0.25]))[2], [EPS, 0.0], atol=1e-15)
 
 
 def test_straight_line_rejects_large_field():
@@ -305,7 +304,7 @@ def test_grid_decides_where_the_bound_cannot(monkeypatch):
 
 
 def test_bridge_of_equal_isotopies_is_identity(rng):
-    iso = straight_line_isotopy(shear_field(EPS))
+    iso = StraightLineIsotopy(shear_field(EPS))
     bridged = bridge_isotopy(iso, iso)
     x = rng.uniform(0, 1, 2)
     assert_allclose(bridged.slice_at(0.6)(x), x, atol=1e-14)
@@ -313,7 +312,7 @@ def test_bridge_of_equal_isotopies_is_identity(rng):
 
 def test_bridge_to_natural_lift_closed_form(rng):
     # b(s)^-1 o a(s) for two additive shears stays an additive shear
-    a = straight_line_isotopy(shear_field(EPS))
+    a = StraightLineIsotopy(shear_field(EPS))
     b = StraightLineIsotopy(shear_field(EPS).dilate(3), check=False)
     phi1 = bridge_isotopy(a, b)
     for s in (0.25, 0.5, 1.0):
@@ -326,7 +325,7 @@ def test_bridge_to_natural_lift_closed_form(rng):
 def test_bridge_builds_inverse_square_endpoint(rng):
     # a = const identity, b = path to h^2; endpoint must invert h^2
     v = shear_field(EPS)
-    line = straight_line_isotopy(v)
+    line = StraightLineIsotopy(v)
     squared = compose_isotopy(line, line)
     psi = bridge_isotopy(constant_identity_isotopy(2), squared)
     h = shear_map()
@@ -340,7 +339,7 @@ def test_bridge_builds_inverse_square_endpoint(rng):
 
 
 def test_bridge_endpoint_mismatch():
-    a = straight_line_isotopy(shear_field(EPS))
+    a = StraightLineIsotopy(shear_field(EPS))
     shifted = StraightLineIsotopy(shear_field(0.05), check=False)
 
     class OffsetIsotopy(StraightLineIsotopy):
@@ -357,27 +356,42 @@ def test_generic_bridge_matches_composition(rng):
     a_field = shear_field(0.05)
     b_field = TrigDisplacementField.from_terms(
         2, [(np.array([0.0, 0.05]), np.array([1, 0]), "sin")])
-    a = straight_line_isotopy(a_field)
-    b = straight_line_isotopy(b_field)
+    a = StraightLineIsotopy(a_field)
+    b = StraightLineIsotopy(b_field)
     bridged = bridge_isotopy(a, b)
     assert isinstance(bridged, BridgedIsotopy)
     for s in (0.4, 1.0):
-        expect = compose(invert(b.slice_at(s)), a.slice_at(s))
+        expect = compose(b.slice_at(s).inverse(), a.slice_at(s))
         for x in rng.uniform(0, 1, (10, 2)):
             assert_allclose(bridged.slice_at(s)(x), expect(x), atol=1e-10)
 
 
-def test_bridged_time_derivative_matches_finite_difference(rng):
-    a = straight_line_isotopy(shear_field(0.05))
-    b = straight_line_isotopy(TrigDisplacementField.from_terms(
+def _generic_isotopies():
+    # lines along fields that move different coordinates, so no path
+    # collapses to a straight line and every d/ds runs a chain or implicit rule
+    a = StraightLineIsotopy(shear_field(0.05))
+    b = StraightLineIsotopy(TrigDisplacementField.from_terms(
         2, [(np.array([0.0, 0.05]), np.array([1, 0]), "sin")]))
     bridged = bridge_isotopy(a, b)
+    return {"composed": compose_isotopy(a, b), "bridged": bridged,
+            "lifted": lift_isotopy(bridged)}
+
+
+@pytest.mark.parametrize("kind", ["composed", "bridged", "lifted"])
+def test_isotopy_time_derivative_matches_finite_difference(kind, rng):
+    iso = _generic_isotopies()[kind]
+    assert type(iso) is {"composed": ComposedIsotopy, "bridged": BridgedIsotopy,
+                         "lifted": LiftedIsotopy}[kind]
     step = 1e-5
+    x = rng.uniform(0, 1, (10, 2))
     for s in (0.3, 0.7):
-        for x in rng.uniform(0, 1, (10, 2)):
-            fd = (bridged.slice_at(s + step)(x) - bridged.slice_at(s - step)(x)) / (2 * step)
-            assert_allclose(bridged.time_derivative(s, x), fd,
-                            rtol=1e-5, atol=1e-7)
+        fd = (iso.slice_at(s + step)(x) - iso.slice_at(s - step)(x)) / (2 * step)
+        x_out, jac, dx_ds = iso.jet(s, x)
+        assert_allclose(dx_ds, fd, rtol=1e-5, atol=1e-7)
+        # value and Jacobian are the slice's, to rounding
+        ref_x, ref_jac = iso.slice_at(s).jet(x)
+        assert_allclose(x_out, ref_x, rtol=0, atol=1e-15)
+        assert_allclose(jac, ref_jac, rtol=0, atol=1e-15)
 
 
 # non-commuting sin and cos terms
@@ -400,7 +414,7 @@ def test_straight_line_jet_is_one_trig_pass(field, rng, monkeypatch):
         calls.append(self)
         return jet(self, pts)
 
-    refs = {s: (*iso.slice_at(s).jet(x), iso.time_derivative(s, x)) for s in (0.0, 0.3, 1.0)}
+    refs = {s: (*iso.slice_at(s).jet(x), field.evaluate(x)) for s in (0.0, 0.3, 1.0)}
     monkeypatch.setattr(TrigDisplacementField, "jet", counted)
     for s, (ref_x, ref_jac, ref_dx) in refs.items():
         calls.clear()
@@ -411,20 +425,59 @@ def test_straight_line_jet_is_one_trig_pass(field, rng, monkeypatch):
         assert np.array_equal(dx_ds, ref_dx)
 
 
-def test_isotopy_jet_defaults_to_slice_and_derivative(rng):
-    bridged = bridge_isotopy(straight_line_isotopy(shear_field(0.05)),
-                             straight_line_isotopy(TrigDisplacementField.from_terms(
-                                 2, [(np.array([0.0, 0.05]), np.array([1, 0]), "sin")])))
+def _leaf_inverses(handle):
+    """Newton-backed leaves of a map tree."""
+    if isinstance(handle, NewtonInverseMap):
+        return 1
+    if isinstance(handle, CompositeMap):
+        return _leaf_inverses(handle.outer) + _leaf_inverses(handle.inner)
+    return 0
+
+
+@pytest.mark.parametrize("kind", ["phi1", "psi"])
+def test_bridged_jet_solves_each_leaf_inverse_once(kind, rng, monkeypatch):
+    # z and its Jacobian are the slice jet's, bit for bit, and d/ds follows
+    # the implicit rule at that z without solving the inverse again
+    mixed = TrigDisplacementField.from_terms(2, [
+        (np.array([0.05, 0.0]), np.array([0, 1]), "sin"),
+        (np.array([0.0, 0.05]), np.array([1, 0]), "sin")])
+    line = StraightLineIsotopy(mixed)
+    if kind == "phi1":
+        # the tower's first connecting path: one Newton leaf per slice
+        bridged = default_phi1(mixed)
+    else:
+        # the base cover's untwisting path: two
+        bridged = bridge_isotopy(constant_identity_isotopy(2), compose_isotopy(line, line))
     assert isinstance(bridged, BridgedIsotopy)
     x = rng.uniform(0, 1, (20, 2))
-    x_out, jac, dx_ds = bridged.jet(0.4, x)
     ref_x, ref_jac = bridged.slice_at(0.4).jet(x)
+    leaves = _leaf_inverses(bridged.slice_at(0.4))
+    assert leaves == {"phi1": 1, "psi": 2}[kind]
+    solves = []
+    original = torus_maps.newton_invert
+
+    def counted(*args, **kwargs):
+        solves.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(torus_maps, "newton_invert", counted)
+    x_out, jac, dx_ds = bridged.jet(0.4, x)
+    assert len(solves) == leaves
     assert np.array_equal(x_out, ref_x) and np.array_equal(jac, ref_jac)
-    assert np.array_equal(dx_ds, bridged.time_derivative(0.4, x))
+    _, jac_b, db = bridged.b.jet(0.4, ref_x)
+    da = bridged.a.jet(0.4, x)[2]
+    assert np.array_equal(dx_ds, np.linalg.solve(jac_b, (da - db)[..., None])[..., 0])
+
+
+def test_isotopies_define_only_slice_at_and_jet():
+    for cls in (StraightLineIsotopy, ComposedIsotopy, BridgedIsotopy, LiftedIsotopy):
+        methods = {name for name, value in vars(cls).items()
+                   if callable(value) and not name.startswith("__")}
+        assert methods <= {"slice_at", "jet"}, cls
 
 
 def test_isotopy_slices_are_diffeomorphisms(rng):
-    iso = straight_line_isotopy(shear_field(EPS))
+    iso = StraightLineIsotopy(shear_field(EPS))
     for s in (0.0, 0.5, 1.0):
         jac = iso.slice_at(s).jacobian(rng.uniform(0, 1, (50, 2)))
         assert np.abs(np.linalg.det(jac)).min() > 0.5
