@@ -70,6 +70,155 @@ def _sweep(job, t_res: int, threads: int, closed: bool = False) -> np.ndarray:
     return values
 
 
+# ---------------------------------------------------------------------------
+# Small-matrix kernels.  The sweeps batch thousands of n x n fiber blocks
+# and (n+1) x (n+1) chart Jacobians, where a LAPACK call costs more per
+# matrix than the arithmetic.  For fibers of dimension n < 3 these kernels
+# are closed form; from n = 3 up they call LAPACK, and the matrix shape
+# alone decides which path runs.
+
+
+def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / den, and 0 where den is 0 (a zero matrix), so NaN only from NaN."""
+    return np.divide(num, den, out=np.zeros_like(num), where=den != 0)
+
+
+def _extremes(a: np.ndarray):
+    """(lam_min, lam_max) of symmetric a, (..., n, n), batched.
+
+    Reads the lower triangle, as eigvalsh does.  For n = 2 the eigenvalue of
+    larger magnitude is (a+c)/2 +- hypot((a-c)/2, b) and the other det / it,
+    so neither is lost to cancellation.
+    """
+    if a.shape[-1] >= 3:
+        ev = np.linalg.eigvalsh(a)
+        return ev[..., 0], ev[..., -1]
+    if a.shape[-1] == 1:
+        return a[..., 0, 0], a[..., 0, 0]
+    p, b, c = a[..., 0, 0], a[..., 1, 0], a[..., 1, 1]
+    mean, rad = 0.5 * (p + c), np.hypot(0.5 * (p - c), b)
+    up = mean >= 0.0
+    big = mean + np.where(up, rad, -rad)
+    small = _ratio(p * c - b * b, big)
+    return np.where(up, small, big), np.where(up, big, small)
+
+
+def _singular_extremes(j: np.ndarray):
+    """(sigma_min, sigma_max) of square j, (..., n, n), batched.
+
+    For n = 2, sigma_max = (hypot(a+d, c-b) + hypot(a-d, b+c)) / 2 from the
+    entries and sigma_min = |det| / sigma_max.  From n = 3 up they are read
+    from the Gram j^T j, which suits the well-conditioned one-step Jacobians
+    this serves.
+    """
+    if j.shape[-1] >= 3:
+        lo, hi = _extremes(np.swapaxes(j, -1, -2) @ j)
+        return np.sqrt(np.maximum(lo, 0.0)), np.sqrt(hi)
+    if j.shape[-1] == 1:
+        return np.abs(j[..., 0, 0]), np.abs(j[..., 0, 0])
+    a, b, c, d = j[..., 0, 0], j[..., 0, 1], j[..., 1, 0], j[..., 1, 1]
+    hi = 0.5 * (np.hypot(a + d, c - b) + np.hypot(a - d, b + c))
+    return _ratio(np.abs(a * d - b * c), hi), hi
+
+
+def _deflated_max(g: np.ndarray, low: np.ndarray) -> np.ndarray:
+    """Largest eigenvalue of symmetric g, (points, 3, 3), given its isolated
+    smallest one, low: the eigenvector v of low, a cross product of rows of
+    g - low I, deflates g to its 2 x 2 compression on the plane orthogonal
+    to v, where the 2 x 2 closed form holds."""
+    h = g - low[:, None, None] * np.eye(3)
+    cands = np.stack([np.cross(h[:, 0], h[:, 1]), np.cross(h[:, 0], h[:, 2]),
+                      np.cross(h[:, 1], h[:, 2])], axis=1)
+    sq = np.einsum("pij,pij->pi", cands, cands)
+    best = sq.argmax(1)
+    v = cands[np.arange(len(g)), best] / np.sqrt(sq[np.arange(len(g)), best])[:, None]
+    # rows 1 and 2 of the Householder reflector taking v to -+e_0: an
+    # orthonormal basis of the plane orthogonal to v
+    w = v.copy()
+    w[:, 0] += np.copysign(1.0, v[:, 0])
+    basis = np.eye(3)[1:] - w[:, 1:, None] * w[:, None, :] / (1.0 + np.abs(v[:, :1, None]))
+    k = basis @ g @ np.swapaxes(basis, 1, 2)
+    return _extremes(k)[1]
+
+
+def _sym3_max(g: np.ndarray) -> np.ndarray:
+    """Largest eigenvalue of symmetric g, (..., 3, 3), batched, in closed form.
+
+    Reads the lower triangle.  The trigonometric roots of the characteristic
+    cubic give it where it is isolated (r >= 0 below).  Where it nearly meets
+    the middle one the cubic loses half the digits, so there the isolated
+    smallest one deflates g (_deflated_max).
+    """
+    shape, g = g.shape[:-2], g.reshape(-1, 3, 3)
+    g00, g11, g22 = g[:, 0, 0], g[:, 1, 1], g[:, 2, 2]
+    g01, g02, g12 = g[:, 1, 0], g[:, 2, 0], g[:, 2, 1]
+    q = (g00 + g11 + g22) / 3.0
+    d0, d1, d2 = g00 - q, g11 - q, g22 - q
+    p = np.sqrt((d0 * d0 + d1 * d1 + d2 * d2 + 2.0 * (g01 * g01 + g02 * g02 + g12 * g12)) / 6.0)
+    # r = det((g - q I) / p) / 2 = cos(3 phi)
+    inv = 1.0 / np.where(p > 0.0, p, 1.0)
+    b0, b1, b2, c01, c02, c12 = (x * inv for x in (d0, d1, d2, g01, g02, g12))
+    r = 0.5 * (b0 * (b1 * b2 - c12 * c12) - c01 * (c01 * b2 - c12 * c02)
+               + c02 * (c01 * c12 - b1 * c02))
+    phi = np.arccos(np.clip(r, -1.0, 1.0)) / 3.0
+    top = q + 2.0 * p * np.cos(phi)
+    near = np.flatnonzero(r < 0.0)
+    if near.size:
+        low = q[near] + 2.0 * p[near] * np.cos(phi[near] + 2.0 * np.pi / 3.0)
+        sub = g[near]
+        top[near] = _deflated_max(np.tril(sub) + np.swapaxes(np.tril(sub, -1), 1, 2), low)
+    return top.reshape(shape)
+
+
+def _adj_det(a: np.ndarray):
+    """(adjugate, determinant) of a, (..., m, m) for m <= 3, from cofactors."""
+    if a.shape[-1] == 2:
+        adj = np.stack([a[..., 1, 1], -a[..., 0, 1], -a[..., 1, 0], a[..., 0, 0]], -1)
+        adj = adj.reshape(a.shape)
+    else:
+        adj = np.empty_like(a)
+        for i in range(3):
+            i1, i2 = (i + 1) % 3, (i + 2) % 3
+            for k in range(3):
+                k1, k2 = (k + 1) % 3, (k + 2) % 3
+                adj[..., k, i] = a[..., i1, k1] * a[..., i2, k2] - a[..., i1, k2] * a[..., i2, k1]
+    # Laplace along row 0: for a chart Jacobian [[slope, 0], [w, V]] this is
+    # slope * det V to the last bit
+    return adj, np.einsum("...j,...j->...", a[..., 0, :], adj[..., :, 0])
+
+
+def _chain_sigma_min(factors) -> np.ndarray:
+    """Smallest singular value of the product F_k ... F_1 of square factors
+    (..., m, m), F_1 first, batched; factors may be a generator, so that
+    only one factor at a time is held.
+
+    Below m = 4 it is |det| / sigma_max(adj), where adj(F_k ... F_1) =
+    adj F_1 ... adj F_k and det are multiplied up factor by factor.  Each
+    factor is well conditioned, so both keep high relative accuracy however
+    ill conditioned the product, and so does sigma_min; the Gram or the QR
+    SVD of the formed product is accurate only relative to its largest
+    singular value (J. Demmel, K. Veselic, "Jacobi's method is more accurate
+    than QR", SIAM J. Matrix Anal. Appl. 13, 1992).  From m = 4 up it is the
+    LAPACK SVD of the product.
+    """
+    factors = iter(factors)
+    first = next(factors)
+    if first.shape[-1] >= 4:
+        product = first
+        for fac in factors:
+            product = fac @ product
+        return np.linalg.svd(product, compute_uv=False)[..., -1]
+    adj, det = _adj_det(first)
+    for fac in factors:
+        fac_adj, fac_det = _adj_det(fac)
+        adj, det = adj @ fac_adj, det * fac_det
+    if adj.shape[-1] == 2:
+        big = _singular_extremes(adj)[1]
+    else:
+        big = np.sqrt(_sym3_max(np.swapaxes(adj, -1, -2) @ adj))
+    return _ratio(np.abs(det), big)
+
+
 def _whitener(eigvals: np.ndarray, eigvecs: np.ndarray) -> np.ndarray:
     """W = Q diag(eigvals)^(-1/2), so W^T M W = I for M = Q diag(eigvals) Q^T."""
     return eigvecs / np.sqrt(eigvals)[..., None, :]
@@ -78,7 +227,7 @@ def _whitener(eigvals: np.ndarray, eigvecs: np.ndarray) -> np.ndarray:
 def _whitened_min_eig(a: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Smallest eigenvalue of the symmetrised W^T a W, batched."""
     whitened = np.swapaxes(w, -1, -2) @ a @ w
-    return np.linalg.eigvalsh(0.5 * (whitened + np.swapaxes(whitened, -1, -2)))[..., 0]
+    return _extremes(0.5 * (whitened + np.swapaxes(whitened, -1, -2)))[0]
 
 
 def generalized_conorm_sq(a: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -92,8 +241,8 @@ class SourceGram:
     On a fixed grid the Gram is affine in t, M(t) = (1-t) I + t D with
     D = Dh^T Dh, so one eigendecomposition D = Q diag(lam) Q^T whitens every
     slice: W(t) = Q diag((1-t) + t lam)^(-1/2) has W^T M(t) W = I.  It runs on
-    first use, since the K, Finsler and adapted sweeps never whiten; slice
-    threads that race on it compute the same bits.
+    first use, since the K and Finsler sweeps never whiten; slice threads that
+    race on it compute the same bits.
     """
 
     def __init__(self, metric: MetricG, grid: np.ndarray):
@@ -141,10 +290,19 @@ class SliceRecord:
         return np.sqrt(np.maximum(sq, 0.0))
 
 
-def _record_job(cover, metric: MetricG, fiber_res: int, reduce):
-    """Slice job t -> reduce(SliceRecord of the cover at t) on the fiber grid,
-    with the source Gram factored once for all slices."""
-    source = SourceGram(metric, unit_grid(cover.source.dim, fiber_res))
+def _source_gram(metric: MetricG, fiber_res: int,
+                 source: SourceGram | None = None) -> SourceGram:
+    """source, or else the metric's Gram on the fiber grid, factored anew.
+
+    measure_constants and verify_expansion each build one and pass it to
+    their sweeps as _source, so each evaluates and decomposes the Gram at
+    t = 1 once.
+    """
+    return source if source is not None else SourceGram(metric, unit_grid(metric.dim, fiber_res))
+
+
+def _record_job(cover, source: SourceGram, reduce):
+    """Slice job t -> reduce(SliceRecord of the cover at t) on the source grid."""
     return lambda t: reduce(SliceRecord(cover, source, t))
 
 
@@ -152,25 +310,27 @@ def local_vertical_conorms(cover, metric: MetricG, fiber_res: int, t_res: int,
                            threads: int = 1) -> np.ndarray:
     """SliceRecord.vertical_conorm at every grid point, (t_res, points) in
     slice order."""
-    return _sweep(_record_job(cover, metric, fiber_res, SliceRecord.vertical_conorm),
-                  t_res, threads)
+    job = _record_job(cover, _source_gram(metric, fiber_res), SliceRecord.vertical_conorm)
+    return _sweep(job, t_res, threads)
 
 
 def vertical_conorm_min(cover, metric: MetricG, fiber_res: int, t_res: int,
-                        threads: int = 1) -> float:
+                        threads: int = 1, *, _source: SourceGram | None = None) -> float:
     """Min over the grid of the local vertical conorm."""
-    job = _record_job(cover, metric, fiber_res, lambda rec: float(rec.vertical_conorm().min()))
+    job = _record_job(cover, _source_gram(metric, fiber_res, _source),
+                      lambda rec: float(rec.vertical_conorm().min()))
     return float(_sweep(job, t_res, threads).min())
 
 
-def estimate_metric_equiv(metric: MetricG, fiber_res: int = 64) -> float:
+def estimate_metric_equiv(metric: MetricG, fiber_res: int = 64, *,
+                          _source: SourceGram | None = None) -> float:
     """Largest c with c <= |v|_G / |v|_flat <= 1/c for vertical v on the grid
     and every t in [0, 1].
 
     The eigenvalues (1-t) + t lam of M(t) are monotone in t, so they are
     extreme at t = 0, where all are 1, and at t = 1, where they are those of D.
     """
-    lam = SourceGram(metric, unit_grid(metric.dim, fiber_res)).eigh[0]
+    lam = _source_gram(metric, fiber_res, _source).eigh[0]
     lo = np.sqrt(max(float(lam[..., 0].min()), 0.0))
     return float(min(1.0, lo, 1.0 / np.sqrt(lam[..., -1].max())))
 
@@ -188,22 +348,18 @@ def estimate_C(tower, fiber_res: int = 64, t_res: int = 32,
     phi = tower.isotopy(1)
     grid = unit_grid(tower.dim, fiber_res)
 
-    def sq_sing(jac):
-        # squared singular values from the Gram's eigvalsh: these one-step
-        # Jacobians are well conditioned, so no SVD is needed
-        return np.linalg.eigvalsh(np.swapaxes(jac, -1, -2) @ jac)
-
+    # these one-step Jacobians are well conditioned: closed form below n = 3,
+    # the Gram's eigvalsh above, and no SVD either way
     def job(t):
-        return float(np.sqrt(np.maximum(sq_sing(fh.frame(t, grid, +1).v)[..., 0].min(), 0.0)))
+        return float(_singular_extremes(fh.frame(t, grid, +1).v)[0].min())
 
     def phi_job(s):
-        return np.sqrt(np.maximum(sq_sing(phi.slice_at(s).jacobian(grid))[..., 0].min(), 0.0))
+        return _singular_extremes(phi.slice_at(s).jacobian(grid))[0].min()
 
     c_val = float(_sweep(job, t_res, threads, closed=True).min())
     if _bound is None:
-        sq = sq_sing(tower.level(0).jacobian(grid))
-        min_h = float(np.sqrt(np.maximum(sq[..., 0].min(), 0.0)))
-        min_h_inv = float(1.0 / np.sqrt(sq[..., -1].max()))
+        lo, hi = _singular_extremes(tower.level(0).jacobian(grid))
+        min_h, min_h_inv = float(lo.min()), float(1.0 / hi.max())
         min_phi = float(np.minimum(1.0, _sweep(phi_job, t_res, threads, closed=True).min()))
         _bound = min_h * min_h_inv * min_phi
     if not c_val >= _bound * (1.0 - floor_slack):
@@ -212,9 +368,9 @@ def estimate_C(tower, fiber_res: int = 64, t_res: int = 32,
 
 
 def estimate_cq(qm, metric: MetricG, fiber_res: int = 64, t_res: int = 32,
-                threads: int = 1) -> float:
+                threads: int = 1, *, _source: SourceGram | None = None) -> float:
     """Min vertical expansion of the base-cover map in the interpolated metric."""
-    return vertical_conorm_min(qm, metric, fiber_res, t_res, threads)
+    return vertical_conorm_min(qm, metric, fiber_res, t_res, threads, _source=_source)
 
 
 def select_k(c_eq: float, c_provider, lam: float, base: int = 3,
@@ -235,10 +391,11 @@ def verify_vertical_expansion(f, metric: MetricG, fiber_res: int = 64,
 
 
 def estimate_K(f, metric: MetricG, fiber_res: int = 64, t_res: int = 32,
-               threads: int = 1):
+               threads: int = 1, *, _source: SourceGram | None = None):
     """Max metric norm of the vertical part of the image of the unit base
     vector, plus its floor at 1 used for the mixed-norm construction."""
-    job = _record_job(f, metric, fiber_res, lambda rec: float(np.sqrt(rec.r).max()))
+    job = _record_job(f, _source_gram(metric, fiber_res, _source),
+                      lambda rec: float(np.sqrt(rec.r).max()))
     k_val = float(_sweep(job, t_res, threads).max())
     return k_val, max(k_val, 1.0)
 
@@ -310,7 +467,7 @@ def verify_finsler_expansion(f, metric: MetricG, k_eff: float,
     cone argument.
     """
     gain = _finsler_gain(f.source.dim, k_eff, n_dirs, seed)
-    job = _record_job(f, metric, fiber_res, gain)
+    job = _record_job(f, _source_gram(metric, fiber_res), gain)
     return _mu_and_case_bound(float(_sweep(job, t_res, threads).min()), vertical_margin, m)
 
 
@@ -356,9 +513,40 @@ class AdaptedMetric:
         return np.sqrt(np.tensordot(weights, self._squared_chain(t, x, a, u, self.n_steps - 1), 1))
 
 
+def _bordered(x: np.ndarray) -> np.ndarray:
+    """diag(1, x), batched: G = diag(1, M) has the factors diag(1, L) of M = L L^T."""
+    out = np.zeros(x.shape[:-2] + (x.shape[-1] + 1,) * 2)
+    out[..., 0, 0] = 1.0
+    out[..., 1:, 1:] = x
+    return out
+
+
+def _whitened_factors(f, source: SourceGram, t: float, n_steps: int):
+    """Factors of the n_steps-step chart Jacobian J at slice t, whitened to
+    L_dst^T J W_src, generated first applied first: diag(1, W_src), J_1, ...,
+    J_n, diag(1, L_dst^T).
+
+    W_src is the source whitener of the slice and L_dst the Cholesky factor of
+    the Gram at the image, so the smallest singular value of their product is
+    the smallest n-step expansion from G at the source to G at the image.
+    """
+    x = source.grid
+    yield _bordered(source.whitener(t))
+    for _ in range(n_steps):
+        fr = f.frame(t, x, +1)
+        yield fr.matrix()
+        # frames and the metric are Z^n-periodic in x; unreduced lift
+        # coordinates grow until the absolute Newton tolerance falls
+        # below their rounding
+        t, x = fr.t_out, torus_representative(fr.x_out)
+    l_dst = np.linalg.cholesky(source.metric.fiber_gram(t, x))
+    yield _bordered(np.swapaxes(l_dst, -1, -2))
+
+
 def build_adapted_metric(f, metric: MetricG, mu_hat: float, k_eff: float,
                          fiber_res: int = 64, t_res: int = 32,
-                         threads: int = 1) -> AdaptedMetric:
+                         threads: int = 1, *,
+                         _source: SourceGram | None = None) -> AdaptedMetric:
     """Choose the smallest power that beats the norm-equivalence gap and
     average the metric along it.
 
@@ -366,7 +554,10 @@ def build_adapted_metric(f, metric: MetricG, mu_hat: float, k_eff: float,
     norm against the metric norm; n_steps is the first power with
     mu_hat^n > r_plus / r_minus.  The rate is the grid minimum of the full
     n-step expansion, so a single step expands the averaged norm by
-    construction wherever the minimum is honest.
+    construction wherever the minimum is honest.  That minimum is taken
+    factor by factor (_chain_sigma_min): the Gram pencil of the n-step
+    product squares its condition number, which lost the smallest eigenvalue
+    on a 1-dimensional fiber.
     """
     if not np.isfinite(mu_hat) or mu_hat <= 1.0:
         raise FinslerDegenerate(
@@ -378,28 +569,10 @@ def build_adapted_metric(f, metric: MetricG, mu_hat: float, k_eff: float,
     n_steps = 1
     while mu_hat ** n_steps <= ratio:
         n_steps += 1
-    source = SourceGram(metric, unit_grid(f.source.dim, fiber_res))
+    source = _source_gram(metric, fiber_res, _source)
 
     def job(t):
-        x = source.grid
-        jac = None
-        l_src = np.linalg.cholesky(source.gram(t))
-        for _ in range(n_steps):
-            fr = f.frame(t, x, +1)
-            jac = fr.matrix() if jac is None else fr.matrix() @ jac
-            # frames and the metric are Z^n-periodic in x; unreduced lift
-            # coordinates grow until the absolute Newton tolerance falls
-            # below their rounding
-            t, x = fr.t_out, torus_representative(fr.x_out)
-        l_dst = np.linalg.cholesky(metric.fiber_gram(t, x))
-        # sigma_min(L_dst^T J L_src^-T), through its transpose; the pencil
-        # (J^T G_dst J, G_src) squares the condition number of the n-step
-        # product, which loses the smallest eigenvalue on a 1-dimensional fiber.
-        # G = diag(1, M) factors as diag(1, L_M): whiten fiber blocks only
-        whitened = np.swapaxes(jac, -1, -2)
-        whitened[..., 1:] = whitened[..., 1:] @ l_dst
-        whitened[..., 1:, :] = np.linalg.solve(l_src, whitened[..., 1:, :])
-        return np.linalg.svd(whitened, compute_uv=False)[..., -1].min()
+        return _chain_sigma_min(_whitened_factors(f, source, t, n_steps)).min()
 
     worst = float(_sweep(job, t_res, threads).min())
     rate = worst ** (1.0 / n_steps)
@@ -456,9 +629,10 @@ def measure_constants(h_field: TrigDisplacementField, m: int, *, k: int | None =
     h = TrigDisplacementMap(h_field)
     metric = MetricG(h)
     psi = default_psi(h_field)
-    c_eq = estimate_metric_equiv(metric, fiber_res)
+    source = _source_gram(metric, fiber_res)  # c_eq, c_q and K share one factor
+    c_eq = estimate_metric_equiv(metric, fiber_res, _source=source)
     qm = build_qm_only(h, m, psi)
-    c_q = estimate_cq(qm, metric, fiber_res, t_res, threads)
+    c_q = estimate_cq(qm, metric, fiber_res, t_res, threads, _source=source)
     lam = nu_target / c_q
 
     towers: dict = {}
@@ -481,7 +655,7 @@ def measure_constants(h_field: TrigDisplacementField, m: int, *, k: int | None =
     c_val, c_bound = c_at(k)
 
     f = build_f(tower_at(k), m, psi)
-    k_raw, k_eff = estimate_K(f, metric, fiber_res, t_res, threads)
+    k_raw, k_eff = estimate_K(f, metric, fiber_res, t_res, threads, _source=source)
     constants = ConstantsReport(
         c_eq=c_eq, c_q=c_q, conorm_C=c_val, conorm_C_bound=c_bound,
         coupling_K=k_raw, coupling_K_eff=k_eff, lambda_target=lam,
@@ -502,10 +676,13 @@ def verify_expansion(constants: ConstantsReport, k: int, f, metric: MetricG, m: 
         # the vertical margin and mu read one record: one frame per slice
         return float(rec.vertical_conorm().min()), gain(rec)
 
-    job = _record_job(f, metric, fiber_res, vertical_and_finsler)
-    margin, mu = _sweep(job, t_res, threads).min(axis=0).tolist()
+    # the pass and the adapted sweep whiten with one source factor
+    source = _source_gram(metric, fiber_res)
+    margin, mu = _sweep(_record_job(f, source, vertical_and_finsler), t_res,
+                        threads).min(axis=0).tolist()
     mu, case_bound = _mu_and_case_bound(mu, margin, m)
-    adapted = build_adapted_metric(f, metric, mu, k_eff, fiber_res, t_res, threads)
+    adapted = build_adapted_metric(f, metric, mu, k_eff, fiber_res, t_res, threads,
+                                   _source=source)
     c_eq = constants.c_eq
     chain_floor = c_eq * c_eq * constants.base ** k * constants.conorm_C
     checks = {

@@ -27,6 +27,7 @@ from mtcover.errors import (
 from mtcover.expansion import (
     SliceRecord,
     SourceGram,
+    _whitened_factors,
     build_adapted_metric,
     default_psi,
     estimate_C,
@@ -196,8 +197,9 @@ def test_vertical_sweep_factors_the_source_gram_once(f_k2, metric, monkeypatch):
 
 
 def test_sweeps_that_never_whiten_skip_the_eigh(f_k2, metric, monkeypatch):
-    # K, the Finsler sweep and the adapted sweep read gram(t) only, so the
-    # source Gram's eigendecomposition is left for a first whitener to compute
+    # K and the Finsler sweep read gram(t) only, so the source Gram's
+    # eigendecomposition is left for a first whitener to compute; the adapted
+    # sweep whitens every slice, with one eigh per shared SourceGram
     calls = []
     original = np.linalg.eigh
 
@@ -208,13 +210,62 @@ def test_sweeps_that_never_whiten_skip_the_eigh(f_k2, metric, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counted)
     _, k_eff = estimate_K(f_k2, metric, 8, 4)
     verify_finsler_expansion(f_k2, metric, k_eff, 6.0, 1, 8, 4, n_dirs=4)
-    build_adapted_metric(f_k2, metric, 3.0, k_eff, 8, 4)
     assert calls == []
     source = SourceGram(metric, unit_grid(2, 8))
     assert calls == []
+    build_adapted_metric(f_k2, metric, 3.0, k_eff, 8, 4, _source=source)
+    assert calls == [1]
     source.whitener(0.5)
     source.whitener(1.0)
     assert calls == [1]
+
+
+def test_a_pipeline_factors_the_source_gram_once_per_stage(shear, monkeypatch):
+    # c_eq, c_q and K share one factor, and so do the verify pass and the
+    # adapted sweep: two Gram evaluations at t = 1 and two eigh per run
+    built, eighs = [], []
+    init, eigh = SourceGram.__init__, np.linalg.eigh
+
+    def counted_init(self, *args):
+        built.append(1)
+        init(self, *args)
+
+    def counted_eigh(*args, **kwargs):
+        eighs.append(1)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(SourceGram, "__init__", counted_init)
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    constants, k, f, metric = measure_constants(shear, 1, fiber_res=8, t_res=4)
+    assert (len(built), len(eighs)) == (1, 1)
+    verify_expansion(constants, k, f, metric, 1, n_dirs=4)
+    assert (len(built), len(eighs)) == (2, 2)
+
+
+@pytest.mark.parametrize("name", ["shear", "cyc3"])
+def test_small_fibers_make_no_lapack_call_per_slice(name, shear, monkeypatch):
+    # below n = 3 every per-slice eigenvalue and singular value is closed
+    # form; the 3-dimensional fibers of cyc3 still go through LAPACK
+    field = {"shear": shear, "cyc3": CYC3}[name]
+    res = 8 if field.dim == 2 else 4
+    constants, k, f, metric = measure_constants(field, 1, k=2, fiber_res=res, t_res=4)
+    h, psi = TrigDisplacementMap(field), default_psi(field)
+    counts = dict.fromkeys(("eigvalsh", "svd", "solve"), 0)
+    for fn in counts:
+        original = getattr(np.linalg, fn)
+
+        def counted(*args, _name=fn, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, fn, counted)
+    estimate_C(tower_from_field(field, 2), res, 4)
+    estimate_cq(build_qm_only(h, 1, psi), metric, res, 4)
+    verify_expansion(constants, k, f, metric, 1, n_dirs=4)
+    if field.dim == 2:
+        assert counts == {"eigvalsh": 0, "svd": 0, "solve": 0}
+    else:
+        assert counts["eigvalsh"] > 0 and counts["svd"] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -793,20 +844,40 @@ def full_gram_rate(f, metric, n_steps, fiber_res, t_res):
     return worst ** (1.0 / n_steps)
 
 
+def full_gram_whitened(f, metric, n_steps, t, x):
+    """L^T J diag(1, W) for the n-step Jacobian J: L the Cholesky factor of
+    the full (n+1)^2 Gram at the image, W the eigen-whitener of M(t)."""
+    lam, q = np.linalg.eigh(metric.fiber_gram(1.0, x))
+    product = np.zeros(x.shape[:-1] + (f.source.dim + 1,) * 2)
+    product[..., 0, 0] = 1.0
+    product[..., 1:, 1:] = q / np.sqrt((1.0 - t) + t * lam)[..., None, :]
+    for _ in range(n_steps):
+        fr = f.frame(t, x, +1)
+        product = fr.matrix() @ product
+        t, x = fr.t_out, torus_representative(fr.x_out)
+    return np.swapaxes(np.linalg.cholesky(metric.gram(MTPoint(0, t, x))), -1, -2) @ product
+
+
 @pytest.mark.parametrize("name", ["shear", "mixed", "n1"])
 def test_adapted_rate_whitens_fiber_blocks_only(name, shear, mixed):
-    # G = diag(1, M) factors as diag(1, L_M): whitening the fiber blocks
-    # alone gives the full-Gram rate bit for bit
+    # G = diag(1, M) factors as diag(1, L_M) and is whitened by diag(1, W):
+    # the sweep's factors multiply to the full-Gram whitened product bit for
+    # bit, and its rate, taken factor by factor, matches the full-Gram SVD
     field = {"shear": shear, "mixed": mixed,
              "n1": TrigDisplacementField.from_terms(1, [([0.1], [1], "sin")])}[name]
     metric = MetricG(TrigDisplacementMap(field))
     f = build_f(tower_from_field(field, 2), 1, default_psi(field))
-    adapted = build_adapted_metric(f, metric, 2.5, 1.0, 8, 4)
-    assert adapted.n_steps == 1
-    assert adapted.rate == full_gram_rate(f, metric, 1, 8, 4)
-    chained = build_adapted_metric(f, metric, 1.1, 1.0, 8, 4)
-    assert chained.n_steps == 4
-    assert chained.rate == full_gram_rate(f, metric, 4, 8, 4)
+    source = SourceGram(metric, unit_grid(field.dim, 8))
+    for mu_hat, n_steps in ((2.5, 1), (1.1, 4)):
+        adapted = build_adapted_metric(f, metric, mu_hat, 1.0, 8, 4)
+        assert adapted.n_steps == n_steps
+        assert_allclose(adapted.rate, full_gram_rate(f, metric, n_steps, 8, 4), rtol=1e-14)
+        for t in np.arange(4) / 4:
+            factors = iter(_whitened_factors(f, source, t, n_steps))
+            product = next(factors)
+            for factor in factors:
+                product = factor @ product
+            assert np.array_equal(product, full_gram_whitened(f, metric, n_steps, t, source.grid))
 
 
 # ---------------------------------------------------------------------------
