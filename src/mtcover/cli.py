@@ -29,7 +29,7 @@ import numpy as np
 
 from .coverings import build_stage_inventory, orbit, pi1_linear_part, preimages
 from .errors import ConfigError, MTCoverError
-from .expansion import default_psi, local_vertical_conorms, measure_constants, verify_expansion
+from .expansion import _pipeline, default_psi, local_vertical_conorms, measure_constants
 from .fields import TrigDisplacementField, unit_grid
 from .lifting import tower_from_field
 from .manifolds import MetricG, MTPoint, check_seams
@@ -201,12 +201,10 @@ def _dump_conorm_csv(cfg: RunConfig, f, metric: MetricG):
     _csv_rows(rows, header, cfg.csv_out)
 
 
-def _measure_constants(cfg: RunConfig):
-    return measure_constants(
-        cfg.displacement_field(), cfg.m, k=cfg.k, base=cfg.base,
-        fiber_res=cfg.fiber_res, t_res=cfg.t_res, nu_target=cfg.nu_target,
-        k_cap=cfg.k_cap, threads=cfg.threads,
-    )
+def _stage_args(cfg: RunConfig) -> dict:
+    """Keyword arguments of measure_constants from the config."""
+    return dict(k=cfg.k, base=cfg.base, fiber_res=cfg.fiber_res, t_res=cfg.t_res,
+                nu_target=cfg.nu_target, k_cap=cfg.k_cap, threads=cfg.threads)
 
 
 def _stage_inventory(cfg: RunConfig) -> dict:
@@ -221,7 +219,8 @@ def _stage_inventory(cfg: RunConfig) -> dict:
 
 
 def cmd_constants(cfg: RunConfig, out_path: str | None = None) -> int:
-    constants, k, f, metric = _measure_constants(cfg)
+    constants, k, f, metric = measure_constants(cfg.displacement_field(), cfg.m,
+                                                **_stage_args(cfg))
     doc = {
         "config_echo": cfg.echo(),
         "constants": dict(dataclasses.asdict(constants), k=k),
@@ -236,10 +235,10 @@ def cmd_constants(cfg: RunConfig, out_path: str | None = None) -> int:
 
 
 def cmd_verify(cfg: RunConfig, out_path: str | None = None) -> int:
-    constants, k, f, metric = _measure_constants(cfg)
-    report = verify_expansion(constants, k, f, metric, cfg.m, n_dirs=cfg.directions,
-                              nu_target=cfg.nu_target, seed=cfg.seed,
-                              threads=cfg.threads)
+    # one pipeline with run_pipeline; f and metric are kept for --csv
+    constants, k, f, metric, report = _pipeline(
+        cfg.displacement_field(), cfg.m, n_dirs=cfg.directions, seed=cfg.seed,
+        **_stage_args(cfg))
     doc = {
         "config_echo": cfg.echo(),
         "constants": constants,

@@ -78,6 +78,12 @@ def _sweep(job, t_res: int, threads: int, closed: bool = False) -> np.ndarray:
 # alone decides which path runs.
 
 
+def _gram(j: np.ndarray) -> np.ndarray:
+    """j^T j, batched.  The right operand is copied: numpy runs a product of
+    an array with its own transpose about 3x slower, to the same bits."""
+    return np.swapaxes(j, -1, -2) @ j.copy()
+
+
 def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     """num / den, and 0 where den is 0 (a zero matrix), so NaN only from NaN."""
     return np.divide(num, den, out=np.zeros_like(num), where=den != 0)
@@ -112,7 +118,7 @@ def _singular_extremes(j: np.ndarray):
     this serves.
     """
     if j.shape[-1] >= 3:
-        lo, hi = _extremes(np.swapaxes(j, -1, -2) @ j)
+        lo, hi = _extremes(_gram(j))
         return np.sqrt(np.maximum(lo, 0.0)), np.sqrt(hi)
     if j.shape[-1] == 1:
         return np.abs(j[..., 0, 0]), np.abs(j[..., 0, 0])
@@ -215,8 +221,27 @@ def _chain_sigma_min(factors) -> np.ndarray:
     if adj.shape[-1] == 2:
         big = _singular_extremes(adj)[1]
     else:
-        big = np.sqrt(_sym3_max(np.swapaxes(adj, -1, -2) @ adj))
+        big = np.sqrt(_sym3_max(_gram(adj)))
     return _ratio(np.abs(det), big)
+
+
+def _cholesky(m: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of SPD m, (..., n, n), batched.
+
+    Reads the lower triangle.  Below n = 3 it is closed form, l00 = sqrt(a),
+    l10 = b * (1 / l00) and l11 = sqrt(c - l10^2), which is LAPACK's factor
+    bit for bit; from n = 3 up it is LAPACK.  Where m is not positive
+    definite the closed form gives NaN and LAPACK raises; _sweep turns
+    either into NonFiniteSlice.
+    """
+    if m.shape[-1] >= 3:
+        return np.linalg.cholesky(m)
+    low = np.zeros_like(m)
+    low[..., 0, 0] = np.sqrt(m[..., 0, 0])
+    if m.shape[-1] == 2:
+        low[..., 1, 0] = m[..., 1, 0] * (1.0 / low[..., 0, 0])
+        low[..., 1, 1] = np.sqrt(m[..., 1, 1] - low[..., 1, 0] * low[..., 1, 0])
+    return low
 
 
 def _whitener(eigvals: np.ndarray, eigvecs: np.ndarray) -> np.ndarray:
@@ -271,14 +296,15 @@ class SliceRecord:
 
     With the fiber Gram M at the image, P = V^T M V, q = V^T M w and
     r = w^T M w, so the image of (a, u) has squared metric norm
-    u^T P u + 2a u.q + a^2 r.  Every sweep over a cover reads these.
+    u^T P u + 2a u.q + a^2 r.  Every sweep over a cover reads these; the
+    frame itself is kept for the adapted chain that verify continues from it.
     """
 
     def __init__(self, cover, source: SourceGram, t: float):
         fr = cover.frame(t, source.grid, +1)
         m_dst = source.metric.fiber_gram(fr.t_out, fr.x_out)
         vt_m = np.swapaxes(fr.v, -1, -2) @ m_dst
-        self.source, self.t, self.slope = source, t, fr.slope
+        self.source, self.t, self.slope, self.frame = source, t, fr.slope, fr
         # einsum beats stacked matmul on (n, n) x (n,) products
         self.p, self.q = vt_m @ fr.v, np.einsum("...ij,...j->...i", vt_m, fr.w)
         self.r = np.einsum("...i,...ij,...j->...", fr.w, m_dst, fr.w)
@@ -294,9 +320,9 @@ def _source_gram(metric: MetricG, fiber_res: int,
                  source: SourceGram | None = None) -> SourceGram:
     """source, or else the metric's Gram on the fiber grid, factored anew.
 
-    measure_constants and verify_expansion each build one and pass it to
-    their sweeps as _source, so each evaluates and decomposes the Gram at
-    t = 1 once.
+    measure_constants builds one and passes it to its sweeps as _source; a
+    whole run (_pipeline) hands it on to verify_expansion, so the run
+    evaluates and decomposes the Gram at t = 1 once.
     """
     return source if source is not None else SourceGram(metric, unit_grid(metric.dim, fiber_res))
 
@@ -521,26 +547,64 @@ def _bordered(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _whitened_factors(f, source: SourceGram, t: float, n_steps: int):
+def _chain_factors(f, source: SourceGram, t: float, fr, n_steps: int):
     """Factors of the n_steps-step chart Jacobian J at slice t, whitened to
     L_dst^T J W_src, generated first applied first: diag(1, W_src), J_1, ...,
-    J_n, diag(1, L_dst^T).
+    J_n, diag(1, L_dst^T).  fr is f's frame at (t, source.grid), built by
+    the caller; steps 2..n continue from it, and it is released at step 2.
 
     W_src is the source whitener of the slice and L_dst the Cholesky factor of
     the Gram at the image, so the smallest singular value of their product is
     the smallest n-step expansion from G at the source to G at the image.
     """
-    x = source.grid
     yield _bordered(source.whitener(t))
-    for _ in range(n_steps):
-        fr = f.frame(t, x, +1)
+    for step in range(n_steps):
+        if step:
+            fr = f.frame(t, x, +1)
         yield fr.matrix()
         # frames and the metric are Z^n-periodic in x; unreduced lift
         # coordinates grow until the absolute Newton tolerance falls
         # below their rounding
         t, x = fr.t_out, torus_representative(fr.x_out)
-    l_dst = np.linalg.cholesky(source.metric.fiber_gram(t, x))
+    l_dst = _cholesky(source.metric.fiber_gram(t, x))
     yield _bordered(np.swapaxes(l_dst, -1, -2))
+
+
+def _whitened_factors(f, source: SourceGram, t: float, n_steps: int):
+    """_chain_factors at slice t, from a first frame built here."""
+    return _chain_factors(f, source, t, f.frame(t, source.grid, +1), n_steps)
+
+
+def _step_count(mu_hat: float, k_eff: float):
+    """(n_steps, r_plus, r_minus): r_plus = sqrt(1 + k_eff^2) and r_minus =
+    min(1, k_eff) bound the mixed norm against the metric norm, and n_steps
+    is the first power with mu_hat^n > r_plus / r_minus.  A mu_hat <= 1, or
+    an unusable k_eff, raises FinslerDegenerate rather than loop."""
+    if not np.isfinite(mu_hat) or mu_hat <= 1.0:
+        raise FinslerDegenerate(
+            f"need a sampled contraction constant above 1, got {mu_hat}"
+        )
+    if not np.isfinite(k_eff) or k_eff <= 0.0:
+        raise FinslerDegenerate(f"norm weight {k_eff} is unusable")
+    r_plus = float(np.sqrt(1.0 + k_eff * k_eff))
+    r_minus = min(1.0, k_eff)
+    ratio = r_plus / r_minus
+    n_steps = 1
+    while mu_hat ** n_steps <= ratio:
+        n_steps += 1
+    return n_steps, r_plus, r_minus
+
+
+def _adapted_metric(f, metric: MetricG, n_steps: int, worst: float,
+                    r_plus: float, r_minus: float) -> AdaptedMetric:
+    """The AdaptedMetric whose n_steps-step expansion has grid minimum worst."""
+    rate = worst ** (1.0 / n_steps)
+    if rate <= 1.0:
+        raise NotExpanding(
+            f"{n_steps}-step expansion {worst:.6f} gives rate {rate:.6f} <= 1"
+        )
+    return AdaptedMetric(cover=f, metric=metric, n_steps=n_steps, rate=rate,
+                         equiv_upper=r_plus, equiv_lower=r_minus)
 
 
 def build_adapted_metric(f, metric: MetricG, mu_hat: float, k_eff: float,
@@ -557,31 +621,18 @@ def build_adapted_metric(f, metric: MetricG, mu_hat: float, k_eff: float,
     construction wherever the minimum is honest.  That minimum is taken
     factor by factor (_chain_sigma_min): the Gram pencil of the n-step
     product squares its condition number, which lost the smallest eigenvalue
-    on a 1-dimensional fiber.
+    on a 1-dimensional fiber.  verify_expansion runs the same chain inside
+    its pass and calls this only when the sampled mu_hat asks for another
+    power than the one it guessed.
     """
-    if not np.isfinite(mu_hat) or mu_hat <= 1.0:
-        raise FinslerDegenerate(
-            f"need a sampled contraction constant above 1, got {mu_hat}"
-        )
-    r_plus = float(np.sqrt(1.0 + k_eff * k_eff))
-    r_minus = min(1.0, k_eff)
-    ratio = r_plus / r_minus
-    n_steps = 1
-    while mu_hat ** n_steps <= ratio:
-        n_steps += 1
+    n_steps, r_plus, r_minus = _step_count(mu_hat, k_eff)
     source = _source_gram(metric, fiber_res, _source)
 
     def job(t):
         return _chain_sigma_min(_whitened_factors(f, source, t, n_steps)).min()
 
     worst = float(_sweep(job, t_res, threads).min())
-    rate = worst ** (1.0 / n_steps)
-    if rate <= 1.0:
-        raise NotExpanding(
-            f"{n_steps}-step expansion {worst:.6f} gives rate {rate:.6f} <= 1"
-        )
-    return AdaptedMetric(cover=f, metric=metric, n_steps=n_steps, rate=rate,
-                         equiv_upper=r_plus, equiv_lower=r_minus)
+    return _adapted_metric(f, metric, n_steps, worst, r_plus, r_minus)
 
 
 # ---------------------------------------------------------------------------
@@ -626,10 +677,17 @@ def measure_constants(h_field: TrigDisplacementField, m: int, *, k: int | None =
     Returns (ConstantsReport, k, f, metric): f is the composite at depth k
     and metric the interpolated metric it is measured in.
     """
+    return _constants_stage(h_field, m, k=k, base=base, fiber_res=fiber_res, t_res=t_res,
+                            nu_target=nu_target, k_cap=k_cap, threads=threads)[:4]
+
+
+def _constants_stage(h_field: TrigDisplacementField, m: int, *, k, base, fiber_res,
+                     t_res, nu_target, k_cap, threads):
+    """measure_constants, plus the SourceGram that c_eq, c_q and K shared."""
     h = TrigDisplacementMap(h_field)
     metric = MetricG(h)
     psi = default_psi(h_field)
-    source = _source_gram(metric, fiber_res)  # c_eq, c_q and K share one factor
+    source = _source_gram(metric, fiber_res)
     c_eq = estimate_metric_equiv(metric, fiber_res, _source=source)
     qm = build_qm_only(h, m, psi)
     c_q = estimate_cq(qm, metric, fiber_res, t_res, threads, _source=source)
@@ -661,28 +719,46 @@ def measure_constants(h_field: TrigDisplacementField, m: int, *, k: int | None =
         coupling_K=k_raw, coupling_K_eff=k_eff, lambda_target=lam,
         base=base, fiber_res=fiber_res, t_res=t_res,
     )
-    return constants, k, f, metric
+    return constants, k, f, metric, source
 
 
 def verify_expansion(constants: ConstantsReport, k: int, f, metric: MetricG, m: int, *,
                      n_dirs: int = 16, nu_target: float = 2.0,
-                     seed: int = 0, threads: int = 1) -> ExpansionReport:
-    """Check that the composite f expands, from the constants measured for it."""
+                     seed: int = 0, threads: int = 1,
+                     _source: SourceGram | None = None) -> ExpansionReport:
+    """Check that the composite f expands, from the constants measured for it.
+
+    One pass walks f once per adapted step.  Each slice job builds f's
+    SliceRecord, which gives the vertical margin and mu, and continues the
+    adapted chain from the record's frame for n_guess steps: the step count
+    at mu = 2m+1, the base slope, which caps the sampled mu (the base-only
+    direction template gives the slope at every point when k_eff bounds K).
+    When the sampled mu asks for n_guess steps the rate comes from the
+    pass's minima; otherwise build_adapted_metric runs at the step count
+    it asks for.
+    """
     fiber_res, t_res = constants.fiber_res, constants.t_res
     k_eff = constants.coupling_K_eff
     gain = _finsler_gain(f.source.dim, k_eff, n_dirs, seed)
+    n_guess = _step_count(2 * m + 1, k_eff)[0]
+    source = _source_gram(metric, fiber_res, _source)
 
-    def vertical_and_finsler(rec):
-        # the vertical margin and mu read one record: one frame per slice
-        return float(rec.vertical_conorm().min()), gain(rec)
+    def job(t):
+        rec = SliceRecord(f, source, t)
+        margin, mu_t = float(rec.vertical_conorm().min()), gain(rec)
+        # the chain needs only the record's frame: the rest is freed first
+        factors = _chain_factors(f, source, t, rec.frame, n_guess)
+        del rec
+        return margin, mu_t, _chain_sigma_min(factors).min()
 
-    # the pass and the adapted sweep whiten with one source factor
-    source = _source_gram(metric, fiber_res)
-    margin, mu = _sweep(_record_job(f, source, vertical_and_finsler), t_res,
-                        threads).min(axis=0).tolist()
+    margin, mu, worst = _sweep(job, t_res, threads).min(axis=0).tolist()
     mu, case_bound = _mu_and_case_bound(mu, margin, m)
-    adapted = build_adapted_metric(f, metric, mu, k_eff, fiber_res, t_res, threads,
-                                   _source=source)
+    n_steps, r_plus, r_minus = _step_count(mu, k_eff)
+    if n_steps != n_guess:
+        adapted = build_adapted_metric(f, metric, mu, k_eff, fiber_res, t_res, threads,
+                                       _source=source)
+    else:
+        adapted = _adapted_metric(f, metric, n_steps, worst, r_plus, r_minus)
     c_eq = constants.c_eq
     chain_floor = c_eq * c_eq * constants.base ** k * constants.conorm_C
     checks = {
@@ -699,6 +775,21 @@ def verify_expansion(constants: ConstantsReport, k: int, f, metric: MetricG, m: 
     )
 
 
+def _pipeline(h_field: TrigDisplacementField, m: int, *, k, base, fiber_res, t_res,
+              n_dirs, nu_target, k_cap, seed, threads):
+    """One verify run, (constants, k, f, metric, report): the constants stage
+    hands its SourceGram on to verify_expansion, so the run evaluates and
+    factors the source Gram once.  run_pipeline and the CLI's verify share it.
+    """
+    constants, k, f, metric, source = _constants_stage(
+        h_field, m, k=k, base=base, fiber_res=fiber_res, t_res=t_res,
+        nu_target=nu_target, k_cap=k_cap, threads=threads)
+    report = verify_expansion(constants, k, f, metric, m, n_dirs=n_dirs,
+                              nu_target=nu_target, seed=seed, threads=threads,
+                              _source=source)
+    return constants, k, f, metric, report
+
+
 def run_pipeline(h_field: TrigDisplacementField, m: int, *, k: int | None = None,
                  base: int = 3, fiber_res: int = 64, t_res: int = 32,
                  n_dirs: int = 16, nu_target: float = 2.0,
@@ -707,9 +798,7 @@ def run_pipeline(h_field: TrigDisplacementField, m: int, *, k: int | None = None
 
     Returns (ConstantsReport, ExpansionReport).
     """
-    constants, k, f, metric = measure_constants(
-        h_field, m, k=k, base=base, fiber_res=fiber_res, t_res=t_res,
-        nu_target=nu_target, k_cap=k_cap, threads=threads)
-    report = verify_expansion(constants, k, f, metric, m, n_dirs=n_dirs,
-                              nu_target=nu_target, seed=seed, threads=threads)
+    constants, _, _, _, report = _pipeline(
+        h_field, m, k=k, base=base, fiber_res=fiber_res, t_res=t_res, n_dirs=n_dirs,
+        nu_target=nu_target, k_cap=k_cap, seed=seed, threads=threads)
     return constants, report

@@ -247,7 +247,9 @@ class MetricG:
         if not 0.0 <= t <= 1.0:
             raise UnsupportedForm(f"metric chart needs t in [0,1], got {t}")
         jac = self.h.jacobian(x)
-        pulled = np.swapaxes(jac, -1, -2) @ jac
+        # a copied right operand keeps numpy off its slower path for a
+        # product of an array with its own transpose; same bits
+        pulled = np.swapaxes(jac, -1, -2) @ jac.copy()
         eye = np.eye(self.dim)
         return (1.0 - t) * eye + t * pulled
 

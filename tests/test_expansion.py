@@ -1,9 +1,12 @@
 import dataclasses
+import json
 import os
 import subprocess
 import sys
 
 import mtcover
+import mtcover.cli
+import mtcover.expansion
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -240,6 +243,36 @@ def test_a_pipeline_factors_the_source_gram_once_per_stage(shear, monkeypatch):
     assert (len(built), len(eighs)) == (1, 1)
     verify_expansion(constants, k, f, metric, 1, n_dirs=4)
     assert (len(built), len(eighs)) == (2, 2)
+
+
+@pytest.mark.parametrize("entry", ["run_pipeline", "cli"])
+def test_a_verify_run_factors_the_source_gram_once(entry, shear, tmp_path, monkeypatch):
+    # the constants stage hands its factor on to verify_expansion: one Gram
+    # evaluation at t = 1 and one eigh per run, as a library call or a command
+    built, eighs = [], []
+    init, eigh = SourceGram.__init__, np.linalg.eigh
+
+    def counted_init(self, *args):
+        built.append(1)
+        init(self, *args)
+
+    def counted_eigh(*args, **kwargs):
+        eighs.append(1)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(SourceGram, "__init__", counted_init)
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    if entry == "run_pipeline":
+        _, report = run_pipeline(shear, 1, fiber_res=8, t_res=4, n_dirs=4)
+        assert report.passed
+    else:
+        config = tmp_path / "shear.json"
+        config.write_text(json.dumps({
+            "n": 2, "eps": EPS, "fiber_res": 8, "t_res": 4, "directions": 4,
+            "field": [{"coeff": [1.0, 0.0], "freq": [0, 1], "phase": "sin"}]}))
+        out = tmp_path / "report.json"
+        assert mtcover.cli.main(["verify", "--config", str(config), "--out", str(out)]) == 0
+    assert (len(built), len(eighs)) == (1, 1)
 
 
 @pytest.mark.parametrize("name", ["shear", "cyc3"])
@@ -637,9 +670,49 @@ def test_verify_expansion_builds_one_frame_per_slice(shear_measured, monkeypatch
     # the module-scoped f and hide it from later class-level patches
     monkeypatch.setattr(CompositeCovering, "frame", counting_frame)
     report = verify_expansion(constants, k, f, metric, 1)
-    # one frame per slice feeds the vertical margin and mu; the adapted
-    # sweep walks adapted_steps frames per slice
-    assert len(calls) == constants.t_res * (1 + report.adapted_steps)
+    # the first frame of each slice feeds the vertical margin and mu, and
+    # the adapted chain continues from it: adapted_steps frames per slice
+    assert len(calls) == constants.t_res * report.adapted_steps
+
+
+def test_verify_expansion_that_misses_its_step_guess_reruns_the_chain(shear, monkeypatch):
+    # at k_eff = 0.07 the norm gap is sqrt(1 + 0.07^2) / 0.07 = 14.3, so the
+    # guess at mu = 3 is 3 steps, while the sampled mu (about 2.27) needs 4:
+    # the pass walks 3 frames per slice and the adapted sweep 4 more
+    constants, k, f, metric = measure_constants(shear, 1, fiber_res=8, t_res=4)
+    weak = dataclasses.replace(constants, coupling_K_eff=0.07)
+    frame = CompositeCovering.frame
+    calls = []
+
+    def counting_frame(self, t, *args, **kwargs):
+        if self is f:
+            calls.append(t)
+        return frame(self, t, *args, **kwargs)
+
+    monkeypatch.setattr(CompositeCovering, "frame", counting_frame)
+    report = verify_expansion(weak, k, f, metric, 1)
+    monkeypatch.undo()
+    assert 2.0 < report.mu < 2.5 and report.adapted_steps == 4
+    assert len(calls) == constants.t_res * (3 + report.adapted_steps)
+    standalone = build_adapted_metric(f, metric, report.mu, 0.07, 8, 4)
+    assert (report.adapted_steps, report.adapted_rate) == (standalone.n_steps, standalone.rate)
+
+
+def test_verify_expansion_raises_on_a_contraction_constant_at_most_one(shear_measured,
+                                                                        monkeypatch):
+    # mu^n never exceeds the norm gap for mu <= 1: the step count raises
+    # rather than loop, in the pass and in a standalone adapted sweep
+    constants, k, f, metric = shear_measured
+    with pytest.raises(FinslerDegenerate, match="above 1"):
+        # four directions at k_eff = 0.1 sample mu = 0.92
+        verify_expansion(dataclasses.replace(constants, coupling_K_eff=0.1), k, f, metric, 1,
+                         n_dirs=4)
+    for bad in (0.0, np.inf):
+        with pytest.raises(FinslerDegenerate):
+            build_adapted_metric(f, metric, 3.0, bad, 8, 4)
+    monkeypatch.setattr(mtcover.expansion, "_finsler_gain", lambda *args: lambda rec: 1.0)
+    with pytest.raises(FinslerDegenerate, match="above 1, got 1.0"):
+        verify_expansion(constants, k, f, metric, 1)
 
 
 def test_fused_verify_keeps_finsler_checks(shear_measured):

@@ -9,7 +9,9 @@ from mtcover.errors import NonFiniteSlice
 from mtcover.expansion import (
     _adj_det,
     _chain_sigma_min,
+    _cholesky,
     _extremes,
+    _gram,
     _singular_extremes,
     _sweep,
     _sym3_max,
@@ -49,6 +51,28 @@ def test_closed_form_3x3_top_eigenvalue_matches_eigvalsh(rng):
     m = rng.standard_normal((4096, 3, 3)) * np.exp(rng.uniform(-4, 4, (4096, 1, 3)))
     g = np.swapaxes(m, 1, 2) @ m
     assert_allclose(_sym3_max(g), np.linalg.eigvalsh(g)[:, -1], rtol=2e-15)
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_cholesky_is_lapacks_factor_bit_for_bit(rng, n, scale):
+    # the closed form below n = 3 is l00 = sqrt(a), l10 = b * (1 / l00),
+    # l11 = sqrt(c - l10^2); it must not move the adapted rate by a bit
+    for cond in (1.0, 1e4, 1e8):
+        q = _orthogonal(rng, n, (4096,))
+        spec = np.exp(rng.uniform(0.0, np.log(cond), (4096, 1, n)))
+        m = scale * (q * spec) @ np.swapaxes(q, 1, 2)
+        assert np.array_equal(_cholesky(m), np.linalg.cholesky(m))
+    s = rng.standard_normal((4096, n, n))
+    m = scale * (_gram(s) + 0.1 * np.eye(n))
+    assert np.array_equal(_cholesky(m), np.linalg.cholesky(m))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_gram_is_the_plain_product_bit_for_bit(rng, n):
+    # the copied right operand changes numpy's matmul path, not the bits
+    j = rng.standard_normal((4096, n, n)) * np.exp(rng.uniform(-8, 8, (4096, 1, n)))
+    assert np.array_equal(_gram(j), np.swapaxes(j, 1, 2) @ j)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
