@@ -177,20 +177,48 @@ def _sym3_max(g: np.ndarray) -> np.ndarray:
 
 
 def _adj_det(a: np.ndarray):
-    """(adjugate, determinant) of a, (..., m, m) for m <= 3, from cofactors."""
-    if a.shape[-1] == 2:
-        adj = np.stack([a[..., 1, 1], -a[..., 0, 1], -a[..., 1, 0], a[..., 0, 0]], -1)
-        adj = adj.reshape(a.shape)
-    else:
-        adj = np.empty_like(a)
-        for i in range(3):
-            i1, i2 = (i + 1) % 3, (i + 2) % 3
-            for k in range(3):
-                k1, k2 = (k + 1) % 3, (k + 2) % 3
-                adj[..., k, i] = a[..., i1, k1] * a[..., i2, k2] - a[..., i1, k2] * a[..., i2, k1]
-    # Laplace along row 0: for a chart Jacobian [[slope, 0], [w, V]] this is
-    # slope * det V to the last bit
+    """(adjugate, determinant) of 2 x 2 a, batched."""
+    adj = np.stack([a[..., 1, 1], -a[..., 0, 1], -a[..., 1, 0], a[..., 0, 0]], -1)
+    adj = adj.reshape(a.shape)
+    # Laplace along row 0: for a chart Jacobian [[slope, 0], [w, v]] this is
+    # slope * v to the last bit
     return adj, np.einsum("...j,...j->...", a[..., 0, :], adj[..., :, 0])
+
+
+def _chart_adj(fac: np.ndarray):
+    """(adjugate blocks, determinant) of chart factors [[s, 0], [w, V]],
+    (..., 3, 3), as flat component arrays; the top row past s is not read.
+
+    The adjugate is [[det V, 0], [-adj(V) w, s adj(V)]], given by its
+    components (det V, b0, b1, c00, c01, c10, c11), and the determinant is
+    s det V: the cofactors of the 3 x 3 factor, bit for bit.
+    """
+    # strided views: a contiguous copy per factor left about 4 MB more
+    # resident in a benchmark process, for no measured speed
+    s, _, _, w0, v00, v01, w1, v10, v11 = fac.reshape(-1, 9).T
+    det_v = v00 * v11 - v01 * v10
+    blocks = (det_v, v01 * w1 - w0 * v11, w0 * v10 - v00 * w1,
+              s * v11, -(s * v01), -(s * v10), s * v00)
+    return blocks, s * det_v
+
+
+def _block_product(x, y):
+    """[[a, 0], [b, C]] [[a', 0], [b', C']] on component tuples
+    (a, b0, b1, c00, c01, c10, c11)."""
+    a, b0, b1, c00, c01, c10, c11 = x
+    a_, e0, e1, d00, d01, d10, d11 = y
+    return (a * a_, b0 * a_ + c00 * e0 + c01 * e1, b1 * a_ + c10 * e0 + c11 * e1,
+            c00 * d00 + c01 * d10, c00 * d01 + c01 * d11,
+            c10 * d00 + c11 * d10, c10 * d01 + c11 * d11)
+
+
+def _block_gram(x) -> np.ndarray:
+    """X^T X of X = [[a, 0], [b, C]] from its components, as (points, 3, 3)."""
+    a, b0, b1, c00, c01, c10, c11 = x
+    g10, g20, g21 = c00 * b0 + c10 * b1, c01 * b0 + c11 * b1, c01 * c00 + c11 * c10
+    return np.stack([a * a + b0 * b0 + b1 * b1, g10, g20,
+                     g10, c00 * c00 + c10 * c10, g21,
+                     g20, g21, c01 * c01 + c11 * c11], -1).reshape(-1, 3, 3)
 
 
 def _chain_sigma_min(factors) -> np.ndarray:
@@ -198,14 +226,17 @@ def _chain_sigma_min(factors) -> np.ndarray:
     (..., m, m), F_1 first, batched; factors may be a generator, so that
     only one factor at a time is held.
 
-    Below m = 4 it is |det| / sigma_max(adj), where adj(F_k ... F_1) =
-    adj F_1 ... adj F_k and det are multiplied up factor by factor.  Each
-    factor is well conditioned, so both keep high relative accuracy however
-    ill conditioned the product, and so does sigma_min; the Gram or the QR
-    SVD of the formed product is accurate only relative to its largest
-    singular value (J. Demmel, K. Veselic, "Jacobi's method is more accurate
-    than QR", SIAM J. Matrix Anal. Appl. 13, 1992).  From m = 4 up it is the
-    LAPACK SVD of the product.
+    Below m = 4 every factor must be chart-shaped, [[s, 0], [w, V]]: its top
+    row past s is taken to be 0 and is not read.  Then sigma_min is |det| /
+    sigma_max(adj), where adj(F_k ... F_1) = adj F_1 ... adj F_k and det are
+    multiplied up factor by factor; at m = 3 the adjugates are multiplied by
+    their blocks (_chart_adj), and the Gram of the last one is formed for
+    _sym3_max.  Each factor is well conditioned, so both keep high relative
+    accuracy however ill conditioned the product, and so does sigma_min; the
+    Gram or the QR SVD of the formed product is accurate only relative to
+    its largest singular value (J. Demmel, K. Veselic, "Jacobi's method is
+    more accurate than QR", SIAM J. Matrix Anal. Appl. 13, 1992).  From
+    m = 4 up it is the LAPACK SVD of the product.
     """
     factors = iter(factors)
     first = next(factors)
@@ -214,15 +245,18 @@ def _chain_sigma_min(factors) -> np.ndarray:
         for fac in factors:
             product = fac @ product
         return np.linalg.svd(product, compute_uv=False)[..., -1]
+    if first.shape[-1] == 3:
+        adj, det = _chart_adj(first)
+        for fac in factors:
+            fac_adj, fac_det = _chart_adj(fac)
+            adj, det = _block_product(adj, fac_adj), det * fac_det
+        big = np.sqrt(_sym3_max(_block_gram(adj)))
+        return _ratio(np.abs(det), big).reshape(first.shape[:-2])
     adj, det = _adj_det(first)
     for fac in factors:
         fac_adj, fac_det = _adj_det(fac)
         adj, det = adj @ fac_adj, det * fac_det
-    if adj.shape[-1] == 2:
-        big = _singular_extremes(adj)[1]
-    else:
-        big = np.sqrt(_sym3_max(_gram(adj)))
-    return _ratio(np.abs(det), big)
+    return _ratio(np.abs(det), _singular_extremes(adj)[1])
 
 
 def _cholesky(m: np.ndarray) -> np.ndarray:
@@ -266,8 +300,8 @@ class SourceGram:
     On a fixed grid the Gram is affine in t, M(t) = (1-t) I + t D with
     D = Dh^T Dh, so one eigendecomposition D = Q diag(lam) Q^T whitens every
     slice: W(t) = Q diag((1-t) + t lam)^(-1/2) has W^T M(t) W = I.  It runs on
-    first use, since the K and Finsler sweeps never whiten; slice threads that
-    race on it compute the same bits.
+    first use, since the K sweep never whitens; slice threads that race on
+    it compute the same bits.
     """
 
     def __init__(self, metric: MetricG, grid: np.ndarray):
@@ -294,21 +328,41 @@ class SourceGram:
 class SliceRecord:
     """One slice t of a cover, pulled back through its frame (slope, w, V).
 
-    With the fiber Gram M at the image, P = V^T M V, q = V^T M w and
-    r = w^T M w, so the image of (a, u) has squared metric norm
-    u^T P u + 2a u.q + a^2 r.  Every sweep over a cover reads these; the
-    frame itself is kept for the adapted chain that verify continues from it.
+    With the fiber Gram m_dst at the image, P = V^T m_dst V, q = V^T m_dst w
+    and r = w^T m_dst w, so the image of (a, u) has squared metric norm
+    u^T P u + 2a u.q + a^2 r.  The frame and m_dst are built with the record;
+    P, q, r and the vertical conorm are formed on first read and kept, so a
+    sweep pays only for what it reads: K reads r, c_q the conorm (from P),
+    and the Finsler gain r and the conorm, and q only where its template
+    loop runs.  The frame is kept for the adapted chain that verify
+    continues from it.
     """
 
     def __init__(self, cover, source: SourceGram, t: float):
-        fr = cover.frame(t, source.grid, +1)
-        m_dst = source.metric.fiber_gram(fr.t_out, fr.x_out)
-        vt_m = np.swapaxes(fr.v, -1, -2) @ m_dst
-        self.source, self.t, self.slope, self.frame = source, t, fr.slope, fr
-        # einsum beats stacked matmul on (n, n) x (n,) products
-        self.p, self.q = vt_m @ fr.v, np.einsum("...ij,...j->...i", vt_m, fr.w)
-        self.r = np.einsum("...i,...ij,...j->...", fr.w, m_dst, fr.w)
+        self.source, self.t = source, t
+        self.frame = cover.frame(t, source.grid, +1)
+        self.slope = self.frame.slope
+        self.m_dst = source.metric.fiber_gram(self.frame.t_out, self.frame.x_out)
 
+    @cached_property
+    def _vt_m(self) -> np.ndarray:
+        return np.swapaxes(self.frame.v, -1, -2) @ self.m_dst
+
+    @cached_property
+    def p(self) -> np.ndarray:
+        return self._vt_m @ self.frame.v
+
+    @cached_property
+    def q(self) -> np.ndarray:
+        # einsum beats stacked matmul on (n, n) x (n,) products
+        return np.einsum("...ij,...j->...i", self._vt_m, self.frame.w)
+
+    @cached_property
+    def r(self) -> np.ndarray:
+        w = self.frame.w
+        return np.einsum("...i,...ij,...j->...", w, self.m_dst, w)
+
+    @cached_property
     def vertical_conorm(self) -> np.ndarray:
         """Vertical expansion of the chart differential at each point of the
         slice, from the metric at the source to the one at the image."""
@@ -333,10 +387,12 @@ def _record_job(cover, source: SourceGram, reduce):
 
 
 def local_vertical_conorms(cover, metric: MetricG, fiber_res: int, t_res: int,
-                           threads: int = 1) -> np.ndarray:
+                           threads: int = 1, *,
+                           _source: SourceGram | None = None) -> np.ndarray:
     """SliceRecord.vertical_conorm at every grid point, (t_res, points) in
     slice order."""
-    job = _record_job(cover, _source_gram(metric, fiber_res), SliceRecord.vertical_conorm)
+    job = _record_job(cover, _source_gram(metric, fiber_res, _source),
+                      lambda rec: rec.vertical_conorm)
     return _sweep(job, t_res, threads)
 
 
@@ -344,7 +400,7 @@ def vertical_conorm_min(cover, metric: MetricG, fiber_res: int, t_res: int,
                         threads: int = 1, *, _source: SourceGram | None = None) -> float:
     """Min over the grid of the local vertical conorm."""
     job = _record_job(cover, _source_gram(metric, fiber_res, _source),
-                      lambda rec: float(rec.vertical_conorm().min()))
+                      lambda rec: float(rec.vertical_conorm.min()))
     return float(_sweep(job, t_res, threads).min())
 
 
@@ -452,25 +508,59 @@ def _direction_templates(dim: int, n_dirs: int, rng) -> list:
     return templates
 
 
+# Relative slack of the cone decision.  The computed conorm and lifts carry
+# a few ulps of rounding; a slack of 1e-9, far above that, keeps a slice
+# whose exact c_p - lift_p falls short of |s| from being decided.
+_CONE_SLACK = 1e-9
+
+
+def _template_gain(rec: SliceRecord, templates, k_eff: float) -> float:
+    """Min over the slice and the direction templates (a, u) of
+    max(|Vu + aw|_G / k_eff, |slope a|) / max(|u|_G / k_eff, |a|)."""
+    dim = rec.frame.v.shape[-1]
+    src = rec.source.gram(rec.t).reshape(-1, dim * dim)
+    img = rec.p.reshape(-1, dim * dim)
+    worst = np.full(len(src), np.inf)
+    # one template at a time into a running minimum, so every
+    # temporary is (points,), never (points, templates)
+    for a, u in templates:
+        uu = np.outer(u, u).ravel()
+        scale = np.maximum(np.sqrt(src @ uu) / k_eff, abs(a))
+        sq = img @ uu + 2.0 * a * (rec.q @ u) + a * a * rec.r
+        worst = np.minimum(worst, np.maximum(np.sqrt(sq) / k_eff, abs(rec.slope * a)) / scale)
+    return float(worst.min())
+
+
 def _finsler_gain(dim: int, k_eff: float, n_dirs: int, seed: int):
-    """gain(record): min over the slice and the direction templates
-    (a, u) of max(|Vu + aw|_G / k_eff, |slope a|) / max(|u|_G / k_eff, |a|)."""
+    """gain(record): the min over the slice of the mixed-norm gain, decided
+    by the cone bound where it can be and sampled on the direction templates
+    (_template_gain) where it cannot.
+
+    With |.|_S the metric at the source, c_p the vertical conorm and
+    lift_p = sqrt(r_p) / k_eff, every tangent (a, u) at p gains at least
+    min(|s|, c_p - lift_p), s the slope:
+    - if |a| >= |u|_S / k_eff, its norm is |a| and the image's base part
+      is |s a|, so it gains at least |s|;
+    - otherwise its norm is |u|_S / k_eff, and |Vu + aw|_G >= c_p |u|_S -
+      |a| sqrt(r_p) >= |u|_S (c_p - lift_p), so it gains at least
+      c_p - lift_p.
+    The base-only template (1, 0) gains max(lift_p, |s|).  So where some p
+    has lift_p <= |s| and every p has c_p - lift_p >= |s| (1 + _CONE_SLACK),
+    the slice's min over all directions is |s|, which the base-only
+    template attains, and gain returns it without the loop.  A NaN in P or
+    r makes a comparison false, so the loop runs and its NaN reaches the
+    slice driver.
+    """
     if not np.isfinite(k_eff) or k_eff <= 0.0:
         raise FinslerDegenerate(f"norm weight {k_eff} is unusable")
     templates = _direction_templates(dim, n_dirs, np.random.default_rng(seed))
 
     def gain(rec: SliceRecord) -> float:
-        src = rec.source.gram(rec.t).reshape(-1, dim * dim)
-        img = rec.p.reshape(-1, dim * dim)
-        worst = np.full(len(src), np.inf)
-        # one template at a time into a running minimum, so every
-        # temporary is (points,), never (points, templates)
-        for a, u in templates:
-            uu = np.outer(u, u).ravel()
-            scale = np.maximum(np.sqrt(src @ uu) / k_eff, abs(a))
-            sq = img @ uu + 2.0 * a * (rec.q @ u) + a * a * rec.r
-            worst = np.minimum(worst, np.maximum(np.sqrt(sq) / k_eff, abs(rec.slope * a)) / scale)
-        return float(worst.min())
+        slope, lift = abs(rec.slope), np.sqrt(rec.r) / k_eff
+        if (lift.min() <= slope
+                and (rec.vertical_conorm - lift).min() >= slope * (1.0 + _CONE_SLACK)):
+            return float(slope)
+        return _template_gain(rec, templates, k_eff)
 
     return gain
 
@@ -485,10 +575,12 @@ def verify_finsler_expansion(f, metric: MetricG, k_eff: float,
                              vertical_margin: float, m: int,
                              fiber_res: int = 64, t_res: int = 32,
                              n_dirs: int = 16, threads: int = 1, seed: int = 0):
-    """Sampled contraction constant of the mixed norm, with its case bound.
+    """Contraction constant of the mixed norm, with its case bound.
 
-    Returns (mu, case_bound) where mu is the min over grid points and
-    stratified unit directions of the image norm, and case_bound is
+    Returns (mu, case_bound).  mu is the min over the slices of
+    _finsler_gain: on a slice the cone bound decides it is the slope, the
+    exact min over all directions; on the others it is the min over grid
+    points and stratified unit directions of the image norm.  case_bound is
     min(2m+1, vertical_margin - 1), the analytic floor from the two-case
     cone argument.
     """
@@ -729,9 +821,11 @@ def verify_expansion(constants: ConstantsReport, k: int, f, metric: MetricG, m: 
     """Check that the composite f expands, from the constants measured for it.
 
     One pass walks f once per adapted step.  Each slice job builds f's
-    SliceRecord, which gives the vertical margin and mu, and continues the
-    adapted chain from the record's frame for n_guess steps: the step count
-    at mu = 2m+1, the base slope, which caps the sampled mu (the base-only
+    SliceRecord, which gives the vertical margin and mu from one vertical
+    conorm (the cone bound of _finsler_gain reads it too, and decides mu
+    without the template loop where it can), and continues the adapted
+    chain from the record's frame for n_guess steps: the step count at
+    mu = 2m+1, the base slope, which caps the sampled mu (the base-only
     direction template gives the slope at every point when k_eff bounds K).
     When the sampled mu asks for n_guess steps the rate comes from the
     pass's minima; otherwise build_adapted_metric runs at the step count
@@ -745,7 +839,7 @@ def verify_expansion(constants: ConstantsReport, k: int, f, metric: MetricG, m: 
 
     def job(t):
         rec = SliceRecord(f, source, t)
-        margin, mu_t = float(rec.vertical_conorm().min()), gain(rec)
+        margin, mu_t = float(rec.vertical_conorm.min()), gain(rec)
         # the chain needs only the record's frame: the rest is freed first
         factors = _chain_factors(f, source, t, rec.frame, n_guess)
         del rec
@@ -777,9 +871,10 @@ def verify_expansion(constants: ConstantsReport, k: int, f, metric: MetricG, m: 
 
 def _pipeline(h_field: TrigDisplacementField, m: int, *, k, base, fiber_res, t_res,
               n_dirs, nu_target, k_cap, seed, threads):
-    """One verify run, (constants, k, f, metric, report): the constants stage
-    hands its SourceGram on to verify_expansion, so the run evaluates and
-    factors the source Gram once.  run_pipeline and the CLI's verify share it.
+    """One verify run, (constants, k, f, metric, source, report): the
+    constants stage hands its SourceGram on to verify_expansion, and the
+    CLI's CSV dump takes it too, so the run evaluates and factors the source
+    Gram once.  run_pipeline and the CLI's verify share it.
     """
     constants, k, f, metric, source = _constants_stage(
         h_field, m, k=k, base=base, fiber_res=fiber_res, t_res=t_res,
@@ -787,7 +882,7 @@ def _pipeline(h_field: TrigDisplacementField, m: int, *, k, base, fiber_res, t_r
     report = verify_expansion(constants, k, f, metric, m, n_dirs=n_dirs,
                               nu_target=nu_target, seed=seed, threads=threads,
                               _source=source)
-    return constants, k, f, metric, report
+    return constants, k, f, metric, source, report
 
 
 def run_pipeline(h_field: TrigDisplacementField, m: int, *, k: int | None = None,
@@ -798,7 +893,7 @@ def run_pipeline(h_field: TrigDisplacementField, m: int, *, k: int | None = None
 
     Returns (ConstantsReport, ExpansionReport).
     """
-    constants, _, _, _, report = _pipeline(
+    constants, _, _, _, _, report = _pipeline(
         h_field, m, k=k, base=base, fiber_res=fiber_res, t_res=t_res, n_dirs=n_dirs,
         nu_target=nu_target, k_cap=k_cap, seed=seed, threads=threads)
     return constants, report

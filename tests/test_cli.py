@@ -9,7 +9,8 @@ import pytest
 
 import mtcover.expansion
 from mtcover.cli import load_config, main
-from mtcover.errors import ConfigError
+from mtcover.errors import ConfigError, NoConvergence
+from mtcover.expansion import run_pipeline
 from mtcover.manifolds import MultiMappingTorus
 
 SHEAR_TERM = {"coeff": [1.0, 0.0], "freq": [0, 1], "phase": "sin"}
@@ -209,6 +210,22 @@ def test_verify_on_generic_field_at_depth_three(tmp_path):
     assert doc["pass"] is True and exp["k"] == 3
     assert exp["adapted_steps"] == 3
     assert exp["adapted_rate"] > 1.0
+
+
+@pytest.mark.xfail(raises=NoConvergence, strict=True,
+                   reason="Newton's absolute stop cannot pass at lift coordinates near 1.7e4")
+def test_verify_on_a_small_field_at_depth_nine(tmp_path):
+    # the field passes the diffeotopy check and select_k picks k = 9; then
+    # StageS.frame inverts id + field by Newton at lift coordinates up to
+    # 1.7e4, where one ulp is 3.6e-12, against an absolute tolerance of 1e-12
+    field = [{"coeff": [-0.143], "freq": [1], "phase": "cos"},
+             {"coeff": [-1.216], "freq": [2], "phase": "cos"},
+             {"coeff": [-0.507], "freq": [-2], "phase": "cos"}]
+    cfg = load_config(write_config(tmp_path, n=1, eps=0.04, m=2, fiber_res=8, t_res=4,
+                                   directions=4, field=field))
+    _, report = run_pipeline(cfg.displacement_field(), cfg.m, fiber_res=cfg.fiber_res,
+                             t_res=cfg.t_res, n_dirs=cfg.directions)
+    assert report.k == 9
 
 
 def test_constants_and_verify_share_one_pipeline(tmp_path, monkeypatch):

@@ -30,6 +30,8 @@ from mtcover.errors import (
 from mtcover.expansion import (
     SliceRecord,
     SourceGram,
+    _direction_templates,
+    _finsler_gain,
     _whitened_factors,
     build_adapted_metric,
     default_psi,
@@ -180,7 +182,7 @@ def test_factored_source_gram_matches_the_pencil(name, shear, mixed):
         m_src = metric.fiber_gram(t, source.grid)
         assert np.array_equal(source.gram(t), m_src)
         rec = SliceRecord(cover, source, t)
-        local = rec.vertical_conorm()
+        local = rec.vertical_conorm
         assert_allclose(local, np.sqrt(generalized_conorm_sq(rec.p, m_src)), rtol=1e-13)
         assert_allclose(local, np.sqrt(pencil_oracle(rec.p, m_src)), rtol=1e-13)
 
@@ -200,9 +202,11 @@ def test_vertical_sweep_factors_the_source_gram_once(f_k2, metric, monkeypatch):
 
 
 def test_sweeps_that_never_whiten_skip_the_eigh(f_k2, metric, monkeypatch):
-    # K and the Finsler sweep read gram(t) only, so the source Gram's
-    # eigendecomposition is left for a first whitener to compute; the adapted
-    # sweep whitens every slice, with one eigh per shared SourceGram
+    # K reads r only, so the source Gram's eigendecomposition is left for a
+    # first whitener to compute.  The Finsler sweep's cone decision reads
+    # the vertical conorm, which whitens: one eigh for its SourceGram, kept
+    # across its slices.  The adapted sweep whitens every slice, with one
+    # eigh per shared SourceGram
     calls = []
     original = np.linalg.eigh
 
@@ -212,15 +216,16 @@ def test_sweeps_that_never_whiten_skip_the_eigh(f_k2, metric, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
     _, k_eff = estimate_K(f_k2, metric, 8, 4)
+    assert calls == []
     verify_finsler_expansion(f_k2, metric, k_eff, 6.0, 1, 8, 4, n_dirs=4)
-    assert calls == []
-    source = SourceGram(metric, unit_grid(2, 8))
-    assert calls == []
-    build_adapted_metric(f_k2, metric, 3.0, k_eff, 8, 4, _source=source)
     assert calls == [1]
+    source = SourceGram(metric, unit_grid(2, 8))
+    assert calls == [1]
+    build_adapted_metric(f_k2, metric, 3.0, k_eff, 8, 4, _source=source)
+    assert calls == [1, 1]
     source.whitener(0.5)
     source.whitener(1.0)
-    assert calls == [1]
+    assert calls == [1, 1]
 
 
 def test_a_pipeline_factors_the_source_gram_once_per_stage(shear, monkeypatch):
@@ -245,10 +250,11 @@ def test_a_pipeline_factors_the_source_gram_once_per_stage(shear, monkeypatch):
     assert (len(built), len(eighs)) == (2, 2)
 
 
-@pytest.mark.parametrize("entry", ["run_pipeline", "cli"])
+@pytest.mark.parametrize("entry", ["run_pipeline", "cli", "cli csv"])
 def test_a_verify_run_factors_the_source_gram_once(entry, shear, tmp_path, monkeypatch):
-    # the constants stage hands its factor on to verify_expansion: one Gram
-    # evaluation at t = 1 and one eigh per run, as a library call or a command
+    # the constants stage hands its factor on to verify_expansion and to the
+    # CSV dump: one Gram evaluation at t = 1 and one eigh per run, as a
+    # library call or a command
     built, eighs = [], []
     init, eigh = SourceGram.__init__, np.linalg.eigh
 
@@ -267,9 +273,10 @@ def test_a_verify_run_factors_the_source_gram_once(entry, shear, tmp_path, monke
         assert report.passed
     else:
         config = tmp_path / "shear.json"
+        csv = {"csv_out": str(tmp_path / "conorm.csv")} if entry.endswith("csv") else {}
         config.write_text(json.dumps({
             "n": 2, "eps": EPS, "fiber_res": 8, "t_res": 4, "directions": 4,
-            "field": [{"coeff": [1.0, 0.0], "freq": [0, 1], "phase": "sin"}]}))
+            "field": [{"coeff": [1.0, 0.0], "freq": [0, 1], "phase": "sin"}], **csv}))
         out = tmp_path / "report.json"
         assert mtcover.cli.main(["verify", "--config", str(config), "--out", str(out)]) == 0
     assert (len(built), len(eighs)) == (1, 1)
@@ -648,6 +655,93 @@ def test_finsler_sweep_matches_pointwise_norms(f_k2, metric):
                   for p, v, q, w in pushed]
         assert_allclose(mu, min(ratios), rtol=1e-12)
     assert mu < 2.9
+
+
+def template_loop_gain(rec, templates, k_eff):
+    """Min over the slice record and the direction templates (a, u) of the
+    mixed-norm gain: the sampled Finsler sweep of one slice, written out."""
+    dim = rec.frame.v.shape[-1]
+    src = rec.source.gram(rec.t).reshape(-1, dim * dim)
+    img = rec.p.reshape(-1, dim * dim)
+    worst = np.full(len(src), np.inf)
+    for a, u in templates:
+        uu = np.outer(u, u).ravel()
+        scale = np.maximum(np.sqrt(src @ uu) / k_eff, abs(a))
+        sq = img @ uu + 2.0 * a * (rec.q @ u) + a * a * rec.r
+        worst = np.minimum(worst, np.maximum(np.sqrt(sq) / k_eff, abs(rec.slope * a)) / scale)
+    return float(worst.min())
+
+
+def _count_template_loops(monkeypatch):
+    """Slices t on which _finsler_gain runs its template loop, as a list."""
+    runs, loop = [], mtcover.expansion._template_gain
+
+    def counted(rec, *args):
+        runs.append(rec.t)
+        return loop(rec, *args)
+
+    monkeypatch.setattr(mtcover.expansion, "_template_gain", counted)
+    return runs
+
+
+@pytest.mark.parametrize("name", ["shear", "mixed2", "cyc3", "n1", "shear m=2"])
+def test_cone_decision_is_the_template_loop(name, shear, mixed, monkeypatch):
+    # where the cone bound decides a slice, gain returns the slope, the
+    # exact min over all directions; the template loop reaches it bit for
+    # bit, except that on n1 it rounds |slope a| / |a| one ulp below 3
+    field = {"shear": shear, "mixed2": mixed, "cyc3": CYC3, "shear m=2": shear,
+             "n1": TrigDisplacementField.from_terms(1, [([0.1], [1], "sin")])}[name]
+    m, res = (2 if name.endswith("m=2") else 1), (8 if field.dim < 3 else 4)
+    constants, _, f, metric = measure_constants(field, m, fiber_res=res, t_res=4)
+    k_eff = constants.coupling_K_eff
+    gain = _finsler_gain(field.dim, k_eff, 16, 0)
+    templates = _direction_templates(field.dim, 16, np.random.default_rng(0))
+    source = SourceGram(metric, unit_grid(field.dim, res))
+    runs = _count_template_loops(monkeypatch)
+    for t in np.arange(4) / 4:
+        rec = SliceRecord(f, source, t)
+        decided, loop = gain(rec), template_loop_gain(rec, templates, k_eff)
+        assert decided == 2 * m + 1
+        if name == "n1":
+            assert 0.0 <= decided - loop <= 4 * np.spacing(decided)
+        else:
+            assert loop == decided
+    assert runs == []
+
+
+def test_template_loop_runs_only_on_undecided_slices(shear, monkeypatch):
+    constants, k, f, metric = measure_constants(shear, 1, fiber_res=8, t_res=4)
+    runs = _count_template_loops(monkeypatch)
+    assert verify_expansion(constants, k, f, metric, 1).mu == 3.0
+    assert runs == []
+    # at k_eff = 0.07 the lift sqrt(r) / k_eff of the base direction is
+    # large: conorm - lift falls below the slope somewhere on the first
+    # three slices, which go to the loop; on t = 0.75 the bound still decides
+    weak = dataclasses.replace(constants, coupling_K_eff=0.07)
+    assert verify_expansion(weak, k, f, metric, 1).mu < 3.0
+    assert runs == [0.0, 0.25, 0.5]
+
+
+def test_a_nan_lift_falls_through_to_the_loop(shear_measured, tower2, psi, metric,
+                                             monkeypatch):
+    # NaN in w leaves P and the conorm finite but makes r NaN: the decision's
+    # comparisons fail, and the loop carries the NaN to the slice driver
+    constants, k, _, _ = shear_measured
+    f = build_f(tower2, 1, psi)
+    frame = CompositeCovering.frame
+
+    def nan_frame(self, t, x, side=+1):
+        fr = frame(self, t, x, side)
+        return fr._replace(w=np.full_like(fr.w, np.nan)) if _nan_on_slices(t) else fr
+
+    monkeypatch.setattr(CompositeCovering, "frame", nan_frame)
+    runs = _count_template_loops(monkeypatch)
+    with pytest.raises(NonFiniteSlice, match=r"t=0\.5\b"):
+        verify_finsler_expansion(f, metric, 4.0, 6.0, 1, 8, 4, n_dirs=4)
+    assert runs == [0.5]
+    with pytest.raises(NonFiniteSlice, match=r"t=0\.5\b"):
+        verify_expansion(constants, k, f, metric, 1)
+    assert runs[1:] == [0.5, 0.625]
 
 
 @pytest.fixture(scope="module")

@@ -7,7 +7,6 @@ from numpy.testing import assert_allclose
 
 from mtcover.errors import NonFiniteSlice
 from mtcover.expansion import (
-    _adj_det,
     _chain_sigma_min,
     _cholesky,
     _extremes,
@@ -101,16 +100,47 @@ def test_sym3_max_where_the_top_pair_meets(rng):
         assert_allclose(_sym3_max(g), max(spec), rtol=1e-15)
 
 
+def _chart_factors(rng, n, size):
+    """Chart-shaped factors [[s, 0], [w, V]], batched, near the identity."""
+    factor = np.eye(n + 1) + 0.1 * rng.standard_normal(size + (n + 1, n + 1))
+    factor[..., 0, 1:] = 0.0
+    return factor
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_nan_chain_ends_in_a_typed_error(n, rng):
     # a NaN factor gives a NaN sigma_min, which the slice driver stops on
-    factor = np.eye(n + 1) + 0.1 * rng.standard_normal((4, n + 1, n + 1))
+    factor = _chart_factors(rng, n, (4,))
     broken = factor.copy()
     broken[2, 1, 0] = np.nan
     values = _chain_sigma_min([factor, broken])
     assert np.isnan(values[2]) and np.isfinite(np.delete(values, 2)).all()
     with pytest.raises(NonFiniteSlice, match=r"t=0\.5\b"):
         _sweep(lambda t: _chain_sigma_min([factor, broken if t else factor]).min(), 2, 1)
+
+
+def _cofactors(a):
+    """(adjugate, determinant) of 3 x 3 a, batched, from cofactors."""
+    adj = np.empty_like(a)
+    for i in range(3):
+        i1, i2 = (i + 1) % 3, (i + 2) % 3
+        for k in range(3):
+            k1, k2 = (k + 1) % 3, (k + 2) % 3
+            adj[..., k, i] = a[..., i1, k1] * a[..., i2, k2] - a[..., i1, k2] * a[..., i2, k1]
+    return adj, np.einsum("...j,...j->...", a[..., 0, :], adj[..., :, 0])
+
+
+def test_block_chain_is_the_cofactor_chain(rng):
+    # the block kernel multiplies the same cofactors as 3 x 3 cofactor
+    # matrices and stacked matmul do, in other rounding order
+    for steps in (1, 3, 6):
+        chain = [_chart_factors(rng, 2, (4096,)) for _ in range(steps)]
+        adj, det = _cofactors(chain[0])
+        for factor in chain[1:]:
+            fac_adj, fac_det = _cofactors(factor)
+            adj, det = adj @ fac_adj, det * fac_det
+        expected = np.abs(det) / np.sqrt(_sym3_max(_gram(adj)))
+        assert_allclose(_chain_sigma_min(chain), expected, rtol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -159,8 +189,8 @@ def _chains(rng):
 def _formed_adjugate_sigma_min(chain):
     """|det| / sigma_max of the cofactors of the formed 3 x 3 product."""
     product = np.linalg.multi_dot(chain[::-1])[None]
-    adj, _ = _adj_det(product)
-    det = np.prod([_adj_det(factor[None])[1] for factor in chain])
+    adj, _ = _cofactors(product)
+    det = np.prod([_cofactors(factor[None])[1] for factor in chain])
     return abs(det) / np.sqrt(_sym3_max(np.swapaxes(adj, 1, 2) @ adj))[0]
 
 
