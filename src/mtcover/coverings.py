@@ -15,6 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._small import matmul, matvec
 from .errors import (
     DuplicatePreimage,
     MissingPreimage,
@@ -53,7 +54,7 @@ class StageFrame(NamedTuple):
     def push(self, a, u):
         """Image (slope a, a w + v u) of tangents (a, u), batched like u (..., n)."""
         a = np.asarray(a)
-        return self.slope * a, a[..., None] * self.w + np.einsum("...ij,...j->...i", self.v, u)
+        return self.slope * a, a[..., None] * self.w + matvec(self.v, u)
 
     def matrix(self) -> np.ndarray:
         """The (n+1) x (n+1) chart Jacobian [[slope, 0], [w, v]], batched."""
@@ -307,7 +308,8 @@ class CompositeCovering(CoveringMapHandle):
             elif isinstance(fr, IdentityFrame):
                 fr = step._replace(slope=step.slope * fr.slope, w=fr.slope * step.w)
             else:
-                fr = StageFrame(step.t_out, step.x_out, *step.push(fr.slope, fr.w), step.v @ fr.v)
+                fr = StageFrame(step.t_out, step.x_out, *step.push(fr.slope, fr.w),
+                                matmul(step.v, fr.v))
         return fr
 
     def fiber_handle_at(self, t):

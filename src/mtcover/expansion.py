@@ -15,6 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
+from ._small import congruence, entrywise, gram, matvec, quadratic
 from .coverings import CompositeCovering, build_f, build_qm_only, fiber_alignment_map
 from .errors import (BoundViolation, FinslerDegenerate, NonFiniteSlice, NotExpanding,
                      UnboundedSelection)
@@ -75,13 +76,8 @@ def _sweep(job, t_res: int, threads: int, closed: bool = False) -> np.ndarray:
 # and (n+1) x (n+1) chart Jacobians, where a LAPACK call costs more per
 # matrix than the arithmetic.  For fibers of dimension n < 3 these kernels
 # are closed form; from n = 3 up they call LAPACK, and the matrix shape
-# alone decides which path runs.
-
-
-def _gram(j: np.ndarray) -> np.ndarray:
-    """j^T j, batched.  The right operand is copied: numpy runs a product of
-    an array with its own transpose about 3x slower, to the same bits."""
-    return np.swapaxes(j, -1, -2) @ j.copy()
+# alone decides which path runs.  The products that feed them are in
+# _small.
 
 
 def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -118,7 +114,7 @@ def _singular_extremes(j: np.ndarray):
     this serves.
     """
     if j.shape[-1] >= 3:
-        lo, hi = _extremes(_gram(j))
+        lo, hi = _extremes(gram(j))
         return np.sqrt(np.maximum(lo, 0.0)), np.sqrt(hi)
     if j.shape[-1] == 1:
         return np.abs(j[..., 0, 0]), np.abs(j[..., 0, 0])
@@ -284,9 +280,17 @@ def _whitener(eigvals: np.ndarray, eigvecs: np.ndarray) -> np.ndarray:
 
 
 def _whitened_min_eig(a: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue of the symmetrised W^T a W, batched."""
-    whitened = np.swapaxes(w, -1, -2) @ a @ w
-    return _extremes(0.5 * (whitened + np.swapaxes(whitened, -1, -2)))[0]
+    """Smallest eigenvalue of W^T a W for symmetric a, batched.
+
+    _small.congruence forms it.  Entry by entry it reads the lower triangle
+    of a and is exactly symmetric; numpy's product is symmetric to rounding
+    only, so that one is symmetrised before _extremes reads its lower
+    triangle.
+    """
+    whitened = congruence(w, a)
+    if not entrywise(w, a):
+        whitened = 0.5 * (whitened + np.swapaxes(whitened, -1, -2))
+    return _extremes(whitened)[0]
 
 
 def generalized_conorm_sq(a: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -328,14 +332,15 @@ class SourceGram:
 class SliceRecord:
     """One slice t of a cover, pulled back through its frame (slope, w, V).
 
-    With the fiber Gram m_dst at the image, P = V^T m_dst V, q = V^T m_dst w
+    With the fiber Gram m_dst at the image, P = V^T m_dst V, q = V^T (m_dst w)
     and r = w^T m_dst w, so the image of (a, u) has squared metric norm
-    u^T P u + 2a u.q + a^2 r.  The frame and m_dst are built with the record;
-    P, q, r and the vertical conorm are formed on first read and kept, so a
-    sweep pays only for what it reads: K reads r, c_q the conorm (from P),
-    and the Finsler gain r and the conorm, and q only where its template
-    loop runs.  The frame is kept for the adapted chain that verify
-    continues from it.
+    u^T P u + 2a u.q + a^2 r.  All three are batched products of _small;
+    P is exactly symmetric where it is formed entry by entry.  The frame and
+    m_dst are built with the record; P, q, r and the vertical conorm are
+    formed on first read and kept, so a sweep pays only for what it reads:
+    K reads r, c_q the conorm (from P), and the Finsler gain r and the
+    conorm, and q only where its template loop runs.  The frame is kept for
+    the adapted chain that verify continues from it.
     """
 
     def __init__(self, cover, source: SourceGram, t: float):
@@ -345,22 +350,16 @@ class SliceRecord:
         self.m_dst = source.metric.fiber_gram(self.frame.t_out, self.frame.x_out)
 
     @cached_property
-    def _vt_m(self) -> np.ndarray:
-        return np.swapaxes(self.frame.v, -1, -2) @ self.m_dst
-
-    @cached_property
     def p(self) -> np.ndarray:
-        return self._vt_m @ self.frame.v
+        return congruence(self.frame.v, self.m_dst)
 
     @cached_property
     def q(self) -> np.ndarray:
-        # einsum beats stacked matmul on (n, n) x (n,) products
-        return np.einsum("...ij,...j->...i", self._vt_m, self.frame.w)
+        return matvec(np.swapaxes(self.frame.v, -1, -2), matvec(self.m_dst, self.frame.w))
 
     @cached_property
     def r(self) -> np.ndarray:
-        w = self.frame.w
-        return np.einsum("...i,...ij,...j->...", w, self.m_dst, w)
+        return quadratic(self.frame.w, self.m_dst)
 
     @cached_property
     def vertical_conorm(self) -> np.ndarray:
@@ -613,7 +612,7 @@ class AdaptedMetric:
                 a, u = fr.push(a, u)
                 t, x = fr.t_out, torus_representative(fr.x_out)
             m = self.metric.fiber_gram(t, x)
-            chain.append(a * a + np.einsum("...i,...ij,...j->...", u, m, u))
+            chain.append(a * a + quadratic(u, m))
         return np.stack(chain)
 
     def chain_norms(self, p: MTPoint, v: Tangent) -> np.ndarray:

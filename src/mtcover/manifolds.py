@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._small import gram, matmul, matvec
 from .errors import DimensionMismatch, NotVertical, UnsupportedForm
 from .torus_maps import TorusMapHandle, torus_representative
 
@@ -140,9 +141,9 @@ class MultiMappingTorus:
         moved = []
         for v in tangents:
             if v.shape[-1] == jac.shape[-1] and v.ndim == x.ndim:
-                moved.append(np.einsum("...ij,...j->...i", jac, v))
+                moved.append(matvec(jac, v))
             else:
-                moved.append(jac @ v)
+                moved.append(matmul(jac, v))
         return y, moved
 
     def normalize(self, p: MTPoint) -> MTPoint:
@@ -243,15 +244,12 @@ class MetricG:
         self.dim = h.dim
 
     def fiber_gram(self, t: float, x: np.ndarray) -> np.ndarray:
+        """(1-t) I + t Dh^T Dh at the fiber points x, batched.  Dh^T Dh is
+        _small.gram, the Gram that expansion's kernels form too."""
         x = np.asarray(x, dtype=float)
         if not 0.0 <= t <= 1.0:
             raise UnsupportedForm(f"metric chart needs t in [0,1], got {t}")
-        jac = self.h.jacobian(x)
-        # a copied right operand keeps numpy off its slower path for a
-        # product of an array with its own transpose; same bits
-        pulled = np.swapaxes(jac, -1, -2) @ jac.copy()
-        eye = np.eye(self.dim)
-        return (1.0 - t) * eye + t * pulled
+        return (1.0 - t) * np.eye(self.dim) + t * gram(self.h.jacobian(x))
 
     def gram(self, p: MTPoint) -> np.ndarray:
         m = self.fiber_gram(p.t, p.x)

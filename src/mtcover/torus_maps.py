@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._small import matmul, matvec
 from .errors import (
     DimensionMismatch,
     EndpointMismatch,
@@ -334,7 +335,7 @@ class ComposedIsotopy(IsotopyHandle):
     def jet(self, s, x):
         y, jac_b, db = self.b.jet(s, x)
         z, jac_a, da = self.a.jet(s, y)
-        return z, jac_a @ jac_b, da + np.einsum("...ij,...j->...i", jac_a, db)
+        return z, matmul(jac_a, jac_b), da + matvec(jac_a, db)
 
 
 def compose_isotopy(a: IsotopyHandle, b: IsotopyHandle) -> IsotopyHandle:

@@ -1,23 +1,28 @@
 """The closed-form small-matrix kernels of mtcover.expansion against LAPACK
 and a 40-digit SVD."""
 
+import json
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from mtcover import _small
+from mtcover._small import congruence, gram, matmul, matvec, quadratic
+from mtcover.cli import main
 from mtcover.errors import NonFiniteSlice
 from mtcover.expansion import (
     _chain_sigma_min,
     _cholesky,
     _extremes,
-    _gram,
     _singular_extremes,
     _sweep,
     _sym3_max,
 )
 
 
-ULPS = 8 * np.finfo(float).eps  # normwise agreement with LAPACK
+EPS = np.finfo(float).eps
+ULPS = 8 * EPS  # normwise agreement with LAPACK
 
 
 def _orthogonal(rng, n, size=()):
@@ -63,15 +68,21 @@ def test_cholesky_is_lapacks_factor_bit_for_bit(rng, n, scale):
         m = scale * (q * spec) @ np.swapaxes(q, 1, 2)
         assert np.array_equal(_cholesky(m), np.linalg.cholesky(m))
     s = rng.standard_normal((4096, n, n))
-    m = scale * (_gram(s) + 0.1 * np.eye(n))
+    m = scale * (gram(s) + 0.1 * np.eye(n))
     assert np.array_equal(_cholesky(m), np.linalg.cholesky(m))
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_gram_is_the_plain_product_bit_for_bit(rng, n):
-    # the copied right operand changes numpy's matmul path, not the bits
+    # n = 3: the copied right operand changes numpy's matmul path, not the
+    # bits.  n = 2 runs entry by entry, which rounds as numpy does not, so
+    # it is held to the exactly rounded Gram instead
     j = rng.standard_normal((4096, n, n)) * np.exp(rng.uniform(-8, 8, (4096, 1, n)))
-    assert np.array_equal(_gram(j), np.swapaxes(j, 1, 2) @ j)
+    if n == 3:
+        assert np.array_equal(gram(j), np.swapaxes(j, 1, 2) @ j)
+    else:
+        exact = _exact(PLAIN["gram"], j)
+        assert np.all(np.abs(gram(j) - exact) <= 2 * EPS * PLAIN["gram"](np.abs(j)))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -139,7 +150,7 @@ def test_block_chain_is_the_cofactor_chain(rng):
         for factor in chain[1:]:
             fac_adj, fac_det = _cofactors(factor)
             adj, det = adj @ fac_adj, det * fac_det
-        expected = np.abs(det) / np.sqrt(_sym3_max(_gram(adj)))
+        expected = np.abs(det) / np.sqrt(_sym3_max(gram(adj)))
         assert_allclose(_chain_sigma_min(chain), expected, rtol=1e-14)
 
 
@@ -219,3 +230,160 @@ def test_chain_sigma_min_keeps_relative_accuracy(rng):
     # the Gram of the product squares its condition number, and the cofactors
     # of the formed product cancel: either sigma_min fails
     assert worst_gram > 1e-13 and worst_formed > 1e-13
+
+
+# ---------------------------------------------------------------------------
+# Batched products of _small: entry by entry on 2 x 2 batches of at least
+# _MIN_BATCH blocks, numpy's expression otherwise
+
+KERNELS = {"matmul": matmul, "matvec": matvec, "gram": gram,
+           "congruence": congruence, "quadratic": quadratic}
+# the numpy expressions the kernels replace; on |operands| they give the
+# entry scale that bounds the rounding error of either form
+PLAIN = {
+    "matmul": lambda a, b: a @ b,
+    "matvec": lambda a, u: np.einsum("...ij,...j->...i", a, u),
+    "gram": lambda j: np.swapaxes(j, -1, -2) @ j,
+    "congruence": lambda v, m: np.swapaxes(v, -1, -2) @ m @ v,
+    "quadratic": lambda w, m: np.einsum("...i,...ij,...j->...", w, m, w),
+}
+
+
+def _operands(rng, name, size, n=2, scale=1.0):
+    """Operands of a kernel on size blocks of dimension n, each scaled by
+    scale; the m of congruence and quadratic is exactly symmetric."""
+    def draw(*shape):
+        return scale * rng.standard_normal((size,) + shape)
+
+    if name == "matmul":
+        return draw(n, n), draw(n, n)
+    if name == "matvec":
+        return draw(n, n), draw(n)
+    if name == "gram":
+        return (draw(n, n),)
+    s = draw(n, n)
+    return (draw(n, n) if name == "congruence" else draw(n)), s + np.swapaxes(s, -1, -2)
+
+
+def _exact(expression, *operands):
+    """expression evaluated on the operands in 60-digit arithmetic, rounded
+    to the nearest double once at the end."""
+    mpmath = pytest.importorskip("mpmath")
+    to_mpf = np.frompyfunc(mpmath.mpf, 1, 1)
+    with mpmath.workdps(60):
+        return expression(*(to_mpf(x) for x in operands)).astype(float)
+
+
+@pytest.fixture
+def entry_calls(monkeypatch):
+    """Records the batch shape of every call of the helpers that only the
+    entry path runs: _pack assembles a vector or matrix batch, and
+    _sym_apply is where quadratic, which has nothing to assemble, starts."""
+    calls = []
+    for name in ("_pack", "_sym_apply"):
+        def counted(*args, _helper=getattr(_small, name)):
+            calls.append(args[-1].shape)
+            return _helper(*args)
+
+        monkeypatch.setattr(_small, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+@pytest.mark.parametrize("name", sorted(KERNELS))
+def test_entry_forms_match_numpy_and_the_exact_product(rng, name, scale, entry_calls):
+    # both forms are within 2 ulps of the entry scale of the exact product
+    # (2 roundings on each path of a 2 x 2 product, 4 in v^T m v), so
+    # within 4 of each other
+    ops = _operands(rng, name, 4096, scale=scale)
+    got = KERNELS[name](*ops)
+    assert entry_calls and set(entry_calls) == {(4096,)}
+    bound = EPS * PLAIN[name](*(np.abs(x) for x in ops))
+    assert np.all(np.abs(got - PLAIN[name](*ops)) <= 4 * bound)
+    assert np.all(np.abs(got - _exact(PLAIN[name], *ops)) <= 2 * bound)
+
+
+def test_entry_forms_pass_identities_and_single_products_through(rng, entry_calls):
+    eye = np.broadcast_to(np.eye(2), (4096, 2, 2))
+    a, u = rng.standard_normal((4096, 2, 2)), rng.standard_normal((4096, 2))
+    m = congruence(a, np.broadcast_to(np.diag([1.0, 2.0]), a.shape))
+    assert np.array_equal(matmul(eye, a), a) and np.array_equal(matmul(a, eye), a)
+    assert np.array_equal(matvec(eye, u), u)
+    assert np.array_equal(gram(eye), eye) and np.array_equal(congruence(eye, m), m)
+    for i in range(2):
+        assert np.array_equal(quadratic(eye[..., i], m), m[..., i, i])
+    # diagonal factors: each entry is one rounded product, as in numpy
+    d, e = np.zeros((2, 4096, 2, 2))
+    d[:, [0, 1], [0, 1]], e[:, [0, 1], [0, 1]] = u, rng.standard_normal((4096, 2))
+    for got, want in ((matmul(d, e), d @ e), (matvec(d, u), u * u),
+                      (gram(d), d * d), (congruence(d, eye), d * d)):
+        assert np.array_equal(got, want)
+    assert entry_calls
+
+
+def test_symmetric_entry_forms_read_the_lower_triangle(rng, entry_calls):
+    # congruence and quadratic never read m above the diagonal, and the
+    # congruence and the Gram come out exactly symmetric
+    v, m = _operands(rng, "congruence", 4096)
+    w, j = rng.standard_normal((4096, 2)), rng.standard_normal((4096, 2, 2))
+    upper_nan = m.copy()
+    upper_nan[:, 0, 1] = np.nan
+    p, g = congruence(v, upper_nan), gram(j)
+    assert np.array_equal(p, congruence(v, m)) and np.array_equal(quadratic(w, upper_nan),
+                                                                    quadratic(w, m))
+    assert np.array_equal(p, np.swapaxes(p, 1, 2)) and np.array_equal(g, np.swapaxes(g, 1, 2))
+    assert entry_calls
+
+
+@pytest.mark.parametrize("name", sorted(KERNELS))
+def test_nan_entry_propagates_to_a_typed_error(rng, name):
+    ops = _operands(rng, name, 4096)
+    broken = [x.copy() for x in ops]
+    broken[0][7].flat[0] = np.nan
+    finite = np.isfinite(KERNELS[name](*broken)).reshape(4096, -1).all(axis=1)
+    assert np.flatnonzero(~finite).tolist() == [7]
+    with pytest.raises(NonFiniteSlice, match=r"t=0\.5\b"):
+        _sweep(lambda t: KERNELS[name](*(broken if t else ops)).min(), 2, 1)
+
+
+@pytest.mark.parametrize("n, size", [(2, 1), (2, 64), (2, _small._MIN_BATCH - 1),
+                                     (1, 4096), (3, 4096)])
+@pytest.mark.parametrize("name", sorted(KERNELS))
+def test_numpy_path_is_numpys_expression_bit_for_bit(rng, name, n, size, entry_calls):
+    ops = _operands(rng, name, size, n)
+    assert np.array_equal(KERNELS[name](*ops), PLAIN[name](*ops))
+    assert entry_calls == []
+
+
+def test_verify_agrees_across_the_entry_switch(tmp_path, monkeypatch, entry_calls):
+    # 32^2 = 1,024 points per slice, above the crossover; raising it above
+    # the batch puts every product back on numpy's path
+    config = tmp_path / "shear.json"
+    config.write_text(json.dumps({
+        "n": 2, "eps": 0.1, "field": [{"coeff": [1.0, 0.0], "freq": [0, 1], "phase": "sin"}],
+        "m": 1, "k": None, "base": 3, "fiber_res": 32, "t_res": 4, "directions": 8}))
+
+    def reports():
+        texts = []
+        for threads in (1, 2):
+            out = tmp_path / f"report-{threads}.json"
+            assert main(["verify", "--config", str(config), "--threads", str(threads),
+                         "--out", str(out)]) == 0
+            texts.append(out.read_bytes())
+        assert texts[0] == texts[1]
+        return json.loads(texts[0])
+
+    entry = reports()
+    assert entry_calls
+    monkeypatch.setattr(_small, "_MIN_BATCH", 1025)
+    entry_calls.clear()
+    plain = reports()
+    assert entry_calls == []
+    assert entry["pass"] and entry["expansion"]["checks"] == plain["expansion"]["checks"]
+    for block in ("constants", "expansion"):
+        for key, value in plain[block].items():
+            if isinstance(value, float):
+                assert entry[block][key] == pytest.approx(value, rel=1e-13, abs=0), key
+            else:
+                assert entry[block][key] == value, key
+    assert entry["pass"] == plain["pass"]
