@@ -13,7 +13,7 @@ Exit codes: 0 success/pass, 1 verification failed, 2 config error,
 The JSON report is deterministic for a fixed config and seed: keys are
 sorted, floats use repr round-tripping, and the timings block holds work
 counters rather than wall-clock times (those go to stderr), so reruns and
-thread-count changes are byte-identical.
+runs at any --threads (sweep worker processes) are byte-identical.
 """
 
 from __future__ import annotations
@@ -38,7 +38,8 @@ from .manifolds import MetricG, MTPoint, check_seams
 
 @dataclass
 class RunConfig:
-    """Validated run parameters; threads is runtime-only (flag, not config)."""
+    """Validated run parameters; threads, the number of sweep worker
+    processes, is runtime-only (flag, not config)."""
 
     n: int
     field: list

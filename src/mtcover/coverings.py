@@ -117,16 +117,16 @@ class CoveringMapHandle:
 
 
 def _identity_frame(t, x, slope=1.0):
-    # v is a read-only view of I: no reader of a frame writes into it
+    # w and v are read-only views of 0 and I: no reader of a frame writes into them
     eye = np.broadcast_to(np.eye(x.shape[-1]), x.shape + x.shape[-1:])
-    return IdentityFrame(t, x, slope, np.zeros_like(x), eye)
+    return IdentityFrame(t, x, slope, np.broadcast_to(0.0, x.shape), eye)
 
 
 def _handle_frame(t_out, handle, x):
     if is_identity(handle):
         return _identity_frame(t_out, x)
     x_out, v = handle.jet(x)
-    return StageFrame(t_out, x_out, 1.0, np.zeros_like(x), v)
+    return StageFrame(t_out, x_out, 1.0, np.broadcast_to(0.0, x.shape), v)
 
 
 class StageH(CoveringMapHandle):

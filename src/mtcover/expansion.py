@@ -2,14 +2,17 @@
 
 All estimates sweep a product grid: an evenly spaced parameter slice set
 on [0,1) times a regular fiber grid.  Within a slice every chart branch is
-fixed, so the sweeps are fully vectorized; slices can run on a thread pool
-and are reduced in slice order, which keeps results independent of the
-thread count.
+fixed, so the sweeps are fully vectorized; slices can run in forked worker
+processes and are reduced in slice order, which keeps results independent
+of the worker count.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import os
+import pickle
+import signal
+from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -17,8 +20,8 @@ import numpy as np
 
 from ._small import congruence, entrywise, gram, matvec, quadratic
 from .coverings import CompositeCovering, build_f, build_qm_only, fiber_alignment_map
-from .errors import (BoundViolation, FinslerDegenerate, NonFiniteSlice, NotExpanding,
-                     UnboundedSelection)
+from .errors import (BoundViolation, FinslerDegenerate, MTCoverError, NonFiniteSlice,
+                     NotExpanding, UnboundedSelection)
 from .fields import TrigDisplacementField, unit_grid
 from .lifting import tower_from_field
 from .manifolds import MetricG, MTPoint, Tangent
@@ -51,8 +54,17 @@ def _sweep(job, t_res: int, threads: int, closed: bool = False) -> np.ndarray:
     Closed sweeps add t = 1: chart-level (flat-norm) quantities differ between
     the two seam charts, so their extrema need both endpoints.  A non-finite
     slice value, or a factorization that fails on one, raises NonFiniteSlice.
+
+    With threads > 1 the slices are dealt round-robin to w = min(threads,
+    slices) worker processes, the caller and w - 1 os.fork children (one
+    process where os.fork does not exist).  The values are put back in
+    slice order, and a failure raises the error of the lowest failing
+    slice, as the serial loop does, so neither results nor errors depend on
+    w.  Jobs return what they compute: side effects in a child are lost,
+    a SourceGram.eigh computed there included, which costs a recompute.
     """
-    t_values = np.linspace(0.0, 1.0, t_res + 1) if closed else np.arange(t_res) / t_res
+    t_values = (np.linspace(0.0, 1.0, t_res + 1) if closed else np.arange(t_res) / t_res).tolist()
+    workers = max(1, min(threads, len(t_values))) if hasattr(os, "fork") else 1
 
     def guarded(t):
         try:
@@ -60,15 +72,101 @@ def _sweep(job, t_res: int, threads: int, closed: bool = False) -> np.ndarray:
         except np.linalg.LinAlgError as exc:
             raise NonFiniteSlice(f"slice t={t}: {exc}") from exc
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            values = np.array(list(pool.map(guarded, t_values.tolist())))
-    else:
-        values = np.array([guarded(t) for t in t_values.tolist()])
+    def share(k):
+        """(True, values) of slices k, k + workers, ..., or else
+        (False, (slice index, exception)) of the first that fails."""
+        values = []
+        for i in range(k, len(t_values), workers):
+            try:
+                values.append(guarded(t_values[i]))
+            except Exception as exc:
+                return False, (i, exc)
+        return True, values
+
+    outcomes = _run_shares(share, workers)
+    failures = [body for ok, body in outcomes if not ok]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    values = np.array([outcomes[i % workers][1][i // workers] for i in range(len(t_values))])
     bad = np.argwhere(~np.isfinite(values))
     if bad.size:
         raise NonFiniteSlice(f"slice t={t_values[bad[0, 0]]} gave a non-finite value")
     return values
+
+
+def _run_shares(share, workers: int) -> list:
+    """[share(0), ..., share(workers - 1)]: share 0 here, each other one in
+    an os.fork child.  Every child is read and reaped; an interrupt kills
+    the children left before it reaps them."""
+    children = []
+    try:
+        for k in range(1, workers):
+            children.append(_fork_share(share, k))
+        outcomes = [share(0)]
+        while children:
+            outcomes.append(_collect(*children[0]))
+            del children[0]
+        return outcomes
+    except BaseException:
+        for _, pid, pipe in children:
+            with suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+            pipe.close()
+            with suppress(ChildProcessError):
+                os.waitpid(pid, 0)
+        raise
+
+
+def _fork_share(share, k: int):
+    """(k, pid, read end of its pipe) of a child that writes the pickled
+    share(k) to the pipe.  The child leaves through os._exit, so it never
+    returns into the caller's stack, flushes inherited stdio buffers, or
+    runs exit hooks."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            with os.fdopen(write_fd, "wb") as pipe:
+                pipe.write(_pickled(share(k)))
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    return k, pid, os.fdopen(read_fd, "rb")
+
+
+def _pickled(outcome) -> bytes:
+    """A share's outcome as a pickle.  An exception that does not survive a
+    pickle round trip goes as an MTCoverError with its type name and message."""
+    ok, body = outcome
+    if not ok:
+        index, exc = body
+        try:
+            pickle.loads(pickle.dumps(exc))
+        except Exception:
+            body = index, MTCoverError(f"{type(exc).__name__}: {exc}")
+    return pickle.dumps((ok, body), pickle.HIGHEST_PROTOCOL)
+
+
+def _collect(k: int, pid: int, pipe):
+    """The outcome child k sent, after reaping it; one that exited without
+    a whole outcome fails at slice k with an MTCoverError."""
+    with pipe:
+        data = pipe.read()
+    _, status = os.waitpid(pid, 0)
+    try:
+        return pickle.loads(data)
+    except Exception:
+        code = os.waitstatus_to_exitcode(status)
+        return False, (k, MTCoverError(
+            f"sweep worker for slice {k} exited with status {code} without a result"))
 
 
 # ---------------------------------------------------------------------------
@@ -304,8 +402,8 @@ class SourceGram:
     On a fixed grid the Gram is affine in t, M(t) = (1-t) I + t D with
     D = Dh^T Dh, so one eigendecomposition D = Q diag(lam) Q^T whitens every
     slice: W(t) = Q diag((1-t) + t lam)^(-1/2) has W^T M(t) W = I.  It runs on
-    first use, since the K sweep never whitens; slice threads that race on
-    it compute the same bits.
+    first use, since the K sweep never whitens; a forked sweep worker that
+    runs it keeps its own copy, which the caller recomputes if it needs it.
     """
 
     def __init__(self, metric: MetricG, grid: np.ndarray):

@@ -392,6 +392,27 @@ def test_verify_under_optimize_flag_matches_plain_run(tmp_path):
     assert json.loads(reports[1])["pass"] is True
 
 
+def test_verify_on_stdout_prints_one_report_at_two_workers(tmp_path):
+    # the csv_out dump sweeps again after the report is buffered on stdout,
+    # so a forked sweep worker that flushed its copy of that buffer on exit
+    # would print the report twice (stdout is a pipe here, so it is block
+    # buffered unless PYTHONUNBUFFERED is set)
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.path.join(root, "src")
+    csv = tmp_path / "conorm.csv"
+    cfg = write_config(tmp_path, csv_out=str(csv))
+    runs = []
+    for threads in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "mtcover", "verify", "--config", cfg, "--threads", threads],
+            env=env, capture_output=True, timeout=300)
+        runs.append((proc.returncode, proc.stdout, csv.read_bytes()))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0
+    assert json.loads(runs[0][1])["pass"] is True
+
+
 # the configs/cyc3.json verify report: every Newton-backed stage of an n=3
 # field feeds these, and reruns must match them to rounding
 CYC3_REF = {
