@@ -105,27 +105,36 @@ def load_config(path: str, threads: int | None = None,
     return cfg
 
 
+def _is_int(val) -> bool:
+    # JSON true and false load as bool, a subclass of int, and are no numbers
+    return isinstance(val, int) and not isinstance(val, bool)
+
+
+def _is_finite(val) -> bool:
+    """A JSON number within float range: not a bool, NaN, infinite or a huge integer."""
+    return (_is_int(val) or isinstance(val, float)) and abs(val) <= sys.float_info.max
+
+
+# integer keys and their least values
+_INT_FLOORS = {"n": 1, "m": 1, "base": 2, "fiber_res": 4, "t_res": 4, "directions": 4,
+               "k_cap": 1}
+
+
 def _validate(cfg: RunConfig):
-    _require(isinstance(cfg.n, int) and cfg.n >= 1, f"'n' must be an integer >= 1, got {cfg.n!r}")
-    _require(isinstance(cfg.m, int) and cfg.m >= 1, f"'m' must be an integer >= 1, got {cfg.m!r}")
-    _require(cfg.k is None or (isinstance(cfg.k, int) and cfg.k >= 1),
-             f"'k' must be null or an integer >= 1, got {cfg.k!r}")
-    _require(isinstance(cfg.base, int) and cfg.base >= 2,
-             f"'base' must be an integer >= 2, got {cfg.base!r}")
-    for key in ("fiber_res", "t_res", "directions"):
+    for key, floor in _INT_FLOORS.items():
         val = getattr(cfg, key)
-        _require(isinstance(val, int) and val >= 4,
-                 f"{key!r} must be an integer >= 4, got {val!r}")
+        _require(_is_int(val) and val >= floor,
+                 f"{key!r} must be an integer >= {floor}, got {val!r}")
+    _require(cfg.k is None or (_is_int(cfg.k) and cfg.k >= 1),
+             f"'k' must be null or an integer >= 1, got {cfg.k!r}")
     for key in ("newton_tol", "seam_tol", "fd_rel_tol", "nu_target"):
         val = getattr(cfg, key)
-        _require(isinstance(val, (int, float)) and val > 0,
-                 f"{key!r} must be positive, got {val!r}")
-    _require(isinstance(cfg.k_cap, int) and cfg.k_cap >= 1,
-             f"'k_cap' must be an integer >= 1, got {cfg.k_cap!r}")
-    _require(isinstance(cfg.seed, int), f"'seed' must be an integer, got {cfg.seed!r}")
-    _require(isinstance(cfg.eps, (int, float)) and np.isfinite(cfg.eps),
-             f"'eps' must be a finite number, got {cfg.eps!r}")
-    _require(cfg.threads >= 1, f"thread count must be >= 1, got {cfg.threads!r}")
+        _require(_is_finite(val) and val > 0,
+                 f"{key!r} must be a positive finite number, got {val!r}")
+    _require(_is_int(cfg.seed), f"'seed' must be an integer, got {cfg.seed!r}")
+    _require(_is_finite(cfg.eps), f"'eps' must be a finite number, got {cfg.eps!r}")
+    _require(_is_int(cfg.threads) and cfg.threads >= 1,
+             f"thread count must be >= 1, got {cfg.threads!r}")
     _require(isinstance(cfg.field, list), "'field' must be a list of term objects")
     for i, term in enumerate(cfg.field):
         _require(isinstance(term, dict), f"'field' term {i} must be an object")
@@ -133,10 +142,11 @@ def _validate(cfg: RunConfig):
         _require(not extra, f"'field' term {i} has unknown keys: {sorted(extra)}")
         for part in ("coeff", "freq", "phase"):
             _require(part in term, f"'field' term {i} is missing {part!r}")
-        _require(isinstance(term["coeff"], list) and len(term["coeff"]) == cfg.n,
-                 f"'field' term {i}: 'coeff' must be a list of n={cfg.n} numbers")
+        _require(isinstance(term["coeff"], list) and len(term["coeff"]) == cfg.n
+                 and all(_is_finite(v) for v in term["coeff"]),
+                 f"'field' term {i}: 'coeff' must be a list of n={cfg.n} finite numbers")
         _require(isinstance(term["freq"], list) and len(term["freq"]) == cfg.n
-                 and all(isinstance(v, int) for v in term["freq"]),
+                 and all(_is_int(v) for v in term["freq"]),
                  f"'field' term {i}: 'freq' must be a list of n={cfg.n} integers")
         _require(term["phase"] in ("sin", "cos"),
                  f"'field' term {i}: 'phase' must be \"sin\" or \"cos\"")
@@ -155,12 +165,8 @@ def _sanitize(obj):
         return [_sanitize(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return [_sanitize(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
+    if isinstance(obj, np.generic):
+        return obj.item()
     return obj
 
 
@@ -241,8 +247,7 @@ def cmd_constants(cfg: RunConfig, out_path: str | None = None) -> int:
 def cmd_verify(cfg: RunConfig, out_path: str | None = None) -> int:
     # one pipeline with run_pipeline; f, metric and source are kept for --csv
     constants, k, f, metric, source, report = _pipeline(
-        cfg.displacement_field(), cfg.m, n_dirs=cfg.directions, seed=cfg.seed,
-        **_stage_args(cfg))
+        cfg.displacement_field(), cfg.m, **_stage_args(cfg))
     doc = {
         "config_echo": cfg.echo(),
         "constants": constants,

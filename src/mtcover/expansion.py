@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._small import congruence, entrywise, gram, matvec, quadratic
+from ._small import congruence, entrywise, gram, quadratic
 from .coverings import CompositeCovering, build_f, build_qm_only, fiber_alignment_map
 from .errors import (BoundViolation, FinslerDegenerate, MTCoverError, NonFiniteSlice,
                      NotExpanding, UnboundedSelection)
@@ -408,7 +408,7 @@ class SourceGram:
 
     def __init__(self, metric: MetricG, grid: np.ndarray):
         self.metric, self.grid = metric, grid
-        self.d, self.eye = metric.fiber_gram(1.0, grid), np.eye(metric.dim)
+        self.d = metric.fiber_gram(1.0, grid)
         # eigh returns NaN for NaN input, outside the guard of _sweep
         if not np.isfinite(self.d).all():
             raise NonFiniteSlice("slice t=1.0 gave a non-finite source Gram")
@@ -418,10 +418,6 @@ class SourceGram:
         """(lam, Q) of D."""
         return np.linalg.eigh(self.d)
 
-    def gram(self, t: float) -> np.ndarray:
-        """M(t), by the expression of MetricG.fiber_gram, so equal to it bit for bit."""
-        return (1.0 - t) * self.eye + t * self.d
-
     def whitener(self, t: float) -> np.ndarray:
         lam, q = self.eigh
         return _whitener((1.0 - t) + t * lam, q)
@@ -430,15 +426,15 @@ class SourceGram:
 class SliceRecord:
     """One slice t of a cover, pulled back through its frame (slope, w, V).
 
-    With the fiber Gram m_dst at the image, P = V^T m_dst V, q = V^T (m_dst w)
-    and r = w^T m_dst w, so the image of (a, u) has squared metric norm
-    u^T P u + 2a u.q + a^2 r.  All three are batched products of _small;
-    P is exactly symmetric where it is formed entry by entry.  The frame and
-    m_dst are built with the record; P, q, r and the vertical conorm are
-    formed on first read and kept, so a sweep pays only for what it reads:
-    K reads r, c_q the conorm (from P), and the Finsler gain r and the
-    conorm, and q only where its template loop runs.  The frame is kept for
-    the adapted chain that verify continues from it.
+    With the fiber Gram m_dst at the image, P = V^T m_dst V and
+    r = w^T m_dst w: the image of a vertical u has squared metric norm
+    u^T P u, and that of the base direction (1, 0) has vertical part of
+    squared norm r.  Both are batched products of _small; P is exactly
+    symmetric where it is formed entry by entry.  The frame and m_dst are
+    built with the record; P, r and the vertical conorm are formed on first
+    read and kept, so a sweep pays only for what it reads: K reads r, c_q
+    the conorm (from P), and the Finsler gain r and the conorm.  The frame
+    is kept for the adapted chain that verify continues from it.
     """
 
     def __init__(self, cover, source: SourceGram, t: float):
@@ -450,10 +446,6 @@ class SliceRecord:
     @cached_property
     def p(self) -> np.ndarray:
         return congruence(self.frame.v, self.m_dst)
-
-    @cached_property
-    def q(self) -> np.ndarray:
-        return matvec(np.swapaxes(self.frame.v, -1, -2), matvec(self.m_dst, self.frame.w))
 
     @cached_property
     def r(self) -> np.ndarray:
@@ -587,51 +579,9 @@ def finsler_norm(metric: MetricG, k_eff: float, p: MTPoint, v: Tangent) -> float
     return max(float(np.sqrt(v.u @ m @ v.u)) / k_eff, abs(v.a))
 
 
-def _direction_templates(dim: int, n_dirs: int, rng) -> list:
-    """Stratified tangent templates: base-only, fiber-only, and mixed."""
-    templates = [(1.0, np.zeros(dim))]
-    verticals = []
-    if dim == 2:
-        angles = 2.0 * np.pi * np.arange(n_dirs) / n_dirs
-        verticals = [np.array([np.cos(a), np.sin(a)]) for a in angles]
-    else:
-        raw = rng.normal(size=(n_dirs, dim))
-        verticals = list(raw / np.linalg.norm(raw, axis=1, keepdims=True))
-    templates += [(0.0, u) for u in verticals]
-    for idx, u in enumerate(verticals):
-        beta = np.pi * (idx + 1) / (2.0 * (len(verticals) + 1))
-        sign = 1.0 if idx % 2 == 0 else -1.0
-        templates.append((sign * np.cos(beta), np.sin(beta) * u))
-    return templates
-
-
-# Relative slack of the cone decision.  The computed conorm and lifts carry
-# a few ulps of rounding; a slack of 1e-9, far above that, keeps a slice
-# whose exact c_p - lift_p falls short of |s| from being decided.
-_CONE_SLACK = 1e-9
-
-
-def _template_gain(rec: SliceRecord, templates, k_eff: float) -> float:
-    """Min over the slice and the direction templates (a, u) of
-    max(|Vu + aw|_G / k_eff, |slope a|) / max(|u|_G / k_eff, |a|)."""
-    dim = rec.frame.v.shape[-1]
-    src = rec.source.gram(rec.t).reshape(-1, dim * dim)
-    img = rec.p.reshape(-1, dim * dim)
-    worst = np.full(len(src), np.inf)
-    # one template at a time into a running minimum, so every
-    # temporary is (points,), never (points, templates)
-    for a, u in templates:
-        uu = np.outer(u, u).ravel()
-        scale = np.maximum(np.sqrt(src @ uu) / k_eff, abs(a))
-        sq = img @ uu + 2.0 * a * (rec.q @ u) + a * a * rec.r
-        worst = np.minimum(worst, np.maximum(np.sqrt(sq) / k_eff, abs(rec.slope * a)) / scale)
-    return float(worst.min())
-
-
-def _finsler_gain(dim: int, k_eff: float, n_dirs: int, seed: int):
-    """gain(record): the min over the slice of the mixed-norm gain, decided
-    by the cone bound where it can be and sampled on the direction templates
-    (_template_gain) where it cannot.
+def _finsler_gain(k_eff: float):
+    """gain(record): the cone floor of the mixed-norm gain over the slice,
+    min(|s|, min_p(c_p - lift_p)).
 
     With |.|_S the metric at the source, c_p the vertical conorm and
     lift_p = sqrt(r_p) / k_eff, every tangent (a, u) at p gains at least
@@ -641,48 +591,38 @@ def _finsler_gain(dim: int, k_eff: float, n_dirs: int, seed: int):
     - otherwise its norm is |u|_S / k_eff, and |Vu + aw|_G >= c_p |u|_S -
       |a| sqrt(r_p) >= |u|_S (c_p - lift_p), so it gains at least
       c_p - lift_p.
-    The base-only template (1, 0) gains max(lift_p, |s|).  So where some p
-    has lift_p <= |s| and every p has c_p - lift_p >= |s| (1 + _CONE_SLACK),
-    the slice's min over all directions is |s|, which the base-only
-    template attains, and gain returns it without the loop.  A NaN in P or
-    r makes a comparison false, so the loop runs and its NaN reaches the
-    slice driver.
+    With k_eff = max(K, 1) and K = max sqrt(r), lift_p <= 1, so the floor
+    is at least the case bound min(|s|, vertical margin - 1).  A NaN in r
+    or in the conorm reaches _sweep through np.minimum.
     """
     if not np.isfinite(k_eff) or k_eff <= 0.0:
         raise FinslerDegenerate(f"norm weight {k_eff} is unusable")
-    templates = _direction_templates(dim, n_dirs, np.random.default_rng(seed))
 
     def gain(rec: SliceRecord) -> float:
-        slope, lift = abs(rec.slope), np.sqrt(rec.r) / k_eff
-        if (lift.min() <= slope
-                and (rec.vertical_conorm - lift).min() >= slope * (1.0 + _CONE_SLACK)):
-            return float(slope)
-        return _template_gain(rec, templates, k_eff)
+        cone = (rec.vertical_conorm - np.sqrt(rec.r) / k_eff).min()
+        return float(np.minimum(abs(rec.slope), cone))
 
     return gain
 
 
 def _mu_and_case_bound(mu: float, vertical_margin: float, m: int):
     if not np.isfinite(mu) or mu <= 0.0:
-        raise FinslerDegenerate(f"sampled contraction constant {mu}")
+        raise FinslerDegenerate(f"contraction constant {mu} is not a positive number")
     return mu, float(min(2 * m + 1, vertical_margin - 1.0))
 
 
 def verify_finsler_expansion(f, metric: MetricG, k_eff: float,
                              vertical_margin: float, m: int,
-                             fiber_res: int = 64, t_res: int = 32,
-                             n_dirs: int = 16, threads: int = 1, seed: int = 0):
+                             fiber_res: int = 64, t_res: int = 32, threads: int = 1):
     """Contraction constant of the mixed norm, with its case bound.
 
     Returns (mu, case_bound).  mu is the min over the slices of
-    _finsler_gain: on a slice the cone bound decides it is the slope, the
-    exact min over all directions; on the others it is the min over grid
-    points and stratified unit directions of the image norm.  case_bound is
-    min(2m+1, vertical_margin - 1), the analytic floor from the two-case
-    cone argument.
+    _finsler_gain, the cone floor min(|s|, c_p - sqrt(r_p) / k_eff) over
+    the grid points p.  case_bound is min(2m+1, vertical_margin - 1), the
+    analytic floor from the same two-case cone argument at the global
+    constants.
     """
-    gain = _finsler_gain(f.source.dim, k_eff, n_dirs, seed)
-    job = _record_job(f, _source_gram(metric, fiber_res), gain)
+    job = _record_job(f, _source_gram(metric, fiber_res), _finsler_gain(k_eff))
     return _mu_and_case_bound(float(_sweep(job, t_res, threads).min()), vertical_margin, m)
 
 
@@ -771,7 +711,7 @@ def _step_count(mu_hat: float, k_eff: float):
     an unusable k_eff, raises FinslerDegenerate rather than loop."""
     if not np.isfinite(mu_hat) or mu_hat <= 1.0:
         raise FinslerDegenerate(
-            f"need a sampled contraction constant above 1, got {mu_hat}"
+            f"need a contraction constant above 1, got {mu_hat}"
         )
     if not np.isfinite(k_eff) or k_eff <= 0.0:
         raise FinslerDegenerate(f"norm weight {k_eff} is unusable")
@@ -811,8 +751,8 @@ def build_adapted_metric(f, metric: MetricG, mu_hat: float, k_eff: float,
     factor by factor (_chain_sigma_min): the Gram pencil of the n-step
     product squares its condition number, which lost the smallest eigenvalue
     on a 1-dimensional fiber.  verify_expansion runs the same chain inside
-    its pass and calls this only when the sampled mu_hat asks for another
-    power than the one it guessed.
+    its pass and calls this only when mu_hat asks for another power than
+    the one it guessed.
     """
     n_steps, r_plus, r_minus = _step_count(mu_hat, k_eff)
     source = _source_gram(metric, fiber_res, _source)
@@ -912,25 +852,21 @@ def _constants_stage(h_field: TrigDisplacementField, m: int, *, k, base, fiber_r
 
 
 def verify_expansion(constants: ConstantsReport, k: int, f, metric: MetricG, m: int, *,
-                     n_dirs: int = 16, nu_target: float = 2.0,
-                     seed: int = 0, threads: int = 1,
+                     nu_target: float = 2.0, threads: int = 1,
                      _source: SourceGram | None = None) -> ExpansionReport:
     """Check that the composite f expands, from the constants measured for it.
 
     One pass walks f once per adapted step.  Each slice job builds f's
     SliceRecord, which gives the vertical margin and mu from one vertical
-    conorm (the cone bound of _finsler_gain reads it too, and decides mu
-    without the template loop where it can), and continues the adapted
-    chain from the record's frame for n_guess steps: the step count at
-    mu = 2m+1, the base slope, which caps the sampled mu (the base-only
-    direction template gives the slope at every point when k_eff bounds K).
-    When the sampled mu asks for n_guess steps the rate comes from the
-    pass's minima; otherwise build_adapted_metric runs at the step count
-    it asks for.
+    conorm (mu is the cone floor of _finsler_gain), and continues the
+    adapted chain from the record's frame for n_guess steps: the step count
+    at mu = 2m+1, the base slope, which caps the floor.  When mu asks for
+    n_guess steps the rate comes from the pass's minima; otherwise
+    build_adapted_metric runs at the step count it asks for.
     """
     fiber_res, t_res = constants.fiber_res, constants.t_res
     k_eff = constants.coupling_K_eff
-    gain = _finsler_gain(f.source.dim, k_eff, n_dirs, seed)
+    gain = _finsler_gain(k_eff)
     n_guess = _step_count(2 * m + 1, k_eff)[0]
     source = _source_gram(metric, fiber_res, _source)
 
@@ -967,7 +903,7 @@ def verify_expansion(constants: ConstantsReport, k: int, f, metric: MetricG, m: 
 
 
 def _pipeline(h_field: TrigDisplacementField, m: int, *, k, base, fiber_res, t_res,
-              n_dirs, nu_target, k_cap, seed, threads):
+              nu_target, k_cap, threads):
     """One verify run, (constants, k, f, metric, source, report): the
     constants stage hands its SourceGram on to verify_expansion, and the
     CLI's CSV dump takes it too, so the run evaluates and factors the source
@@ -976,21 +912,19 @@ def _pipeline(h_field: TrigDisplacementField, m: int, *, k, base, fiber_res, t_r
     constants, k, f, metric, source = _constants_stage(
         h_field, m, k=k, base=base, fiber_res=fiber_res, t_res=t_res,
         nu_target=nu_target, k_cap=k_cap, threads=threads)
-    report = verify_expansion(constants, k, f, metric, m, n_dirs=n_dirs,
-                              nu_target=nu_target, seed=seed, threads=threads,
-                              _source=source)
+    report = verify_expansion(constants, k, f, metric, m, nu_target=nu_target,
+                              threads=threads, _source=source)
     return constants, k, f, metric, source, report
 
 
 def run_pipeline(h_field: TrigDisplacementField, m: int, *, k: int | None = None,
                  base: int = 3, fiber_res: int = 64, t_res: int = 32,
-                 n_dirs: int = 16, nu_target: float = 2.0,
-                 k_cap: int = 12, seed: int = 0, threads: int = 1):
+                 nu_target: float = 2.0, k_cap: int = 12, threads: int = 1):
     """Measure all constants, choose k, and verify expansion end to end.
 
     Returns (ConstantsReport, ExpansionReport).
     """
     constants, _, _, _, _, report = _pipeline(
-        h_field, m, k=k, base=base, fiber_res=fiber_res, t_res=t_res, n_dirs=n_dirs,
-        nu_target=nu_target, k_cap=k_cap, seed=seed, threads=threads)
+        h_field, m, k=k, base=base, fiber_res=fiber_res, t_res=t_res,
+        nu_target=nu_target, k_cap=k_cap, threads=threads)
     return constants, report

@@ -35,8 +35,7 @@ EPS = 0.1
 def full_run():
     # full-resolution pipeline on the shear instance, timed once
     started = time.perf_counter()
-    result = run_pipeline(shear_field(EPS), 1, fiber_res=64, t_res=32,
-                          n_dirs=16, threads=1)
+    result = run_pipeline(shear_field(EPS), 1, fiber_res=64, t_res=32, threads=1)
     elapsed = time.perf_counter() - started
     return result, elapsed
 
@@ -57,7 +56,7 @@ def test_linear_model_is_exact_and_fast(linear_inventory):
     the whole run finishes in under a second."""
     started = time.perf_counter()
     constants, report = run_pipeline(shear_field(0.0), 1, fiber_res=16,
-                                     t_res=8, n_dirs=8)
+                                     t_res=8)
     elapsed = time.perf_counter() - started
     assert report.passed
     assert abs(report.vertical_margin - 3.0) < 1e-12

@@ -84,12 +84,38 @@ def test_load_config_missing_required(tmp_path):
     ({"field": [{"coeff": [1.0, 0.0], "freq": [0, 1], "phase": "tan"}]}, "term 0"),
     ({"field": [{"coeff": [1.0, 0.0], "freq": [0, 1], "phase": "sin",
                  "extra": 1}]}, "unknown keys"),
+    ({"nu_target": float("inf")}, "'nu_target'"),
 ])
 def test_load_config_validation(tmp_path, overrides, needle):
     path = write_config(tmp_path, **overrides)
     with pytest.raises(ConfigError, match=needle):
         load_config(path)
 
+
+
+_NUMERIC_KEYS = ("n", "eps", "m", "k", "base", "fiber_res", "t_res", "directions",
+                 "newton_tol", "seam_tol", "fd_rel_tol", "nu_target", "k_cap", "seed")
+
+
+@pytest.mark.parametrize("flag", [True, False])
+@pytest.mark.parametrize("key", _NUMERIC_KEYS)
+def test_verify_rejects_a_boolean_for_a_number(tmp_path, capsys, key, flag):
+    # JSON true and false load as bool, which Python counts as an int
+    cfg = write_config(tmp_path, **{key: flag})
+    assert run(["verify", "--config", cfg, "--out", str(tmp_path / "out.json")]) == 2
+    assert f"config error: '{key}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("coeff", [["a", 0], [float("nan"), 0], [None, 0], [True, 0],
+                                   [float("inf"), 0], [10 ** 400, 0]],
+                         ids=["string", "nan", "null", "bool", "inf", "huge"])
+def test_verify_rejects_a_field_coefficient_that_is_no_finite_number(tmp_path, capsys,
+                                                                     coeff):
+    # json writes and reads NaN and Infinity; before validation these reached
+    # the numerics (exit 3) or escaped as an untyped error (exit 1)
+    cfg = write_config(tmp_path, field=[dict(SHEAR_TERM, coeff=coeff)])
+    assert run(["verify", "--config", cfg, "--out", str(tmp_path / "out.json")]) == 2
+    assert "'coeff' must be a list of n=2 finite numbers" in capsys.readouterr().err
 
 def test_load_config_bad_file(tmp_path):
     with pytest.raises(ConfigError, match="cannot read"):
@@ -224,7 +250,7 @@ def test_verify_on_a_small_field_at_depth_nine(tmp_path):
     cfg = load_config(write_config(tmp_path, n=1, eps=0.04, m=2, fiber_res=8, t_res=4,
                                    directions=4, field=field))
     _, report = run_pipeline(cfg.displacement_field(), cfg.m, fiber_res=cfg.fiber_res,
-                             t_res=cfg.t_res, n_dirs=cfg.directions)
+                             t_res=cfg.t_res)
     assert report.k == 9
 
 
