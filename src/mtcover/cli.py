@@ -31,7 +31,7 @@ from .coverings import build_stage_inventory, orbit, pi1_linear_part, preimages
 from .errors import ConfigError, MTCoverError
 from .expansion import (SourceGram, _constants_stage, _pipeline, default_psi,
                         local_vertical_conorms)
-from .fields import TrigDisplacementField, unit_grid
+from .fields import TrigDisplacementField
 from .lifting import tower_from_field
 from .manifolds import MetricG, MTPoint, check_seams
 
@@ -132,6 +132,10 @@ def _validate(cfg: RunConfig):
         _require(_is_finite(val) and val > 0,
                  f"{key!r} must be a positive finite number, got {val!r}")
     _require(_is_int(cfg.seed), f"'seed' must be an integer, got {cfg.seed!r}")
+    # open() takes an integer as a file descriptor: true would write to and
+    # then close stdout
+    _require(cfg.csv_out is None or (isinstance(cfg.csv_out, str) and cfg.csv_out != ""),
+             f"'csv_out' must be null or a non-empty path, got {cfg.csv_out!r}")
     _require(_is_finite(cfg.eps), f"'eps' must be a finite number, got {cfg.eps!r}")
     _require(_is_int(cfg.threads) and cfg.threads >= 1,
              f"thread count must be >= 1, got {cfg.threads!r}")
@@ -200,7 +204,7 @@ def _csv_rows(rows, header: str, out_path: str | None):
 def _dump_conorm_csv(cfg: RunConfig, f, metric: MetricG, source: SourceGram):
     """Grid dump of the local vertical conorm of the composite map, on the
     run's factored source Gram; it frames f once more per slice."""
-    grid = unit_grid(cfg.n, cfg.fiber_res)
+    grid = source.grid
     local = local_vertical_conorms(f, metric, cfg.fiber_res, cfg.t_res, cfg.threads,
                                    _source=source)
     rows = []

@@ -10,6 +10,7 @@ what seam-consistency checks compare.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import NamedTuple
 
@@ -116,17 +117,24 @@ class CoveringMapHandle:
         return self.name or type(self).__name__
 
 
+@functools.lru_cache(maxsize=64)
+def _identity_blocks(shape: tuple):
+    """Read-only broadcast views of 0 and I, shaped as w and v of a frame at
+    points of the given shape; they hold no run data, so frames share them."""
+    return (np.broadcast_to(0.0, shape),
+            np.broadcast_to(np.eye(shape[-1]), shape + shape[-1:]))
+
+
 def _identity_frame(t, x, slope=1.0):
     # w and v are read-only views of 0 and I: no reader of a frame writes into them
-    eye = np.broadcast_to(np.eye(x.shape[-1]), x.shape + x.shape[-1:])
-    return IdentityFrame(t, x, slope, np.broadcast_to(0.0, x.shape), eye)
+    return IdentityFrame(t, x, slope, *_identity_blocks(x.shape))
 
 
 def _handle_frame(t_out, handle, x):
     if is_identity(handle):
         return _identity_frame(t_out, x)
     x_out, v = handle.jet(x)
-    return StageFrame(t_out, x_out, 1.0, np.broadcast_to(0.0, x.shape), v)
+    return StageFrame(t_out, x_out, 1.0, _identity_blocks(x.shape)[0], v)
 
 
 class StageH(CoveringMapHandle):
@@ -160,10 +168,8 @@ class StageF(CoveringMapHandle):
 
     def __init__(self, tower, source, target):
         super().__init__(source, target, branch_space=source)
-        top_inv = tower.level(tower.k).inverse()
         self._branch_maps = [identity_map(tower.dim)]
-        for j in range(1, tower.k + 1):
-            self._branch_maps.append(compose(top_inv, tower.level(tower.k - j)))
+        self._branch_maps += [tower.aligned(j) for j in range(1, tower.k + 1)]
 
     def frame(self, t, x, side=+1):
         x = np.asarray(x, dtype=float)

@@ -396,19 +396,30 @@ def generalized_conorm_sq(a: np.ndarray, m: np.ndarray) -> np.ndarray:
     return _whitened_min_eig(a, _whitener(*np.linalg.eigh(m)))
 
 
+def _run_grid(grid: np.ndarray) -> np.ndarray:
+    """A read-only copy of grid that owns its data, so that each field's jet
+    at it is computed once (TrigDisplacementField.jet)."""
+    grid = np.array(grid, dtype=float)
+    grid.flags.writeable = False
+    return grid
+
+
 class SourceGram:
     """The fiber Gram at the source points of a sweep, factored once.
 
-    On a fixed grid the Gram is affine in t, M(t) = (1-t) I + t D with
-    D = Dh^T Dh, so one eigendecomposition D = Q diag(lam) Q^T whitens every
-    slice: W(t) = Q diag((1-t) + t lam)^(-1/2) has W^T M(t) W = I.  It runs on
-    first use, since the K sweep never whitens; a forked sweep worker that
-    runs it keeps its own copy, which the caller recomputes if it needs it.
+    It owns the run's fiber grid, a read-only copy of the one it is given:
+    every sweep of a run frames its maps at that one array, so each field's
+    jet there is computed once per run.  On a fixed grid the Gram is affine
+    in t, M(t) = (1-t) I + t D with D = Dh^T Dh, so one eigendecomposition
+    D = Q diag(lam) Q^T whitens every slice: W(t) = Q diag((1-t) + t lam)^(-1/2)
+    has W^T M(t) W = I.  The eigh runs on first use, since the K sweep never
+    whitens; a forked sweep worker that runs it keeps its own copy, which
+    the caller recomputes if it needs it.
     """
 
     def __init__(self, metric: MetricG, grid: np.ndarray):
-        self.metric, self.grid = metric, grid
-        self.d = metric.fiber_gram(1.0, grid)
+        self.metric, self.grid = metric, _run_grid(grid)
+        self.d = metric.fiber_gram(1.0, self.grid)
         # eigh returns NaN for NaN input, outside the guard of _sweep
         if not np.isfinite(self.d).all():
             raise NonFiniteSlice("slice t=1.0 gave a non-finite source Gram")
@@ -431,10 +442,11 @@ class SliceRecord:
     u^T P u, and that of the base direction (1, 0) has vertical part of
     squared norm r.  Both are batched products of _small; P is exactly
     symmetric where it is formed entry by entry.  The frame and m_dst are
-    built with the record; P, r and the vertical conorm are formed on first
-    read and kept, so a sweep pays only for what it reads: K reads r, c_q
-    the conorm (from P), and the Finsler gain r and the conorm.  The frame
-    is kept for the adapted chain that verify continues from it.
+    built with the record; P, r, the source whitener and the vertical
+    conorm are formed on first read and kept, so a sweep pays only for what
+    it reads: K reads r, c_q the conorm (from P and the whitener), and the
+    Finsler gain r and the conorm.  The frame and the whitener are kept for
+    the adapted chain that verify continues from them.
     """
 
     def __init__(self, cover, source: SourceGram, t: float):
@@ -452,10 +464,14 @@ class SliceRecord:
         return quadratic(self.frame.w, self.m_dst)
 
     @cached_property
+    def whitener(self) -> np.ndarray:
+        return self.source.whitener(self.t)
+
+    @cached_property
     def vertical_conorm(self) -> np.ndarray:
         """Vertical expansion of the chart differential at each point of the
         slice, from the metric at the source to the one at the image."""
-        sq = _whitened_min_eig(self.p, self.source.whitener(self.t))
+        sq = _whitened_min_eig(self.p, self.whitener)
         return np.sqrt(np.maximum(sq, 0.0))
 
 
@@ -507,17 +523,20 @@ def estimate_metric_equiv(metric: MetricG, fiber_res: int = 64, *,
 
 
 def estimate_C(tower, fiber_res: int = 64, t_res: int = 32,
-               threads: int = 1, floor_slack: float = 1e-6, *, _bound: float | None = None):
+               threads: int = 1, floor_slack: float = 1e-6, *, _bound: float | None = None,
+               _grid: np.ndarray | None = None):
     """Min flat conorm of the fiber derivative of the aligning stages.
 
     Also returns the uniform lower bound given by the product of the grid
     minima of the conorms of the base map, its inverse, and the connecting
     isotopy slices; the measured value must not fall below it.  That bound
     reads only h and tower.isotopy(1), so a known one is passed as _bound.
+    A run passes its SourceGram's grid, of fiber_res points per axis, as
+    _grid.
     """
     fh = fiber_alignment_map(tower)
     phi = tower.isotopy(1)
-    grid = unit_grid(tower.dim, fiber_res)
+    grid = _run_grid(unit_grid(tower.dim, fiber_res)) if _grid is None else _grid
 
     # these one-step Jacobians are well conditioned: closed form below n = 3,
     # the Gram's eigvalsh above, and no SVD either way
@@ -525,7 +544,7 @@ def estimate_C(tower, fiber_res: int = 64, t_res: int = 32,
         return float(_singular_extremes(fh.frame(t, grid, +1).v)[0].min())
 
     def phi_job(s):
-        return _singular_extremes(phi.slice_at(s).jacobian(grid))[0].min()
+        return _singular_extremes(phi.jet(s, grid)[1])[0].min()
 
     c_val = float(_sweep(job, t_res, threads, closed=True).min())
     if _bound is None:
@@ -676,17 +695,18 @@ def _bordered(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _chain_factors(f, source: SourceGram, t: float, fr, n_steps: int):
+def _chain_factors(f, source: SourceGram, t: float, fr, w_src: np.ndarray, n_steps: int):
     """Factors of the n_steps-step chart Jacobian J at slice t, whitened to
     L_dst^T J W_src, generated first applied first: diag(1, W_src), J_1, ...,
-    J_n, diag(1, L_dst^T).  fr is f's frame at (t, source.grid), built by
-    the caller; steps 2..n continue from it, and it is released at step 2.
+    J_n, diag(1, L_dst^T).  fr is f's frame at (t, source.grid) and w_src
+    source.whitener(t), both built by the caller; steps 2..n continue from
+    fr, and it is released at step 2.
 
     W_src is the source whitener of the slice and L_dst the Cholesky factor of
     the Gram at the image, so the smallest singular value of their product is
     the smallest n-step expansion from G at the source to G at the image.
     """
-    yield _bordered(source.whitener(t))
+    yield _bordered(w_src)
     for step in range(n_steps):
         if step:
             fr = f.frame(t, x, +1)
@@ -701,7 +721,8 @@ def _chain_factors(f, source: SourceGram, t: float, fr, n_steps: int):
 
 def _whitened_factors(f, source: SourceGram, t: float, n_steps: int):
     """_chain_factors at slice t, from a first frame built here."""
-    return _chain_factors(f, source, t, f.frame(t, source.grid, +1), n_steps)
+    return _chain_factors(f, source, t, f.frame(t, source.grid, +1), source.whitener(t),
+                          n_steps)
 
 
 def _step_count(mu_hat: float, k_eff: float):
@@ -834,7 +855,8 @@ def _constants_stage(h_field: TrigDisplacementField, m: int, *, k, base, fiber_r
     def c_at(kk: int):
         if kk not in c_cache:
             known = next(iter(c_cache.values()), (None, None))[1]
-            c_cache[kk] = estimate_C(tower_at(kk), fiber_res, t_res, threads, _bound=known)
+            c_cache[kk] = estimate_C(tower_at(kk), fiber_res, t_res, threads, _bound=known,
+                                     _grid=source.grid)
         return c_cache[kk]
 
     if k is None:
@@ -873,8 +895,9 @@ def verify_expansion(constants: ConstantsReport, k: int, f, metric: MetricG, m: 
     def job(t):
         rec = SliceRecord(f, source, t)
         margin, mu_t = float(rec.vertical_conorm.min()), gain(rec)
-        # the chain needs only the record's frame: the rest is freed first
-        factors = _chain_factors(f, source, t, rec.frame, n_guess)
+        # the chain needs only the record's frame and whitener: the rest is
+        # freed first
+        factors = _chain_factors(f, source, t, rec.frame, rec.whitener, n_guess)
         del rec
         return margin, mu_t, _chain_sigma_min(factors).min()
 

@@ -62,6 +62,7 @@ class TrigDisplacementField:
         # (T, n*n) rows c_t (x) 2 pi b_t: the Jacobian is one matmul
         table = coeffs[:, :, None] * (2.0 * np.pi * freqs)[:, None, :]
         object.__setattr__(self, "_jac_table", table.reshape(len(coeffs), self.dim * self.dim))
+        object.__setattr__(self, "_memo", None)  # (points, disp, jac) of jet
 
     @property
     def n_terms(self) -> int:
@@ -98,8 +99,27 @@ class TrigDisplacementField:
 
     def jet(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Displacement and exact Jacobian, (..., n) -> (..., n), (..., n, n),
-        from one pass over the angles, their sines and their cosines."""
+        from one pass over the angles, their sines and their cosines.
+
+        A read-only float array that owns its data, such as a run's fiber
+        grid, cannot change, so the field keeps its jet and serves it again
+        while that same array comes back.  The memo is keyed by the array's
+        identity and holds the array, so the identity cannot be reused; it
+        keeps one array, since a run evaluates a field on one grid, and its
+        results are read-only.  Every other input is evaluated afresh.
+        """
         x = np.asarray(x, dtype=float)
+        if x.flags.writeable or not x.flags.owndata:
+            return self._jet(x)
+        memo = self._memo
+        if memo is None or memo[0] is not x:
+            memo = (x, *self._jet(x))
+            for out in memo[1:]:
+                out.flags.writeable = False
+            object.__setattr__(self, "_memo", memo)
+        return memo[1], memo[2]
+
+    def _jet(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if x.shape[-1] != self.dim:
             raise DimensionMismatch(f"points have dim {x.shape[-1]}, field has {self.dim}")
         if self.n_terms == 0:

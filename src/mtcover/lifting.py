@@ -119,6 +119,7 @@ class LiftTower:
     base: int
     maps: list = field(default_factory=list)
     isotopies: list = field(default_factory=list)  # index 0 unused
+    _aligned: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def k(self) -> int:
@@ -135,6 +136,14 @@ class LiftTower:
         if i < 1:
             raise IndexError("connecting isotopies start at level 1")
         return self.isotopies[i]
+
+    def aligned(self, j: int) -> TorusMapHandle:
+        """h_k^-1 o h_{k-j}, which takes level k - j to the top level, for
+        1 <= j <= k.  Built once per tower, so every stage chain over the
+        tower shares the map and the jets its fields keep."""
+        if j not in self._aligned:
+            self._aligned[j] = compose(self.level(self.k).inverse(), self.level(self.k - j))
+        return self._aligned[j]
 
 
 def build_tower(h: TorusMapHandle, phi1: IsotopyHandle, k: int, base: int = 3) -> LiftTower:

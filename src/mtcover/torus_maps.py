@@ -84,6 +84,8 @@ class TrigDisplacementMap(TorusMapHandle):
     def jet(self, x):
         x = np.asarray(x, dtype=float)
         disp, jac = self.field.jet(x)
+        if not jac.flags.writeable:  # the field's memo: I + Dv goes to a copy
+            jac = jac.copy()
         idx = np.arange(self.dim)
         jac[..., idx, idx] += 1.0
         return x + disp, jac
@@ -309,7 +311,7 @@ class StraightLineIsotopy(IsotopyHandle):
         # one trig pass: v and Dv give the slice x + s v, I + s Dv and d/ds = v
         x = np.asarray(x, dtype=float)
         disp, jac = self.field.jet(x)
-        jac *= float(s)
+        jac = float(s) * jac  # out of place: the field's jet may be its memo
         idx = np.arange(self.dim)
         jac[..., idx, idx] += 1.0
         return x + float(s) * disp, jac, disp

@@ -117,6 +117,17 @@ def test_verify_rejects_a_field_coefficient_that_is_no_finite_number(tmp_path, c
     assert run(["verify", "--config", cfg, "--out", str(tmp_path / "out.json")]) == 2
     assert "'coeff' must be a list of n=2 finite numbers" in capsys.readouterr().err
 
+@pytest.mark.parametrize("csv_out", [True, 2, "", ["a.csv"]],
+                         ids=["true", "int", "empty", "list"])
+def test_verify_rejects_a_csv_out_that_is_no_path(tmp_path, capsys, csv_out):
+    # open() takes true or 2 as a file descriptor: the dump went to stdout or
+    # stderr and closed it, and the command exited 0
+    cfg = write_config(tmp_path, fiber_res=4, t_res=4, csv_out=csv_out)
+    assert run(["verify", "--config", cfg, "--out", str(tmp_path / "out.json")]) == 2
+    assert not (tmp_path / "out.json").exists()
+    assert "config error: 'csv_out' must be null or a non-empty path" in capsys.readouterr().err
+
+
 def test_load_config_bad_file(tmp_path):
     with pytest.raises(ConfigError, match="cannot read"):
         load_config(str(tmp_path / "missing.json"))

@@ -327,3 +327,21 @@ def test_identity_stages_pass_frames_through(dim, terms, rng):
     # every stage of qm is an identity at t = 0.1: no fold reaches a matmul
     assert isinstance(inv["qm"].frame(0.1, x), IdentityFrame)
     assert not isinstance(inv["qm"].frame(0.5, x), IdentityFrame)
+    # identity frames at one shape share their read-only views of 0 and I
+    first, again = inv["H"].frame(0.9, x), inv["R"].frame(0.3, x.copy())
+    assert first.w is again.w and first.v is again.v
+    assert not first.w.flags.writeable and not first.v.flags.writeable
+    assert not first.w.any() and np.array_equal(first.v[0], np.eye(dim))
+    assert inv["R"].frame(0.3, x[:2]).w.shape == (2, dim)
+
+
+def test_stage_chains_over_one_tower_share_its_aligning_maps(shear):
+    # F's branch j is h_k^-1 o h_(k-j), built once by the tower: the F
+    # stages of f and of the aligning chain of C(k) share the maps, and so
+    # the jets their fields keep at a run's grid
+    tower = tower_from_field(shear, 2)
+    stage_f = build_stage_inventory(tower, 1, default_psi(shear))["F"]
+    aligning = fiber_alignment_map(tower).stages[1]
+    maps = [tower.aligned(1), tower.aligned(2)]
+    for stage in (stage_f, aligning):
+        assert all(a is b for a, b in zip(stage._branch_maps[1:], maps, strict=True))

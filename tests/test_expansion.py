@@ -55,7 +55,9 @@ from mtcover.expansion import (
 from mtcover.fields import TrigDisplacementField, shear_field, unit_grid
 from mtcover.lifting import tower_from_field
 from mtcover.manifolds import MetricG, MTPoint, Tangent
-from mtcover.torus_maps import TrigDisplacementMap, torus_representative
+from mtcover.lifting import LiftedIsotopy
+from mtcover.torus_maps import (BridgedIsotopy, StraightLineIsotopy, TrigDisplacementMap,
+                                torus_representative)
 
 EPS = 0.1
 
@@ -402,6 +404,47 @@ def test_conorm_c_bound_without_svd(name, shear, mixed, monkeypatch):
     _, bound = estimate_C(tower, 8 if field.dim == 2 else 4, 4)
     assert calls == []
     assert_allclose(bound, oracle, rtol=1e-13)
+
+
+@pytest.mark.parametrize("name", ["shear", "mixed", "cyc3"])
+def test_the_phi_bound_reads_the_isotopy_jet(name, shear, mixed):
+    # the phi sweep of estimate_C reads phi.jet(s, grid)[1], the one way to
+    # evaluate an isotopy, in place of the slice map's Jacobian; they agree
+    # on the straight line (shear), the bridge (mixed) and its lift (cyc3 at
+    # depth 2), at a writable grid and at a read-only one the fields keep.
+    # They agree to rtol 1e-13 in each point's Frobenius norm, which bounds
+    # the move of the singular values the bound reads; entrywise, the
+    # straight line's cancelling terms leave 3e-17 where the other gives 0
+    field = {"shear": shear, "mixed": mixed, "cyc3": CYC3}[name]
+    tower = tower_from_field(field, 2)
+    phi = tower.isotopy(2 if name == "cyc3" else 1)
+    kind = {"shear": StraightLineIsotopy, "mixed": BridgedIsotopy, "cyc3": LiftedIsotopy}[name]
+    assert isinstance(phi, kind)
+    grid = unit_grid(field.dim, 8 if field.dim == 2 else 4)
+    frozen = grid.copy()
+    frozen.flags.writeable = False
+    for s in np.linspace(0.0, 1.0, 9):
+        expected = phi.slice_at(s).jacobian(grid)
+        scale = np.linalg.norm(expected, axis=(-2, -1))
+        for x in (grid, frozen):
+            gap = np.linalg.norm(phi.jet(s, x)[1] - expected, axis=(-2, -1))
+            assert np.all(gap <= 1e-13 * scale)
+
+
+# conorm_C_bound in the verify report of each configs/*.json, as the phi
+# sweep gave it from the slice maps' Jacobians
+CONFIG_C_BOUNDS = {"cyc3": 0.3313250085748365, "linear": 1.0,
+                   "mixed2": 0.3100131305926034, "shear": 0.33821750966111847}
+
+
+@pytest.mark.parametrize("name", sorted(CONFIG_C_BOUNDS))
+def test_the_conorm_c_bound_of_each_config_is_unchanged(name):
+    # the bound reads only h and tower.isotopy(1), so depth 1 gives the
+    # value of the depth the run selects; it must match to the last bit
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    cfg = mtcover.cli.load_config(os.path.join(root, "configs", f"{name}.json"))
+    tower = tower_from_field(cfg.displacement_field(), 1, cfg.base)
+    assert estimate_C(tower, cfg.fiber_res, cfg.t_res)[1] == CONFIG_C_BOUNDS[name]
 
 
 def test_conorm_c_floor_raises_typed_error():

@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from mtcover.cli import main
 from mtcover.errors import DimensionMismatch, UnsupportedForm
 from mtcover.fields import (
     COS,
@@ -12,6 +15,7 @@ from mtcover.fields import (
     shear_field,
     unit_grid,
 )
+from mtcover.torus_maps import StraightLineIsotopy, TrigDisplacementMap
 
 EPS = 0.1
 
@@ -226,3 +230,134 @@ def test_jacobian_norm_bound_dominates_the_grid(rng, dim):
         field = random_field(rng, dim=dim, n_terms=3, max_freq=3)
         per_axis = 64 if dim < 3 else 16
         assert jacobian_norm_bound(field) >= jacobian_sup_norm(field, per_axis=per_axis)
+
+
+# ---------------------------------------------------------------------------
+# The jet memo: a field keeps its jet at a read-only array that owns its data
+
+
+def frozen(x):
+    """A read-only copy of x that owns its data, as a run's fiber grid is."""
+    x = np.array(x, dtype=float)
+    x.flags.writeable = False
+    return x
+
+
+@pytest.fixture
+def computed(monkeypatch):
+    """(field, points) of every jet a field computes, not serving it from its memo."""
+    calls = []
+    original = TrigDisplacementField._jet
+
+    def counted(self, x):
+        calls.append((self, x))
+        return original(self, x)
+
+    monkeypatch.setattr(TrigDisplacementField, "_jet", counted)
+    return calls
+
+
+def test_a_read_only_array_is_evaluated_once(rng, computed):
+    field = random_field(rng)
+    grid = frozen(unit_grid(2, 8))
+    first, second = field.jet(grid), field.jet(grid)
+    assert len(computed) == 1
+    assert first[0] is second[0] and first[1] is second[1]
+    assert field.evaluate(grid) is first[0] and field.jacobian(grid) is first[1]
+    # the kept jet is the one a writable copy computes, bit for bit
+    fresh = field.jet(grid.copy())
+    assert np.array_equal(first[0], fresh[0]) and np.array_equal(first[1], fresh[1])
+    # identity, not content, is the key: an equal array is a new one
+    field.jet(frozen(grid))
+    assert len(computed) == 3
+
+
+def test_writable_arrays_and_views_are_never_served_from_the_memo(rng, computed):
+    field = random_field(rng)
+    grid = unit_grid(2, 8)
+    view = grid[:10]
+    view.flags.writeable = False  # read-only, but its base can still change
+    broadcast = np.broadcast_to(grid[3], (5, 2))  # read-only, owns nothing
+    ints = np.zeros((4, 2), dtype=np.int64)
+    ints.flags.writeable = False  # read-only, but not float: converted anew
+    for x in (grid, view, broadcast, ints, [0.25, 0.5]):
+        field.jet(x)
+        field.jet(x)
+    assert len(computed) == 10
+    assert all(out.flags.writeable for out in field.jet(grid))
+
+
+def test_a_changed_input_is_evaluated_again(rng):
+    field = random_field(rng)
+    grid = unit_grid(2, 8)
+    view = grid[:]
+    view.flags.writeable = False
+    before = [field.jet(x)[0].copy() for x in (grid, view)]
+    grid += 0.125  # moves the view's points too
+    for x, old in zip((grid, view), before):
+        value, jac = field.jet(x)
+        assert not np.array_equal(value, old)
+        expected = per_term_jet(field, grid)
+        assert_allclose(value, expected[0], rtol=0, atol=1e-13)
+        assert_allclose(jac, expected[1], rtol=0, atol=1e-12)
+
+
+def test_writing_into_a_kept_jet_raises(rng):
+    field = random_field(rng)
+    grid = frozen(unit_grid(2, 8))
+    for out in field.jet(grid):
+        assert not out.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            out += 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            out[0] = 0.0
+    # the map and the isotopy built on a field add I out of place, so their
+    # jets at the grid leave the kept one intact
+    TrigDisplacementMap(field).jet(grid)
+    StraightLineIsotopy(field, check=False).jet(0.5, grid)
+    value, jac = field.jet(grid)
+    assert np.array_equal(value, field.jet(grid.copy())[0])
+    assert np.array_equal(jac, field.jet(grid.copy())[1])
+
+
+def test_derived_fields_keep_their_own_jets(rng, computed):
+    field = random_field(rng)
+    grid = frozen(unit_grid(2, 8))
+    family = [field, field.dilate(3), field.scaled(0.5), field.scaled(1.0),
+              field.plus(TrigDisplacementField.zero(2))]
+    jets = [f.jet(grid) for f in family]
+    assert len(computed) == len(family)
+    for f, (value, jac) in zip(family, jets):
+        fresh = f.jet(grid.copy())
+        assert np.array_equal(value, fresh[0]) and np.array_equal(jac, fresh[1])
+        assert f.jet(grid)[1] is jac
+    assert not np.array_equal(jets[0][0], jets[1][0])
+    assert not np.array_equal(jets[0][0], jets[2][0])
+    assert len(computed) == 2 * len(family)
+
+
+def test_a_verify_run_computes_each_field_jet_at_its_grid_once(tmp_path, computed,
+                                                              monkeypatch):
+    # every sweep of a run frames its maps at the SourceGram's one read-only
+    # grid; the straight-line isotopies of H, the last branch of F, h in the
+    # metric and the phi bound all reach their field's memo there
+    config = tmp_path / "shear.json"
+    config.write_text(json.dumps({
+        "n": 2, "eps": EPS, "fiber_res": 8, "t_res": 4, "directions": 4,
+        "field": [{"coeff": [1.0, 0.0], "freq": [0, 1], "phase": "sin"}]}))
+    served = []
+    original = TrigDisplacementField.jet
+
+    def counted(self, x):
+        served.append(x)
+        return original(self, x)
+
+    monkeypatch.setattr(TrigDisplacementField, "jet", counted)
+    assert main(["verify", "--config", str(config), "--out", str(tmp_path / "r.json")]) == 0
+    at_grid = [(f, x) for f, x in computed if not x.flags.writeable]
+    grids = {id(x) for _, x in at_grid}
+    fields = [id(f) for f, _ in at_grid]
+    assert len(grids) == 1  # one grid per run
+    assert len(fields) == len(set(fields)) >= 6  # each field's jet there once
+    grid = at_grid[0][1]
+    assert sum(x is grid for x in served) > 2 * len(at_grid)

@@ -17,3 +17,23 @@ def test_the_package_has_no_assert_statements():
              if isinstance(node, ast.Assert)]
     assert len(list(SRC.glob("*.py"))) >= 10
     assert found == []
+
+
+_ENVIRONMENT_NAMES = {"environ", "environb", "getenv", "getenvb"}
+
+
+def test_the_package_reads_no_environment_variable():
+    # every setting is a config key or a flag, so a run is described by its
+    # config and command line alone; this finds os.environ, os.getenv and
+    # their from-imports
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.Attribute) and node.attr in _ENVIRONMENT_NAMES
+                    and isinstance(node.value, ast.Name) and node.value.id == "os"):
+                found.append(f"{path.name}:{node.lineno} os.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                found += [f"{path.name}:{node.lineno} from os import {alias.name}"
+                          for alias in node.names if alias.name in _ENVIRONMENT_NAMES]
+    assert len(list(SRC.glob("*.py"))) >= 10
+    assert found == []
