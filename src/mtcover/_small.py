@@ -10,6 +10,15 @@ operands' shapes alone choose the path.
 The entry forms round every product and every sum once, in their own
 order, and numpy's BLAS may fuse a multiply into an add, so the two paths
 agree to rounding, not bit for bit.
+
+Blocks are stored entry-major: a batch of (..., n) vectors or (..., n, n)
+matrices is a view of a base array whose last axes run over the batch
+(batched), so each entry [..., i] or [..., i, j] is one contiguous array
+over the points.  The entry forms read and write whole entries, and
+writing into a short last axis costs about ten times as much.  Every
+kernel gives the same bits on entry-major and C-order operands: the numpy
+path hands einsum C-order copies, since its summation order follows the
+layout.
 """
 
 from __future__ import annotations
@@ -38,14 +47,21 @@ def _entrywise_vec(a: np.ndarray, u: np.ndarray) -> bool:
             and a.shape[-2:] == (2, 2) and u.shape[-1] == 2)
 
 
+def batched(rows: np.ndarray, k: int) -> np.ndarray:
+    """rows, (*entry, *batch) with k entry axes, as the (*batch, *entry)
+    view that keeps each entry contiguous over the batch."""
+    return rows.transpose(tuple(range(k, rows.ndim)) + tuple(range(k)))
+
+
 def _pack(*entries: np.ndarray) -> np.ndarray:
     """Entry arrays, batched alike, as a batch of 2-vectors (two entries) or
-    of 2 x 2 matrices (four, row by row)."""
-    batch = entries[0].shape
-    flat = np.empty(batch + (len(entries),))
+    of 2 x 2 matrices (four, row by row), entry-major."""
+    flat = np.empty((len(entries),) + entries[0].shape)
     for i, entry in enumerate(entries):
-        flat[..., i] = entry
-    return flat if len(entries) == 2 else flat.reshape(batch + (2, 2))
+        flat[i] = entry
+    if len(entries) == 2:
+        return batched(flat, 1)
+    return batched(flat.reshape((2, 2) + flat.shape[1:]), 2)
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -59,7 +75,7 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def matvec(a: np.ndarray, u: np.ndarray) -> np.ndarray:
     """a u for matrices a, (..., m, k), and vectors u, (..., k), batched."""
     if not _entrywise_vec(a, u):
-        return np.einsum("...ij,...j->...i", a, u)
+        return np.einsum("...ij,...j->...i", np.ascontiguousarray(a), np.ascontiguousarray(u))
     u0, u1 = u[..., 0], u[..., 1]
     return _pack(*(a[..., i, 0] * u0 + a[..., i, 1] * u1 for i in range(2)))
 
@@ -102,7 +118,8 @@ def quadratic(w: np.ndarray, m: np.ndarray) -> np.ndarray:
     """w^T m w for vectors w, (..., n), and symmetric m, (..., n, n), batched;
     the entry path reads the lower triangle of m, as congruence does."""
     if not _entrywise_vec(m, w):
-        return np.einsum("...i,...ij,...j->...", w, m, w)
+        w = np.ascontiguousarray(w)
+        return np.einsum("...i,...ij,...j->...", w, np.ascontiguousarray(m), w)
     w0, w1 = w[..., 0], w[..., 1]
     mw0, mw1 = _sym_apply(m, w0, w1)
     return w0 * mw0 + w1 * mw1

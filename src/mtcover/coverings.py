@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._small import matmul, matvec
+from ._small import batched, matmul, matvec
 from .errors import (
     DuplicatePreimage,
     MissingPreimage,
@@ -58,9 +58,10 @@ class StageFrame(NamedTuple):
         return self.slope * a, a[..., None] * self.w + matvec(self.v, u)
 
     def matrix(self) -> np.ndarray:
-        """The (n+1) x (n+1) chart Jacobian [[slope, 0], [w, v]], batched."""
+        """The (n+1) x (n+1) chart Jacobian [[slope, 0], [w, v]], batched and
+        entry-major (_small.batched)."""
         n = self.w.shape[-1]
-        jac = np.zeros(self.w.shape[:-1] + (n + 1, n + 1))
+        jac = batched(np.zeros((n + 1, n + 1) + self.w.shape[:-1]), 2)
         jac[..., 0, 0] = self.slope
         jac[..., 1:, 0] = self.w
         jac[..., 1:, 1:] = self.v
@@ -119,14 +120,18 @@ class CoveringMapHandle:
 
 @functools.lru_cache(maxsize=64)
 def _identity_blocks(shape: tuple):
-    """Read-only broadcast views of 0 and I, shaped as w and v of a frame at
-    points of the given shape; they hold no run data, so frames share them."""
-    return (np.broadcast_to(0.0, shape),
-            np.broadcast_to(np.eye(shape[-1]), shape + shape[-1:]))
+    """Read-only 0 and I, shaped as w and v of a frame at points of the
+    given shape; they hold no run data, so frames share them.  I is a
+    broadcast view; 0 is an entry-major array (_small.batched), since a
+    product with a broadcast takes C order and a sum of the two layouts
+    writes across the short axis."""
+    zero = batched(np.zeros(shape[-1:] + shape[:-1]), 1)
+    zero.flags.writeable = False
+    return (zero, np.broadcast_to(np.eye(shape[-1]), shape + shape[-1:]))
 
 
 def _identity_frame(t, x, slope=1.0):
-    # w and v are read-only views of 0 and I: no reader of a frame writes into them
+    # w and v are read-only 0 and I: no reader of a frame writes into them
     return IdentityFrame(t, x, slope, *_identity_blocks(x.shape))
 
 

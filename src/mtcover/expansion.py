@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._small import congruence, entrywise, gram, quadratic
+from ._small import batched, congruence, entrywise, gram, quadratic
 from .coverings import CompositeCovering, build_f, build_qm_only, fiber_alignment_map
 from .errors import (BoundViolation, FinslerDegenerate, MTCoverError, NonFiniteSlice,
                      NotExpanding, UnboundedSelection)
@@ -272,8 +272,8 @@ def _sym3_max(g: np.ndarray) -> np.ndarray:
 
 def _adj_det(a: np.ndarray):
     """(adjugate, determinant) of 2 x 2 a, batched."""
-    adj = np.stack([a[..., 1, 1], -a[..., 0, 1], -a[..., 1, 0], a[..., 0, 0]], -1)
-    adj = adj.reshape(a.shape)
+    adj = np.stack([a[..., 1, 1], -a[..., 0, 1], -a[..., 1, 0], a[..., 0, 0]])
+    adj = batched(adj.reshape(a.shape[-2:] + a.shape[:-2]), 2)
     # Laplace along row 0: for a chart Jacobian [[slope, 0], [w, v]] this is
     # slope * v to the last bit
     return adj, np.einsum("...j,...j->...", a[..., 0, :], adj[..., :, 0])
@@ -287,8 +287,9 @@ def _chart_adj(fac: np.ndarray):
     components (det V, b0, b1, c00, c01, c10, c11), and the determinant is
     s det V: the cofactors of the 3 x 3 factor, bit for bit.
     """
-    # strided views: a contiguous copy per factor left about 4 MB more
-    # resident in a benchmark process, for no measured speed
+    # views, never a copy (a contiguous copy per factor left about 4 MB more
+    # resident in a benchmark process); an entry-major factor
+    # (StageFrame.matrix, _bordered) gives contiguous rows
     s, _, _, w0, v00, v01, w1, v10, v11 = fac.reshape(-1, 9).T
     det_v = v00 * v11 - v01 * v10
     blocks = (det_v, v01 * w1 - w0 * v11, w0 * v10 - v00 * w1,
@@ -307,12 +308,13 @@ def _block_product(x, y):
 
 
 def _block_gram(x) -> np.ndarray:
-    """X^T X of X = [[a, 0], [b, C]] from its components, as (points, 3, 3)."""
+    """X^T X of X = [[a, 0], [b, C]] from its components, as (points, 3, 3),
+    entry-major."""
     a, b0, b1, c00, c01, c10, c11 = x
     g10, g20, g21 = c00 * b0 + c10 * b1, c01 * b0 + c11 * b1, c01 * c00 + c11 * c10
-    return np.stack([a * a + b0 * b0 + b1 * b1, g10, g20,
-                     g10, c00 * c00 + c10 * c10, g21,
-                     g20, g21, c01 * c01 + c11 * c11], -1).reshape(-1, 3, 3)
+    return batched(np.stack([a * a + b0 * b0 + b1 * b1, g10, g20,
+                             g10, c00 * c00 + c10 * c10, g21,
+                             g20, g21, c01 * c01 + c11 * c11]).reshape(3, 3, -1), 2)
 
 
 def _chain_sigma_min(factors) -> np.ndarray:
@@ -398,8 +400,10 @@ def generalized_conorm_sq(a: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 def _run_grid(grid: np.ndarray) -> np.ndarray:
     """A read-only copy of grid that owns its data, so that each field's jet
-    at it is computed once (TrigDisplacementField.jet)."""
-    grid = np.array(grid, dtype=float)
+    at it is computed once (TrigDisplacementField.jet).  It is entry-major,
+    each coordinate contiguous over the points, as the blocks of _small are,
+    so the frames' points x + v(x) keep that layout."""
+    grid = np.array(grid, dtype=float, order="F")
     grid.flags.writeable = False
     return grid
 
@@ -426,8 +430,9 @@ class SourceGram:
 
     @cached_property
     def eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        """(lam, Q) of D."""
-        return np.linalg.eigh(self.d)
+        """(lam, Q) of D, each entry contiguous over the points (Fortran
+        order), so that every slice's whitener is entry-major too."""
+        return tuple(np.asfortranarray(a) for a in np.linalg.eigh(self.d))
 
     def whitener(self, t: float) -> np.ndarray:
         lam, q = self.eigh
@@ -688,8 +693,9 @@ class AdaptedMetric:
 
 
 def _bordered(x: np.ndarray) -> np.ndarray:
-    """diag(1, x), batched: G = diag(1, M) has the factors diag(1, L) of M = L L^T."""
-    out = np.zeros(x.shape[:-2] + (x.shape[-1] + 1,) * 2)
+    """diag(1, x), batched and entry-major: G = diag(1, M) has the factors
+    diag(1, L) of M = L L^T."""
+    out = batched(np.zeros((x.shape[-1] + 1,) * 2 + x.shape[:-2]), 2)
     out[..., 0, 0] = 1.0
     out[..., 1:, 1:] = x
     return out

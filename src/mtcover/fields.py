@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._small import batched
 from .errors import DimensionMismatch, UnsupportedForm
 
 SIN = 0
@@ -24,9 +25,12 @@ COS = 1
 _PHASE_NAMES = {"sin": SIN, "cos": COS}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrigDisplacementField:
     """Finite trigonometric sum with vector coefficients.
+
+    Fields compare and hash by identity, as the jet memo keys them: two
+    fields with equal terms are distinct objects with distinct memos.
 
     Attributes:
         dim: dimension n of the torus.
@@ -62,6 +66,7 @@ class TrigDisplacementField:
         # (T, n*n) rows c_t (x) 2 pi b_t: the Jacobian is one matmul
         table = coeffs[:, :, None] * (2.0 * np.pi * freqs)[:, None, :]
         object.__setattr__(self, "_jac_table", table.reshape(len(coeffs), self.dim * self.dim))
+        object.__setattr__(self, "_float_freqs", freqs.astype(float))
         object.__setattr__(self, "_memo", None)  # (points, disp, jac) of jet
 
     @property
@@ -93,10 +98,6 @@ class TrigDisplacementField:
         return cls(dim, np.stack(coeffs), np.stack(freqs),
                    np.asarray(phases, dtype=np.int64))
 
-    def _angles(self, x: np.ndarray) -> np.ndarray:
-        # (..., T) array of 2 pi <b_t, x>
-        return 2.0 * np.pi * (x @ self.freqs.astype(float).T)
-
     def jet(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Displacement and exact Jacobian, (..., n) -> (..., n), (..., n, n),
         from one pass over the angles, their sines and their cosines.
@@ -107,9 +108,13 @@ class TrigDisplacementField:
         identity and holds the array, so the identity cannot be reused; it
         keeps one array, since a run evaluates a field on one grid, and its
         results are read-only.  Every other input is evaluated afresh.
+
+        Both results are entry-major views: the points run along the last
+        axis of their base array, so each entry [..., i] or [..., i, j] is
+        contiguous over the points.
         """
         x = np.asarray(x, dtype=float)
-        if x.flags.writeable or not x.flags.owndata:
+        if not _memoizable(x):
             return self._jet(x)
         memo = self._memo
         if memo is None or memo[0] is not x:
@@ -120,23 +125,57 @@ class TrigDisplacementField:
         return memo[1], memo[2]
 
     def _jet(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        theta = self._theta(x)
+        waves = self._per_phase(theta, np.sin, np.cos)
+        return (batched(self._term_sum(self.coeffs, waves), 1).reshape(x.shape),
+                self._dv(theta, x.shape))
+
+    def _jacobian(self, x: np.ndarray) -> np.ndarray:
+        """jet(x)[1] bit for bit, with one sine or cosine per term and no
+        displacement."""
+        return self._dv(self._theta(x), x.shape)
+
+    def _theta(self, x: np.ndarray) -> np.ndarray:
+        """(T, points) angles 2 pi <b_t, x>, term-major."""
         if x.shape[-1] != self.dim:
             raise DimensionMismatch(f"points have dim {x.shape[-1]}, field has {self.dim}")
-        if self.n_terms == 0:
-            return np.zeros_like(x), np.zeros(x.shape + (self.dim,))
-        theta = self._angles(x)
-        sin, cos, is_sin = np.sin(theta), np.cos(theta), self.phases == SIN
-        # d/dx_j of sin(theta) is cos(theta) * 2 pi b_j; cos goes to -sin.
-        waves, dwaves = np.where(is_sin, sin, cos), np.where(is_sin, cos, -sin)
-        return waves @ self.coeffs, (dwaves @ self._jac_table).reshape(x.shape + (self.dim,))
+        return 2.0 * np.pi * (self._float_freqs @ x.reshape(-1, self.dim).T)
+
+    def _per_phase(self, theta: np.ndarray, on_sin, on_cos) -> np.ndarray:
+        """on_sin on the angles of sin terms, on_cos on those of cos terms;
+        one call on all of theta when every term has the same phase."""
+        is_sin = self.phases == SIN
+        if is_sin.all():
+            return on_sin(theta)
+        if not is_sin.any():
+            return on_cos(theta)
+        out = np.empty_like(theta)
+        out[is_sin], out[~is_sin] = on_sin(theta[is_sin]), on_cos(theta[~is_sin])
+        return out
+
+    def _term_sum(self, table: np.ndarray, waves: np.ndarray) -> np.ndarray:
+        """sum_t table[t] waves[t] of (T, k) table rows and (T, points)
+        waves, as (k, points): one broadcast product for a single term, and
+        zeros for none."""
+        if self.n_terms == 1:
+            return table.T * waves
+        return table.T @ waves
+
+    def _dv(self, theta: np.ndarray, shape: tuple) -> np.ndarray:
+        # d/dx_j of sin(theta) is cos(theta) * 2 pi b_j; cos goes to -sin
+        dwaves = self._per_phase(theta, np.cos, lambda angles: -np.sin(angles))
+        rows = self._term_sum(self._jac_table, dwaves).reshape(self.dim, self.dim, -1)
+        return batched(rows, 2).reshape(shape + (self.dim,))
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         """Displacement vectors at points x: jet(x)[0]."""
         return self.jet(x)[0]
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
-        """Exact Jacobian of the displacement: jet(x)[1]."""
-        return self.jet(x)[1]
+        """Exact Jacobian of the displacement: jet(x)[1], the kept one at a
+        memoized array and otherwise the Jacobian alone (_jacobian)."""
+        x = np.asarray(x, dtype=float)
+        return self.jet(x)[1] if _memoizable(x) else self._jacobian(x)
 
     def dilate(self, factor: int) -> "TrigDisplacementField":
         """Replace v(x) by v(factor * x) / factor.
@@ -180,6 +219,11 @@ class TrigDisplacementField:
     def is_self_invariant(self) -> bool:
         """True if v(x + t v(x)) == v(x) for all t (exact shear algebra)."""
         return self.is_invariant_along(self.moved_coordinates())
+
+
+def _memoizable(x: np.ndarray) -> bool:
+    """True for a read-only float array that owns its data: it cannot change."""
+    return not x.flags.writeable and x.flags.owndata
 
 
 def jacobian_norm_bound(field: TrigDisplacementField) -> float:

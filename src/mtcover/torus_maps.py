@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._small import matmul, matvec
+from ._small import batched, matmul, matvec
 from .errors import (
     DimensionMismatch,
     EndpointMismatch,
@@ -84,17 +84,13 @@ class TrigDisplacementMap(TorusMapHandle):
     def jet(self, x):
         x = np.asarray(x, dtype=float)
         disp, jac = self.field.jet(x)
-        if not jac.flags.writeable:  # the field's memo: I + Dv goes to a copy
-            jac = jac.copy()
-        idx = np.arange(self.dim)
-        jac[..., idx, idx] += 1.0
-        return x + disp, jac
+        return x + disp, _plus_identity(jac)
 
     def apply(self, x):
         return self.jet(x)[0]
 
     def jacobian(self, x):
-        return self.jet(x)[1]
+        return _plus_identity(self.field.jacobian(x))
 
     @property
     def degree_matrix(self):
@@ -107,6 +103,16 @@ class TrigDisplacementMap(TorusMapHandle):
 
     def describe(self):
         return f"id+field[{self.field.n_terms} terms]"
+
+
+def _plus_identity(jac: np.ndarray) -> np.ndarray:
+    """I + jac, in place unless jac is read-only (a field's memo), in which
+    case into a copy of the same layout."""
+    if not jac.flags.writeable:
+        jac = jac.copy(order="K")
+    for i in range(jac.shape[-1]):
+        jac[..., i, i] += 1.0
+    return jac
 
 
 def identity_map(dim: int) -> TrigDisplacementMap:
@@ -132,8 +138,10 @@ class HomothetyMap(TorusMapHandle):
 
     def jacobian(self, x):
         x = np.asarray(x, dtype=float)
-        eye = self.factor * np.eye(self.dim)
-        return np.broadcast_to(eye, x.shape[:-1] + (self.dim, self.dim)).copy()
+        jac = batched(np.zeros((self.dim, self.dim) + x.shape[:-1]), 2)
+        for i in range(self.dim):
+            jac[..., i, i] = self.factor
+        return jac
 
     @property
     def degree_matrix(self):
@@ -311,10 +319,8 @@ class StraightLineIsotopy(IsotopyHandle):
         # one trig pass: v and Dv give the slice x + s v, I + s Dv and d/ds = v
         x = np.asarray(x, dtype=float)
         disp, jac = self.field.jet(x)
-        jac = float(s) * jac  # out of place: the field's jet may be its memo
-        idx = np.arange(self.dim)
-        jac[..., idx, idx] += 1.0
-        return x + float(s) * disp, jac, disp
+        # out of place: the field's jet may be its memo
+        return x + float(s) * disp, _plus_identity(float(s) * jac), disp
 
 
 def constant_identity_isotopy(dim: int) -> StraightLineIsotopy:

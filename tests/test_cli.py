@@ -411,9 +411,8 @@ def test_exit_code_numerical_failure(tmp_path):
     assert run(["verify", "--config", cfg]) == 3
 
 
-def test_verify_under_optimize_flag_matches_plain_run(tmp_path):
-    # no check may disappear under python -O: configs/mixed2.json (the
-    # generic n=2 field at k=3, 8^2 x 4) gives the same report either way
+def _plain_and_optimized_reports(tmp_path, config):
+    """The verify report on config from python and from python -O."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
     reports = []
@@ -421,10 +420,27 @@ def test_verify_under_optimize_flag_matches_plain_run(tmp_path):
         out = tmp_path / f"report{len(flags)}.json"
         proc = subprocess.run(
             [sys.executable, *flags, "-m", "mtcover", "verify",
-             "--config", os.path.join(root, "configs", "mixed2.json"), "--out", str(out)],
+             "--config", config, "--out", str(out)],
             env=env, capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         reports.append(out.read_bytes())
+    return reports
+
+
+def test_verify_under_optimize_flag_matches_plain_run(tmp_path):
+    # no check may disappear under python -O: configs/mixed2.json (the
+    # generic n=2 field at k=3, 8^2 x 4) gives the same report either way
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    reports = _plain_and_optimized_reports(tmp_path, os.path.join(root, "configs", "mixed2.json"))
+    assert reports[0] == reports[1]
+    assert json.loads(reports[1])["pass"] is True
+
+
+def test_a_tiny_shear_verify_under_optimize_flag_matches_plain_run(tmp_path):
+    # the closed-form shear at 32^2 x 4: 1,024 points per slice run the
+    # entry forms of _small, and the run's read-only grid the jet memo
+    reports = _plain_and_optimized_reports(tmp_path, write_config(tmp_path, fiber_res=32,
+                                                                  t_res=4))
     assert reports[0] == reports[1]
     assert json.loads(reports[1])["pass"] is True
 

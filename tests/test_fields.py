@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from mtcover._small import gram
 from mtcover.cli import main
 from mtcover.errors import DimensionMismatch, UnsupportedForm
 from mtcover.fields import (
@@ -15,6 +16,7 @@ from mtcover.fields import (
     shear_field,
     unit_grid,
 )
+from mtcover.manifolds import MetricG
 from mtcover.torus_maps import StraightLineIsotopy, TrigDisplacementMap
 
 EPS = 0.1
@@ -361,3 +363,83 @@ def test_a_verify_run_computes_each_field_jet_at_its_grid_once(tmp_path, compute
     assert len(fields) == len(set(fields)) >= 6  # each field's jet there once
     grid = at_grid[0][1]
     assert sum(x is grid for x in served) > 2 * len(at_grid)
+
+
+def test_fields_compare_and_hash_by_identity():
+    # equal terms make distinct fields, each with its own jet memo; a field
+    # compares equal only to itself, and can key a dict or join a set
+    field, other = shear_field(EPS), shear_field(EPS, freq=2)
+    assert (field == other) is False and (field != other) is True
+    assert (field == shear_field(EPS)) is False
+    assert field == field
+    assert hash(field) == hash(field) and isinstance(hash(other), int)
+    members = {field, other, field}
+    assert len(members) == 2 and field in members and shear_field(EPS) not in members
+    assert {field: 1, other: 2}[other] == 2
+
+
+# ---------------------------------------------------------------------------
+# The Jacobian alone: jacobian off the memo runs one trig per term and no
+# displacement, and gives jet's Jacobian bit for bit
+
+
+def _jet_cases(rng, dim):
+    """Fields of every phase mix at dim: zero, one term, sin only, cos only
+    and mixed."""
+    base = random_field(rng, dim=dim, n_terms=3)
+    return [TrigDisplacementField.zero(dim),
+            TrigDisplacementField(dim, base.coeffs[:1], base.freqs[:1], [COS]),
+            TrigDisplacementField(dim, base.coeffs, base.freqs, [SIN] * 3),
+            TrigDisplacementField(dim, base.coeffs, base.freqs, [COS] * 3),
+            TrigDisplacementField(dim, base.coeffs, base.freqs, [SIN, COS, SIN])]
+
+
+def _jet_inputs(rng, dim):
+    """Writable arrays, the read-only grid, views that own nothing, a single
+    point and an (a, b, n) batch."""
+    grid = frozen(unit_grid(dim, 4))
+    writable = rng.uniform(-1, 2, (37, dim))
+    view = writable[5:20]
+    view.flags.writeable = False
+    return [writable, grid, view, np.broadcast_to(writable[3], (6, dim)), writable.T.T,
+            rng.uniform(-1, 2, dim), rng.uniform(-1, 2, (3, 5, dim))]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_the_jacobian_alone_is_the_jets_bit_for_bit(rng, dim):
+    for field in _jet_cases(rng, dim):
+        h = TrigDisplacementMap(field)
+        for x in _jet_inputs(rng, dim):
+            # the reference comes from a fresh writable copy, never a memo
+            value, jac = field.jet(np.array(x))
+            assert jac.shape == x.shape + (dim,)
+            assert np.array_equal(field.jacobian(x), jac)
+            assert np.array_equal(h.jacobian(x), h.jet(np.array(x))[1])
+            assert np.array_equal(h.jacobian(x), jac + np.eye(dim))
+            # the jet itself does not depend on how x is stored
+            assert np.array_equal(field.jet(x)[0], value) and np.array_equal(field.jet(x)[1], jac)
+        grid = frozen(unit_grid(dim, 4))
+        kept = field.jet(grid)[1]
+        assert field.jacobian(grid) is kept  # served from the memo
+        h.jacobian(grid)
+        assert np.array_equal(field.jacobian(grid), field.jet(grid.copy())[1])
+
+
+def test_a_fiber_gram_at_image_points_runs_the_jacobian_alone(rng, computed, monkeypatch):
+    # fiber_gram reads only Dh, so at writable image points a sin-only field
+    # computes one cosine per term and neither its displacement nor _jet
+    alone = []
+    original = TrigDisplacementField._jacobian
+
+    def counted(self, x):
+        alone.append(x)
+        return original(self, x)
+
+    monkeypatch.setattr(TrigDisplacementField, "_jacobian", counted)
+    field = shear_field(EPS).dilate(3)
+    metric = MetricG(TrigDisplacementMap(field))
+    points = rng.uniform(0, 1, (4096, 2))
+    m = metric.fiber_gram(0.5, points)
+    assert len(alone) == 1 and computed == []
+    jac = field.jet(points)[1] + np.eye(2)
+    assert np.array_equal(m, 0.5 * np.eye(2) + 0.5 * gram(jac))

@@ -8,7 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from mtcover import _small
-from mtcover._small import congruence, gram, matmul, matvec, quadratic
+from mtcover._small import batched, congruence, gram, matmul, matvec, quadratic
 from mtcover.cli import main
 from mtcover.errors import NonFiniteSlice
 from mtcover.expansion import (
@@ -18,6 +18,7 @@ from mtcover.expansion import (
     _singular_extremes,
     _sweep,
     _sym3_max,
+    _whitened_min_eig,
 )
 
 
@@ -387,3 +388,67 @@ def test_verify_agrees_across_the_entry_switch(tmp_path, monkeypatch, entry_call
             else:
                 assert entry[block][key] == value, key
     assert entry["pass"] == plain["pass"]
+
+
+# ---------------------------------------------------------------------------
+# Layouts: every kernel gives the same bits on C-order and entry-major blocks
+
+
+def _entry_major(a, k):
+    """A copy of a, (*batch, *entry) with k entry axes, whose base array
+    holds each entry as one contiguous row over the batch."""
+    rows = np.moveaxis(a, tuple(range(-k, 0)), tuple(range(k))).copy()
+    out = batched(rows, k)
+    assert out.base is rows and np.array_equal(out, a)
+    return out
+
+
+def _spd(rng, n, size):
+    s = rng.standard_normal((size, n, n))
+    return s @ np.swapaxes(s, 1, 2) + 0.1 * np.eye(n)
+
+
+def _layout_cases(rng, n, size):
+    """(name, kernel, operands, entry axes of each operand) for every
+    _small product and the expansion kernels they feed."""
+    cases = [(name, KERNELS[name], _operands(rng, name, size, n),
+              {"matvec": (2, 1), "quadratic": (1, 2)}.get(name, (2, 2)))
+             for name in sorted(KERNELS)]
+    sym = _operands(rng, "congruence", size, n)[1]
+    square, spd = rng.standard_normal((size, n, n)), _spd(rng, n, size)
+    whitener = np.linalg.cholesky(np.linalg.inv(_spd(rng, n, size)))
+    chain = [_chart_factors(rng, n, (size,)) for _ in range(3)]
+    cases += [
+        ("_extremes", lambda a: np.stack(_extremes(a)), (sym,), (2,)),
+        ("_singular_extremes", lambda j: np.stack(_singular_extremes(j)), (square,), (2,)),
+        ("_cholesky", _cholesky, (spd,), (2,)),
+        ("_whitened_min_eig", _whitened_min_eig, (sym, whitener), (2, 2)),
+        ("_chain_sigma_min", lambda *f: _chain_sigma_min(list(f)), chain, (2, 2, 2)),
+    ]
+    return cases
+
+
+@pytest.mark.parametrize("size", [64, 4096])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_kernels_give_the_same_bits_on_entry_major_blocks(rng, n, size):
+    # 64 blocks run numpy's expressions and 4,096 the entry forms at n = 2;
+    # einsum sums in an order that follows the layout, so the numpy path of
+    # matvec and quadratic must see C-order operands
+    for name, kernel, ops, entry_axes in _layout_cases(rng, n, size):
+        want = kernel(*ops)
+        got = kernel(*(_entry_major(x, k) for x, k in zip(ops, entry_axes)))
+        assert got.shape == want.shape, name
+        assert np.array_equal(got, want), name
+    # one operand in each layout
+    a, b = _operands(rng, "matmul", size, n)
+    assert np.array_equal(matmul(_entry_major(a, 2), b), matmul(a, b))
+    assert np.array_equal(matmul(a, _entry_major(b, 2)), matmul(a, b))
+
+
+def test_entry_forms_return_entry_major_blocks(rng):
+    # each entry of a product is written as one contiguous row
+    a, b = _operands(rng, "matmul", 4096)
+    u = rng.standard_normal((4096, 2))
+    for out in (matmul(a, b), gram(a), congruence(a, b + np.swapaxes(b, 1, 2))):
+        assert all(out[:, i, j].flags.c_contiguous for i in range(2) for j in range(2))
+    assert all(matvec(a, u)[:, i].flags.c_contiguous for i in range(2))
