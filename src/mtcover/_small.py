@@ -15,10 +15,11 @@ Blocks are stored entry-major: a batch of (..., n) vectors or (..., n, n)
 matrices is a view of a base array whose last axes run over the batch
 (batched), so each entry [..., i] or [..., i, j] is one contiguous array
 over the points.  The entry forms read and write whole entries, and
-writing into a short last axis costs about ten times as much.  Every
-kernel gives the same bits on entry-major and C-order operands: the numpy
-path hands einsum C-order copies, since its summation order follows the
-layout.
+writing into a short last axis costs about ten times as much.  zeros,
+stack and entry_major (a copy with one batch axis) allocate such blocks,
+so that callers need not order the axes themselves.  Every kernel gives
+the same bits on entry-major and C-order operands: the numpy path hands
+einsum C-order copies, since its summation order follows the layout.
 """
 
 from __future__ import annotations
@@ -53,15 +54,32 @@ def batched(rows: np.ndarray, k: int) -> np.ndarray:
     return rows.transpose(tuple(range(k, rows.ndim)) + tuple(range(k)))
 
 
-def _pack(*entries: np.ndarray) -> np.ndarray:
-    """Entry arrays, batched alike, as a batch of 2-vectors (two entries) or
-    of 2 x 2 matrices (four, row by row), entry-major."""
+def zeros(batch_shape: tuple, entry_shape: tuple) -> np.ndarray:
+    """Entry-major zeros of shape (*batch_shape, *entry_shape)."""
+    entry_shape = tuple(entry_shape)
+    return batched(np.zeros(entry_shape + tuple(batch_shape)), len(entry_shape))
+
+
+def stack(entries, entry_shape: tuple) -> np.ndarray:
+    """Entry arrays, batched alike and listed row by row, as one entry-major
+    block of shape (*batch, *entry_shape)."""
     flat = np.empty((len(entries),) + entries[0].shape)
     for i, entry in enumerate(entries):
         flat[i] = entry
-    if len(entries) == 2:
-        return batched(flat, 1)
-    return batched(flat.reshape((2, 2) + flat.shape[1:]), 2)
+    entry_shape = tuple(entry_shape)
+    return batched(flat.reshape(entry_shape + flat.shape[1:]), len(entry_shape))
+
+
+def entry_major(a: np.ndarray) -> np.ndarray:
+    """A float copy of a, (points, *entry), that owns its data and keeps
+    each entry contiguous over the points (Fortran order)."""
+    return np.array(a, dtype=float, order="F")
+
+
+def _pack(*entries: np.ndarray) -> np.ndarray:
+    """Entry arrays, batched alike, as a batch of 2-vectors (two entries) or
+    of 2 x 2 matrices (four, row by row), entry-major."""
+    return stack(entries, (2,) if len(entries) == 2 else (2, 2))
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._small import batched, matmul, matvec
+from ._small import matmul, matvec, zeros
 from .errors import (
     DuplicatePreimage,
     MissingPreimage,
@@ -59,9 +59,9 @@ class StageFrame(NamedTuple):
 
     def matrix(self) -> np.ndarray:
         """The (n+1) x (n+1) chart Jacobian [[slope, 0], [w, v]], batched and
-        entry-major (_small.batched)."""
+        entry-major (_small.zeros)."""
         n = self.w.shape[-1]
-        jac = batched(np.zeros((n + 1, n + 1) + self.w.shape[:-1]), 2)
+        jac = zeros(self.w.shape[:-1], (n + 1, n + 1))
         jac[..., 0, 0] = self.slope
         jac[..., 1:, 0] = self.w
         jac[..., 1:, 1:] = self.v
@@ -118,14 +118,16 @@ class CoveringMapHandle:
         return self.name or type(self).__name__
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=4)
 def _identity_blocks(shape: tuple):
     """Read-only 0 and I, shaped as w and v of a frame at points of the
     given shape; they hold no run data, so frames share them.  I is a
-    broadcast view; 0 is an entry-major array (_small.batched), since a
+    broadcast view; 0 is an entry-major array (_small.zeros), since a
     product with a broadcast takes C order and a sum of the two layouts
-    writes across the short axis."""
-    zero = batched(np.zeros(shape[-1:] + shape[:-1]), 1)
+    writes across the short axis.  So each cached shape keeps one float
+    per point coordinate; a run frames at one or two shapes (its grid, and
+    single points)."""
+    zero = zeros(shape[:-1], shape[-1:])
     zero.flags.writeable = False
     return (zero, np.broadcast_to(np.eye(shape[-1]), shape + shape[-1:]))
 

@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._small import batched, congruence, entrywise, gram, quadratic
+from ._small import congruence, entry_major, entrywise, gram, quadratic, stack, zeros
 from .coverings import CompositeCovering, build_f, build_qm_only, fiber_alignment_map
 from .errors import (BoundViolation, FinslerDegenerate, MTCoverError, NonFiniteSlice,
                      NotExpanding, UnboundedSelection)
@@ -272,8 +272,7 @@ def _sym3_max(g: np.ndarray) -> np.ndarray:
 
 def _adj_det(a: np.ndarray):
     """(adjugate, determinant) of 2 x 2 a, batched."""
-    adj = np.stack([a[..., 1, 1], -a[..., 0, 1], -a[..., 1, 0], a[..., 0, 0]])
-    adj = batched(adj.reshape(a.shape[-2:] + a.shape[:-2]), 2)
+    adj = stack([a[..., 1, 1], -a[..., 0, 1], -a[..., 1, 0], a[..., 0, 0]], (2, 2))
     # Laplace along row 0: for a chart Jacobian [[slope, 0], [w, v]] this is
     # slope * v to the last bit
     return adj, np.einsum("...j,...j->...", a[..., 0, :], adj[..., :, 0])
@@ -312,9 +311,9 @@ def _block_gram(x) -> np.ndarray:
     entry-major."""
     a, b0, b1, c00, c01, c10, c11 = x
     g10, g20, g21 = c00 * b0 + c10 * b1, c01 * b0 + c11 * b1, c01 * c00 + c11 * c10
-    return batched(np.stack([a * a + b0 * b0 + b1 * b1, g10, g20,
-                             g10, c00 * c00 + c10 * c10, g21,
-                             g20, g21, c01 * c01 + c11 * c11]).reshape(3, 3, -1), 2)
+    return stack([a * a + b0 * b0 + b1 * b1, g10, g20,
+                  g10, c00 * c00 + c10 * c10, g21,
+                  g20, g21, c01 * c01 + c11 * c11], (3, 3))
 
 
 def _chain_sigma_min(factors) -> np.ndarray:
@@ -403,7 +402,7 @@ def _run_grid(grid: np.ndarray) -> np.ndarray:
     at it is computed once (TrigDisplacementField.jet).  It is entry-major,
     each coordinate contiguous over the points, as the blocks of _small are,
     so the frames' points x + v(x) keep that layout."""
-    grid = np.array(grid, dtype=float, order="F")
+    grid = entry_major(grid)
     grid.flags.writeable = False
     return grid
 
@@ -430,9 +429,9 @@ class SourceGram:
 
     @cached_property
     def eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        """(lam, Q) of D, each entry contiguous over the points (Fortran
-        order), so that every slice's whitener is entry-major too."""
-        return tuple(np.asfortranarray(a) for a in np.linalg.eigh(self.d))
+        """(lam, Q) of D, entry-major, so that every slice's whitener is
+        entry-major too."""
+        return tuple(entry_major(a) for a in np.linalg.eigh(self.d))
 
     def whitener(self, t: float) -> np.ndarray:
         lam, q = self.eigh
@@ -695,7 +694,7 @@ class AdaptedMetric:
 def _bordered(x: np.ndarray) -> np.ndarray:
     """diag(1, x), batched and entry-major: G = diag(1, M) has the factors
     diag(1, L) of M = L L^T."""
-    out = batched(np.zeros((x.shape[-1] + 1,) * 2 + x.shape[:-2]), 2)
+    out = zeros(x.shape[:-2], (x.shape[-1] + 1,) * 2)
     out[..., 0, 0] = 1.0
     out[..., 1:, 1:] = x
     return out

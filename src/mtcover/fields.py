@@ -67,6 +67,11 @@ class TrigDisplacementField:
         table = coeffs[:, :, None] * (2.0 * np.pi * freqs)[:, None, :]
         object.__setattr__(self, "_jac_table", table.reshape(len(coeffs), self.dim * self.dim))
         object.__setattr__(self, "_float_freqs", freqs.astype(float))
+        is_sin = phases == SIN
+        object.__setattr__(self, "_is_sin", is_sin)
+        # the phase of every term when they share one, else None
+        object.__setattr__(self, "_one_phase",
+                           SIN if is_sin.all() else COS if not is_sin.any() else None)
         object.__setattr__(self, "_memo", None)  # (points, disp, jac) of jet
 
     @property
@@ -127,7 +132,8 @@ class TrigDisplacementField:
     def _jet(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         theta = self._theta(x)
         waves = self._per_phase(theta, np.sin, np.cos)
-        return (batched(self._term_sum(self.coeffs, waves), 1).reshape(x.shape),
+        # sum over terms as a (k, T) @ (T, points) product; no terms give zeros
+        return (batched(self.coeffs.T @ waves, 1).reshape(x.shape),
                 self._dv(theta, x.shape))
 
     def _jacobian(self, x: np.ndarray) -> np.ndarray:
@@ -136,35 +142,33 @@ class TrigDisplacementField:
         return self._dv(self._theta(x), x.shape)
 
     def _theta(self, x: np.ndarray) -> np.ndarray:
-        """(T, points) angles 2 pi <b_t, x>, term-major."""
+        """(T, points) angles 2 pi <b_t, x>, term-major.
+
+        The product always sees x as one (n, points) C-order array, which is
+        free for entry-major points such as a run's grid: BLAS sums a single
+        term's angle in an order that follows the operand's layout, and the
+        jet must not depend on how x is stored."""
         if x.shape[-1] != self.dim:
             raise DimensionMismatch(f"points have dim {x.shape[-1]}, field has {self.dim}")
-        return 2.0 * np.pi * (self._float_freqs @ x.reshape(-1, self.dim).T)
+        coords = np.ascontiguousarray(x.reshape(-1, self.dim).T)
+        return 2.0 * np.pi * (self._float_freqs @ coords)
 
     def _per_phase(self, theta: np.ndarray, on_sin, on_cos) -> np.ndarray:
         """on_sin on the angles of sin terms, on_cos on those of cos terms;
         one call on all of theta when every term has the same phase."""
-        is_sin = self.phases == SIN
-        if is_sin.all():
+        if self._one_phase == SIN:
             return on_sin(theta)
-        if not is_sin.any():
+        if self._one_phase == COS:
             return on_cos(theta)
+        is_sin = self._is_sin
         out = np.empty_like(theta)
         out[is_sin], out[~is_sin] = on_sin(theta[is_sin]), on_cos(theta[~is_sin])
         return out
 
-    def _term_sum(self, table: np.ndarray, waves: np.ndarray) -> np.ndarray:
-        """sum_t table[t] waves[t] of (T, k) table rows and (T, points)
-        waves, as (k, points): one broadcast product for a single term, and
-        zeros for none."""
-        if self.n_terms == 1:
-            return table.T * waves
-        return table.T @ waves
-
     def _dv(self, theta: np.ndarray, shape: tuple) -> np.ndarray:
         # d/dx_j of sin(theta) is cos(theta) * 2 pi b_j; cos goes to -sin
         dwaves = self._per_phase(theta, np.cos, lambda angles: -np.sin(angles))
-        rows = self._term_sum(self._jac_table, dwaves).reshape(self.dim, self.dim, -1)
+        rows = (self._jac_table.T @ dwaves).reshape(self.dim, self.dim, -1)
         return batched(rows, 2).reshape(shape + (self.dim,))
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._small import batched, matmul, matvec
+from ._small import matmul, matvec, zeros
 from .errors import (
     DimensionMismatch,
     EndpointMismatch,
@@ -110,8 +110,8 @@ def _plus_identity(jac: np.ndarray) -> np.ndarray:
     case into a copy of the same layout."""
     if not jac.flags.writeable:
         jac = jac.copy(order="K")
-    for i in range(jac.shape[-1]):
-        jac[..., i, i] += 1.0
+    diagonal = np.einsum("...ii->...i", jac)  # a writable view
+    diagonal += 1.0
     return jac
 
 
@@ -138,7 +138,7 @@ class HomothetyMap(TorusMapHandle):
 
     def jacobian(self, x):
         x = np.asarray(x, dtype=float)
-        jac = batched(np.zeros((self.dim, self.dim) + x.shape[:-1]), 2)
+        jac = zeros(x.shape[:-1], (self.dim, self.dim))
         for i in range(self.dim):
             jac[..., i, i] = self.factor
         return jac

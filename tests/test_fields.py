@@ -239,8 +239,9 @@ def test_jacobian_norm_bound_dominates_the_grid(rng, dim):
 
 
 def frozen(x):
-    """A read-only copy of x that owns its data, as a run's fiber grid is."""
-    x = np.array(x, dtype=float)
+    """A read-only copy of x that owns its data, entry-major (Fortran order)
+    as a run's fiber grid is."""
+    x = np.array(x, dtype=float, order="F")
     x.flags.writeable = False
     return x
 
@@ -395,13 +396,14 @@ def _jet_cases(rng, dim):
 
 
 def _jet_inputs(rng, dim):
-    """Writable arrays, the read-only grid, views that own nothing, a single
-    point and an (a, b, n) batch."""
+    """Writable arrays in C and Fortran order, the read-only grid, views
+    that own nothing, a single point and an (a, b, n) batch."""
     grid = frozen(unit_grid(dim, 4))
     writable = rng.uniform(-1, 2, (37, dim))
     view = writable[5:20]
     view.flags.writeable = False
-    return [writable, grid, view, np.broadcast_to(writable[3], (6, dim)), writable.T.T,
+    return [writable, np.asfortranarray(writable), grid, view,
+            np.broadcast_to(writable[3], (6, dim)), writable[::2],
             rng.uniform(-1, 2, dim), rng.uniform(-1, 2, (3, 5, dim))]
 
 
@@ -410,11 +412,11 @@ def test_the_jacobian_alone_is_the_jets_bit_for_bit(rng, dim):
     for field in _jet_cases(rng, dim):
         h = TrigDisplacementMap(field)
         for x in _jet_inputs(rng, dim):
-            # the reference comes from a fresh writable copy, never a memo
-            value, jac = field.jet(np.array(x))
+            # the reference comes from a fresh writable C-order copy, never a memo
+            value, jac = field.jet(np.array(x, order="C"))
             assert jac.shape == x.shape + (dim,)
             assert np.array_equal(field.jacobian(x), jac)
-            assert np.array_equal(h.jacobian(x), h.jet(np.array(x))[1])
+            assert np.array_equal(h.jacobian(x), h.jet(np.array(x, order="C"))[1])
             assert np.array_equal(h.jacobian(x), jac + np.eye(dim))
             # the jet itself does not depend on how x is stored
             assert np.array_equal(field.jet(x)[0], value) and np.array_equal(field.jet(x)[1], jac)
@@ -423,6 +425,24 @@ def test_the_jacobian_alone_is_the_jets_bit_for_bit(rng, dim):
         assert field.jacobian(grid) is kept  # served from the memo
         h.jacobian(grid)
         assert np.array_equal(field.jacobian(grid), field.jet(grid.copy())[1])
+
+
+@pytest.mark.parametrize("n_terms", [1, 3])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_the_jet_at_an_entry_major_grid_is_the_jet_at_a_c_order_copy(rng, dim, n_terms):
+    # frequencies with several nonzero components make each angle a real
+    # dot product, whose BLAS summation order could follow the layout
+    for _ in range(10):
+        field = random_field(rng, dim=dim, n_terms=n_terms, max_freq=12)
+        grid = frozen(rng.uniform(-3, 5, (4096, dim)))
+        assert grid.flags.f_contiguous and not grid.flags.c_contiguous
+        copy = np.ascontiguousarray(grid)
+        value, jac = field.jet(grid)  # kept in the memo
+        want_value, want_jac = field.jet(copy)
+        assert np.array_equal(value, want_value) and np.array_equal(jac, want_jac)
+        assert np.array_equal(field.jacobian(grid[:100]), field.jacobian(copy[:100]))
+        h = TrigDisplacementMap(field)
+        assert np.array_equal(h.jacobian(grid), h.jacobian(copy))
 
 
 def test_a_fiber_gram_at_image_points_runs_the_jacobian_alone(rng, computed, monkeypatch):

@@ -8,10 +8,14 @@ import pytest
 from numpy.testing import assert_allclose
 
 from mtcover import _small
-from mtcover._small import batched, congruence, gram, matmul, matvec, quadratic
+from mtcover._small import (batched, congruence, entry_major, gram, matmul, matvec, quadratic,
+                            stack, zeros)
 from mtcover.cli import main
 from mtcover.errors import NonFiniteSlice
 from mtcover.expansion import (
+    _adj_det,
+    _block_gram,
+    _bordered,
     _chain_sigma_min,
     _cholesky,
     _extremes,
@@ -452,3 +456,43 @@ def test_entry_forms_return_entry_major_blocks(rng):
     for out in (matmul(a, b), gram(a), congruence(a, b + np.swapaxes(b, 1, 2))):
         assert all(out[:, i, j].flags.c_contiguous for i in range(2) for j in range(2))
     assert all(matvec(a, u)[:, i].flags.c_contiguous for i in range(2))
+
+
+def _entries_contiguous(block, k):
+    """True where every entry of block, (*batch, *entry) with k entry axes,
+    is one contiguous array over the batch."""
+    return all(block[(...,) + idx].flags.c_contiguous
+               for idx in np.ndindex(block.shape[block.ndim - k:]))
+
+
+@pytest.mark.parametrize("batch", [(), (5,), (3, 4)])
+def test_zeros_and_stack_allocate_entry_major_blocks(rng, batch):
+    entries = [rng.standard_normal(batch) for _ in range(6)]
+    block = stack(entries, (2, 3))
+    assert block.shape == batch + (2, 3)
+    assert np.array_equal(block, np.stack(entries, -1).reshape(batch + (2, 3)))
+    assert np.array_equal(stack(entries[:2], (2,)), np.stack(entries[:2], -1))
+    empty = zeros(batch, (2, 3))
+    assert empty.shape == batch + (2, 3) and not empty.any()
+    for out, k in ((block, 2), (empty, 2), (stack(entries[:2], (2,)), 1)):
+        assert _entries_contiguous(out, k)
+    points = rng.standard_normal((7, 2, 3))
+    copy = entry_major(points)
+    assert copy.flags.owndata and np.array_equal(copy, points)
+    assert _entries_contiguous(copy, 2)
+
+
+def test_expansion_blocks_are_entry_major(rng):
+    a = rng.standard_normal((64, 2, 2))
+    adj, det = _adj_det(a)
+    assert_allclose(adj @ a, det[:, None, None] * np.eye(2), atol=1e-14)
+    comps = tuple(rng.standard_normal(64) for _ in range(7))
+    g = _block_gram(comps)
+    x = np.zeros((64, 3, 3))
+    x[:, 0, 0], x[:, 1, 0], x[:, 2, 0] = comps[:3]
+    x[:, 1:, 1:] = np.stack(comps[3:], -1).reshape(64, 2, 2)
+    assert_allclose(g, np.swapaxes(x, 1, 2) @ x, rtol=1e-14, atol=1e-14)
+    out = _bordered(a)
+    assert np.array_equal(out[:, 1:, 1:], a) and np.array_equal(out[:, 0], [[1.0, 0.0, 0.0]] * 64)
+    for block in (adj, g, out):
+        assert _entries_contiguous(block, 2)
