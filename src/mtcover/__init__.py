@@ -8,7 +8,6 @@ constants, a mixed-norm cone argument, and an averaged adapted metric.
 
 from .coverings import (
     build_f,
-    build_pk,
     build_stage_inventory,
     differential,
     orbit,

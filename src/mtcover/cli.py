@@ -29,8 +29,7 @@ import numpy as np
 
 from .coverings import build_stage_inventory, orbit, pi1_linear_part, preimages
 from .errors import ConfigError, MTCoverError
-from .expansion import (SourceGram, _constants_stage, _pipeline, default_psi,
-                        local_vertical_conorms)
+from .expansion import default_psi, local_vertical_conorms, measure_constants, verify_expansion
 from .fields import TrigDisplacementField
 from .lifting import tower_from_field
 from .manifolds import MetricG, MTPoint, check_seams
@@ -201,12 +200,11 @@ def _csv_rows(rows, header: str, out_path: str | None):
     _write("\n".join(lines) + "\n", out_path)
 
 
-def _dump_conorm_csv(cfg: RunConfig, f, metric: MetricG, source: SourceGram):
+def _dump_conorm_csv(cfg: RunConfig, f, metric: MetricG):
     """Grid dump of the local vertical conorm of the composite map, on the
-    run's factored source Gram; it frames f once more per slice."""
-    grid = source.grid
-    local = local_vertical_conorms(f, metric, cfg.fiber_res, cfg.t_res, cfg.threads,
-                                   _source=source)
+    metric's grid and factored Gram; it frames f once more per slice."""
+    grid = metric.source(cfg.fiber_res).grid
+    local = local_vertical_conorms(f, metric, cfg.fiber_res, cfg.t_res, cfg.threads)
     rows = []
     for t, slice_values in zip(np.arange(cfg.t_res, dtype=float) / cfg.t_res, local):
         for x, c in zip(grid, slice_values):
@@ -233,8 +231,8 @@ def _stage_inventory(cfg: RunConfig) -> dict:
 
 
 def cmd_constants(cfg: RunConfig, out_path: str | None = None) -> int:
-    constants, k, f, metric, source = _constants_stage(cfg.displacement_field(), cfg.m,
-                                                      **_stage_args(cfg))
+    constants, k, f, metric = measure_constants(cfg.displacement_field(), cfg.m,
+                                                **_stage_args(cfg))
     doc = {
         "config_echo": cfg.echo(),
         "constants": dict(dataclasses.asdict(constants), k=k),
@@ -244,14 +242,16 @@ def cmd_constants(cfg: RunConfig, out_path: str | None = None) -> int:
     }
     emit_json(doc, out_path)
     if cfg.csv_out:
-        _dump_conorm_csv(cfg, f, metric, source)
+        _dump_conorm_csv(cfg, f, metric)
     return 0
 
 
 def cmd_verify(cfg: RunConfig, out_path: str | None = None) -> int:
-    # one pipeline with run_pipeline; f, metric and source are kept for --csv
-    constants, k, f, metric, source, report = _pipeline(
-        cfg.displacement_field(), cfg.m, **_stage_args(cfg))
+    # the two steps of run_pipeline; f and metric are kept for the CSV dump
+    constants, k, f, metric = measure_constants(cfg.displacement_field(), cfg.m,
+                                                **_stage_args(cfg))
+    report = verify_expansion(constants, k, f, metric, cfg.m, nu_target=cfg.nu_target,
+                              threads=cfg.threads)
     doc = {
         "config_echo": cfg.echo(),
         "constants": constants,
@@ -261,7 +261,7 @@ def cmd_verify(cfg: RunConfig, out_path: str | None = None) -> int:
     }
     emit_json(doc, out_path)
     if cfg.csv_out:
-        _dump_conorm_csv(cfg, f, metric, source)
+        _dump_conorm_csv(cfg, f, metric)
     return 0 if report.passed else 1
 
 

@@ -421,10 +421,6 @@ def build_stage_inventory(tower, m, psi):
     return inventory
 
 
-def build_pk(tower) -> CompositeCovering:
-    return CompositeCovering(_fiber_stages(tower, build_spaces(tower, m=1)), name="pk")
-
-
 def build_qm_only(h, m, psi) -> CompositeCovering:
     """Base-cover composite straight from the gluing map, no tower needed."""
     return CompositeCovering(_base_stages(h, m, psi, _base_spaces(h, m)), name="qm")

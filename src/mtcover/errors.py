@@ -29,10 +29,6 @@ class UnsupportedForm(MTCoverError):
     """Operation requires a map of a different structural form."""
 
 
-class NotVertical(MTCoverError):
-    """A vertical-only operation received a tangent with a base component."""
-
-
 class NonIntegral(MTCoverError):
     """A quantity that must be an integer matrix deviates beyond tolerance."""
 

@@ -18,13 +18,13 @@ from functools import cached_property
 
 import numpy as np
 
-from ._small import congruence, entry_major, entrywise, gram, quadratic, stack, zeros
+from ._small import congruence, entrywise, gram, quadratic, stack, zeros
 from .coverings import CompositeCovering, build_f, build_qm_only, fiber_alignment_map
 from .errors import (BoundViolation, FinslerDegenerate, MTCoverError, NonFiniteSlice,
                      NotExpanding, UnboundedSelection)
 from .fields import TrigDisplacementField, unit_grid
 from .lifting import tower_from_field
-from .manifolds import MetricG, MTPoint, Tangent
+from .manifolds import MetricG, MTPoint, SourceGram, Tangent, _run_grid, _whitener
 from .torus_maps import (
     StraightLineIsotopy,
     TrigDisplacementMap,
@@ -373,11 +373,6 @@ def _cholesky(m: np.ndarray) -> np.ndarray:
     return low
 
 
-def _whitener(eigvals: np.ndarray, eigvecs: np.ndarray) -> np.ndarray:
-    """W = Q diag(eigvals)^(-1/2), so W^T M W = I for M = Q diag(eigvals) Q^T."""
-    return eigvecs / np.sqrt(eigvals)[..., None, :]
-
-
 def _whitened_min_eig(a: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Smallest eigenvalue of W^T a W for symmetric a, batched.
 
@@ -397,67 +392,27 @@ def generalized_conorm_sq(a: np.ndarray, m: np.ndarray) -> np.ndarray:
     return _whitened_min_eig(a, _whitener(*np.linalg.eigh(m)))
 
 
-def _run_grid(grid: np.ndarray) -> np.ndarray:
-    """A read-only copy of grid that owns its data, so that each field's jet
-    at it is computed once (TrigDisplacementField.jet).  It is entry-major,
-    each coordinate contiguous over the points, as the blocks of _small are,
-    so the frames' points x + v(x) keep that layout."""
-    grid = entry_major(grid)
-    grid.flags.writeable = False
-    return grid
-
-
-class SourceGram:
-    """The fiber Gram at the source points of a sweep, factored once.
-
-    It owns the run's fiber grid, a read-only copy of the one it is given:
-    every sweep of a run frames its maps at that one array, so each field's
-    jet there is computed once per run.  On a fixed grid the Gram is affine
-    in t, M(t) = (1-t) I + t D with D = Dh^T Dh, so one eigendecomposition
-    D = Q diag(lam) Q^T whitens every slice: W(t) = Q diag((1-t) + t lam)^(-1/2)
-    has W^T M(t) W = I.  The eigh runs on first use, since the K sweep never
-    whitens; a forked sweep worker that runs it keeps its own copy, which
-    the caller recomputes if it needs it.
-    """
-
-    def __init__(self, metric: MetricG, grid: np.ndarray):
-        self.metric, self.grid = metric, _run_grid(grid)
-        self.d = metric.fiber_gram(1.0, self.grid)
-        # eigh returns NaN for NaN input, outside the guard of _sweep
-        if not np.isfinite(self.d).all():
-            raise NonFiniteSlice("slice t=1.0 gave a non-finite source Gram")
-
-    @cached_property
-    def eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        """(lam, Q) of D, entry-major, so that every slice's whitener is
-        entry-major too."""
-        return tuple(entry_major(a) for a in np.linalg.eigh(self.d))
-
-    def whitener(self, t: float) -> np.ndarray:
-        lam, q = self.eigh
-        return _whitener((1.0 - t) + t * lam, q)
-
-
 class SliceRecord:
     """One slice t of a cover, pulled back through its frame (slope, w, V).
 
-    With the fiber Gram m_dst at the image, P = V^T m_dst V and
+    With the metric's fiber Gram m_dst at the image, P = V^T m_dst V and
     r = w^T m_dst w: the image of a vertical u has squared metric norm
     u^T P u, and that of the base direction (1, 0) has vertical part of
     squared norm r.  Both are batched products of _small; P is exactly
-    symmetric where it is formed entry by entry.  The frame and m_dst are
-    built with the record; P, r, the source whitener and the vertical
-    conorm are formed on first read and kept, so a sweep pays only for what
-    it reads: K reads r, c_q the conorm (from P and the whitener), and the
-    Finsler gain r and the conorm.  The frame and the whitener are kept for
-    the adapted chain that verify continues from them.
+    symmetric where it is formed entry by entry.  The frame, at the grid
+    of source (the metric's factored Gram), and m_dst are built with the
+    record; P, r, the source whitener and the vertical conorm are formed
+    on first read and kept, so a sweep pays only for what it reads: K reads
+    r, c_q the conorm (from P and the whitener), and the Finsler gain r and
+    the conorm.  The frame and the whitener are kept for the adapted chain
+    that verify continues from them.
     """
 
-    def __init__(self, cover, source: SourceGram, t: float):
+    def __init__(self, cover, metric: MetricG, source: SourceGram, t: float):
         self.source, self.t = source, t
         self.frame = cover.frame(t, source.grid, +1)
         self.slope = self.frame.slope
-        self.m_dst = source.metric.fiber_gram(self.frame.t_out, self.frame.x_out)
+        self.m_dst = metric.fiber_gram(self.frame.t_out, self.frame.x_out)
 
     @cached_property
     def p(self) -> np.ndarray:
@@ -479,49 +434,37 @@ class SliceRecord:
         return np.sqrt(np.maximum(sq, 0.0))
 
 
-def _source_gram(metric: MetricG, fiber_res: int,
-                 source: SourceGram | None = None) -> SourceGram:
-    """source, or else the metric's Gram on the fiber grid, factored anew.
-
-    measure_constants builds one and passes it to its sweeps as _source; a
-    whole run (_pipeline) hands it on to verify_expansion, so the run
-    evaluates and decomposes the Gram at t = 1 once.
-    """
-    return source if source is not None else SourceGram(metric, unit_grid(metric.dim, fiber_res))
-
-
-def _record_job(cover, source: SourceGram, reduce):
-    """Slice job t -> reduce(SliceRecord of the cover at t) on the source grid."""
-    return lambda t: reduce(SliceRecord(cover, source, t))
+def _record_job(cover, metric: MetricG, fiber_res: int, reduce):
+    """Slice job t -> reduce(SliceRecord of the cover at t) on the metric's
+    grid of fiber_res points per axis, whose Gram is factored here, before
+    any sweep worker forks."""
+    source = metric.source(fiber_res)
+    return lambda t: reduce(SliceRecord(cover, metric, source, t))
 
 
 def local_vertical_conorms(cover, metric: MetricG, fiber_res: int, t_res: int,
-                           threads: int = 1, *,
-                           _source: SourceGram | None = None) -> np.ndarray:
+                           threads: int = 1) -> np.ndarray:
     """SliceRecord.vertical_conorm at every grid point, (t_res, points) in
     slice order."""
-    job = _record_job(cover, _source_gram(metric, fiber_res, _source),
-                      lambda rec: rec.vertical_conorm)
-    return _sweep(job, t_res, threads)
+    return _sweep(_record_job(cover, metric, fiber_res, lambda rec: rec.vertical_conorm),
+                  t_res, threads)
 
 
 def vertical_conorm_min(cover, metric: MetricG, fiber_res: int, t_res: int,
-                        threads: int = 1, *, _source: SourceGram | None = None) -> float:
+                        threads: int = 1) -> float:
     """Min over the grid of the local vertical conorm."""
-    job = _record_job(cover, _source_gram(metric, fiber_res, _source),
-                      lambda rec: float(rec.vertical_conorm.min()))
+    job = _record_job(cover, metric, fiber_res, lambda rec: float(rec.vertical_conorm.min()))
     return float(_sweep(job, t_res, threads).min())
 
 
-def estimate_metric_equiv(metric: MetricG, fiber_res: int = 64, *,
-                          _source: SourceGram | None = None) -> float:
+def estimate_metric_equiv(metric: MetricG, fiber_res: int = 64) -> float:
     """Largest c with c <= |v|_G / |v|_flat <= 1/c for vertical v on the grid
     and every t in [0, 1].
 
     The eigenvalues (1-t) + t lam of M(t) are monotone in t, so they are
     extreme at t = 0, where all are 1, and at t = 1, where they are those of D.
     """
-    lam = _source_gram(metric, fiber_res, _source).eigh[0]
+    lam = metric.source(fiber_res).eigh[0]
     lo = np.sqrt(max(float(lam[..., 0].min()), 0.0))
     return float(min(1.0, lo, 1.0 / np.sqrt(lam[..., -1].max())))
 
@@ -535,8 +478,7 @@ def estimate_C(tower, fiber_res: int = 64, t_res: int = 32,
     minima of the conorms of the base map, its inverse, and the connecting
     isotopy slices; the measured value must not fall below it.  That bound
     reads only h and tower.isotopy(1), so a known one is passed as _bound.
-    A run passes its SourceGram's grid, of fiber_res points per axis, as
-    _grid.
+    A run passes its metric's grid, of fiber_res points per axis, as _grid.
     """
     fh = fiber_alignment_map(tower)
     phi = tower.isotopy(1)
@@ -562,9 +504,9 @@ def estimate_C(tower, fiber_res: int = 64, t_res: int = 32,
 
 
 def estimate_cq(qm, metric: MetricG, fiber_res: int = 64, t_res: int = 32,
-                threads: int = 1, *, _source: SourceGram | None = None) -> float:
+                threads: int = 1) -> float:
     """Min vertical expansion of the base-cover map in the interpolated metric."""
-    return vertical_conorm_min(qm, metric, fiber_res, t_res, threads, _source=_source)
+    return vertical_conorm_min(qm, metric, fiber_res, t_res, threads)
 
 
 def select_k(c_eq: float, c_provider, lam: float, base: int = 3,
@@ -585,11 +527,10 @@ def verify_vertical_expansion(f, metric: MetricG, fiber_res: int = 64,
 
 
 def estimate_K(f, metric: MetricG, fiber_res: int = 64, t_res: int = 32,
-               threads: int = 1, *, _source: SourceGram | None = None):
+               threads: int = 1):
     """Max metric norm of the vertical part of the image of the unit base
     vector, plus its floor at 1 used for the mixed-norm construction."""
-    job = _record_job(f, _source_gram(metric, fiber_res, _source),
-                      lambda rec: float(np.sqrt(rec.r).max()))
+    job = _record_job(f, metric, fiber_res, lambda rec: float(np.sqrt(rec.r).max()))
     k_val = float(_sweep(job, t_res, threads).max())
     return k_val, max(k_val, 1.0)
 
@@ -628,10 +569,8 @@ def _finsler_gain(k_eff: float):
     return gain
 
 
-def _mu_and_case_bound(mu: float, vertical_margin: float, m: int):
-    if not np.isfinite(mu) or mu <= 0.0:
-        raise FinslerDegenerate(f"contraction constant {mu} is not a positive number")
-    return mu, float(min(2 * m + 1, vertical_margin - 1.0))
+def _case_bound(vertical_margin: float, m: int) -> float:
+    return float(min(2 * m + 1, vertical_margin - 1.0))
 
 
 def verify_finsler_expansion(f, metric: MetricG, k_eff: float,
@@ -645,8 +584,11 @@ def verify_finsler_expansion(f, metric: MetricG, k_eff: float,
     analytic floor from the same two-case cone argument at the global
     constants.
     """
-    job = _record_job(f, _source_gram(metric, fiber_res), _finsler_gain(k_eff))
-    return _mu_and_case_bound(float(_sweep(job, t_res, threads).min()), vertical_margin, m)
+    job = _record_job(f, metric, fiber_res, _finsler_gain(k_eff))
+    mu = float(_sweep(job, t_res, threads).min())
+    if mu <= 0.0:
+        raise FinslerDegenerate(f"contraction constant {mu} is not a positive number")
+    return mu, _case_bound(vertical_margin, m)
 
 
 @dataclass
@@ -700,16 +642,17 @@ def _bordered(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _chain_factors(f, source: SourceGram, t: float, fr, w_src: np.ndarray, n_steps: int):
+def _chain_factors(f, metric: MetricG, t: float, fr, w_src: np.ndarray, n_steps: int):
     """Factors of the n_steps-step chart Jacobian J at slice t, whitened to
     L_dst^T J W_src, generated first applied first: diag(1, W_src), J_1, ...,
-    J_n, diag(1, L_dst^T).  fr is f's frame at (t, source.grid) and w_src
-    source.whitener(t), both built by the caller; steps 2..n continue from
-    fr, and it is released at step 2.
+    J_n, diag(1, L_dst^T).  fr is f's frame at slice t on the metric's grid
+    and w_src that grid's whitener at t, both built by the caller; steps
+    2..n continue from fr, and it is released at step 2.
 
     W_src is the source whitener of the slice and L_dst the Cholesky factor of
-    the Gram at the image, so the smallest singular value of their product is
-    the smallest n-step expansion from G at the source to G at the image.
+    the metric's Gram at the image, so the smallest singular value of their
+    product is the smallest n-step expansion from G at the source to G at
+    the image.
     """
     yield _bordered(w_src)
     for step in range(n_steps):
@@ -720,13 +663,14 @@ def _chain_factors(f, source: SourceGram, t: float, fr, w_src: np.ndarray, n_ste
         # coordinates grow until the absolute Newton tolerance falls
         # below their rounding
         t, x = fr.t_out, torus_representative(fr.x_out)
-    l_dst = _cholesky(source.metric.fiber_gram(t, x))
+    l_dst = _cholesky(metric.fiber_gram(t, x))
     yield _bordered(np.swapaxes(l_dst, -1, -2))
 
 
-def _whitened_factors(f, source: SourceGram, t: float, n_steps: int):
-    """_chain_factors at slice t, from a first frame built here."""
-    return _chain_factors(f, source, t, f.frame(t, source.grid, +1), source.whitener(t),
+def _whitened_factors(f, metric: MetricG, source: SourceGram, t: float, n_steps: int):
+    """_chain_factors at slice t, from a first frame built here on source,
+    the metric's factored Gram."""
+    return _chain_factors(f, metric, t, f.frame(t, source.grid, +1), source.whitener(t),
                           n_steps)
 
 
@@ -750,22 +694,21 @@ def _step_count(mu_hat: float, k_eff: float):
     return n_steps, r_plus, r_minus
 
 
-def _adapted_metric(f, metric: MetricG, n_steps: int, worst: float,
-                    r_plus: float, r_minus: float) -> AdaptedMetric:
-    """The AdaptedMetric whose n_steps-step expansion has grid minimum worst."""
-    rate = worst ** (1.0 / n_steps)
-    if rate <= 1.0:
-        raise NotExpanding(
-            f"{n_steps}-step expansion {worst:.6f} gives rate {rate:.6f} <= 1"
-        )
-    return AdaptedMetric(cover=f, metric=metric, n_steps=n_steps, rate=rate,
-                         equiv_upper=r_plus, equiv_lower=r_minus)
+def _chain_minimum(f, metric: MetricG, n_steps: int, fiber_res: int, t_res: int,
+                   threads: int) -> float:
+    """Grid minimum of the n_steps-step expansion of f from G to G, taken
+    factor by factor (_chain_sigma_min)."""
+    source = metric.source(fiber_res)
+
+    def job(t):
+        return _chain_sigma_min(_whitened_factors(f, metric, source, t, n_steps)).min()
+
+    return float(_sweep(job, t_res, threads).min())
 
 
 def build_adapted_metric(f, metric: MetricG, mu_hat: float, k_eff: float,
                          fiber_res: int = 64, t_res: int = 32,
-                         threads: int = 1, *,
-                         _source: SourceGram | None = None) -> AdaptedMetric:
+                         threads: int = 1) -> AdaptedMetric:
     """Choose the smallest power that beats the norm-equivalence gap and
     average the metric along it.
 
@@ -776,18 +719,18 @@ def build_adapted_metric(f, metric: MetricG, mu_hat: float, k_eff: float,
     construction wherever the minimum is honest.  That minimum is taken
     factor by factor (_chain_sigma_min): the Gram pencil of the n-step
     product squares its condition number, which lost the smallest eigenvalue
-    on a 1-dimensional fiber.  verify_expansion runs the same chain inside
-    its pass and calls this only when mu_hat asks for another power than
-    the one it guessed.
+    on a 1-dimensional fiber.  A mu_hat <= 1 raises FinslerDegenerate and a
+    rate <= 1 NotExpanding; verify_expansion reports both as failed checks.
     """
     n_steps, r_plus, r_minus = _step_count(mu_hat, k_eff)
-    source = _source_gram(metric, fiber_res, _source)
-
-    def job(t):
-        return _chain_sigma_min(_whitened_factors(f, source, t, n_steps)).min()
-
-    worst = float(_sweep(job, t_res, threads).min())
-    return _adapted_metric(f, metric, n_steps, worst, r_plus, r_minus)
+    worst = _chain_minimum(f, metric, n_steps, fiber_res, t_res, threads)
+    rate = worst ** (1.0 / n_steps)
+    if rate <= 1.0:
+        raise NotExpanding(
+            f"{n_steps}-step expansion {worst:.6f} gives rate {rate:.6f} <= 1"
+        )
+    return AdaptedMetric(cover=f, metric=metric, n_steps=n_steps, rate=rate,
+                         equiv_upper=r_plus, equiv_lower=r_minus)
 
 
 # ---------------------------------------------------------------------------
@@ -817,8 +760,8 @@ class ExpansionReport:
     vertical_margin: float
     mu: float
     case_bound: float
-    adapted_steps: int
-    adapted_rate: float
+    adapted_steps: int | None  # None where mu <= 1 leaves no step count
+    adapted_rate: float | None
     checks: dict = field(default_factory=dict)
     passed: bool = False
 
@@ -830,22 +773,16 @@ def measure_constants(h_field: TrigDisplacementField, m: int, *, k: int | None =
     the coupling K of the composite self-cover.
 
     Returns (ConstantsReport, k, f, metric): f is the composite at depth k
-    and metric the interpolated metric it is measured in.
+    and metric the interpolated metric it is measured in.  The metric keeps
+    the Gram factored on its grid (MetricG.source), so c_eq, c_q, K and a
+    later verify_expansion share one factor.
     """
-    return _constants_stage(h_field, m, k=k, base=base, fiber_res=fiber_res, t_res=t_res,
-                            nu_target=nu_target, k_cap=k_cap, threads=threads)[:4]
-
-
-def _constants_stage(h_field: TrigDisplacementField, m: int, *, k, base, fiber_res,
-                     t_res, nu_target, k_cap, threads):
-    """measure_constants, plus the SourceGram that c_eq, c_q and K shared."""
     h = TrigDisplacementMap(h_field)
     metric = MetricG(h)
     psi = default_psi(h_field)
-    source = _source_gram(metric, fiber_res)
-    c_eq = estimate_metric_equiv(metric, fiber_res, _source=source)
+    c_eq = estimate_metric_equiv(metric, fiber_res)
     qm = build_qm_only(h, m, psi)
-    c_q = estimate_cq(qm, metric, fiber_res, t_res, threads, _source=source)
+    c_q = estimate_cq(qm, metric, fiber_res, t_res, threads)
     lam = nu_target / c_q
 
     towers: dict = {}
@@ -861,7 +798,7 @@ def _constants_stage(h_field: TrigDisplacementField, m: int, *, k, base, fiber_r
         if kk not in c_cache:
             known = next(iter(c_cache.values()), (None, None))[1]
             c_cache[kk] = estimate_C(tower_at(kk), fiber_res, t_res, threads, _bound=known,
-                                     _grid=source.grid)
+                                     _grid=metric.source(fiber_res).grid)
         return c_cache[kk]
 
     if k is None:
@@ -869,18 +806,17 @@ def _constants_stage(h_field: TrigDisplacementField, m: int, *, k, base, fiber_r
     c_val, c_bound = c_at(k)
 
     f = build_f(tower_at(k), m, psi)
-    k_raw, k_eff = estimate_K(f, metric, fiber_res, t_res, threads, _source=source)
+    k_raw, k_eff = estimate_K(f, metric, fiber_res, t_res, threads)
     constants = ConstantsReport(
         c_eq=c_eq, c_q=c_q, conorm_C=c_val, conorm_C_bound=c_bound,
         coupling_K=k_raw, coupling_K_eff=k_eff, lambda_target=lam,
         base=base, fiber_res=fiber_res, t_res=t_res,
     )
-    return constants, k, f, metric, source
+    return constants, k, f, metric
 
 
 def verify_expansion(constants: ConstantsReport, k: int, f, metric: MetricG, m: int, *,
-                     nu_target: float = 2.0, threads: int = 1,
-                     _source: SourceGram | None = None) -> ExpansionReport:
+                     nu_target: float = 2.0, threads: int = 1) -> ExpansionReport:
     """Check that the composite f expands, from the constants measured for it.
 
     One pass walks f once per adapted step.  Each slice job builds f's
@@ -888,71 +824,59 @@ def verify_expansion(constants: ConstantsReport, k: int, f, metric: MetricG, m: 
     conorm (mu is the cone floor of _finsler_gain), and continues the
     adapted chain from the record's frame for n_guess steps: the step count
     at mu = 2m+1, the base slope, which caps the floor.  When mu asks for
-    n_guess steps the rate comes from the pass's minima; otherwise
-    build_adapted_metric runs at the step count it asks for.
+    n_guess steps the rate comes from the pass's minima; otherwise the
+    chain runs again at the step count it asks for.  A mu <= 1 has no step
+    count: the report then fails mu_above_one and adapted_rate_above_one,
+    with no adapted steps or rate, and a rate <= 1 fails the latter.
     """
     fiber_res, t_res = constants.fiber_res, constants.t_res
     k_eff = constants.coupling_K_eff
     gain = _finsler_gain(k_eff)
     n_guess = _step_count(2 * m + 1, k_eff)[0]
-    source = _source_gram(metric, fiber_res, _source)
+    source = metric.source(fiber_res)
 
     def job(t):
-        rec = SliceRecord(f, source, t)
+        rec = SliceRecord(f, metric, source, t)
         margin, mu_t = float(rec.vertical_conorm.min()), gain(rec)
         # the chain needs only the record's frame and whitener: the rest is
         # freed first
-        factors = _chain_factors(f, source, t, rec.frame, rec.whitener, n_guess)
+        factors = _chain_factors(f, metric, t, rec.frame, rec.whitener, n_guess)
         del rec
         return margin, mu_t, _chain_sigma_min(factors).min()
 
     margin, mu, worst = _sweep(job, t_res, threads).min(axis=0).tolist()
-    mu, case_bound = _mu_and_case_bound(mu, margin, m)
-    n_steps, r_plus, r_minus = _step_count(mu, k_eff)
-    if n_steps != n_guess:
-        adapted = build_adapted_metric(f, metric, mu, k_eff, fiber_res, t_res, threads,
-                                       _source=source)
-    else:
-        adapted = _adapted_metric(f, metric, n_steps, worst, r_plus, r_minus)
+    n_steps = rate = None
+    if mu > 1.0:
+        n_steps = _step_count(mu, k_eff)[0]
+        if n_steps != n_guess:
+            worst = _chain_minimum(f, metric, n_steps, fiber_res, t_res, threads)
+        rate = worst ** (1.0 / n_steps)
     c_eq = constants.c_eq
     chain_floor = c_eq * c_eq * constants.base ** k * constants.conorm_C
     checks = {
         "vertical_margin_ok": bool(margin >= nu_target * (1.0 - _TOL_REL)),
         "mu_above_one": bool(mu > 1.0),
-        "adapted_rate_above_one": bool(adapted.rate > 1.0),
+        "adapted_rate_above_one": rate is not None and bool(rate > 1.0),
         "chain_floor_ok": bool(chain_floor > constants.lambda_target),
     }
     return ExpansionReport(
         k=k, m=m, nu_target=nu_target, tol_rel=_TOL_REL,
-        vertical_margin=margin, mu=mu, case_bound=case_bound,
-        adapted_steps=adapted.n_steps, adapted_rate=adapted.rate,
+        vertical_margin=margin, mu=mu, case_bound=_case_bound(margin, m),
+        adapted_steps=n_steps, adapted_rate=rate,
         checks=checks, passed=all(checks.values()),
     )
-
-
-def _pipeline(h_field: TrigDisplacementField, m: int, *, k, base, fiber_res, t_res,
-              nu_target, k_cap, threads):
-    """One verify run, (constants, k, f, metric, source, report): the
-    constants stage hands its SourceGram on to verify_expansion, and the
-    CLI's CSV dump takes it too, so the run evaluates and factors the source
-    Gram once.  run_pipeline and the CLI's verify share it.
-    """
-    constants, k, f, metric, source = _constants_stage(
-        h_field, m, k=k, base=base, fiber_res=fiber_res, t_res=t_res,
-        nu_target=nu_target, k_cap=k_cap, threads=threads)
-    report = verify_expansion(constants, k, f, metric, m, nu_target=nu_target,
-                              threads=threads, _source=source)
-    return constants, k, f, metric, source, report
 
 
 def run_pipeline(h_field: TrigDisplacementField, m: int, *, k: int | None = None,
                  base: int = 3, fiber_res: int = 64, t_res: int = 32,
                  nu_target: float = 2.0, k_cap: int = 12, threads: int = 1):
-    """Measure all constants, choose k, and verify expansion end to end.
+    """Measure all constants, choose k, and verify expansion end to end:
+    measure_constants, then verify_expansion.
 
     Returns (ConstantsReport, ExpansionReport).
     """
-    constants, _, _, _, _, report = _pipeline(
+    constants, k, f, metric = measure_constants(
         h_field, m, k=k, base=base, fiber_res=fiber_res, t_res=t_res,
         nu_target=nu_target, k_cap=k_cap, threads=threads)
-    return constants, report
+    return constants, verify_expansion(constants, k, f, metric, m, nu_target=nu_target,
+                                       threads=threads)

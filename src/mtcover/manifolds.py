@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from ._small import gram, matmul, matvec
-from .errors import DimensionMismatch, NotVertical, UnsupportedForm
+from ._small import entry_major, gram, matmul, matvec
+from .errors import DimensionMismatch, NonFiniteSlice, UnsupportedForm
+from .fields import unit_grid
 from .torus_maps import TorusMapHandle, torus_representative
 
 _SEAM_DEDUPE_TOL = 1e-12  # breakpoints this close to 0 or the circumference are the wrap
@@ -43,18 +45,6 @@ class Tangent:
 
     def __post_init__(self):
         self.u = np.asarray(self.u, dtype=float)
-
-
-def split(v: Tangent) -> tuple[Tangent, Tangent]:
-    """Exact splitting into vertical and base-orthogonal parts."""
-    return Tangent(0.0, v.u.copy()), Tangent(v.a, np.zeros_like(v.u))
-
-
-def norm_0_vertical(v: Tangent) -> float:
-    """Euclidean fiber norm of a vertical tangent."""
-    if v.a != 0.0:
-        raise NotVertical(f"tangent has base component {v.a}")
-    return float(np.linalg.norm(v.u))
 
 
 class MultiMappingTorus:
@@ -231,6 +221,53 @@ def mapping_torus(h: TorusMapHandle, circumference: float = 1.0,
     return MultiMappingTorus([0.0, circumference], [], h, name=name)
 
 
+def _run_grid(grid: np.ndarray) -> np.ndarray:
+    """A read-only copy of grid that owns its data, so that each field's jet
+    at it is computed once (TrigDisplacementField.jet).  It is entry-major,
+    each coordinate contiguous over the points, as the blocks of _small are,
+    so the frames' points x + v(x) keep that layout."""
+    grid = entry_major(grid)
+    grid.flags.writeable = False
+    return grid
+
+
+def _whitener(eigvals: np.ndarray, eigvecs: np.ndarray) -> np.ndarray:
+    """W = Q diag(eigvals)^(-1/2), so W^T M W = I for M = Q diag(eigvals) Q^T."""
+    return eigvecs / np.sqrt(eigvals)[..., None, :]
+
+
+class SourceGram:
+    """A metric's fiber Gram on a fiber grid, factored once.
+
+    It owns the grid, a read-only copy of the one it is given: every sweep
+    of a run frames its maps at that one array, so each field's jet there is
+    computed once per run.  On a fixed grid the Gram is affine in t,
+    M(t) = (1-t) I + t D with D = Dh^T Dh, so one eigendecomposition
+    D = Q diag(lam) Q^T whitens every slice: W(t) = Q diag((1-t) + t lam)^(-1/2)
+    has W^T M(t) W = I.  The eigh runs on first use, since the K sweep never
+    whitens; a forked sweep worker that runs it keeps its own copy, which
+    the caller recomputes if it needs it.  It holds arrays only, no
+    reference to the metric that keeps it (MetricG.source).
+    """
+
+    def __init__(self, metric: MetricG, grid: np.ndarray):
+        self.grid = _run_grid(grid)
+        self.d = metric.fiber_gram(1.0, self.grid)
+        # eigh returns NaN for NaN input, outside the guard of the sweeps
+        if not np.isfinite(self.d).all():
+            raise NonFiniteSlice("slice t=1.0 gave a non-finite source Gram")
+
+    @cached_property
+    def eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        """(lam, Q) of D, entry-major, so that every slice's whitener is
+        entry-major too."""
+        return tuple(entry_major(a) for a in np.linalg.eigh(self.d))
+
+    def whitener(self, t: float) -> np.ndarray:
+        lam, q = self.eigh
+        return _whitener((1.0 - t) + t * lam, q)
+
+
 class MetricG:
     """Interpolated metric on the unit mapping torus of h.
 
@@ -242,6 +279,16 @@ class MetricG:
     def __init__(self, h: TorusMapHandle):
         self.h = h
         self.dim = h.dim
+        self._sources = {}  # fiber_res -> SourceGram, built on first use
+
+    def source(self, fiber_res: int) -> SourceGram:
+        """The Gram factored on the grid of fiber_res points per axis: built
+        on first use and kept, so every sweep measured in this metric at
+        that resolution, and each caller between them, shares one grid and
+        one factor."""
+        if fiber_res not in self._sources:
+            self._sources[fiber_res] = SourceGram(self, unit_grid(self.dim, fiber_res))
+        return self._sources[fiber_res]
 
     def fiber_gram(self, t: float, x: np.ndarray) -> np.ndarray:
         """(1-t) I + t Dh^T Dh at the fiber points x, batched.  Dh^T Dh is

@@ -17,7 +17,6 @@ from numpy.testing import assert_allclose
 from mtcover.cli import main
 from mtcover.coverings import (
     build_f,
-    build_pk,
     pi1_linear_part,
     preimages,
     pushforward,

@@ -411,6 +411,24 @@ def test_exit_code_numerical_failure(tmp_path):
     assert run(["verify", "--config", cfg]) == 3
 
 
+def test_a_contraction_constant_at_most_one_fails_with_a_report(tmp_path):
+    # at the forced depth k = 1 the cone floor of this field is 0.74: no
+    # step count beats the norm gap, so verify reports the failed checks
+    # with null adapted steps and rate and exits 1, not 3
+    field = [{"coeff": [0.0, 1.0], "freq": [2, 1], "phase": "cos"},
+             {"coeff": [0.0, 1.0], "freq": [-1, 2], "phase": "sin"}]
+    cfg = write_config(tmp_path, eps=0.04, k=1, field=field, fiber_res=8, t_res=4)
+    out = tmp_path / "report.json"
+    assert run(["verify", "--config", cfg, "--out", str(out)]) == 1
+    doc = read_json(str(out))
+    expansion = doc["expansion"]
+    assert 0.0 < expansion["mu"] <= 1.0
+    assert expansion["adapted_steps"] is None and expansion["adapted_rate"] is None
+    assert not expansion["checks"]["mu_above_one"]
+    assert not expansion["checks"]["adapted_rate_above_one"]
+    assert doc["pass"] is False and expansion["passed"] is False
+
+
 def _plain_and_optimized_reports(tmp_path, config):
     """The verify report on config from python and from python -O."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))

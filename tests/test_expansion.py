@@ -1,9 +1,11 @@
 import dataclasses
+import gc
 import itertools
 import json
 import os
 import subprocess
 import sys
+import weakref
 
 import mtcover
 import mtcover.cli
@@ -18,7 +20,6 @@ from mtcover._small import matvec
 from mtcover.coverings import (
     CompositeCovering,
     build_f,
-    build_pk,
     build_qm_only,
     build_stage_inventory,
     fiber_alignment_map,
@@ -33,7 +34,6 @@ from mtcover.errors import (
 )
 from mtcover.expansion import (
     SliceRecord,
-    SourceGram,
     _finsler_gain,
     _whitened_factors,
     build_adapted_metric,
@@ -54,7 +54,7 @@ from mtcover.expansion import (
 )
 from mtcover.fields import TrigDisplacementField, shear_field, unit_grid
 from mtcover.lifting import tower_from_field
-from mtcover.manifolds import MetricG, MTPoint, Tangent
+from mtcover.manifolds import MetricG, MTPoint, SourceGram, Tangent
 from mtcover.lifting import LiftedIsotopy
 from mtcover.torus_maps import (BridgedIsotopy, StraightLineIsotopy, TrigDisplacementMap,
                                 torus_representative)
@@ -185,13 +185,15 @@ def test_factored_source_gram_matches_the_pencil(name, shear, mixed):
     for t in np.arange(4) / 4:
         m_src = metric.fiber_gram(t, source.grid)
         assert np.array_equal((1.0 - t) * np.eye(field.dim) + t * source.d, m_src)
-        rec = SliceRecord(cover, source, t)
+        rec = SliceRecord(cover, metric, source, t)
         local = rec.vertical_conorm
         assert_allclose(local, np.sqrt(generalized_conorm_sq(rec.p, m_src)), rtol=1e-13)
         assert_allclose(local, np.sqrt(pencil_oracle(rec.p, m_src)), rtol=1e-13)
 
 
-def test_vertical_sweep_factors_the_source_gram_once(f_k2, metric, monkeypatch):
+def test_vertical_sweep_factors_the_source_gram_once(f_k2, shear_map, monkeypatch):
+    # a fresh metric: the shared fixture may hold a factor from earlier tests
+    metric = MetricG(shear_map)
     counts = {"cholesky": 0, "solve": 0, "eigh": 0}
     for name in counts:
         original = getattr(np.linalg, name)
@@ -205,12 +207,13 @@ def test_vertical_sweep_factors_the_source_gram_once(f_k2, metric, monkeypatch):
     assert counts == {"cholesky": 0, "solve": 0, "eigh": 1}
 
 
-def test_sweeps_that_never_whiten_skip_the_eigh(f_k2, metric, monkeypatch):
-    # K reads r only, so the source Gram's eigendecomposition is left for a
-    # first whitener to compute.  The Finsler sweep's cone floor reads the
-    # vertical conorm, which whitens: one eigh for its SourceGram, kept
-    # across its slices.  The adapted sweep whitens every slice, with one
-    # eigh per shared SourceGram
+def test_sweeps_that_never_whiten_skip_the_eigh(f_k2, shear_map, monkeypatch):
+    # K reads r only, so the metric's factored Gram leaves its
+    # eigendecomposition to a first whitener.  The Finsler sweep's cone
+    # floor reads the vertical conorm, which whitens: one eigh, which the
+    # metric keeps for every later sweep at that resolution, the adapted
+    # one included.  Another resolution is another grid and factor
+    metric = MetricG(shear_map)
     calls = []
     original = np.linalg.eigh
 
@@ -223,55 +226,51 @@ def test_sweeps_that_never_whiten_skip_the_eigh(f_k2, metric, monkeypatch):
     assert calls == []
     verify_finsler_expansion(f_k2, metric, k_eff, 6.0, 1, 8, 4)
     assert calls == [1]
-    source = SourceGram(metric, unit_grid(2, 8))
+    build_adapted_metric(f_k2, metric, 3.0, k_eff, 8, 4)
+    metric.source(8).whitener(0.5)
+    metric.source(8).whitener(1.0)
     assert calls == [1]
-    build_adapted_metric(f_k2, metric, 3.0, k_eff, 8, 4, _source=source)
+    metric.source(4)
+    assert calls == [1]
+    build_adapted_metric(f_k2, metric, 3.0, k_eff, 4, 4)
     assert calls == [1, 1]
-    source.whitener(0.5)
-    source.whitener(1.0)
-    assert calls == [1, 1]
+
+
+def _count_factors(monkeypatch):
+    """([], []) that fill with one entry per SourceGram built and per eigh."""
+    built, eighs = [], []
+    init, eigh = SourceGram.__init__, np.linalg.eigh
+
+    def counted_init(self, *args):
+        built.append(1)
+        init(self, *args)
+
+    def counted_eigh(*args, **kwargs):
+        eighs.append(1)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(SourceGram, "__init__", counted_init)
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    return built, eighs
 
 
 def test_a_pipeline_factors_the_source_gram_once_per_stage(shear, monkeypatch):
-    # c_eq, c_q and K share one factor, and so do the verify pass and the
-    # adapted sweep: two Gram evaluations at t = 1 and two eigh per run
-    built, eighs = [], []
-    init, eigh = SourceGram.__init__, np.linalg.eigh
-
-    def counted_init(self, *args):
-        built.append(1)
-        init(self, *args)
-
-    def counted_eigh(*args, **kwargs):
-        eighs.append(1)
-        return eigh(*args, **kwargs)
-
-    monkeypatch.setattr(SourceGram, "__init__", counted_init)
-    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    # c_eq, c_q and K share the metric's one factor, and verify_expansion,
+    # given that metric, reads the same one: one Gram evaluation at t = 1
+    # and one eigh for the two steps
+    built, eighs = _count_factors(monkeypatch)
     constants, k, f, metric = measure_constants(shear, 1, fiber_res=8, t_res=4)
     assert (len(built), len(eighs)) == (1, 1)
     verify_expansion(constants, k, f, metric, 1)
-    assert (len(built), len(eighs)) == (2, 2)
+    assert (len(built), len(eighs)) == (1, 1)
 
 
-@pytest.mark.parametrize("entry", ["run_pipeline", "cli", "cli csv"])
+@pytest.mark.parametrize("entry", ["run_pipeline", "cli", "cli csv", "cli constants"])
 def test_a_verify_run_factors_the_source_gram_once(entry, shear, tmp_path, monkeypatch):
-    # the constants stage hands its factor on to verify_expansion and to the
-    # CSV dump: one Gram evaluation at t = 1 and one eigh per run, as a
-    # library call or a command
-    built, eighs = [], []
-    init, eigh = SourceGram.__init__, np.linalg.eigh
-
-    def counted_init(self, *args):
-        built.append(1)
-        init(self, *args)
-
-    def counted_eigh(*args, **kwargs):
-        eighs.append(1)
-        return eigh(*args, **kwargs)
-
-    monkeypatch.setattr(SourceGram, "__init__", counted_init)
-    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    # the metric keeps its factor for verify_expansion and the CSV dump: one
+    # Gram evaluation at t = 1 and one eigh per run, as a library call or a
+    # command (the library's two steps: the test above)
+    built, eighs = _count_factors(monkeypatch)
     if entry == "run_pipeline":
         _, report = run_pipeline(shear, 1, fiber_res=8, t_res=4)
         assert report.passed
@@ -282,8 +281,24 @@ def test_a_verify_run_factors_the_source_gram_once(entry, shear, tmp_path, monke
             "n": 2, "eps": EPS, "fiber_res": 8, "t_res": 4, "directions": 4,
             "field": [{"coeff": [1.0, 0.0], "freq": [0, 1], "phase": "sin"}], **csv}))
         out = tmp_path / "report.json"
-        assert mtcover.cli.main(["verify", "--config", str(config), "--out", str(out)]) == 0
+        command = "constants" if entry.endswith("constants") else "verify"
+        assert mtcover.cli.main([command, "--config", str(config), "--out", str(out)]) == 0
     assert (len(built), len(eighs)) == (1, 1)
+
+
+def test_a_run_leaves_no_reference_cycle_through_its_metric(shear):
+    # the metric keeps its factored Gram, which holds arrays only: once the
+    # caller drops the two steps' results, reference counting frees the
+    # metric and its factor, with no wait for the cyclic collector
+    gc.disable()
+    try:
+        constants, k, f, metric = measure_constants(shear, 1, fiber_res=8, t_res=4)
+        verify_expansion(constants, k, f, metric, 1)
+        refs = weakref.ref(metric), weakref.ref(metric.source(8))
+        del constants, k, f, metric
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("name", ["shear", "cyc3"])
@@ -552,9 +567,9 @@ def test_vertical_margin_reference_values(f_k1, f_k2, metric):
     assert margin2 >= C_Q_REF * C_EQ_REF ** 2 * 9 * C2_REF
 
 
-def test_fiber_cover_chain_floor(tower2, metric):
+def test_fiber_cover_chain_floor(tower2, psi, metric):
     # pointwise: metric gain of the fiber cover >= c_eq^2 * 9 * local conorm
-    pk = build_pk(tower2)
+    pk = build_stage_inventory(tower2, 1, psi)["pk"]
     align = fiber_alignment_map(tower2)
     c_eq = c_eq_closed_form()
     grid = unit_grid(2, 16)
@@ -765,7 +780,7 @@ def test_cone_decision_is_the_template_loop(name, shear, mixed):
     for weight in (k_eff, k_eff / 6, k_eff / 12):
         gain = _finsler_gain(weight)
         for t in np.arange(4) / 4:
-            rec = SliceRecord(f, source, t)
+            rec = SliceRecord(f, metric, source, t)
             floor, loop = gain(rec), template_loop_gain(rec, templates, weight)
             assert floor - loop <= 4 * np.spacing(abs(loop))
             if _cone_decides(rec, weight):
@@ -807,7 +822,7 @@ def test_cone_floor_bounds_the_loop_and_every_pointwise_gain(case, data):
     templates = direction_templates(field.dim, 4, np.random.default_rng(0))
     source = SourceGram(metric, unit_grid(field.dim, 4))
     for t in (0.0, 0.5):
-        rec = SliceRecord(f, source, t)
+        rec = SliceRecord(f, metric, source, t)
         floor = gain(rec)
         assert floor - template_loop_gain(rec, templates, k_eff) <= 4 * np.spacing(floor)
         for _ in range(2):
@@ -837,7 +852,7 @@ def test_a_weak_weight_lowers_mu_to_the_cone_floor(shear):
     templates = direction_templates(2, 16, None)
     floors, loops = [], []
     for t in np.arange(4) / 4:
-        rec = SliceRecord(f, source, t)
+        rec = SliceRecord(f, metric, source, t)
         floors.append(min(3.0, float((rec.vertical_conorm - np.sqrt(rec.r) / 0.45).min())))
         loops.append(template_loop_gain(rec, templates, 0.45))
     assert mu == min(floors) and 1.0 < mu < 3.0
@@ -857,7 +872,7 @@ def test_a_nan_lift_reaches_the_sweep(shear_measured, tower2, psi, metric, monke
         return fr._replace(w=np.full_like(fr.w, np.nan)) if _nan_on_slices(t) else fr
 
     monkeypatch.setattr(CompositeCovering, "frame", nan_frame)
-    rec = SliceRecord(f, SourceGram(metric, unit_grid(2, 8)), 0.5)
+    rec = SliceRecord(f, metric, SourceGram(metric, unit_grid(2, 8)), 0.5)
     assert np.isfinite(rec.vertical_conorm).all()
     assert np.isnan(_finsler_gain(4.0)(rec))
     with pytest.raises(NonFiniteSlice, match=r"t=0\.5\b"):
@@ -915,28 +930,57 @@ def test_verify_expansion_that_misses_its_step_guess_reruns_the_chain(shear, mon
     assert (report.adapted_steps, report.adapted_rate) == (standalone.n_steps, standalone.rate)
 
 
-def test_verify_expansion_raises_on_a_contraction_constant_at_most_one(shear_measured,
-                                                                        monkeypatch):
-    # mu^n never exceeds the norm gap for mu <= 1: the step count raises
-    # rather than loop, in the pass and in a standalone adapted sweep
+def test_verify_expansion_reports_a_contraction_constant_at_most_one(shear_measured,
+                                                                     monkeypatch):
+    # mu^n never exceeds the norm gap for mu <= 1, so there is no step count
+    # and no adapted metric: the report fails mu_above_one and
+    # adapted_rate_above_one and has no adapted steps or rate, where a
+    # standalone adapted sweep raises
     constants, k, f, metric = shear_measured
-    with pytest.raises(FinslerDegenerate, match="above 1"):
-        # at k_eff = 0.5 the cone floor is 0.11
-        verify_expansion(dataclasses.replace(constants, coupling_K_eff=0.5), k, f, metric, 1)
-    with pytest.raises(FinslerDegenerate, match="not a positive number"):
-        # and at k_eff = 0.1 it is below 0
-        verify_expansion(dataclasses.replace(constants, coupling_K_eff=0.1), k, f, metric, 1)
+    measured = verify_expansion(constants, k, f, metric, 1)
+    assert measured.passed
+    # at k_eff = 0.5 the cone floor is 0.11, at k_eff = 0.1 below 0, and a
+    # gain patched to 1.0 gives mu = 1 exactly
+    weak = [verify_expansion(dataclasses.replace(constants, coupling_K_eff=weight),
+                             k, f, metric, 1) for weight in (0.5, 0.1)]
+    monkeypatch.setattr(mtcover.expansion, "_finsler_gain", lambda *args: lambda rec: 1.0)
+    weak.append(verify_expansion(constants, k, f, metric, 1))
+    monkeypatch.undo()
+    assert 0.0 < weak[0].mu < 0.2 and weak[1].mu < 0.0 and weak[2].mu == 1.0
+    for report in weak:
+        assert (report.adapted_steps, report.adapted_rate) == (None, None)
+        assert report.checks == dict(measured.checks, mu_above_one=False,
+                                     adapted_rate_above_one=False)
+        assert not report.passed
+        assert report.vertical_margin == measured.vertical_margin
+        assert report.case_bound == measured.case_bound
+    for mu_hat in (0.11, 1.0):
+        with pytest.raises(FinslerDegenerate, match="above 1"):
+            build_adapted_metric(f, metric, mu_hat, 4.0, 8, 4)
     for bad in (0.0, np.inf):
         with pytest.raises(FinslerDegenerate):
             build_adapted_metric(f, metric, 3.0, bad, 8, 4)
-    monkeypatch.setattr(mtcover.expansion, "_finsler_gain", lambda *args: lambda rec: 1.0)
-    with pytest.raises(FinslerDegenerate, match="above 1, got 1.0"):
-        verify_expansion(constants, k, f, metric, 1)
+
+
+def test_verify_expansion_reports_an_adapted_rate_at_most_one(shear_measured, monkeypatch):
+    # a chain whose grid minimum is 0.81 gives the rate 0.81^(1/n) < 1: the
+    # report keeps the step count and the rate and fails
+    # adapted_rate_above_one only, where a standalone adapted sweep raises
+    constants, k, f, metric = shear_measured
+    measured = verify_expansion(constants, k, f, metric, 1)
+    monkeypatch.setattr(mtcover.expansion, "_chain_sigma_min", lambda factors: np.array([0.81]))
+    report = verify_expansion(constants, k, f, metric, 1)
+    assert report.adapted_steps == measured.adapted_steps
+    assert report.adapted_rate == 0.81 ** (1.0 / measured.adapted_steps)
+    assert report.checks == dict(measured.checks, adapted_rate_above_one=False)
+    assert not report.passed
+    with pytest.raises(NotExpanding):
+        build_adapted_metric(f, metric, report.mu, constants.coupling_K_eff, 16, 8)
 
 
 def test_fused_verify_keeps_finsler_checks(shear_measured):
     constants, k, f, metric = shear_measured
-    for bad in (0.0, np.nan):
+    for bad in (0.0, np.nan, np.inf):
         broken = dataclasses.replace(constants, coupling_K_eff=bad)
         with pytest.raises(FinslerDegenerate):
             verify_expansion(broken, k, f, metric, 1)
@@ -993,9 +1037,11 @@ def test_nan_slice_raises_typed_error(shear_measured, tower2, shear_map, psi, me
 
 def test_nan_in_the_factored_source_gram_raises_typed_error(shear_measured, tower2,
                                                             shear_map, psi, monkeypatch):
-    # each sweep factors the Gram at t = 1 once, before its slices run, and
-    # eigh returns NaN for NaN input without raising
-    constants, k, _, metric = shear_measured
+    # a metric factors its Gram at t = 1 once, before the slices of the first
+    # sweep that needs it run, and eigh returns NaN for NaN input without
+    # raising; each sweep gets a fresh metric, since the measured one already
+    # keeps a clean factor
+    constants, k, _, _ = shear_measured
     f, qm = build_f(tower2, 1, psi), build_qm_only(shear_map, 1, psi)
     gram = MetricG.fiber_gram
 
@@ -1005,13 +1051,13 @@ def test_nan_in_the_factored_source_gram_raises_typed_error(shear_measured, towe
 
     monkeypatch.setattr(MetricG, "fiber_gram", nan_at_one)
     # c_eq reads only the factored Gram at t = 1
-    sweeps = [lambda: estimate_cq(qm, metric, 8, 4),
-              lambda: verify_expansion(constants, k, f, metric, 1),
-              lambda: build_adapted_metric(f, metric, 3.0, 4.0, 8, 4),
-              lambda: estimate_metric_equiv(metric, 8)]
+    sweeps = [lambda metric: estimate_cq(qm, metric, 8, 4),
+              lambda metric: verify_expansion(constants, k, f, metric, 1),
+              lambda metric: build_adapted_metric(f, metric, 3.0, 4.0, 8, 4),
+              lambda metric: estimate_metric_equiv(metric, 8)]
     for sweep in sweeps:
         with pytest.raises(NonFiniteSlice, match=r"t=1\.0\b"):
-            sweep()
+            sweep(MetricG(shear_map))
 
 
 # ---------------------------------------------------------------------------
@@ -1165,7 +1211,7 @@ def test_adapted_rate_whitens_fiber_blocks_only(name, shear, mixed):
         assert adapted.n_steps == n_steps
         assert_allclose(adapted.rate, full_gram_rate(f, metric, n_steps, 8, 4), rtol=1e-14)
         for t in np.arange(4) / 4:
-            factors = iter(_whitened_factors(f, source, t, n_steps))
+            factors = iter(_whitened_factors(f, metric, source, t, n_steps))
             product = next(factors)
             for factor in factors:
                 product = factor @ product

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from mtcover.coverings import IdentityCovering, StageQ, build_spaces
-from mtcover.errors import NotVertical, UnsupportedForm
+from mtcover.errors import UnsupportedForm
 from mtcover.fields import unit_grid
 from mtcover.lifting import tower_from_field
 from mtcover.manifolds import (
@@ -14,8 +14,6 @@ from mtcover.manifolds import (
     Tangent,
     check_seams,
     mapping_torus,
-    norm_0_vertical,
-    split,
 )
 from mtcover.torus_maps import identity_map
 
@@ -128,25 +126,19 @@ def test_norm_matches_euclidean_at_t0(metric, rng):
     assert_allclose(metric.norm(p, Tangent(0.0, u)), np.linalg.norm(u), atol=1e-14)
 
 
-def test_norm_0_vertical_rejects_horizontal():
-    with pytest.raises(NotVertical):
-        norm_0_vertical(Tangent(0.5, np.array([0.0, 1.0])))
-    assert norm_0_vertical(Tangent(0.0, np.array([3.0, 4.0]))) == 5.0
-
-
 def test_split_is_orthogonal_in_g(metric, rng):
-    # gram is block diagonal, so the two parts are orthogonal at every point
+    # the Gram is block diagonal, so the split of a tangent (a, u) into its
+    # vertical part (0, u) and its base part (a, 0) is orthogonal in G at
+    # every point, exactly
     for _ in range(20):
-        v = Tangent(rng.standard_normal(), rng.standard_normal(2))
-        vert, horiz = split(v)
-        assert vert.a == 0.0
-        assert np.all(horiz.u == 0.0)
-        assert_allclose(vert.u + horiz.u, v.u, atol=0)
+        a, u = rng.standard_normal(), rng.standard_normal(2)
         p = MTPoint(0, rng.uniform(0, 1), rng.uniform(0, 1, 2))
         g = metric.gram(p)
-        full = np.concatenate([[v.a], v.u])
-        vv = np.concatenate([[vert.a], vert.u])
-        hh = np.concatenate([[horiz.a], horiz.u])
+        assert g[0, 0] == 1.0
+        assert np.all(g[0, 1:] == 0.0) and np.all(g[1:, 0] == 0.0)
+        full = np.concatenate([[a], u])
+        vv = np.concatenate([[0.0], u])
+        hh = np.concatenate([[a], np.zeros(2)])
         assert vv @ g @ hh == 0.0
         assert_allclose(full @ g @ full, vv @ g @ vv + hh @ g @ hh, rtol=1e-15)
 

@@ -37,3 +37,17 @@ def test_the_package_reads_no_environment_variable():
                           for alias in node.names if alias.name in _ENVIRONMENT_NAMES]
     assert len(list(SRC.glob("*.py"))) >= 10
     assert found == []
+
+
+def test_the_cli_imports_no_private_name_of_the_package():
+    # the CLI runs the library's public pipeline (measure_constants, then
+    # verify_expansion), so a command is the library's two steps and needs
+    # no private hand-off; this finds underscore-prefixed names in relative
+    # and mtcover from-imports of cli.py
+    path = SRC / "cli.py"
+    found = [f"{path.name}:{node.lineno} {alias.name}"
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.ImportFrom)
+             and (node.level > 0 or (node.module or "").split(".")[0] == "mtcover")
+             for alias in node.names if alias.name.startswith("_")]
+    assert found == []
