@@ -321,9 +321,13 @@ def cmd_seams(cfg: RunConfig, out_path: str | None = None) -> int:
 
 
 def _parse_start(text: str, n: int):
-    parts = [float(p) for p in text.split(",")]
-    if len(parts) != n + 1:
-        raise ConfigError(f"--start needs {n + 1} comma-separated numbers")
+    message = f"--start needs {n + 1} comma-separated finite numbers, got {text!r}"
+    try:
+        parts = [float(p) for p in text.split(",")]
+    except ValueError as exc:
+        raise ConfigError(message) from exc
+    # an infinite or NaN coordinate would spin the chart normalization
+    _require(len(parts) == n + 1 and bool(np.isfinite(parts).all()), message)
     return parts[0], parts[1:]
 
 
@@ -358,6 +362,7 @@ def main(argv=None) -> int:
         elif args.command == "degree":
             code = cmd_degree(cfg, args.out)
         elif args.command == "orbit":
+            _require(args.steps >= 0, f"--steps must be >= 0, got {args.steps}")
             code = cmd_orbit(cfg, _parse_start(args.start, cfg.n),
                              args.steps, args.out)
         else:

@@ -261,18 +261,6 @@ class StageQ(CoveringMapHandle):
         return _identity_frame(t - j, np.asarray(x, dtype=float))
 
 
-class IdentityCovering(CoveringMapHandle):
-    """Identity chart map of a space; used by seam diagnostics."""
-
-    name = "id"
-
-    def __init__(self, space):
-        super().__init__(space, space)
-
-    def frame(self, t, x, side=+1):
-        return _identity_frame(t, np.asarray(x, dtype=float))
-
-
 class CompositeCovering(CoveringMapHandle):
     """Chain of stages applied left to right."""
 

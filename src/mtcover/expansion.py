@@ -4,7 +4,8 @@ All estimates sweep a product grid: an evenly spaced parameter slice set
 on [0,1) times a regular fiber grid.  Within a slice every chart branch is
 fixed, so the sweeps are fully vectorized; slices can run in forked worker
 processes and are reduced in slice order, which keeps results independent
-of the worker count.
+of the worker count.  The per-point linear algebra of every sweep is in
+_small.
 """
 
 from __future__ import annotations
@@ -18,13 +19,14 @@ from functools import cached_property
 
 import numpy as np
 
-from ._small import congruence, entrywise, gram, quadratic, stack, zeros
+from ._small import (bordered, chain_sigma_min, cholesky, congruence, quadratic,
+                     singular_extremes, whitened_min_eig)
 from .coverings import CompositeCovering, build_f, build_qm_only, fiber_alignment_map
 from .errors import (BoundViolation, FinslerDegenerate, MTCoverError, NonFiniteSlice,
                      NotExpanding, UnboundedSelection)
 from .fields import TrigDisplacementField, unit_grid
 from .lifting import tower_from_field
-from .manifolds import MetricG, MTPoint, SourceGram, Tangent, _run_grid, _whitener
+from .manifolds import MetricG, MTPoint, SourceGram, Tangent, _run_grid
 from .torus_maps import (
     StraightLineIsotopy,
     TrigDisplacementMap,
@@ -169,229 +171,6 @@ def _collect(k: int, pid: int, pipe):
             f"sweep worker for slice {k} exited with status {code} without a result"))
 
 
-# ---------------------------------------------------------------------------
-# Small-matrix kernels.  The sweeps batch thousands of n x n fiber blocks
-# and (n+1) x (n+1) chart Jacobians, where a LAPACK call costs more per
-# matrix than the arithmetic.  For fibers of dimension n < 3 these kernels
-# are closed form; from n = 3 up they call LAPACK, and the matrix shape
-# alone decides which path runs.  The products that feed them are in
-# _small.
-
-
-def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """num / den, and 0 where den is 0 (a zero matrix), so NaN only from NaN."""
-    return np.divide(num, den, out=np.zeros_like(num), where=den != 0)
-
-
-def _extremes(a: np.ndarray):
-    """(lam_min, lam_max) of symmetric a, (..., n, n), batched.
-
-    Reads the lower triangle, as eigvalsh does.  For n = 2 the eigenvalue of
-    larger magnitude is (a+c)/2 +- hypot((a-c)/2, b) and the other det / it,
-    so neither is lost to cancellation.
-    """
-    if a.shape[-1] >= 3:
-        ev = np.linalg.eigvalsh(a)
-        return ev[..., 0], ev[..., -1]
-    if a.shape[-1] == 1:
-        return a[..., 0, 0], a[..., 0, 0]
-    p, b, c = a[..., 0, 0], a[..., 1, 0], a[..., 1, 1]
-    mean, rad = 0.5 * (p + c), np.hypot(0.5 * (p - c), b)
-    up = mean >= 0.0
-    big = mean + np.where(up, rad, -rad)
-    small = _ratio(p * c - b * b, big)
-    return np.where(up, small, big), np.where(up, big, small)
-
-
-def _singular_extremes(j: np.ndarray):
-    """(sigma_min, sigma_max) of square j, (..., n, n), batched.
-
-    For n = 2, sigma_max = (hypot(a+d, c-b) + hypot(a-d, b+c)) / 2 from the
-    entries and sigma_min = |det| / sigma_max.  From n = 3 up they are read
-    from the Gram j^T j, which suits the well-conditioned one-step Jacobians
-    this serves.
-    """
-    if j.shape[-1] >= 3:
-        lo, hi = _extremes(gram(j))
-        return np.sqrt(np.maximum(lo, 0.0)), np.sqrt(hi)
-    if j.shape[-1] == 1:
-        return np.abs(j[..., 0, 0]), np.abs(j[..., 0, 0])
-    a, b, c, d = j[..., 0, 0], j[..., 0, 1], j[..., 1, 0], j[..., 1, 1]
-    hi = 0.5 * (np.hypot(a + d, c - b) + np.hypot(a - d, b + c))
-    return _ratio(np.abs(a * d - b * c), hi), hi
-
-
-def _deflated_max(g: np.ndarray, low: np.ndarray) -> np.ndarray:
-    """Largest eigenvalue of symmetric g, (points, 3, 3), given its isolated
-    smallest one, low: the eigenvector v of low, a cross product of rows of
-    g - low I, deflates g to its 2 x 2 compression on the plane orthogonal
-    to v, where the 2 x 2 closed form holds."""
-    h = g - low[:, None, None] * np.eye(3)
-    cands = np.stack([np.cross(h[:, 0], h[:, 1]), np.cross(h[:, 0], h[:, 2]),
-                      np.cross(h[:, 1], h[:, 2])], axis=1)
-    sq = np.einsum("pij,pij->pi", cands, cands)
-    best = sq.argmax(1)
-    v = cands[np.arange(len(g)), best] / np.sqrt(sq[np.arange(len(g)), best])[:, None]
-    # rows 1 and 2 of the Householder reflector taking v to -+e_0: an
-    # orthonormal basis of the plane orthogonal to v
-    w = v.copy()
-    w[:, 0] += np.copysign(1.0, v[:, 0])
-    basis = np.eye(3)[1:] - w[:, 1:, None] * w[:, None, :] / (1.0 + np.abs(v[:, :1, None]))
-    k = basis @ g @ np.swapaxes(basis, 1, 2)
-    return _extremes(k)[1]
-
-
-def _sym3_max(g: np.ndarray) -> np.ndarray:
-    """Largest eigenvalue of symmetric g, (..., 3, 3), batched, in closed form.
-
-    Reads the lower triangle.  The trigonometric roots of the characteristic
-    cubic give it where it is isolated (r >= 0 below).  Where it nearly meets
-    the middle one the cubic loses half the digits, so there the isolated
-    smallest one deflates g (_deflated_max).
-    """
-    shape, g = g.shape[:-2], g.reshape(-1, 3, 3)
-    g00, g11, g22 = g[:, 0, 0], g[:, 1, 1], g[:, 2, 2]
-    g01, g02, g12 = g[:, 1, 0], g[:, 2, 0], g[:, 2, 1]
-    q = (g00 + g11 + g22) / 3.0
-    d0, d1, d2 = g00 - q, g11 - q, g22 - q
-    p = np.sqrt((d0 * d0 + d1 * d1 + d2 * d2 + 2.0 * (g01 * g01 + g02 * g02 + g12 * g12)) / 6.0)
-    # r = det((g - q I) / p) / 2 = cos(3 phi)
-    inv = 1.0 / np.where(p > 0.0, p, 1.0)
-    b0, b1, b2, c01, c02, c12 = (x * inv for x in (d0, d1, d2, g01, g02, g12))
-    r = 0.5 * (b0 * (b1 * b2 - c12 * c12) - c01 * (c01 * b2 - c12 * c02)
-               + c02 * (c01 * c12 - b1 * c02))
-    phi = np.arccos(np.clip(r, -1.0, 1.0)) / 3.0
-    top = q + 2.0 * p * np.cos(phi)
-    near = np.flatnonzero(r < 0.0)
-    if near.size:
-        low = q[near] + 2.0 * p[near] * np.cos(phi[near] + 2.0 * np.pi / 3.0)
-        sub = g[near]
-        top[near] = _deflated_max(np.tril(sub) + np.swapaxes(np.tril(sub, -1), 1, 2), low)
-    return top.reshape(shape)
-
-
-def _adj_det(a: np.ndarray):
-    """(adjugate, determinant) of 2 x 2 a, batched."""
-    adj = stack([a[..., 1, 1], -a[..., 0, 1], -a[..., 1, 0], a[..., 0, 0]], (2, 2))
-    # Laplace along row 0: for a chart Jacobian [[slope, 0], [w, v]] this is
-    # slope * v to the last bit
-    return adj, np.einsum("...j,...j->...", a[..., 0, :], adj[..., :, 0])
-
-
-def _chart_adj(fac: np.ndarray):
-    """(adjugate blocks, determinant) of chart factors [[s, 0], [w, V]],
-    (..., 3, 3), as flat component arrays; the top row past s is not read.
-
-    The adjugate is [[det V, 0], [-adj(V) w, s adj(V)]], given by its
-    components (det V, b0, b1, c00, c01, c10, c11), and the determinant is
-    s det V: the cofactors of the 3 x 3 factor, bit for bit.
-    """
-    # views, never a copy (a contiguous copy per factor left about 4 MB more
-    # resident in a benchmark process); an entry-major factor
-    # (StageFrame.matrix, _bordered) gives contiguous rows
-    s, _, _, w0, v00, v01, w1, v10, v11 = fac.reshape(-1, 9).T
-    det_v = v00 * v11 - v01 * v10
-    blocks = (det_v, v01 * w1 - w0 * v11, w0 * v10 - v00 * w1,
-              s * v11, -(s * v01), -(s * v10), s * v00)
-    return blocks, s * det_v
-
-
-def _block_product(x, y):
-    """[[a, 0], [b, C]] [[a', 0], [b', C']] on component tuples
-    (a, b0, b1, c00, c01, c10, c11)."""
-    a, b0, b1, c00, c01, c10, c11 = x
-    a_, e0, e1, d00, d01, d10, d11 = y
-    return (a * a_, b0 * a_ + c00 * e0 + c01 * e1, b1 * a_ + c10 * e0 + c11 * e1,
-            c00 * d00 + c01 * d10, c00 * d01 + c01 * d11,
-            c10 * d00 + c11 * d10, c10 * d01 + c11 * d11)
-
-
-def _block_gram(x) -> np.ndarray:
-    """X^T X of X = [[a, 0], [b, C]] from its components, as (points, 3, 3),
-    entry-major."""
-    a, b0, b1, c00, c01, c10, c11 = x
-    g10, g20, g21 = c00 * b0 + c10 * b1, c01 * b0 + c11 * b1, c01 * c00 + c11 * c10
-    return stack([a * a + b0 * b0 + b1 * b1, g10, g20,
-                  g10, c00 * c00 + c10 * c10, g21,
-                  g20, g21, c01 * c01 + c11 * c11], (3, 3))
-
-
-def _chain_sigma_min(factors) -> np.ndarray:
-    """Smallest singular value of the product F_k ... F_1 of square factors
-    (..., m, m), F_1 first, batched; factors may be a generator, so that
-    only one factor at a time is held.
-
-    Below m = 4 every factor must be chart-shaped, [[s, 0], [w, V]]: its top
-    row past s is taken to be 0 and is not read.  Then sigma_min is |det| /
-    sigma_max(adj), where adj(F_k ... F_1) = adj F_1 ... adj F_k and det are
-    multiplied up factor by factor; at m = 3 the adjugates are multiplied by
-    their blocks (_chart_adj), and the Gram of the last one is formed for
-    _sym3_max.  Each factor is well conditioned, so both keep high relative
-    accuracy however ill conditioned the product, and so does sigma_min; the
-    Gram or the QR SVD of the formed product is accurate only relative to
-    its largest singular value (J. Demmel, K. Veselic, "Jacobi's method is
-    more accurate than QR", SIAM J. Matrix Anal. Appl. 13, 1992).  From
-    m = 4 up it is the LAPACK SVD of the product.
-    """
-    factors = iter(factors)
-    first = next(factors)
-    if first.shape[-1] >= 4:
-        product = first
-        for fac in factors:
-            product = fac @ product
-        return np.linalg.svd(product, compute_uv=False)[..., -1]
-    if first.shape[-1] == 3:
-        adj, det = _chart_adj(first)
-        for fac in factors:
-            fac_adj, fac_det = _chart_adj(fac)
-            adj, det = _block_product(adj, fac_adj), det * fac_det
-        big = np.sqrt(_sym3_max(_block_gram(adj)))
-        return _ratio(np.abs(det), big).reshape(first.shape[:-2])
-    adj, det = _adj_det(first)
-    for fac in factors:
-        fac_adj, fac_det = _adj_det(fac)
-        adj, det = adj @ fac_adj, det * fac_det
-    return _ratio(np.abs(det), _singular_extremes(adj)[1])
-
-
-def _cholesky(m: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of SPD m, (..., n, n), batched.
-
-    Reads the lower triangle.  Below n = 3 it is closed form, l00 = sqrt(a),
-    l10 = b * (1 / l00) and l11 = sqrt(c - l10^2), which is LAPACK's factor
-    bit for bit; from n = 3 up it is LAPACK.  Where m is not positive
-    definite the closed form gives NaN and LAPACK raises; _sweep turns
-    either into NonFiniteSlice.
-    """
-    if m.shape[-1] >= 3:
-        return np.linalg.cholesky(m)
-    low = np.zeros_like(m)
-    low[..., 0, 0] = np.sqrt(m[..., 0, 0])
-    if m.shape[-1] == 2:
-        low[..., 1, 0] = m[..., 1, 0] * (1.0 / low[..., 0, 0])
-        low[..., 1, 1] = np.sqrt(m[..., 1, 1] - low[..., 1, 0] * low[..., 1, 0])
-    return low
-
-
-def _whitened_min_eig(a: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue of W^T a W for symmetric a, batched.
-
-    _small.congruence forms it.  Entry by entry it reads the lower triangle
-    of a and is exactly symmetric; numpy's product is symmetric to rounding
-    only, so that one is symmetrised before _extremes reads its lower
-    triangle.
-    """
-    whitened = congruence(w, a)
-    if not entrywise(w, a):
-        whitened = 0.5 * (whitened + np.swapaxes(whitened, -1, -2))
-    return _extremes(whitened)[0]
-
-
-def generalized_conorm_sq(a: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue of the pencil (a, m) for SPD m, batched."""
-    return _whitened_min_eig(a, _whitener(*np.linalg.eigh(m)))
-
-
 class SliceRecord:
     """One slice t of a cover, pulled back through its frame (slope, w, V).
 
@@ -430,7 +209,7 @@ class SliceRecord:
     def vertical_conorm(self) -> np.ndarray:
         """Vertical expansion of the chart differential at each point of the
         slice, from the metric at the source to the one at the image."""
-        sq = _whitened_min_eig(self.p, self.whitener)
+        sq = whitened_min_eig(self.p, self.whitener)
         return np.sqrt(np.maximum(sq, 0.0))
 
 
@@ -448,13 +227,6 @@ def local_vertical_conorms(cover, metric: MetricG, fiber_res: int, t_res: int,
     slice order."""
     return _sweep(_record_job(cover, metric, fiber_res, lambda rec: rec.vertical_conorm),
                   t_res, threads)
-
-
-def vertical_conorm_min(cover, metric: MetricG, fiber_res: int, t_res: int,
-                        threads: int = 1) -> float:
-    """Min over the grid of the local vertical conorm."""
-    job = _record_job(cover, metric, fiber_res, lambda rec: float(rec.vertical_conorm.min()))
-    return float(_sweep(job, t_res, threads).min())
 
 
 def estimate_metric_equiv(metric: MetricG, fiber_res: int = 64) -> float:
@@ -487,14 +259,14 @@ def estimate_C(tower, fiber_res: int = 64, t_res: int = 32,
     # these one-step Jacobians are well conditioned: closed form below n = 3,
     # the Gram's eigvalsh above, and no SVD either way
     def job(t):
-        return float(_singular_extremes(fh.frame(t, grid, +1).v)[0].min())
+        return float(singular_extremes(fh.frame(t, grid, +1).v)[0].min())
 
     def phi_job(s):
-        return _singular_extremes(phi.jet(s, grid)[1])[0].min()
+        return singular_extremes(phi.jet(s, grid)[1])[0].min()
 
     c_val = float(_sweep(job, t_res, threads, closed=True).min())
     if _bound is None:
-        lo, hi = _singular_extremes(tower.level(0).jacobian(grid))
+        lo, hi = singular_extremes(tower.level(0).jacobian(grid))
         min_h, min_h_inv = float(lo.min()), float(1.0 / hi.max())
         min_phi = float(np.minimum(1.0, _sweep(phi_job, t_res, threads, closed=True).min()))
         _bound = min_h * min_h_inv * min_phi
@@ -506,7 +278,8 @@ def estimate_C(tower, fiber_res: int = 64, t_res: int = 32,
 def estimate_cq(qm, metric: MetricG, fiber_res: int = 64, t_res: int = 32,
                 threads: int = 1) -> float:
     """Min vertical expansion of the base-cover map in the interpolated metric."""
-    return vertical_conorm_min(qm, metric, fiber_res, t_res, threads)
+    job = _record_job(qm, metric, fiber_res, lambda rec: float(rec.vertical_conorm.min()))
+    return float(_sweep(job, t_res, threads).min())
 
 
 def select_k(c_eq: float, c_provider, lam: float, base: int = 3,
@@ -523,7 +296,8 @@ def select_k(c_eq: float, c_provider, lam: float, base: int = 3,
 def verify_vertical_expansion(f, metric: MetricG, fiber_res: int = 64,
                               t_res: int = 32, threads: int = 1) -> float:
     """Measured min of |Df v|_G / |v|_G over vertical tangents on the grid."""
-    return vertical_conorm_min(f, metric, fiber_res, t_res, threads)
+    job = _record_job(f, metric, fiber_res, lambda rec: float(rec.vertical_conorm.min()))
+    return float(_sweep(job, t_res, threads).min())
 
 
 def estimate_K(f, metric: MetricG, fiber_res: int = 64, t_res: int = 32,
@@ -633,15 +407,6 @@ class AdaptedMetric:
         return np.sqrt(np.tensordot(weights, self._squared_chain(t, x, a, u, self.n_steps - 1), 1))
 
 
-def _bordered(x: np.ndarray) -> np.ndarray:
-    """diag(1, x), batched and entry-major: G = diag(1, M) has the factors
-    diag(1, L) of M = L L^T."""
-    out = zeros(x.shape[:-2], (x.shape[-1] + 1,) * 2)
-    out[..., 0, 0] = 1.0
-    out[..., 1:, 1:] = x
-    return out
-
-
 def _chain_factors(f, metric: MetricG, t: float, fr, w_src: np.ndarray, n_steps: int):
     """Factors of the n_steps-step chart Jacobian J at slice t, whitened to
     L_dst^T J W_src, generated first applied first: diag(1, W_src), J_1, ...,
@@ -654,7 +419,7 @@ def _chain_factors(f, metric: MetricG, t: float, fr, w_src: np.ndarray, n_steps:
     product is the smallest n-step expansion from G at the source to G at
     the image.
     """
-    yield _bordered(w_src)
+    yield bordered(w_src)
     for step in range(n_steps):
         if step:
             fr = f.frame(t, x, +1)
@@ -663,15 +428,8 @@ def _chain_factors(f, metric: MetricG, t: float, fr, w_src: np.ndarray, n_steps:
         # coordinates grow until the absolute Newton tolerance falls
         # below their rounding
         t, x = fr.t_out, torus_representative(fr.x_out)
-    l_dst = _cholesky(metric.fiber_gram(t, x))
-    yield _bordered(np.swapaxes(l_dst, -1, -2))
-
-
-def _whitened_factors(f, metric: MetricG, source: SourceGram, t: float, n_steps: int):
-    """_chain_factors at slice t, from a first frame built here on source,
-    the metric's factored Gram."""
-    return _chain_factors(f, metric, t, f.frame(t, source.grid, +1), source.whitener(t),
-                          n_steps)
+    l_dst = cholesky(metric.fiber_gram(t, x))
+    yield bordered(np.swapaxes(l_dst, -1, -2))
 
 
 def _step_count(mu_hat: float, k_eff: float):
@@ -697,11 +455,14 @@ def _step_count(mu_hat: float, k_eff: float):
 def _chain_minimum(f, metric: MetricG, n_steps: int, fiber_res: int, t_res: int,
                    threads: int) -> float:
     """Grid minimum of the n_steps-step expansion of f from G to G, taken
-    factor by factor (_chain_sigma_min)."""
+    factor by factor (chain_sigma_min)."""
     source = metric.source(fiber_res)
 
     def job(t):
-        return _chain_sigma_min(_whitened_factors(f, metric, source, t, n_steps)).min()
+        # the generator alone holds the first frame, so step 2 releases it
+        factors = _chain_factors(f, metric, t, f.frame(t, source.grid, +1),
+                                 source.whitener(t), n_steps)
+        return chain_sigma_min(factors).min()
 
     return float(_sweep(job, t_res, threads).min())
 
@@ -717,7 +478,7 @@ def build_adapted_metric(f, metric: MetricG, mu_hat: float, k_eff: float,
     mu_hat^n > r_plus / r_minus.  The rate is the grid minimum of the full
     n-step expansion, so a single step expands the averaged norm by
     construction wherever the minimum is honest.  That minimum is taken
-    factor by factor (_chain_sigma_min): the Gram pencil of the n-step
+    factor by factor (chain_sigma_min): the Gram pencil of the n-step
     product squares its condition number, which lost the smallest eigenvalue
     on a 1-dimensional fiber.  A mu_hat <= 1 raises FinslerDegenerate and a
     rate <= 1 NotExpanding; verify_expansion reports both as failed checks.
@@ -842,7 +603,7 @@ def verify_expansion(constants: ConstantsReport, k: int, f, metric: MetricG, m: 
         # freed first
         factors = _chain_factors(f, metric, t, rec.frame, rec.whitener, n_guess)
         del rec
-        return margin, mu_t, _chain_sigma_min(factors).min()
+        return margin, mu_t, chain_sigma_min(factors).min()
 
     margin, mu, worst = _sweep(job, t_res, threads).min(axis=0).tolist()
     n_steps = rate = None

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._small import batched
+from ._small import batched, singular_extremes
 from .errors import DimensionMismatch, UnsupportedForm
 
 SIN = 0
@@ -244,7 +244,7 @@ def jacobian_sup_norm(field: TrigDisplacementField, per_axis: int = 64) -> float
     jac = field.jacobian(grid)
     if jac.size == 0:
         return 0.0
-    return float(np.linalg.norm(jac, ord=2, axis=(-2, -1)).max())
+    return float(singular_extremes(jac)[1].max())
 
 
 def unit_grid(dim: int, per_axis: int) -> np.ndarray:

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._small import entry_major, gram, matmul, matvec
+from ._small import entry_major, gram, matmul, matvec, whitener
 from .errors import DimensionMismatch, NonFiniteSlice, UnsupportedForm
 from .fields import unit_grid
 from .torus_maps import TorusMapHandle, torus_representative
@@ -231,11 +231,6 @@ def _run_grid(grid: np.ndarray) -> np.ndarray:
     return grid
 
 
-def _whitener(eigvals: np.ndarray, eigvecs: np.ndarray) -> np.ndarray:
-    """W = Q diag(eigvals)^(-1/2), so W^T M W = I for M = Q diag(eigvals) Q^T."""
-    return eigvecs / np.sqrt(eigvals)[..., None, :]
-
-
 class SourceGram:
     """A metric's fiber Gram on a fiber grid, factored once.
 
@@ -265,7 +260,7 @@ class SourceGram:
 
     def whitener(self, t: float) -> np.ndarray:
         lam, q = self.eigh
-        return _whitener((1.0 - t) + t * lam, q)
+        return whitener((1.0 - t) + t * lam, q)
 
 
 class MetricG:
@@ -291,8 +286,8 @@ class MetricG:
         return self._sources[fiber_res]
 
     def fiber_gram(self, t: float, x: np.ndarray) -> np.ndarray:
-        """(1-t) I + t Dh^T Dh at the fiber points x, batched.  Dh^T Dh is
-        _small.gram, the Gram that expansion's kernels form too."""
+        """(1-t) I + t Dh^T Dh at the fiber points x, batched; Dh^T Dh is
+        _small.gram."""
         x = np.asarray(x, dtype=float)
         if not 0.0 <= t <= 1.0:
             raise UnsupportedForm(f"metric chart needs t in [0,1], got {t}")

@@ -376,8 +376,14 @@ def test_orbit_command(tmp_path):
 
 
 def test_orbit_start_validation(tmp_path):
+    # a wrong count, a non-number, a non-finite coordinate (which would
+    # spin the chart normalization) and a negative step count are config
+    # errors, not a failed verification or a numerical failure
     cfg = write_config(tmp_path)
-    assert run(["orbit", "--config", cfg, "--start", "0.1,0.2"]) == 2
+    for flags in (["--start", "0.1,0.2"], ["--start", "0.1,x,0.2"],
+                  ["--start", "inf,0.1,0.2"], ["--start", "0.1,nan,0.2"],
+                  ["--steps", "-2"]):
+        assert run(["orbit", "--config", cfg, *flags]) == 2, flags
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from mtcover.coverings import (
-    IdentityCovering,
     IdentityFrame,
     StageFrame,
     StageP,
+    StageQ,
     build_stage_inventory,
     differential,
     fiber_alignment_map,
@@ -180,8 +180,9 @@ def test_pushforward_chart_independence(inventory, shear_map, rng):
 # Induced lattice maps
 
 def test_pi1_linear_parts(inventory, shear_map):
+    # on a one-segment torus StageQ(space, space) is the identity chart map
     space = mapping_torus(shear_map)
-    assert np.array_equal(pi1_linear_part(IdentityCovering(space)), np.eye(3, dtype=int))
+    assert np.array_equal(pi1_linear_part(StageQ(space, space)), np.eye(3, dtype=int))
     assert np.array_equal(pi1_linear_part(inventory["pk"]), np.diag([1, 3, 3]))
     assert np.array_equal(pi1_linear_part(inventory["qm"]), np.diag([3, 1, 1]))
     assert np.array_equal(pi1_linear_part(inventory["f"]), np.diag([3, 3, 3]))

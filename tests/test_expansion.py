@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from mtcover._small import matvec
+from mtcover._small import matvec, whitened_min_eig, whitener
 from mtcover.coverings import (
     CompositeCovering,
     build_f,
@@ -34,8 +34,8 @@ from mtcover.errors import (
 )
 from mtcover.expansion import (
     SliceRecord,
+    _chain_factors,
     _finsler_gain,
-    _whitened_factors,
     build_adapted_metric,
     default_psi,
     estimate_C,
@@ -43,14 +43,12 @@ from mtcover.expansion import (
     estimate_cq,
     estimate_metric_equiv,
     finsler_norm,
-    generalized_conorm_sq,
     measure_constants,
     run_pipeline,
     select_k,
     verify_expansion,
     verify_finsler_expansion,
     verify_vertical_expansion,
-    vertical_conorm_min,
 )
 from mtcover.fields import TrigDisplacementField, shear_field, unit_grid
 from mtcover.lifting import tower_from_field
@@ -111,6 +109,13 @@ def adapted(f_k2, metric):
 
 # ---------------------------------------------------------------------------
 # Generalized conorm
+
+
+def generalized_conorm_sq(a, m):
+    """Smallest eigenvalue of the pencil (a, m) for SPD m, batched, by the
+    sweeps' kernels: whitened by a fresh eigh of m, as SourceGram does."""
+    return whitened_min_eig(a, whitener(*np.linalg.eigh(m)))
+
 
 def test_generalized_conorm_identity_pencil(rng):
     a = rng.standard_normal((2, 2))
@@ -203,7 +208,7 @@ def test_vertical_sweep_factors_the_source_gram_once(f_k2, shear_map, monkeypatc
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
-    vertical_conorm_min(f_k2, metric, 8, 4)
+    verify_vertical_expansion(f_k2, metric, 8, 4)
     assert counts == {"cholesky": 0, "solve": 0, "eigh": 1}
 
 
@@ -612,8 +617,8 @@ def test_coupling_rerun_is_bitwise(f_k2, metric):
 def test_threaded_sweeps_are_bitwise(f_k2, metric, tower2):
     # every sweep reduces one array kept in slice order, so the thread
     # count cannot change a result, not even in its last bit
-    assert (vertical_conorm_min(f_k2, metric, 16, 8)
-            == vertical_conorm_min(f_k2, metric, 16, 8, threads=4))
+    assert (verify_vertical_expansion(f_k2, metric, 16, 8)
+            == verify_vertical_expansion(f_k2, metric, 16, 8, threads=4))
     assert estimate_C(tower2, 16, 8) == estimate_C(tower2, 16, 8, threads=3)
     assert estimate_K(f_k2, metric, 16, 8) == estimate_K(f_k2, metric, 16, 8, threads=3)
     _, k_eff = estimate_K(f_k2, metric, 16, 8)
@@ -968,7 +973,7 @@ def test_verify_expansion_reports_an_adapted_rate_at_most_one(shear_measured, mo
     # adapted_rate_above_one only, where a standalone adapted sweep raises
     constants, k, f, metric = shear_measured
     measured = verify_expansion(constants, k, f, metric, 1)
-    monkeypatch.setattr(mtcover.expansion, "_chain_sigma_min", lambda factors: np.array([0.81]))
+    monkeypatch.setattr(mtcover.expansion, "chain_sigma_min", lambda factors: np.array([0.81]))
     report = verify_expansion(constants, k, f, metric, 1)
     assert report.adapted_steps == measured.adapted_steps
     assert report.adapted_rate == 0.81 ** (1.0 / measured.adapted_steps)
@@ -1211,7 +1216,8 @@ def test_adapted_rate_whitens_fiber_blocks_only(name, shear, mixed):
         assert adapted.n_steps == n_steps
         assert_allclose(adapted.rate, full_gram_rate(f, metric, n_steps, 8, 4), rtol=1e-14)
         for t in np.arange(4) / 4:
-            factors = iter(_whitened_factors(f, metric, source, t, n_steps))
+            factors = _chain_factors(f, metric, t, f.frame(t, source.grid, +1),
+                                     source.whitener(t), n_steps)
             product = next(factors)
             for factor in factors:
                 product = factor @ product

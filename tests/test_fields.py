@@ -169,6 +169,18 @@ def test_jacobian_sup_norm_shear():
     assert_allclose(jacobian_sup_norm(shear_field(EPS)), 0.2 * np.pi, atol=1e-12)
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_jacobian_sup_norm_is_the_max_spectral_norm(rng, dim):
+    # sigma_max of the closed-form kernels (from the Gram at n = 3) against
+    # LAPACK's spectral norm at every grid point
+    per_axis = 64 if dim < 3 else 12
+    for _ in range(3):
+        field = random_field(rng, dim=dim, n_terms=3, max_freq=3)
+        jac = field.jacobian(unit_grid(dim, per_axis))
+        expected = np.linalg.norm(jac, ord=2, axis=(-2, -1)).max()
+        assert_allclose(jacobian_sup_norm(field, per_axis), expected, rtol=1e-14)
+
+
 def test_batched_evaluation_matches_pointwise(rng):
     v = random_field(rng)
     pts = rng.uniform(0, 1, (7, 5, 2))

@@ -1,5 +1,5 @@
-"""The closed-form small-matrix kernels of mtcover.expansion against LAPACK
-and a 40-digit SVD."""
+"""The per-point kernels of mtcover._small: spectral kernels against LAPACK
+and a 40-digit SVD, products against numpy and the exact product."""
 
 import json
 
@@ -8,22 +8,30 @@ import pytest
 from numpy.testing import assert_allclose
 
 from mtcover import _small
-from mtcover._small import (batched, congruence, entry_major, gram, matmul, matvec, quadratic,
-                            stack, zeros)
-from mtcover.cli import main
-from mtcover.errors import NonFiniteSlice
-from mtcover.expansion import (
+from mtcover._small import (
     _adj_det,
     _block_gram,
-    _bordered,
-    _chain_sigma_min,
-    _cholesky,
-    _extremes,
-    _singular_extremes,
-    _sweep,
-    _sym3_max,
-    _whitened_min_eig,
+    batched,
+    bordered,
+    chain_sigma_min,
+    cholesky,
+    congruence,
+    entry_major,
+    extremes,
+    gram,
+    matmul,
+    matvec,
+    quadratic,
+    singular_extremes,
+    stack,
+    sym3_max,
+    whitened_min_eig,
+    whitener,
+    zeros,
 )
+from mtcover.cli import main
+from mtcover.errors import NonFiniteSlice
+from mtcover.expansion import _sweep
 
 
 EPS = np.finfo(float).eps
@@ -41,7 +49,7 @@ def test_closed_form_2x2_eigenvalues_match_eigvalsh(rng, scale):
     for a in (s + np.swapaxes(s, 1, 2),                          # indefinite
               np.swapaxes(s, 1, 2) @ s,                          # PSD, some nearly singular
               -(np.swapaxes(s, 1, 2) @ s) - scale * scale * np.eye(2)):  # negative definite
-        lo, hi = _extremes(a)
+        lo, hi = extremes(a)
         ev = np.linalg.eigvalsh(a)
         norm = np.abs(ev).max(axis=1)
         assert np.all(np.abs(lo - ev[:, 0]) <= ULPS * norm)
@@ -50,7 +58,7 @@ def test_closed_form_2x2_eigenvalues_match_eigvalsh(rng, scale):
 
 def test_closed_form_2x2_singular_values_match_svd(rng):
     j = rng.standard_normal((4096, 2, 2)) * np.exp(rng.uniform(-5, 5, (4096, 1, 1)))
-    lo, hi = _singular_extremes(j)
+    lo, hi = singular_extremes(j)
     sv = np.linalg.svd(j, compute_uv=False)
     assert_allclose(hi, sv[:, 0], rtol=ULPS)
     assert np.all(np.abs(lo - sv[:, 1]) <= ULPS * sv[:, 0])
@@ -59,7 +67,7 @@ def test_closed_form_2x2_singular_values_match_svd(rng):
 def test_closed_form_3x3_top_eigenvalue_matches_eigvalsh(rng):
     m = rng.standard_normal((4096, 3, 3)) * np.exp(rng.uniform(-4, 4, (4096, 1, 3)))
     g = np.swapaxes(m, 1, 2) @ m
-    assert_allclose(_sym3_max(g), np.linalg.eigvalsh(g)[:, -1], rtol=2e-15)
+    assert_allclose(sym3_max(g), np.linalg.eigvalsh(g)[:, -1], rtol=2e-15)
 
 
 @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
@@ -71,10 +79,10 @@ def test_cholesky_is_lapacks_factor_bit_for_bit(rng, n, scale):
         q = _orthogonal(rng, n, (4096,))
         spec = np.exp(rng.uniform(0.0, np.log(cond), (4096, 1, n)))
         m = scale * (q * spec) @ np.swapaxes(q, 1, 2)
-        assert np.array_equal(_cholesky(m), np.linalg.cholesky(m))
+        assert np.array_equal(cholesky(m), np.linalg.cholesky(m))
     s = rng.standard_normal((4096, n, n))
     m = scale * (gram(s) + 0.1 * np.eye(n))
-    assert np.array_equal(_cholesky(m), np.linalg.cholesky(m))
+    assert np.array_equal(cholesky(m), np.linalg.cholesky(m))
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -94,18 +102,18 @@ def test_gram_is_the_plain_product_bit_for_bit(rng, n):
 def test_kernel_edge_cases(n):
     # a zero matrix gives 0, not NaN
     zero = np.zeros((3, n, n))
-    for value in (*_extremes(zero), *_singular_extremes(zero)):
+    for value in (*extremes(zero), *singular_extremes(zero)):
         assert np.array_equal(value, np.zeros(3))
     # diagonal input (b = 0) and equal eigenvalues
     diag = np.zeros((3, n, n))
     diag[:, range(n), range(n)] = [[2.0] * n, [-1.0] * n, np.arange(1.0, n + 1)]
-    assert_allclose(np.stack(_extremes(diag), 1), [[2.0, 2.0], [-1.0, -1.0], [1.0, n]],
+    assert_allclose(np.stack(extremes(diag), 1), [[2.0, 2.0], [-1.0, -1.0], [1.0, n]],
                     rtol=1e-15)
-    assert_allclose(np.stack(_singular_extremes(diag), 1), [[2.0, 2.0], [1.0, 1.0], [1.0, n]],
+    assert_allclose(np.stack(singular_extremes(diag), 1), [[2.0, 2.0], [1.0, 1.0], [1.0, n]],
                     rtol=1e-15)
     if n == 3:
-        assert_allclose(_sym3_max(diag), [2.0, -1.0, 3.0], rtol=1e-15)
-        assert _sym3_max(zero).tolist() == [0.0] * 3
+        assert_allclose(sym3_max(diag), [2.0, -1.0, 3.0], rtol=1e-15)
+        assert sym3_max(zero).tolist() == [0.0] * 3
 
 
 def test_sym3_max_where_the_top_pair_meets(rng):
@@ -113,7 +121,7 @@ def test_sym3_max_where_the_top_pair_meets(rng):
     q = _orthogonal(rng, 3, (64,))
     for spec in ([4.0, 4.0, 1.0], [1.0 + 1e-9, 1.0, 0.25], [9.0, 9.0, 9.0 - 1e-7]):
         g = q @ (np.array(spec)[:, None] * np.swapaxes(q, 1, 2))
-        assert_allclose(_sym3_max(g), max(spec), rtol=1e-15)
+        assert_allclose(sym3_max(g), max(spec), rtol=1e-15)
 
 
 def _chart_factors(rng, n, size):
@@ -129,10 +137,10 @@ def test_nan_chain_ends_in_a_typed_error(n, rng):
     factor = _chart_factors(rng, n, (4,))
     broken = factor.copy()
     broken[2, 1, 0] = np.nan
-    values = _chain_sigma_min([factor, broken])
+    values = chain_sigma_min([factor, broken])
     assert np.isnan(values[2]) and np.isfinite(np.delete(values, 2)).all()
     with pytest.raises(NonFiniteSlice, match=r"t=0\.5\b"):
-        _sweep(lambda t: _chain_sigma_min([factor, broken if t else factor]).min(), 2, 1)
+        _sweep(lambda t: chain_sigma_min([factor, broken if t else factor]).min(), 2, 1)
 
 
 def _cofactors(a):
@@ -155,8 +163,8 @@ def test_block_chain_is_the_cofactor_chain(rng):
         for factor in chain[1:]:
             fac_adj, fac_det = _cofactors(factor)
             adj, det = adj @ fac_adj, det * fac_det
-        expected = np.abs(det) / np.sqrt(_sym3_max(gram(adj)))
-        assert_allclose(_chain_sigma_min(chain), expected, rtol=1e-14)
+        expected = np.abs(det) / np.sqrt(sym3_max(gram(adj)))
+        assert_allclose(chain_sigma_min(chain), expected, rtol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +215,7 @@ def _formed_adjugate_sigma_min(chain):
     product = np.linalg.multi_dot(chain[::-1])[None]
     adj, _ = _cofactors(product)
     det = np.prod([_cofactors(factor[None])[1] for factor in chain])
-    return abs(det) / np.sqrt(_sym3_max(np.swapaxes(adj, 1, 2) @ adj))[0]
+    return abs(det) / np.sqrt(sym3_max(np.swapaxes(adj, 1, 2) @ adj))[0]
 
 
 def test_chain_sigma_min_keeps_relative_accuracy(rng):
@@ -221,7 +229,7 @@ def test_chain_sigma_min_keeps_relative_accuracy(rng):
                 exact = mpmath.matrix(factor.tolist()) * exact
             sv = mpmath.svd_r(exact, compute_uv=False)
             lo, hi = min(sv), max(sv)
-            got = _chain_sigma_min([factor[None] for factor in chain])[0]
+            got = chain_sigma_min([factor[None] for factor in chain])[0]
             product = np.linalg.multi_dot(chain[::-1])
             gram = np.sqrt(max(np.linalg.eigvalsh(product.T @ product)[0], 0.0))
             kappa = max(kappa, float(hi / lo))
@@ -414,21 +422,24 @@ def _spd(rng, n, size):
 
 def _layout_cases(rng, n, size):
     """(name, kernel, operands, entry axes of each operand) for every
-    _small product and the expansion kernels they feed."""
+    _small kernel that takes blocks; sym3_max only at n = 3."""
     cases = [(name, KERNELS[name], _operands(rng, name, size, n),
               {"matvec": (2, 1), "quadratic": (1, 2)}.get(name, (2, 2)))
              for name in sorted(KERNELS)]
     sym = _operands(rng, "congruence", size, n)[1]
     square, spd = rng.standard_normal((size, n, n)), _spd(rng, n, size)
-    whitener = np.linalg.cholesky(np.linalg.inv(_spd(rng, n, size)))
+    w_src = np.linalg.cholesky(np.linalg.inv(_spd(rng, n, size)))
     chain = [_chart_factors(rng, n, (size,)) for _ in range(3)]
     cases += [
-        ("_extremes", lambda a: np.stack(_extremes(a)), (sym,), (2,)),
-        ("_singular_extremes", lambda j: np.stack(_singular_extremes(j)), (square,), (2,)),
-        ("_cholesky", _cholesky, (spd,), (2,)),
-        ("_whitened_min_eig", _whitened_min_eig, (sym, whitener), (2, 2)),
-        ("_chain_sigma_min", lambda *f: _chain_sigma_min(list(f)), chain, (2, 2, 2)),
+        ("extremes", lambda a: np.stack(extremes(a)), (sym,), (2,)),
+        ("singular_extremes", lambda j: np.stack(singular_extremes(j)), (square,), (2,)),
+        ("cholesky", cholesky, (spd,), (2,)),
+        ("whitened_min_eig", whitened_min_eig, (sym, w_src), (2, 2)),
+        ("whitener", whitener, np.linalg.eigh(spd), (1, 2)),
+        ("chain_sigma_min", lambda *f: chain_sigma_min(list(f)), chain, (2, 2, 2)),
     ]
+    if n == 3:
+        cases.append(("sym3_max", sym3_max, (sym,), (2,)))
     return cases
 
 
@@ -492,7 +503,7 @@ def test_expansion_blocks_are_entry_major(rng):
     x[:, 0, 0], x[:, 1, 0], x[:, 2, 0] = comps[:3]
     x[:, 1:, 1:] = np.stack(comps[3:], -1).reshape(64, 2, 2)
     assert_allclose(g, np.swapaxes(x, 1, 2) @ x, rtol=1e-14, atol=1e-14)
-    out = _bordered(a)
+    out = bordered(a)
     assert np.array_equal(out[:, 1:, 1:], a) and np.array_equal(out[:, 0], [[1.0, 0.0, 0.0]] * 64)
     for block in (adj, g, out):
         assert _entries_contiguous(block, 2)

@@ -51,3 +51,64 @@ def test_the_cli_imports_no_private_name_of_the_package():
              and (node.level > 0 or (node.module or "").split(".")[0] == "mtcover")
              for alias in node.names if alias.name.startswith("_")]
     assert found == []
+
+
+def _tree(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _from_small(node) -> bool:
+    """True for a from-import of the _small module, relative or absolute."""
+    return isinstance(node, ast.ImportFrom) and (
+        (node.level == 1 and node.module == "_small") or node.module == "mtcover._small")
+
+
+def test_small_imports_nothing_from_the_package():
+    # _small is the bottom layer: every module may use its kernels, and it
+    # is numpy only
+    path = SRC / "_small.py"
+    found = [f"{path.name}:{node.lineno}" for node in ast.walk(_tree(path))
+             if (isinstance(node, ast.ImportFrom)
+                 and (node.level > 0 or (node.module or "").split(".")[0] == "mtcover"))
+             or (isinstance(node, ast.Import)
+                 and any(alias.name.split(".")[0] == "mtcover" for alias in node.names))]
+    assert found == []
+
+
+def test_no_module_imports_a_private_name_of_small():
+    # the path rules (the batch crossover, the closed-form dimensions) stay
+    # inside _small, so no caller learns which path a kernel took
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "_small.py":
+            continue
+        for node in ast.walk(_tree(path)):
+            if _from_small(node):
+                found += [f"{path.name}:{node.lineno} {alias.name}"
+                          for alias in node.names if alias.name.startswith("_")]
+            elif (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                  and isinstance(node.value, ast.Name) and node.value.id == "_small"):
+                found.append(f"{path.name}:{node.lineno} _small.{node.attr}")
+    assert found == []
+
+
+_SMALL_ONLY = {"eigvalsh", "svd", "cholesky"}
+
+
+def test_only_small_calls_the_per_point_factorizations():
+    # every per-point eigenvalue, singular value and Cholesky factor goes
+    # through _small's kernels, which run closed form where they can; this
+    # finds linalg.<name> references and from-imports of numpy.linalg
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "_small.py":
+            continue
+        for node in ast.walk(_tree(path)):
+            if (isinstance(node, ast.Attribute) and node.attr in _SMALL_ONLY
+                    and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"):
+                found.append(f"{path.name}:{node.lineno} linalg.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
+                found += [f"{path.name}:{node.lineno} {alias.name}"
+                          for alias in node.names if alias.name in _SMALL_ONLY]
+    assert len(list(SRC.glob("*.py"))) >= 10
+    assert found == []
