@@ -230,39 +230,30 @@ def _stage_inventory(cfg: RunConfig) -> dict:
 # Commands
 
 
-def cmd_constants(cfg: RunConfig, out_path: str | None = None) -> int:
+def cmd_measure(cfg: RunConfig, out_path: str | None = None, verify: bool = False) -> int:
+    """The constants command, or with verify the verify command: the
+    library's measure_constants, then verify_expansion; f and metric are
+    kept for the CSV dump."""
     constants, k, f, metric = measure_constants(cfg.displacement_field(), cfg.m,
                                                 **_stage_args(cfg))
+    if verify:
+        report = verify_expansion(constants, k, f, metric, cfg.m, nu_target=cfg.nu_target,
+                                  threads=cfg.threads)
+        block, passed = constants, report.passed
+    else:
+        # with no expansion report to hold it, k goes in the constants block
+        report, block, passed = None, dict(dataclasses.asdict(constants), k=k), True
     doc = {
         "config_echo": cfg.echo(),
-        "constants": dict(dataclasses.asdict(constants), k=k),
-        "expansion": None,
-        "timings": _work_counters(cfg),
-        "pass": True,
-    }
-    emit_json(doc, out_path)
-    if cfg.csv_out:
-        _dump_conorm_csv(cfg, f, metric)
-    return 0
-
-
-def cmd_verify(cfg: RunConfig, out_path: str | None = None) -> int:
-    # the two steps of run_pipeline; f and metric are kept for the CSV dump
-    constants, k, f, metric = measure_constants(cfg.displacement_field(), cfg.m,
-                                                **_stage_args(cfg))
-    report = verify_expansion(constants, k, f, metric, cfg.m, nu_target=cfg.nu_target,
-                              threads=cfg.threads)
-    doc = {
-        "config_echo": cfg.echo(),
-        "constants": constants,
+        "constants": block,
         "expansion": report,
         "timings": _work_counters(cfg),
-        "pass": report.passed,
+        "pass": passed,
     }
     emit_json(doc, out_path)
     if cfg.csv_out:
         _dump_conorm_csv(cfg, f, metric)
-    return 0 if report.passed else 1
+    return 0 if passed else 1
 
 
 def cmd_degree(cfg: RunConfig, out_path: str | None = None) -> int:
@@ -344,8 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--threads", type=int, default=None)
         p.add_argument("--seed", type=int, default=None)
         if name == "orbit":
-            p.add_argument("--start", default="0.1,0.1,0.1",
-                           help="comma-separated t,x_1,...,x_n")
+            p.add_argument("--start", default=None,
+                           help="comma-separated t,x_1,...,x_n (default 0.1 for each)")
             p.add_argument("--steps", type=int, default=3)
     return parser
 
@@ -355,16 +346,14 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         cfg = load_config(args.config, threads=args.threads, seed=args.seed)
-        if args.command == "constants":
-            code = cmd_constants(cfg, args.out)
-        elif args.command == "verify":
-            code = cmd_verify(cfg, args.out)
+        if args.command in ("constants", "verify"):
+            code = cmd_measure(cfg, args.out, verify=args.command == "verify")
         elif args.command == "degree":
             code = cmd_degree(cfg, args.out)
         elif args.command == "orbit":
             _require(args.steps >= 0, f"--steps must be >= 0, got {args.steps}")
-            code = cmd_orbit(cfg, _parse_start(args.start, cfg.n),
-                             args.steps, args.out)
+            start = args.start or ",".join(["0.1"] * (cfg.n + 1))
+            code = cmd_orbit(cfg, _parse_start(start, cfg.n), args.steps, args.out)
         else:
             code = cmd_seams(cfg, args.out)
     except ConfigError as exc:

@@ -333,12 +333,6 @@ class FiberSlice(TorusMapHandle):
     def describe(self):
         return f"{self.cover.describe()} at t={self.t}"
 
-    def apply(self, x):
-        return self.jet(x)[0]
-
-    def jacobian(self, x):
-        return self.jet(x)[1]
-
 
 # ---------------------------------------------------------------------------
 # Space and map builders
@@ -435,7 +429,7 @@ def pushforward(cover: CoveringMapHandle, p: MTPoint, v: Tangent,
     The input is normalized first (transporting v through any seam
     crossings), so the result does not depend on the chart representative.
     """
-    seg, t, x, (u,) = cover.source.normalize_raw(p.seg, p.t, p.x, (v.u,))
+    seg, t, x, u = cover.source.normalize_raw(p.seg, p.t, p.x, v.u)
     fr = cover.frame(t, x, +1)
     w = Tangent(*fr.push(v.a, u))
     if return_point:

@@ -309,10 +309,15 @@ def estimate_K(f, metric: MetricG, fiber_res: int = 64, t_res: int = 32,
     return k_val, max(k_val, 1.0)
 
 
-def finsler_norm(metric: MetricG, k_eff: float, p: MTPoint, v: Tangent) -> float:
-    """max(|v_fiber|_G / k_eff, |v_base|)."""
+def _check_weight(k_eff: float):
+    """Raise FinslerDegenerate unless the mixed norm's fiber weight is usable."""
     if not np.isfinite(k_eff) or k_eff <= 0.0:
         raise FinslerDegenerate(f"norm weight {k_eff} is unusable")
+
+
+def finsler_norm(metric: MetricG, k_eff: float, p: MTPoint, v: Tangent) -> float:
+    """max(|v_fiber|_G / k_eff, |v_base|)."""
+    _check_weight(k_eff)
     m = metric.fiber_gram(p.t, p.x)
     return max(float(np.sqrt(v.u @ m @ v.u)) / k_eff, abs(v.a))
 
@@ -333,8 +338,7 @@ def _finsler_gain(k_eff: float):
     is at least the case bound min(|s|, vertical margin - 1).  A NaN in r
     or in the conorm reaches _sweep through np.minimum.
     """
-    if not np.isfinite(k_eff) or k_eff <= 0.0:
-        raise FinslerDegenerate(f"norm weight {k_eff} is unusable")
+    _check_weight(k_eff)
 
     def gain(rec: SliceRecord) -> float:
         cone = (rec.vertical_conorm - np.sqrt(rec.r) / k_eff).min()
@@ -394,11 +398,11 @@ class AdaptedMetric:
 
     def chain_norms(self, p: MTPoint, v: Tangent) -> np.ndarray:
         """[|v|_G, |Df v|_G, ..., |Df^n v|_G] along the orbit of p."""
-        _, t, x, (u,) = self.cover.source.normalize_raw(p.seg, p.t, p.x, (v.u,))
+        _, t, x, u = self.cover.source.normalize_raw(p.seg, p.t, p.x, v.u)
         return np.sqrt(self._squared_chain(t, torus_representative(x), v.a, u, self.n_steps))
 
     def norm(self, p: MTPoint, v: Tangent) -> float:
-        _, t, x, (u,) = self.cover.source.normalize_raw(p.seg, p.t, p.x, (v.u,))
+        _, t, x, u = self.cover.source.normalize_raw(p.seg, p.t, p.x, v.u)
         return float(self.norm_batch(t, torus_representative(x), v.a, u))
 
     def norm_batch(self, t: float, x: np.ndarray, a, u: np.ndarray):
@@ -441,8 +445,7 @@ def _step_count(mu_hat: float, k_eff: float):
         raise FinslerDegenerate(
             f"need a contraction constant above 1, got {mu_hat}"
         )
-    if not np.isfinite(k_eff) or k_eff <= 0.0:
-        raise FinslerDegenerate(f"norm weight {k_eff} is unusable")
+    _check_weight(k_eff)
     r_plus = float(np.sqrt(1.0 + k_eff * k_eff))
     r_minus = min(1.0, k_eff)
     ratio = r_plus / r_minus

@@ -48,20 +48,17 @@ class NaturalLiftMap(TorusMapHandle):
         return x + (value - y) / self.base, jac
 
     def apply(self, x):
-        x = np.asarray(x, dtype=float)
-        y = self.base * x
-        return x + (self.inner.apply(y) - y) / self.base
+        return self.jet(x)[0]
 
     def jacobian(self, x):
-        x = np.asarray(x, dtype=float)
-        return self.inner.jacobian(self.base * x)
+        return self.jet(x)[1]
 
     @property
     def degree_matrix(self):
         return np.eye(self.dim, dtype=np.int64)
 
-    def inverse(self, tol=1e-12):
-        return lift_map(self.inner.inverse(tol), self.base)
+    def inverse(self):
+        return lift_map(self.inner.inverse(), self.base)
 
     def describe(self):
         return f"lift_{self.base}({self.inner.describe()})"

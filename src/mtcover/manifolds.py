@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._small import entry_major, gram, matmul, matvec, whitener
+from ._small import entry_major, gram, matvec, whitener
 from .errors import DimensionMismatch, NonFiniteSlice, UnsupportedForm
 from .fields import unit_grid
 from .torus_maps import TorusMapHandle, torus_representative
@@ -92,23 +92,25 @@ class MultiMappingTorus:
             self._inverses[i] = (self.wrap if i < 0 else self.gluings[i]).inverse()
         return self._inverses[i]
 
-    def normalize_raw(self, seg: int, t: float, x: np.ndarray, tangents=()):
+    def normalize_raw(self, seg: int, t: float, x: np.ndarray, u: np.ndarray | None = None):
         """Move a chart representative to canonical form.
 
-        x may be a batch (..., n) sharing the scalar (seg, t); tangents is a
-        sequence of arrays whose leading fiber axes match x with trailing
-        shape (n,) or (n, m); each is transported through every crossing by
-        the gluing Jacobian.  Returns (seg, t, x, tangents).
+        x may be a batch (..., n) sharing the scalar (seg, t); the tangent
+        vector u, if given, is shaped like x and transported through every
+        crossing by the gluing Jacobian.  Returns (seg, t, x, u).
         """
         x = np.asarray(x, dtype=float)
-        tangents = [np.asarray(v, dtype=float) for v in tangents]
+        if u is not None:
+            u = np.asarray(u, dtype=float)
         if not 0 <= seg < self.n_segments:
             raise UnsupportedForm(f"segment {seg} out of range")
-        guard = 0
-        while True:
-            guard += 1
-            if guard > 10000:  # pragma: no cover
-                raise UnsupportedForm("normalization did not terminate")
+        # a parameter that a winding leaves unchanged would never reach the chart
+        if not np.isfinite(t) or t - self.circumference == t:
+            raise UnsupportedForm(f"parameter {t} is too large to normalize")
+        # each pass crosses one seam, so a point w windings from the chart
+        # needs fewer than n_segments * (w + 2) passes
+        passes = self.n_segments * (abs(t - self.boundaries[0]) / self.circumference + 2.0)
+        for _ in range(int(passes)):
             if t >= self.boundaries[seg + 1]:
                 if seg == self.n_segments - 1:
                     handle, seg, t = self.wrap, 0, t - self.circumference
@@ -120,21 +122,13 @@ class MultiMappingTorus:
                 else:
                     handle, seg = self._inverse(seg - 1), seg - 1
             else:
-                return seg, t, x, tangents
-            x, tangents = self._push(handle, x, tangents)
-
-    @staticmethod
-    def _push(handle: TorusMapHandle, x, tangents):
-        if not tangents:
-            return handle.apply(x), tangents
-        y, jac = handle.jet(x)
-        moved = []
-        for v in tangents:
-            if v.shape[-1] == jac.shape[-1] and v.ndim == x.ndim:
-                moved.append(matvec(jac, v))
+                return seg, t, x, u
+            if u is None:
+                x = handle.apply(x)
             else:
-                moved.append(matmul(jac, v))
-        return y, moved
+                x, jac = handle.jet(x)
+                u = matvec(jac, u)
+        raise UnsupportedForm("normalization did not terminate")  # pragma: no cover
 
     def normalize(self, p: MTPoint) -> MTPoint:
         seg, t, x, _ = self.normalize_raw(p.seg, p.t, p.x)

@@ -23,6 +23,8 @@ from .errors import (
 from .fields import TrigDisplacementField, jacobian_norm_bound, jacobian_sup_norm
 
 _COND_LIMIT = 1e12
+_NEWTON_TOL = 1e-12  # residual at which a Newton inverse stops
+_NEWTON_MAX_ITER = 60
 _DIFFEOTOPY_GRID = 64  # grid points per axis of the sampled diffeotopy check
 _DIFFEOTOPY_MARGIN = 1.1  # sup |Dv| times this must stay below 1
 _BRIDGE_START_TOL = 1e-10  # how far bridged paths may differ at s = 0
@@ -39,33 +41,35 @@ def torus_representative(x: np.ndarray) -> np.ndarray:
 class TorusMapHandle:
     """A torus self-map given by a lift.
 
-    jet(x) -> (value, Jacobian) is the primitive: it evaluates the lift and
-    its Jacobian together on arrays of shape (..., n), so a composition tree
-    is walked once per point.  apply and jacobian are views of it, equal to
-    jet(x)[0] and jet(x)[1] bit for bit.  A leaf map may define only
-    apply/jacobian (the default jet calls both); a map built from other maps
-    overrides jet.  Subclasses give the degree matrix and inverse(tol), which
-    is Newton unless an exact identity applies.  Values are lift values (not
-    reduced mod 1); use torus_representative for the canonical point.
+    jet(x) -> (value, Jacobian) is the one evaluation a map implements: it
+    evaluates the lift and its Jacobian together on arrays of shape (..., n),
+    so a composition tree is walked once per point and a Newton inverse
+    checks its conditioning on every read.  apply and jacobian are views of
+    it, jet(x)[0] and jet(x)[1]; the maps that perfbench/tracing.py times
+    restate them in their own class body, since the tracer wraps a class's
+    own methods.  Subclasses give jet, the degree matrix and inverse(),
+    which is Newton unless an exact identity applies.  Values are lift
+    values (not reduced mod 1); use torus_representative for the canonical
+    point.
     """
 
     dim: int
 
     def jet(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return self.apply(x), self.jacobian(x)
+        raise NotImplementedError
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        return self.jet(x)[0]
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        return self.jet(x)[1]
 
     @property
     def degree_matrix(self) -> np.ndarray:
         raise NotImplementedError
 
-    def inverse(self, tol: float = 1e-12) -> TorusMapHandle:
-        return NewtonInverseMap(self, tol=tol)
+    def inverse(self) -> TorusMapHandle:
+        return NewtonInverseMap(self)
 
     def describe(self) -> str:
         return type(self).__name__
@@ -90,16 +94,19 @@ class TrigDisplacementMap(TorusMapHandle):
         return self.jet(x)[0]
 
     def jacobian(self, x):
+        # the one map that keeps a Jacobian-only body: the metric reads its
+        # Grams at image points through it, and there the field's Jacobian
+        # kernel, which skips the values, takes about half the time of a jet
         return _plus_identity(self.field.jacobian(x))
 
     @property
     def degree_matrix(self):
         return np.eye(self.dim, dtype=np.int64)
 
-    def inverse(self, tol=1e-12):
+    def inverse(self):
         if self.field.is_self_invariant():
             return TrigDisplacementMap(self.field.scaled(-1.0))
-        return super().inverse(tol)
+        return super().inverse()
 
     def describe(self):
         return f"id+field[{self.field.n_terms} terms]"
@@ -133,15 +140,18 @@ class HomothetyMap(TorusMapHandle):
         self.dim = dim
         self.factor = factor
 
-    def apply(self, x):
-        return np.asarray(x, dtype=float) * self.factor
-
-    def jacobian(self, x):
+    def jet(self, x):
         x = np.asarray(x, dtype=float)
         jac = zeros(x.shape[:-1], (self.dim, self.dim))
         for i in range(self.dim):
             jac[..., i, i] = self.factor
-        return jac
+        return x * self.factor, jac
+
+    def apply(self, x):
+        return self.jet(x)[0]
+
+    def jacobian(self, x):
+        return self.jet(x)[1]
 
     @property
     def degree_matrix(self):
@@ -167,7 +177,7 @@ class CompositeMap(TorusMapHandle):
         return z, jac_outer @ jac_inner
 
     def apply(self, x):
-        return self.outer.apply(self.inner.apply(x))
+        return self.jet(x)[0]
 
     def jacobian(self, x):
         return self.jet(x)[1]
@@ -176,8 +186,8 @@ class CompositeMap(TorusMapHandle):
     def degree_matrix(self):
         return self.outer.degree_matrix @ self.inner.degree_matrix
 
-    def inverse(self, tol=1e-12):
-        return compose(self.inner.inverse(tol), self.outer.inverse(tol))
+    def inverse(self):
+        return compose(self.inner.inverse(), self.outer.inverse())
 
     def describe(self):
         return f"({self.outer.describe()} o {self.inner.describe()})"
@@ -191,8 +201,8 @@ def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise SingularJacobian(str(exc)) from exc
 
 
-def newton_invert(handle: TorusMapHandle, y: np.ndarray, tol: float = 1e-12,
-                  max_iter: int = 60, x0: np.ndarray | None = None) -> np.ndarray:
+def newton_invert(handle: TorusMapHandle, y: np.ndarray, tol: float = _NEWTON_TOL,
+                  x0: np.ndarray | None = None) -> np.ndarray:
     """Solve handle(x) = y by Newton iteration seeded at x0 (default y).
 
     Valid for maps with identity degree whose displacement Jacobian stays
@@ -203,7 +213,7 @@ def newton_invert(handle: TorusMapHandle, y: np.ndarray, tol: float = 1e-12,
     """
     y = np.asarray(y, dtype=float)
     x = y.copy() if x0 is None else np.asarray(x0, dtype=float)
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_MAX_ITER):
         value, jac = handle.jet(x)
         residual = value - y
         step = _solve(jac, residual[..., None])[..., 0]
@@ -223,15 +233,14 @@ class NewtonInverseMap(TorusMapHandle):
     D(g^-1)(y) = [Dg(g^-1(y))]^-1.
     """
 
-    def __init__(self, inner: TorusMapHandle, tol: float = 1e-12):
+    def __init__(self, inner: TorusMapHandle):
         if not np.array_equal(inner.degree_matrix, np.eye(inner.dim, dtype=np.int64)):
             raise UnsupportedForm("only degree-identity maps are inverted")
         self.inner = inner
         self.dim = inner.dim
-        self.tol = tol
 
     def jet(self, y):
-        x = newton_invert(self.inner, y, tol=self.tol)
+        x = newton_invert(self.inner, y)
         jac = self.inner.jacobian(x)
         inv = _solve(jac, np.broadcast_to(np.eye(self.dim), jac.shape))
         # |J|_F |J^-1|_F >= cond_2(J), so this refuses whatever cond_2 would
@@ -243,7 +252,7 @@ class NewtonInverseMap(TorusMapHandle):
         return x, inv
 
     def apply(self, y):
-        return newton_invert(self.inner, y, tol=self.tol)
+        return self.jet(y)[0]
 
     def jacobian(self, y):
         return self.jet(y)[1]
@@ -252,7 +261,7 @@ class NewtonInverseMap(TorusMapHandle):
     def degree_matrix(self):
         return np.eye(self.dim, dtype=np.int64)
 
-    def inverse(self, tol=1e-12):
+    def inverse(self):
         return self.inner
 
     def describe(self):

@@ -1,11 +1,12 @@
 """The benchmark's report gate, at its tiny sizes.
 
 perfbench/worker.py checks every `verify` and `constants` report it times
-against a stored reference (perfbench/reference/, rtol 1e-12) and counts a
-mismatch as a failed operation.  These tests run the same commands on the
-tiny configs and apply the worker's own check, so a change that moves a
-report past the gate fails here before a benchmark run.  The benchmark's
-files are loaded, never changed.
+against a stored reference (perfbench/reference/, rtol 1e-12), and every
+`degree` report against the covering degree the config implies; it counts
+a failed check as a failed operation.  These tests run the same commands
+on the tiny configs and apply the worker's own check, so a change that
+moves a report past the gate fails here before a benchmark run.  The
+benchmark's files are loaded, never changed.
 """
 
 import glob
@@ -76,3 +77,19 @@ def test_the_gate_rejects_a_report_moved_past_its_tolerance():
     assert WORKER.check_report(command, report, config, cfg, "tiny") is None
     report["constants"]["c_q"] *= 1.0 + 1e-11
     assert WORKER.check_report(command, report, config, cfg, "tiny") is not None
+
+
+def test_tiny_degree_passes_the_benchmark_gate(tmp_path):
+    # the benchmark's degree command has no stored report: the worker checks
+    # the preimage count, the lattice map and the separation instead
+    config = "shear-k2"
+    assert (config, "degree", 1) in WORKER.workloads.WORKLOADS["newton-pointwise"]
+    path = WORKER.workloads.write_config(config, "tiny", SEED, str(tmp_path))
+    with open(path) as fh:
+        cfg = json.load(fh)
+    out = tmp_path / "degree.json"
+    assert main(["degree", "--config", path, "--threads", "1", "--out", str(out)]) == 0
+    report = json.loads(out.read_bytes())
+    assert WORKER.check_report("degree", report, config, cfg, "tiny") is None
+    report["degree"]["preimage_count"] -= 1
+    assert WORKER.check_report("degree", report, config, cfg, "tiny") is not None

@@ -386,6 +386,35 @@ def test_orbit_start_validation(tmp_path):
         assert run(["orbit", "--config", cfg, *flags]) == 2, flags
 
 
+def test_orbit_default_start_fits_the_dimension(tmp_path):
+    # the default start is 0.1 for t and for each of the n fiber coordinates
+    for n in (1, 3):
+        term = {"coeff": [1.0] + [0.0] * (n - 1), "freq": [0] * (n - 1) + [1],
+                "phase": "sin"}
+        cfg = write_config(tmp_path, n=n, field=[term], eps=0.05, fiber_res=4,
+                           t_res=4)
+        out = tmp_path / f"orbit-{n}.csv"
+        assert run(["orbit", "--config", cfg, "--steps", "1", "--out", str(out)]) == 0, n
+        lines = out.read_text().splitlines()
+        assert lines[0] == "t," + ",".join(f"x_{i + 1}" for i in range(n))
+        assert [float(v) for v in lines[1].split(",")] == [0.1] * (n + 1)
+        assert len(lines) == 3
+
+
+def test_orbit_starts_many_windings_from_the_chart(tmp_path):
+    # normalizing t = 20000 crosses the wrap 20000 times; the guard on
+    # those passes scales with the windings, so this is no failure
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    cfg = os.path.join(root, "configs", "shear.json")
+    out = tmp_path / "orbit.csv"
+    assert run(["orbit", "--config", cfg, "--start", "20000,0.1,0.2", "--steps", "1",
+                "--out", str(out)]) == 0
+    first = [float(v) for v in out.read_text().splitlines()[1].split(",")]
+    assert all(0.0 <= v < 1.0 for v in first)
+    # a start that a winding leaves unchanged is refused, not spun on
+    assert run(["orbit", "--config", cfg, "--start", "1e300,0.1,0.2"]) == 3
+
+
 # ---------------------------------------------------------------------------
 # seams
 

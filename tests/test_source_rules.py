@@ -112,3 +112,48 @@ def test_only_small_calls_the_per_point_factorizations():
                           for alias in node.names if alias.name in _SMALL_ONLY]
     assert len(list(SRC.glob("*.py"))) >= 10
     assert found == []
+
+
+_VIEWS = {"apply": 0, "jacobian": 1}
+# The one evaluation body besides jet: the metric reads its Grams at image
+# points through TrigDisplacementMap.jacobian, and the field's Jacobian-only
+# kernel skips the values that a jet would also compute.
+_OWN_BODIES = {("TrigDisplacementMap", "jacobian")}
+
+
+def _is_jet_view(fn: ast.FunctionDef, index: int) -> bool:
+    """True for `def view(self, x): return self.jet(x)[index]`."""
+    args = [a.arg for a in fn.args.args]
+    return (len(args) == 2 and len(fn.body) == 1 and isinstance(fn.body[0], ast.Return)
+            and ast.unparse(fn.body[0].value) == f"{args[0]}.jet({args[1]})[{index}]")
+
+
+def test_every_torus_map_is_evaluated_through_its_jet():
+    # jet is the one evaluation a torus map implements, so a Newton inverse
+    # checks its conditioning on every read and a composite walks its tree
+    # once; apply and jacobian, wherever a class defines them, are views
+    classes = {node.name: (path.name, node)
+               for path in sorted(SRC.glob("*.py"))
+               for node in ast.walk(_tree(path)) if isinstance(node, ast.ClassDef)}
+    maps = {"TorusMapHandle"}
+    while True:
+        subclasses = {name for name, (_, node) in classes.items()
+                      if any(ast.unparse(base).split(".")[-1] in maps for base in node.bases)}
+        if subclasses <= maps:
+            break
+        maps |= subclasses
+    found = []
+    for name in sorted(maps):
+        module, node = classes[name]
+        methods = {fn.name: fn for fn in node.body if isinstance(fn, ast.FunctionDef)}
+        if "jet" not in methods:
+            found.append(f"{module} {name} defines no jet")
+        for view, index in _VIEWS.items():
+            if (view in methods and (name, view) not in _OWN_BODIES
+                    and not _is_jet_view(methods[view], index)):
+                found.append(f"{module}:{methods[view].lineno} {name}.{view} is no view of jet")
+    assert len(maps) >= 7
+    assert found == []
+    # the exception names a body that exists
+    for name, view in _OWN_BODIES:
+        assert view in {fn.name for fn in classes[name][1].body if isinstance(fn, ast.FunctionDef)}

@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from mtcover import torus_maps
+from mtcover.coverings import FiberSlice
 from mtcover.errors import (
     EndpointMismatch,
     NoConvergence,
@@ -11,7 +12,7 @@ from mtcover.errors import (
     UnsupportedForm,
 )
 from mtcover.fields import TrigDisplacementField, shear_field
-from mtcover.lifting import LiftedIsotopy, default_phi1, lift_isotopy
+from mtcover.lifting import LiftedIsotopy, NaturalLiftMap, default_phi1, lift_isotopy, lift_map
 from mtcover.torus_maps import (
     BridgedIsotopy,
     ComposedIsotopy,
@@ -43,18 +44,15 @@ def assert_jet_matches_views(handle, x):
     assert np.array_equal(jac, handle.jacobian(x))
 
 
-class ApplyJacobianOnly(TorusMapHandle):
-    """A leaf map written against apply/jacobian only, without a jet."""
+class JetOnly(TorusMapHandle):
+    """A leaf map that defines only jet, as every map does."""
 
     def __init__(self, inner):
         self.inner = inner
         self.dim = inner.dim
 
-    def apply(self, x):
-        return self.inner.apply(x)
-
-    def jacobian(self, x):
-        return self.inner.jacobian(x)
+    def jet(self, x):
+        return self.inner.jet(x)
 
     @property
     def degree_matrix(self):
@@ -103,22 +101,25 @@ def test_composite_jacobian_matches_finite_differences(rng):
         assert_allclose(g.jacobian(x), np.stack(cols, axis=-1), rtol=1e-6, atol=1e-8)
 
 
-def test_jet_matches_apply_and_jacobian(mixed, rng):
+def test_jet_matches_apply_and_jacobian(mixed, inventory, rng):
     x = rng.uniform(-1, 2, (7, 5, 2))
     plain = TrigDisplacementMap(mixed)
     inv = plain.inverse()
     composite = compose(shear_map(), inv)
+    lifted = lift_map(inv)
+    fiber = inventory["f"].fiber_handle_at(0.3)
     assert isinstance(inv, NewtonInverseMap) and isinstance(composite, CompositeMap)
+    assert isinstance(lifted, NaturalLiftMap) and isinstance(fiber, FiberSlice)
     for handle in (shear_map(), plain, HomothetyMap(2, 3), inv, composite,
-                   compose(inv, composite), composite.inverse()):
+                   compose(inv, composite), composite.inverse(), lifted, fiber):
         assert_jet_matches_views(handle, x)
         assert_jet_matches_views(handle, x[0, 0])
 
 
-def test_apply_jacobian_only_map_composes_and_inverts(mixed, rng):
-    # the default jet serves a leaf that defines only apply and jacobian
+def test_jet_only_map_composes_and_inverts(mixed, rng):
+    # the base class's apply and jacobian serve a leaf that defines only jet
     plain = TrigDisplacementMap(mixed)
-    leaf = ApplyJacobianOnly(plain)
+    leaf = JetOnly(plain)
     x = rng.uniform(0, 1, (40, 2))
     for built, reference in ((leaf.inverse(), plain.inverse()),
                              (compose(shear_map(), leaf), compose(shear_map(), plain)),
@@ -132,40 +133,49 @@ def test_apply_jacobian_only_map_composes_and_inverts(mixed, rng):
     assert_allclose(leaf.inverse()(leaf(x)), x, atol=1e-12)
 
 
-class NearlySingular(TorusMapHandle):
-    """The identity on points, with a Jacobian of condition 1e13."""
+class FalseSlope(TorusMapHandle):
+    """The identity on points, with the constant Jacobian diag(1, slope)."""
 
     dim = 2
+    slope = 1.0
 
-    def apply(self, x):
-        return np.array(x, dtype=float)
-
-    def jacobian(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.broadcast_to(np.diag([1.0, 1e-13]), x.shape + (2,)).copy()
+    def jet(self, x):
+        x = np.array(x, dtype=float)
+        return x, np.broadcast_to(np.diag([1.0, self.slope]), x.shape + (2,)).copy()
 
     @property
     def degree_matrix(self):
         return np.eye(2, dtype=np.int64)
 
 
+class NearlySingular(FalseSlope):
+    """The identity on points, with a Jacobian of condition 1e13."""
+
+    slope = 1e-13
+
+
+class ExactlySingular(FalseSlope):
+    """The identity on points, with a singular Jacobian."""
+
+    slope = 0.0
+
+
+class Reversed(FalseSlope):
+    """The identity on points, with a Jacobian that flips x_2."""
+
+    slope = -1.0
+
+
 def test_newton_inverse_rejects_ill_conditioned_jacobian(rng):
+    # Newton lands on y at once, and each view of the inverse then refuses
+    # the conditioning of the inner Jacobian, as its jet does
     inv = NearlySingular().inverse()
     y = rng.uniform(0, 1, (6, 2))
     assert isinstance(inv, NewtonInverseMap)
-    assert np.array_equal(inv.apply(y), y)  # only the derivative is refused
-    with pytest.raises(SingularJacobian, match="condition .* exceeds 1.0e\\+12"):
-        inv.jacobian(y)
-    with pytest.raises(SingularJacobian, match="condition .* exceeds 1.0e\\+12"):
-        inv.jet(y)
-
-
-class ExactlySingular(NearlySingular):
-    """The identity on points, with a singular Jacobian."""
-
-    def jacobian(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.broadcast_to(np.diag([1.0, 0.0]), x.shape + (2,)).copy()
+    assert np.array_equal(newton_invert(inv.inner, y), y)
+    for read in (inv.apply, inv.jacobian, inv.jet):
+        with pytest.raises(SingularJacobian, match="condition .* exceeds 1.0e\\+12"):
+            read(y)
 
 
 def test_newton_inverse_rejects_singular_jacobian(rng):
@@ -192,8 +202,11 @@ def test_newton_invert_shear_against_oracle(rng):
 
 
 def test_newton_invert_no_convergence():
-    with pytest.raises(NoConvergence):
-        newton_invert(shear_map(), np.array([0.35, 0.25]), tol=1e-15, max_iter=1)
+    # with the Jacobian's sign flipped, each step doubles the distance from
+    # the root, so the iteration runs out of steps
+    y = np.array([0.35, 0.25])
+    with pytest.raises(NoConvergence, match="residual"):
+        newton_invert(Reversed(), y, x0=y + 1e-6)
 
 
 def test_invert_shear_is_exact_displacement(rng):
