@@ -7,6 +7,7 @@ constants, a mixed-norm cone argument, and an averaged adapted metric.
 """
 
 from .coverings import (
+    Preimages,
     build_f,
     build_stage_inventory,
     differential,
@@ -19,6 +20,7 @@ from .expansion import (
     AdaptedMetric,
     ConstantsReport,
     ExpansionReport,
+    Measurement,
     build_adapted_metric,
     default_psi,
     estimate_C,
@@ -27,7 +29,6 @@ from .expansion import (
     estimate_metric_equiv,
     finsler_norm,
     measure_constants,
-    run_pipeline,
     select_k,
     verify_expansion,
     verify_finsler_expansion,

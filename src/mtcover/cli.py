@@ -27,10 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coverings import build_stage_inventory, orbit, pi1_linear_part, preimages
+from .coverings import build_stage_inventory, orbit, preimages
 from .errors import ConfigError, MTCoverError
 from .expansion import default_psi, local_vertical_conorms, measure_constants, verify_expansion
-from .fields import TrigDisplacementField
+from .fields import MAX_FREQ, TrigDisplacementField
 from .lifting import tower_from_field
 from .manifolds import MetricG, MTPoint, check_seams
 
@@ -116,7 +116,7 @@ def _is_finite(val) -> bool:
 
 # integer keys and their least values
 _INT_FLOORS = {"n": 1, "m": 1, "base": 2, "fiber_res": 4, "t_res": 4, "directions": 4,
-               "k_cap": 1}
+               "k_cap": 1, "seed": 0}
 
 
 def _validate(cfg: RunConfig):
@@ -130,7 +130,6 @@ def _validate(cfg: RunConfig):
         val = getattr(cfg, key)
         _require(_is_finite(val) and val > 0,
                  f"{key!r} must be a positive finite number, got {val!r}")
-    _require(_is_int(cfg.seed), f"'seed' must be an integer, got {cfg.seed!r}")
     # open() takes an integer as a file descriptor: true would write to and
     # then close stdout
     _require(cfg.csv_out is None or (isinstance(cfg.csv_out, str) and cfg.csv_out != ""),
@@ -149,8 +148,8 @@ def _validate(cfg: RunConfig):
                  and all(_is_finite(v) for v in term["coeff"]),
                  f"'field' term {i}: 'coeff' must be a list of n={cfg.n} finite numbers")
         _require(isinstance(term["freq"], list) and len(term["freq"]) == cfg.n
-                 and all(_is_int(v) for v in term["freq"]),
-                 f"'field' term {i}: 'freq' must be a list of n={cfg.n} integers")
+                 and all(_is_int(v) and abs(v) <= MAX_FREQ for v in term["freq"]),
+                 f"'field' term {i}: 'freq' must be a list of n={cfg.n} integers in ±2**53")
         _require(term["phase"] in ("sin", "cos"),
                  f"'field' term {i}: 'phase' must be \"sin\" or \"cos\"")
 
@@ -213,12 +212,6 @@ def _dump_conorm_csv(cfg: RunConfig, f, metric: MetricG):
     _csv_rows(rows, header, cfg.csv_out)
 
 
-def _stage_args(cfg: RunConfig) -> dict:
-    """Keyword arguments of measure_constants from the config."""
-    return dict(k=cfg.k, base=cfg.base, fiber_res=cfg.fiber_res, t_res=cfg.t_res,
-                nu_target=cfg.nu_target, k_cap=cfg.k_cap, threads=cfg.threads)
-
-
 def _stage_inventory(cfg: RunConfig) -> dict:
     """Stage maps and composites at depth cfg.k, or 1 when k is null."""
     field = cfg.displacement_field()
@@ -232,17 +225,17 @@ def _stage_inventory(cfg: RunConfig) -> dict:
 
 def cmd_measure(cfg: RunConfig, out_path: str | None = None, verify: bool = False) -> int:
     """The constants command, or with verify the verify command: the
-    library's measure_constants, then verify_expansion; f and metric are
-    kept for the CSV dump."""
-    constants, k, f, metric = measure_constants(cfg.displacement_field(), cfg.m,
-                                                **_stage_args(cfg))
+    library's verify_expansion(measure_constants(...)); the run's f and
+    metric are kept for the CSV dump."""
+    run = measure_constants(cfg.displacement_field(), cfg.m, k=cfg.k, base=cfg.base,
+                            fiber_res=cfg.fiber_res, t_res=cfg.t_res,
+                            nu_target=cfg.nu_target, k_cap=cfg.k_cap, threads=cfg.threads)
     if verify:
-        report = verify_expansion(constants, k, f, metric, cfg.m, nu_target=cfg.nu_target,
-                                  threads=cfg.threads)
-        block, passed = constants, report.passed
+        report = verify_expansion(run)
+        block, passed = run.constants, report.passed
     else:
         # with no expansion report to hold it, k goes in the constants block
-        report, block, passed = None, dict(dataclasses.asdict(constants), k=k), True
+        report, block, passed = None, dict(dataclasses.asdict(run.constants), k=run.k), True
     doc = {
         "config_echo": cfg.echo(),
         "constants": block,
@@ -252,7 +245,7 @@ def cmd_measure(cfg: RunConfig, out_path: str | None = None, verify: bool = Fals
     }
     emit_json(doc, out_path)
     if cfg.csv_out:
-        _dump_conorm_csv(cfg, f, metric)
+        _dump_conorm_csv(cfg, run.f, run.metric)
     return 0 if passed else 1
 
 
@@ -262,16 +255,15 @@ def cmd_degree(cfg: RunConfig, out_path: str | None = None) -> int:
     rng = np.random.default_rng(cfg.seed)
     probe = MTPoint(0, float(rng.uniform(0.05, 0.95)), rng.uniform(0.0, 1.0, cfg.n))
     probe = f.source.normalize(probe)
-    points = preimages(f, probe, newton_tol=cfg.newton_tol)
+    points, linear, min_sep = preimages(f, probe, newton_tol=cfg.newton_tol)
     expected = cfg.base ** (inventory["H"].k * cfg.n) * (2 * cfg.m + 1)
-    min_sep, _, _ = f.source.min_separation(points)
     doc = {
         "config_echo": cfg.echo(),
         "degree": {
             "preimage_count": len(points),
             "expected": expected,
             "min_separation": min_sep,
-            "pi1_linear_part": pi1_linear_part(f).tolist(),
+            "pi1_linear_part": linear.tolist(),
             "probe": [probe.t, *probe.x],
         },
         "timings": _work_counters(cfg),

@@ -37,6 +37,7 @@ from .torus_maps import (
 
 _INTEGRAL_TOL = 1e-8  # how far a slope or translation law may sit from an integer
 _PREIMAGE_TOL = 1e-9  # how far a refined preimage may map from its target
+_DEDUPE_TOL = 1e-6  # two preimages closer than this are one found twice
 
 
 class StageFrame(NamedTuple):
@@ -482,8 +483,15 @@ def pi1_linear_part(cover: CoveringMapHandle) -> np.ndarray:
     return out
 
 
-def preimages(cover: CoveringMapHandle, q: MTPoint, newton_tol: float = 1e-12,
-              dedupe_tol: float = 1e-6):
+class Preimages(NamedTuple):
+    """Sorted preimages, the lattice map that seeded them, their least gap."""
+
+    points: list
+    pi1_linear_part: np.ndarray
+    min_separation: float
+
+
+def preimages(cover: CoveringMapHandle, q: MTPoint, newton_tol: float = 1e-12) -> Preimages:
     """All preimages of q, refined by Newton on the fiber lift.
 
     Requires single-segment source and target charts (the unit mapping
@@ -519,14 +527,14 @@ def preimages(cover: CoveringMapHandle, q: MTPoint, newton_tol: float = 1e-12,
             )
         found.extend(MTPoint(0, t_j, row) for row in branch.x)
     gap, i, j = cover.source.min_separation(found)
-    if gap < dedupe_tol:
+    if gap < _DEDUPE_TOL:
         raise DuplicatePreimage(
-            f"candidates {i} and {j} collapsed within {dedupe_tol}"
+            f"candidates {i} and {j} collapsed within {_DEDUPE_TOL}"
         )
     if len(found) != expected:
         raise MissingPreimage(f"found {len(found)} of {expected} preimages")
     found.sort(key=lambda p: (round(p.t, 12),) + tuple(np.round(p.x, 12)))
-    return found
+    return Preimages(found, linear, gap)
 
 
 def orbit(cover: CoveringMapHandle, p: MTPoint, steps: int):

@@ -530,14 +530,28 @@ class ExpansionReport:
     passed: bool = False
 
 
+@dataclass
+class Measurement:
+    """What measure_constants measured, and the settings it ran with: the
+    one argument of verify_expansion.  f is the composite at depth k, and
+    metric the metric it is measured in, which keeps its factored Gram."""
+
+    constants: ConstantsReport
+    k: int
+    f: CompositeCovering
+    metric: MetricG
+    m: int
+    nu_target: float
+    threads: int
+
+
 def measure_constants(h_field: TrigDisplacementField, m: int, *, k: int | None = None,
                       base: int = 3, fiber_res: int = 64, t_res: int = 32,
-                      nu_target: float = 2.0, k_cap: int = 12, threads: int = 1):
+                      nu_target: float = 2.0, k_cap: int = 12, threads: int = 1) -> Measurement:
     """Measure c_eq and c_q, choose the fiber depth k, then measure C(k) and
     the coupling K of the composite self-cover.
 
-    Returns (ConstantsReport, k, f, metric): f is the composite at depth k
-    and metric the interpolated metric it is measured in.  The metric keeps
+    Returns the Measurement that verify_expansion takes.  The metric keeps
     the Gram factored on its grid (MetricG.source), so c_eq, c_q, K and a
     later verify_expansion share one factor.
     """
@@ -576,12 +590,13 @@ def measure_constants(h_field: TrigDisplacementField, m: int, *, k: int | None =
         coupling_K=k_raw, coupling_K_eff=k_eff, lambda_target=lam,
         base=base, fiber_res=fiber_res, t_res=t_res,
     )
-    return constants, k, f, metric
+    return Measurement(constants=constants, k=k, f=f, metric=metric, m=m,
+                       nu_target=nu_target, threads=threads)
 
 
-def verify_expansion(constants: ConstantsReport, k: int, f, metric: MetricG, m: int, *,
-                     nu_target: float = 2.0, threads: int = 1) -> ExpansionReport:
-    """Check that the composite f expands, from the constants measured for it.
+def verify_expansion(run: Measurement) -> ExpansionReport:
+    """Check that the run's composite f expands, from the constants measured
+    for it, at the run's m, nu_target and threads.
 
     One pass walks f once per adapted step.  Each slice job builds f's
     SliceRecord, which gives the vertical margin and mu from one vertical
@@ -593,7 +608,8 @@ def verify_expansion(constants: ConstantsReport, k: int, f, metric: MetricG, m: 
     count: the report then fails mu_above_one and adapted_rate_above_one,
     with no adapted steps or rate, and a rate <= 1 fails the latter.
     """
-    fiber_res, t_res = constants.fiber_res, constants.t_res
+    constants, k, f, metric, m = run.constants, run.k, run.f, run.metric, run.m
+    fiber_res, t_res, threads = constants.fiber_res, constants.t_res, run.threads
     k_eff = constants.coupling_K_eff
     gain = _finsler_gain(k_eff)
     n_guess = _step_count(2 * m + 1, k_eff)[0]
@@ -618,29 +634,14 @@ def verify_expansion(constants: ConstantsReport, k: int, f, metric: MetricG, m: 
     c_eq = constants.c_eq
     chain_floor = c_eq * c_eq * constants.base ** k * constants.conorm_C
     checks = {
-        "vertical_margin_ok": bool(margin >= nu_target * (1.0 - _TOL_REL)),
+        "vertical_margin_ok": bool(margin >= run.nu_target * (1.0 - _TOL_REL)),
         "mu_above_one": bool(mu > 1.0),
         "adapted_rate_above_one": rate is not None and bool(rate > 1.0),
         "chain_floor_ok": bool(chain_floor > constants.lambda_target),
     }
     return ExpansionReport(
-        k=k, m=m, nu_target=nu_target, tol_rel=_TOL_REL,
+        k=k, m=m, nu_target=run.nu_target, tol_rel=_TOL_REL,
         vertical_margin=margin, mu=mu, case_bound=_case_bound(margin, m),
         adapted_steps=n_steps, adapted_rate=rate,
         checks=checks, passed=all(checks.values()),
     )
-
-
-def run_pipeline(h_field: TrigDisplacementField, m: int, *, k: int | None = None,
-                 base: int = 3, fiber_res: int = 64, t_res: int = 32,
-                 nu_target: float = 2.0, k_cap: int = 12, threads: int = 1):
-    """Measure all constants, choose k, and verify expansion end to end:
-    measure_constants, then verify_expansion.
-
-    Returns (ConstantsReport, ExpansionReport).
-    """
-    constants, k, f, metric = measure_constants(
-        h_field, m, k=k, base=base, fiber_res=fiber_res, t_res=t_res,
-        nu_target=nu_target, k_cap=k_cap, threads=threads)
-    return constants, verify_expansion(constants, k, f, metric, m, nu_target=nu_target,
-                                       threads=threads)

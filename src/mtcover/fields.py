@@ -23,6 +23,8 @@ SIN = 0
 COS = 1
 
 _PHASE_NAMES = {"sin": SIN, "cos": COS}
+# the angles use float frequencies, which hold every integer up to 2**53
+MAX_FREQ = 2 ** 53
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,11 +138,6 @@ class TrigDisplacementField:
         return (batched(self.coeffs.T @ waves, 1).reshape(x.shape),
                 self._dv(theta, x.shape))
 
-    def _jacobian(self, x: np.ndarray) -> np.ndarray:
-        """jet(x)[1] bit for bit, with one sine or cosine per term and no
-        displacement."""
-        return self._dv(self._theta(x), x.shape)
-
     def _theta(self, x: np.ndarray) -> np.ndarray:
         """(T, points) angles 2 pi <b_t, x>, term-major.
 
@@ -176,10 +173,8 @@ class TrigDisplacementField:
         return self.jet(x)[0]
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
-        """Exact Jacobian of the displacement: jet(x)[1], the kept one at a
-        memoized array and otherwise the Jacobian alone (_jacobian)."""
-        x = np.asarray(x, dtype=float)
-        return self.jet(x)[1] if _memoizable(x) else self._jacobian(x)
+        """Exact Jacobian of the displacement: jet(x)[1]."""
+        return self.jet(x)[1]
 
     def dilate(self, factor: int) -> "TrigDisplacementField":
         """Replace v(x) by v(factor * x) / factor.
@@ -190,6 +185,8 @@ class TrigDisplacementField:
         factor = int(factor)
         if factor < 2:
             raise UnsupportedForm("dilation factor must be an integer >= 2")
+        if int(np.abs(self.freqs).max(initial=0)) * factor > MAX_FREQ:
+            raise UnsupportedForm(f"dilating by {factor} takes a frequency past {MAX_FREQ}")
         return TrigDisplacementField(self.dim, self.coeffs / factor,
                                      self.freqs * factor, self.phases)
 

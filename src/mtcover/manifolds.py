@@ -22,6 +22,7 @@ from .fields import unit_grid
 from .torus_maps import TorusMapHandle, torus_representative
 
 _SEAM_DEDUPE_TOL = 1e-12  # breakpoints this close to 0 or the circumference are the wrap
+_MAX_WINDINGS = 10 ** 5  # how far from the chart normalize_raw takes a parameter
 
 
 @dataclass
@@ -104,13 +105,11 @@ class MultiMappingTorus:
             u = np.asarray(u, dtype=float)
         if not 0 <= seg < self.n_segments:
             raise UnsupportedForm(f"segment {seg} out of range")
-        # a parameter that a winding leaves unchanged would never reach the chart
-        if not np.isfinite(t) or t - self.circumference == t:
-            raise UnsupportedForm(f"parameter {t} is too large to normalize")
-        # each pass crosses one seam, so a point w windings from the chart
-        # needs fewer than n_segments * (w + 2) passes
-        passes = self.n_segments * (abs(t - self.boundaries[0]) / self.circumference + 2.0)
-        for _ in range(int(passes)):
+        # each winding costs a wrap evaluation; NaN and infinities fail too
+        if not abs(t - self.boundaries[0]) <= _MAX_WINDINGS * self.circumference:
+            raise UnsupportedForm(f"parameter {t} is more than {_MAX_WINDINGS} windings "
+                                  "from the chart")
+        while True:
             if t >= self.boundaries[seg + 1]:
                 if seg == self.n_segments - 1:
                     handle, seg, t = self.wrap, 0, t - self.circumference
@@ -128,7 +127,6 @@ class MultiMappingTorus:
             else:
                 x, jac = handle.jet(x)
                 u = matvec(jac, u)
-        raise UnsupportedForm("normalization did not terminate")  # pragma: no cover
 
     def normalize(self, p: MTPoint) -> MTPoint:
         seg, t, x, _ = self.normalize_raw(p.seg, p.t, p.x)

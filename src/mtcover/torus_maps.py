@@ -94,10 +94,7 @@ class TrigDisplacementMap(TorusMapHandle):
         return self.jet(x)[0]
 
     def jacobian(self, x):
-        # the one map that keeps a Jacobian-only body: the metric reads its
-        # Grams at image points through it, and there the field's Jacobian
-        # kernel, which skips the values, takes about half the time of a jet
-        return _plus_identity(self.field.jacobian(x))
+        return self.jet(x)[1]
 
     @property
     def degree_matrix(self):

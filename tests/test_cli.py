@@ -3,14 +3,16 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
+import mtcover.coverings
 import mtcover.expansion
 from mtcover.cli import load_config, main
 from mtcover.errors import ConfigError, NoConvergence
-from mtcover.expansion import run_pipeline
+from mtcover.expansion import measure_constants, verify_expansion
 from mtcover.manifolds import MultiMappingTorus
 
 SHEAR_TERM = {"coeff": [1.0, 0.0], "freq": [0, 1], "phase": "sin"}
@@ -85,6 +87,12 @@ def test_load_config_missing_required(tmp_path):
     ({"field": [{"coeff": [1.0, 0.0], "freq": [0, 1], "phase": "sin",
                  "extra": 1}]}, "unknown keys"),
     ({"nu_target": float("inf")}, "'nu_target'"),
+    ({"seed": -1}, "'seed' must be an integer >= 0"),
+    # 10**20 passed and then overflowed int64: exit 1 with a traceback
+    ({"field": [{"coeff": [1.0, 0.0], "freq": [0, 10 ** 20], "phase": "sin"}]},
+     "term 0: 'freq'"),
+    ({"field": [{"coeff": [1.0, 0.0], "freq": [-2 ** 53 - 1, 1], "phase": "sin"}]},
+     "term 0: 'freq'"),
 ])
 def test_load_config_validation(tmp_path, overrides, needle):
     path = write_config(tmp_path, **overrides)
@@ -116,6 +124,18 @@ def test_verify_rejects_a_field_coefficient_that_is_no_finite_number(tmp_path, c
     cfg = write_config(tmp_path, field=[dict(SHEAR_TERM, coeff=coeff)])
     assert run(["verify", "--config", cfg, "--out", str(tmp_path / "out.json")]) == 2
     assert "'coeff' must be a list of n=2 finite numbers" in capsys.readouterr().err
+
+
+def test_a_lift_past_two_to_the_53_is_a_numerical_failure(tmp_path, capsys):
+    # the angles use float frequencies, exact up to 2**53, and the config
+    # validator stops there (the table above); a lift that would dilate a
+    # frequency past it is refused too: in int64, 4e18 times 3 wrapped to
+    # -6.4e18 and constants exited 0
+    cfg = write_config(tmp_path, k=1, fiber_res=4, t_res=4,
+                       field=[dict(SHEAR_TERM, coeff=[0.0, 0.0], freq=[0, 2 ** 52])])
+    assert run(["constants", "--config", cfg]) == 3
+    assert "UnsupportedForm: dilating by 3" in capsys.readouterr().err
+
 
 @pytest.mark.parametrize("csv_out", [True, 2, "", ["a.csv"]],
                          ids=["true", "int", "empty", "list"])
@@ -260,8 +280,8 @@ def test_verify_on_a_small_field_at_depth_nine(tmp_path):
              {"coeff": [-0.507], "freq": [-2], "phase": "cos"}]
     cfg = load_config(write_config(tmp_path, n=1, eps=0.04, m=2, fiber_res=8, t_res=4,
                                    directions=4, field=field))
-    _, report = run_pipeline(cfg.displacement_field(), cfg.m, fiber_res=cfg.fiber_res,
-                             t_res=cfg.t_res)
+    report = verify_expansion(measure_constants(cfg.displacement_field(), cfg.m,
+                                                fiber_res=cfg.fiber_res, t_res=cfg.t_res))
     assert report.k == 9
 
 
@@ -318,6 +338,38 @@ def test_degree_seed_moves_probe(tmp_path):
     p2 = read_json(str(out2))["degree"]["probe"]
     assert p1 != p2
     assert read_json(str(out2))["degree"]["preimage_count"] == 27
+
+
+def test_degree_reads_the_lattice_map_and_separation_from_preimages(tmp_path, monkeypatch):
+    # preimages computes both next to its points; degree reports them and
+    # computes neither again
+    calls = []
+    separation, linear = MultiMappingTorus.min_separation, mtcover.coverings.pi1_linear_part
+
+    def counted_separation(self, points):
+        calls.append("min_separation")
+        return separation(self, points)
+
+    def counted_linear(cover):
+        calls.append("pi1_linear_part")
+        return linear(cover)
+
+    monkeypatch.setattr(MultiMappingTorus, "min_separation", counted_separation)
+    for name, module in list(sys.modules.items()):
+        if name == "mtcover" or name.startswith("mtcover."):
+            for key, value in list(vars(module).items()):
+                if value is linear:
+                    monkeypatch.setattr(module, key, counted_linear)
+    assert run(["degree", "--config", write_config(tmp_path), "--out",
+                str(tmp_path / "out.json")]) == 0
+    assert sorted(calls) == ["min_separation", "pi1_linear_part"]
+
+
+@pytest.mark.parametrize("command", ["degree", "seams"])
+def test_a_negative_seed_flag_is_a_config_error(tmp_path, capsys, command):
+    # numpy's default_rng takes no negative seed: this exited 1 with a traceback
+    assert run([command, "--config", write_config(tmp_path), "--seed", "-1"]) == 2
+    assert "config error: 'seed' must be an integer >= 0" in capsys.readouterr().err
 
 
 def test_degree_batches_distance_calls(tmp_path, monkeypatch):
@@ -402,8 +454,8 @@ def test_orbit_default_start_fits_the_dimension(tmp_path):
 
 
 def test_orbit_starts_many_windings_from_the_chart(tmp_path):
-    # normalizing t = 20000 crosses the wrap 20000 times; the guard on
-    # those passes scales with the windings, so this is no failure
+    # normalizing t = 20000 crosses the wrap 20000 times, within the bound
+    # of 10^5 windings
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     cfg = os.path.join(root, "configs", "shear.json")
     out = tmp_path / "orbit.csv"
@@ -411,8 +463,11 @@ def test_orbit_starts_many_windings_from_the_chart(tmp_path):
                 "--out", str(out)]) == 0
     first = [float(v) for v in out.read_text().splitlines()[1].split(",")]
     assert all(0.0 <= v < 1.0 for v in first)
-    # a start that a winding leaves unchanged is refused, not spun on
-    assert run(["orbit", "--config", cfg, "--start", "1e300,0.1,0.2"]) == 3
+    # a start past the bound is refused at once, not spun on for hours
+    for start in ("1e9,0.1,0.2", "-1e9,0.1,0.2", "1e300,0.1,0.2"):
+        started = time.perf_counter()
+        assert run(["orbit", "--config", cfg, f"--start={start}"]) == 3, start
+        assert time.perf_counter() - started < 5.0, start
 
 
 # ---------------------------------------------------------------------------

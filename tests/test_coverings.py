@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import mtcover.coverings
 from mtcover.coverings import (
     IdentityFrame,
     StageFrame,
@@ -194,7 +195,7 @@ def test_pi1_linear_parts(inventory, shear_map):
 def test_preimages_linear_lattice(linear_inventory):
     f = linear_inventory["f"]
     q = MTPoint(0, 0.3, np.array([0.4, 0.7]))
-    pts = preimages(f, q)
+    pts = preimages(f, q).points
     assert len(pts) == 27
     expected = []
     for j in range(3):
@@ -211,19 +212,20 @@ def test_preimages_linear_lattice(linear_inventory):
 def test_preimages_shear_separation(inventory):
     f = inventory["f"]
     q = MTPoint(0, 0.3, np.array([0.4, 0.7]))
-    pts = preimages(f, q)
+    pts, linear, gap = preimages(f, q)
     assert len(pts) == 27
     for p in pts:
         assert f.target.distance(f.apply_point(p), q) < 1e-9
     gaps = [f.source.distance(pts[i], pts[j])
             for i in range(27) for j in range(i + 1, 27)]
-    assert min(gaps) > 0.01
+    assert gap == min(gaps) > 0.01
+    assert np.array_equal(linear, pi1_linear_part(f))
 
 
 def test_preimages_fiber_cover_shares_parameter(inventory):
     pk = inventory["pk"]
     q = MTPoint(0, 0.62, np.array([0.15, 0.85]))
-    pts = preimages(pk, q)
+    pts = preimages(pk, q).points
     assert len(pts) == 9
     assert all(p.t == q.t for p in pts)
 
@@ -233,10 +235,10 @@ def test_preimages_rejects_multi_segment_charts(inventory):
         preimages(inventory["H"], MTPoint(0, 0.3, np.array([0.4, 0.7])))
 
 
-def test_preimages_dedupe_guard(inventory):
+def test_preimages_dedupe_guard(inventory, monkeypatch):
+    monkeypatch.setattr(mtcover.coverings, "_DEDUPE_TOL", 1.0)
     with pytest.raises(DuplicatePreimage) as err:
-        preimages(inventory["f"], MTPoint(0, 0.3, np.array([0.4, 0.7])),
-                  dedupe_tol=1.0)
+        preimages(inventory["f"], MTPoint(0, 0.3, np.array([0.4, 0.7])))
     named = re.search(r"candidates (\d+) and (\d+) collapsed", str(err.value))
     assert named is not None
     i, j = int(named[1]), int(named[2])

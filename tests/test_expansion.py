@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import inspect
 import itertools
 import json
 import os
@@ -44,7 +45,6 @@ from mtcover.expansion import (
     estimate_metric_equiv,
     finsler_norm,
     measure_constants,
-    run_pipeline,
     select_k,
     verify_expansion,
     verify_finsler_expansion,
@@ -264,21 +264,20 @@ def test_a_pipeline_factors_the_source_gram_once_per_stage(shear, monkeypatch):
     # given that metric, reads the same one: one Gram evaluation at t = 1
     # and one eigh for the two steps
     built, eighs = _count_factors(monkeypatch)
-    constants, k, f, metric = measure_constants(shear, 1, fiber_res=8, t_res=4)
+    run = measure_constants(shear, 1, fiber_res=8, t_res=4)
     assert (len(built), len(eighs)) == (1, 1)
-    verify_expansion(constants, k, f, metric, 1)
+    verify_expansion(run)
     assert (len(built), len(eighs)) == (1, 1)
 
 
-@pytest.mark.parametrize("entry", ["run_pipeline", "cli", "cli csv", "cli constants"])
+@pytest.mark.parametrize("entry", ["library", "cli", "cli csv", "cli constants"])
 def test_a_verify_run_factors_the_source_gram_once(entry, shear, tmp_path, monkeypatch):
     # the metric keeps its factor for verify_expansion and the CSV dump: one
     # Gram evaluation at t = 1 and one eigh per run, as a library call or a
     # command (the library's two steps: the test above)
     built, eighs = _count_factors(monkeypatch)
-    if entry == "run_pipeline":
-        _, report = run_pipeline(shear, 1, fiber_res=8, t_res=4)
-        assert report.passed
+    if entry == "library":
+        assert verify_expansion(measure_constants(shear, 1, fiber_res=8, t_res=4)).passed
     else:
         config = tmp_path / "shear.json"
         csv = {"csv_out": str(tmp_path / "conorm.csv")} if entry.endswith("csv") else {}
@@ -297,10 +296,10 @@ def test_a_run_leaves_no_reference_cycle_through_its_metric(shear):
     # metric and its factor, with no wait for the cyclic collector
     gc.disable()
     try:
-        constants, k, f, metric = measure_constants(shear, 1, fiber_res=8, t_res=4)
-        verify_expansion(constants, k, f, metric, 1)
-        refs = weakref.ref(metric), weakref.ref(metric.source(8))
-        del constants, k, f, metric
+        run = measure_constants(shear, 1, fiber_res=8, t_res=4)
+        verify_expansion(run)
+        refs = weakref.ref(run.metric), weakref.ref(run.metric.source(8))
+        del run
         assert [ref() for ref in refs] == [None, None]
     finally:
         gc.enable()
@@ -312,7 +311,7 @@ def test_small_fibers_make_no_lapack_call_per_slice(name, shear, monkeypatch):
     # form; the 3-dimensional fibers of cyc3 still go through LAPACK
     field = {"shear": shear, "cyc3": CYC3}[name]
     res = 8 if field.dim == 2 else 4
-    constants, k, f, metric = measure_constants(field, 1, k=2, fiber_res=res, t_res=4)
+    run = measure_constants(field, 1, k=2, fiber_res=res, t_res=4)
     h, psi = TrigDisplacementMap(field), default_psi(field)
     counts = dict.fromkeys(("eigvalsh", "svd", "solve"), 0)
     for fn in counts:
@@ -324,8 +323,8 @@ def test_small_fibers_make_no_lapack_call_per_slice(name, shear, monkeypatch):
 
         monkeypatch.setattr(np.linalg, fn, counted)
     estimate_C(tower_from_field(field, 2), res, 4)
-    estimate_cq(build_qm_only(h, 1, psi), metric, res, 4)
-    verify_expansion(constants, k, f, metric, 1)
+    estimate_cq(build_qm_only(h, 1, psi), run.metric, res, 4)
+    verify_expansion(run)
     if field.dim == 2:
         assert counts == {"eigvalsh": 0, "svd": 0, "solve": 0}
     else:
@@ -777,8 +776,8 @@ def test_cone_decision_is_the_template_loop(name, shear, mixed):
     field = {"shear": shear, "mixed2": mixed, "cyc3": CYC3, "shear m=2": shear,
              "n1": TrigDisplacementField.from_terms(1, [([0.1], [1], "sin")])}[name]
     m, res = (2 if name.endswith("m=2") else 1), (8 if field.dim < 3 else 4)
-    constants, _, f, metric = measure_constants(field, m, fiber_res=res, t_res=4)
-    k_eff = constants.coupling_K_eff
+    run = measure_constants(field, m, fiber_res=res, t_res=4)
+    k_eff, f, metric = run.constants.coupling_K_eff, run.f, run.metric
     templates = direction_templates(field.dim, 16, np.random.default_rng(0))
     source = SourceGram(metric, unit_grid(field.dim, res))
     undecided = []
@@ -849,10 +848,10 @@ def test_a_weak_weight_lowers_mu_to_the_cone_floor(shear):
     # k_eff = 0.45 the lift sqrt(r) / k_eff is large where the base direction
     # shears the fiber, and mu is the floor of the worst slice, below the
     # slope and below the template loop
-    constants, k, f, metric = measure_constants(shear, 1, fiber_res=8, t_res=4)
-    assert verify_expansion(constants, k, f, metric, 1).mu == 3.0
-    weak = dataclasses.replace(constants, coupling_K_eff=0.45)
-    mu = verify_expansion(weak, k, f, metric, 1).mu
+    run = measure_constants(shear, 1, fiber_res=8, t_res=4)
+    f, metric = run.f, run.metric
+    assert verify_expansion(run).mu == 3.0
+    mu = verify_expansion(weakened(run, 0.45)).mu
     source = SourceGram(metric, unit_grid(2, 8))
     templates = direction_templates(2, 16, None)
     floors, loops = [], []
@@ -868,7 +867,6 @@ def test_a_weak_weight_lowers_mu_to_the_cone_floor(shear):
 def test_a_nan_lift_reaches_the_sweep(shear_measured, tower2, psi, metric, monkeypatch):
     # NaN in w leaves P and the conorm finite but makes r NaN: the floor
     # keeps the NaN (a Python min would drop it), and _sweep raises
-    constants, k, _, _ = shear_measured
     f = build_f(tower2, 1, psi)
     frame = CompositeCovering.frame
 
@@ -883,17 +881,23 @@ def test_a_nan_lift_reaches_the_sweep(shear_measured, tower2, psi, metric, monke
     with pytest.raises(NonFiniteSlice, match=r"t=0\.5\b"):
         verify_finsler_expansion(f, metric, 4.0, 6.0, 1, 8, 4)
     with pytest.raises(NonFiniteSlice, match=r"t=0\.5\b"):
-        verify_expansion(constants, k, f, metric, 1)
+        verify_expansion(dataclasses.replace(shear_measured, f=f, metric=metric))
 
 
 @pytest.fixture(scope="module")
 def shear_measured(shear):
-    # constants, k, f and metric of the shear at 16^2 x 8
+    # the measured run of the shear at 16^2 x 8
     return measure_constants(shear, 1, fiber_res=16, t_res=8)
 
 
+def weakened(run, k_eff):
+    """The run with its coupling K_eff replaced."""
+    return dataclasses.replace(
+        run, constants=dataclasses.replace(run.constants, coupling_K_eff=k_eff))
+
+
 def test_verify_expansion_builds_one_frame_per_slice(shear_measured, monkeypatch):
-    constants, k, f, metric = shear_measured
+    f = shear_measured.f
     frame = CompositeCovering.frame
     calls = []
 
@@ -905,18 +909,18 @@ def test_verify_expansion_builds_one_frame_per_slice(shear_measured, monkeypatch
     # patched on the class: an instance attribute would outlive the undo on
     # the module-scoped f and hide it from later class-level patches
     monkeypatch.setattr(CompositeCovering, "frame", counting_frame)
-    report = verify_expansion(constants, k, f, metric, 1)
+    report = verify_expansion(shear_measured)
     # the first frame of each slice feeds the vertical margin and mu, and
     # the adapted chain continues from it: adapted_steps frames per slice
-    assert len(calls) == constants.t_res * report.adapted_steps
+    assert len(calls) == shear_measured.constants.t_res * report.adapted_steps
 
 
 def test_verify_expansion_that_misses_its_step_guess_reruns_the_chain(shear, monkeypatch):
     # at k_eff = 0.4 the norm gap is sqrt(1 + 0.4^2) / 0.4 = 2.69, so the
     # guess at mu = 3 is 1 step, while the cone floor (1.5) needs 3: the
     # pass walks 1 frame per slice and the adapted sweep 3 more
-    constants, k, f, metric = measure_constants(shear, 1, fiber_res=8, t_res=4)
-    weak = dataclasses.replace(constants, coupling_K_eff=0.4)
+    run = measure_constants(shear, 1, fiber_res=8, t_res=4)
+    f = run.f
     frame = CompositeCovering.frame
     calls = []
 
@@ -926,12 +930,12 @@ def test_verify_expansion_that_misses_its_step_guess_reruns_the_chain(shear, mon
         return frame(self, t, *args, **kwargs)
 
     monkeypatch.setattr(CompositeCovering, "frame", counting_frame)
-    report = verify_expansion(weak, k, f, metric, 1)
+    report = verify_expansion(weakened(run, 0.4))
     monkeypatch.undo()
     assert_allclose(report.mu, 1.5, rtol=1e-12)
     assert report.adapted_steps == 3
-    assert len(calls) == constants.t_res * (1 + report.adapted_steps)
-    standalone = build_adapted_metric(f, metric, report.mu, 0.4, 8, 4)
+    assert len(calls) == run.constants.t_res * (1 + report.adapted_steps)
+    standalone = build_adapted_metric(f, run.metric, report.mu, 0.4, 8, 4)
     assert (report.adapted_steps, report.adapted_rate) == (standalone.n_steps, standalone.rate)
 
 
@@ -941,15 +945,14 @@ def test_verify_expansion_reports_a_contraction_constant_at_most_one(shear_measu
     # and no adapted metric: the report fails mu_above_one and
     # adapted_rate_above_one and has no adapted steps or rate, where a
     # standalone adapted sweep raises
-    constants, k, f, metric = shear_measured
-    measured = verify_expansion(constants, k, f, metric, 1)
+    f, metric = shear_measured.f, shear_measured.metric
+    measured = verify_expansion(shear_measured)
     assert measured.passed
     # at k_eff = 0.5 the cone floor is 0.11, at k_eff = 0.1 below 0, and a
     # gain patched to 1.0 gives mu = 1 exactly
-    weak = [verify_expansion(dataclasses.replace(constants, coupling_K_eff=weight),
-                             k, f, metric, 1) for weight in (0.5, 0.1)]
+    weak = [verify_expansion(weakened(shear_measured, weight)) for weight in (0.5, 0.1)]
     monkeypatch.setattr(mtcover.expansion, "_finsler_gain", lambda *args: lambda rec: 1.0)
-    weak.append(verify_expansion(constants, k, f, metric, 1))
+    weak.append(verify_expansion(shear_measured))
     monkeypatch.undo()
     assert 0.0 < weak[0].mu < 0.2 and weak[1].mu < 0.0 and weak[2].mu == 1.0
     for report in weak:
@@ -971,24 +974,22 @@ def test_verify_expansion_reports_an_adapted_rate_at_most_one(shear_measured, mo
     # a chain whose grid minimum is 0.81 gives the rate 0.81^(1/n) < 1: the
     # report keeps the step count and the rate and fails
     # adapted_rate_above_one only, where a standalone adapted sweep raises
-    constants, k, f, metric = shear_measured
-    measured = verify_expansion(constants, k, f, metric, 1)
+    measured = verify_expansion(shear_measured)
     monkeypatch.setattr(mtcover.expansion, "chain_sigma_min", lambda factors: np.array([0.81]))
-    report = verify_expansion(constants, k, f, metric, 1)
+    report = verify_expansion(shear_measured)
     assert report.adapted_steps == measured.adapted_steps
     assert report.adapted_rate == 0.81 ** (1.0 / measured.adapted_steps)
     assert report.checks == dict(measured.checks, adapted_rate_above_one=False)
     assert not report.passed
     with pytest.raises(NotExpanding):
-        build_adapted_metric(f, metric, report.mu, constants.coupling_K_eff, 16, 8)
+        build_adapted_metric(shear_measured.f, shear_measured.metric, report.mu,
+                             shear_measured.constants.coupling_K_eff, 16, 8)
 
 
 def test_fused_verify_keeps_finsler_checks(shear_measured):
-    constants, k, f, metric = shear_measured
     for bad in (0.0, np.nan, np.inf):
-        broken = dataclasses.replace(constants, coupling_K_eff=bad)
         with pytest.raises(FinslerDegenerate):
-            verify_expansion(broken, k, f, metric, 1)
+            verify_expansion(weakened(shear_measured, bad))
 
 
 def _nan_on_slices(t):
@@ -1001,7 +1002,6 @@ def test_nan_slice_raises_typed_error(shear_measured, tower2, shear_map, psi, me
                                      monkeypatch, patched):
     # a NaN on a slice that is not the first one must not vanish into a
     # minimum or maximum: every sweep that reads it stops with a typed error
-    constants, k, _, _ = shear_measured
     # covers built here, so that no earlier test has bound their frame
     f, qm = build_f(tower2, 1, psi), build_qm_only(shear_map, 1, psi)
     if patched == "fiber_gram":
@@ -1026,7 +1026,8 @@ def test_nan_slice_raises_typed_error(shear_measured, tower2, shear_map, psi, me
         "estimate_K": lambda: estimate_K(f, metric, 8, 4),
         "verify_finsler_expansion": lambda: verify_finsler_expansion(
             f, metric, 4.0, 6.0, 1, 8, 4),
-        "verify_expansion": lambda: verify_expansion(constants, k, f, metric, 1),
+        "verify_expansion": lambda: verify_expansion(
+            dataclasses.replace(shear_measured, f=f, metric=metric)),
         "build_adapted_metric": lambda: build_adapted_metric(f, metric, 3.0, 4.0, 8, 4),
     }
     if patched == "fiber_gram":
@@ -1046,7 +1047,6 @@ def test_nan_in_the_factored_source_gram_raises_typed_error(shear_measured, towe
     # sweep that needs it run, and eigh returns NaN for NaN input without
     # raising; each sweep gets a fresh metric, since the measured one already
     # keeps a clean factor
-    constants, k, _, _ = shear_measured
     f, qm = build_f(tower2, 1, psi), build_qm_only(shear_map, 1, psi)
     gram = MetricG.fiber_gram
 
@@ -1057,7 +1057,8 @@ def test_nan_in_the_factored_source_gram_raises_typed_error(shear_measured, towe
     monkeypatch.setattr(MetricG, "fiber_gram", nan_at_one)
     # c_eq reads only the factored Gram at t = 1
     sweeps = [lambda metric: estimate_cq(qm, metric, 8, 4),
-              lambda metric: verify_expansion(constants, k, f, metric, 1),
+              lambda metric: verify_expansion(
+                  dataclasses.replace(shear_measured, f=f, metric=metric)),
               lambda metric: build_adapted_metric(f, metric, 3.0, 4.0, 8, 4),
               lambda metric: estimate_metric_equiv(metric, 8)]
     for sweep in sweeps:
@@ -1164,7 +1165,8 @@ def test_adapted_rate_on_a_one_dimensional_fiber():
     # orders of magnitude, so the pencil form of the rate lost its smallest
     # eigenvalue and reported no expansion
     field = TrigDisplacementField.from_terms(1, [(np.array([1.0]), np.array([1]), "sin")])
-    _, report = run_pipeline(field.scaled(0.1), 1, k=5, fiber_res=16, t_res=4)
+    report = verify_expansion(measure_constants(field.scaled(0.1), 1, k=5, fiber_res=16,
+                                                t_res=4))
     assert report.passed
     assert report.adapted_steps == 5
     # sigma_min of the 5-step product is itself conditioned at about 1e-8
@@ -1227,8 +1229,18 @@ def test_adapted_rate_whitens_fiber_blocks_only(name, shear, mixed):
 # ---------------------------------------------------------------------------
 # End-to-end pipeline
 
+def test_verify_expansion_takes_the_measured_run_alone(shear):
+    # m, nu_target and threads come from the run that measured the
+    # constants, so they cannot disagree with it
+    assert list(inspect.signature(verify_expansion).parameters) == ["run"]
+    run = measure_constants(shear, 2, fiber_res=8, t_res=4, nu_target=7.0, threads=2)
+    report = verify_expansion(run)
+    assert (report.m, report.nu_target) == (run.m, run.nu_target) == (2, 7.0)
+
+
 def test_pipeline_linear_model():
-    constants, report = run_pipeline(shear_field(0.0), 1, fiber_res=8, t_res=4)
+    run = measure_constants(shear_field(0.0), 1, fiber_res=8, t_res=4)
+    constants, report = run.constants, verify_expansion(run)
     assert report.passed
     assert report.k == 1
     assert_allclose(report.vertical_margin, 3.0, atol=1e-12)
@@ -1240,7 +1252,8 @@ def test_pipeline_linear_model():
 
 
 def test_pipeline_shear_instance():
-    constants, report = run_pipeline(shear_field(EPS), 1, fiber_res=16, t_res=8)
+    run = measure_constants(shear_field(EPS), 1, fiber_res=16, t_res=8)
+    constants, report = run.constants, verify_expansion(run)
     assert report.passed
     assert report.k == 2
     assert report.m == 1
@@ -1252,8 +1265,8 @@ def test_pipeline_shear_instance():
 
 
 def test_pipeline_honors_fixed_k():
-    constants, report = run_pipeline(shear_field(EPS), 1, k=1, fiber_res=16,
-                                     t_res=8, nu_target=5.0)
-    assert report.k == 1
+    report = verify_expansion(measure_constants(shear_field(EPS), 1, k=1, fiber_res=16,
+                                                t_res=8, nu_target=5.0))
+    assert report.k == 1 and report.nu_target == 5.0
     assert not report.checks["vertical_margin_ok"]
     assert not report.passed

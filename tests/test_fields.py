@@ -134,6 +134,15 @@ def test_dilate_rejects_small_factor():
         shear_field(EPS).dilate(1)
 
 
+def test_dilate_refuses_a_frequency_past_two_to_the_53():
+    # the angles use float frequencies, which hold every integer up to
+    # 2**53; in int64, 4e18 times 3 wrapped to -6.4e18
+    assert shear_field(EPS, freq=2 ** 52).dilate(2).freqs[0, 1] == 2 ** 53
+    for freq in (2 ** 52, -2 ** 52, 4 * 10 ** 18):
+        with pytest.raises(UnsupportedForm, match="past 9007199254740992"):
+            shear_field(EPS, freq=freq).dilate(3)
+
+
 def test_plus_and_scaled(rng):
     a = random_field(rng)
     b = random_field(rng)
@@ -392,8 +401,8 @@ def test_fields_compare_and_hash_by_identity():
 
 
 # ---------------------------------------------------------------------------
-# The Jacobian alone: jacobian off the memo runs one trig per term and no
-# displacement, and gives jet's Jacobian bit for bit
+# jacobian is a view of the jet: on every input layout, on and off the
+# memo, it is jet's Jacobian bit for bit
 
 
 def _jet_cases(rng, dim):
@@ -457,21 +466,11 @@ def test_the_jet_at_an_entry_major_grid_is_the_jet_at_a_c_order_copy(rng, dim, n
         assert np.array_equal(h.jacobian(grid), h.jacobian(copy))
 
 
-def test_a_fiber_gram_at_image_points_runs_the_jacobian_alone(rng, computed, monkeypatch):
-    # fiber_gram reads only Dh, so at writable image points a sin-only field
-    # computes one cosine per term and neither its displacement nor _jet
-    alone = []
-    original = TrigDisplacementField._jacobian
-
-    def counted(self, x):
-        alone.append(x)
-        return original(self, x)
-
-    monkeypatch.setattr(TrigDisplacementField, "_jacobian", counted)
+def test_a_fiber_gram_at_image_points_is_the_gram_of_the_jet(rng):
+    # at writable points nothing is memoized: fiber_gram reads Dh from a jet
     field = shear_field(EPS).dilate(3)
     metric = MetricG(TrigDisplacementMap(field))
     points = rng.uniform(0, 1, (4096, 2))
     m = metric.fiber_gram(0.5, points)
-    assert len(alone) == 1 and computed == []
     jac = field.jet(points)[1] + np.eye(2)
     assert np.array_equal(m, 0.5 * np.eye(2) + 0.5 * gram(jac))

@@ -70,6 +70,15 @@ def test_normalize_transports_tangents(shear_map, rng):
     assert_allclose(u2, shear_map.jacobian(x) @ u, atol=1e-14)
 
 
+def test_normalize_refuses_a_parameter_past_the_winding_bound(shear_map):
+    # each winding costs a wrap evaluation, so 1e9 would run for hours;
+    # NaN and infinities fail the same comparison
+    space = mapping_torus(shear_map)
+    for t in (1e9, -1e9, np.nan, np.inf, -np.inf):
+        with pytest.raises(UnsupportedForm, match="windings from the chart"):
+            space.normalize_raw(0, t, np.zeros(2))
+
+
 def test_space_constructor_validation(shear_map):
     with pytest.raises(UnsupportedForm):
         MultiMappingTorus([0.0, 1.0, 0.5], [identity_map(2)], shear_map)

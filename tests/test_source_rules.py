@@ -115,10 +115,6 @@ def test_only_small_calls_the_per_point_factorizations():
 
 
 _VIEWS = {"apply": 0, "jacobian": 1}
-# The one evaluation body besides jet: the metric reads its Grams at image
-# points through TrigDisplacementMap.jacobian, and the field's Jacobian-only
-# kernel skips the values that a jet would also compute.
-_OWN_BODIES = {("TrigDisplacementMap", "jacobian")}
 
 
 def _is_jet_view(fn: ast.FunctionDef, index: int) -> bool:
@@ -149,11 +145,7 @@ def test_every_torus_map_is_evaluated_through_its_jet():
         if "jet" not in methods:
             found.append(f"{module} {name} defines no jet")
         for view, index in _VIEWS.items():
-            if (view in methods and (name, view) not in _OWN_BODIES
-                    and not _is_jet_view(methods[view], index)):
+            if view in methods and not _is_jet_view(methods[view], index):
                 found.append(f"{module}:{methods[view].lineno} {name}.{view} is no view of jet")
     assert len(maps) >= 7
     assert found == []
-    # the exception names a body that exists
-    for name, view in _OWN_BODIES:
-        assert view in {fn.name for fn in classes[name][1].body if isinstance(fn, ast.FunctionDef)}
