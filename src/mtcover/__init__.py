@@ -29,7 +29,6 @@ from .expansion import (
     estimate_metric_equiv,
     finsler_norm,
     measure_constants,
-    select_k,
     verify_expansion,
     verify_finsler_expansion,
     verify_vertical_expansion,

@@ -37,6 +37,7 @@ from .torus_maps import (
 )
 
 _TOL_REL = 1e-3  # relative slack of the vertical-margin check; reported as tol_rel
+_FLOOR_SLACK = 1e-6  # relative slack of the conorm C's check against its uniform bound
 
 
 def default_psi(h_field: TrigDisplacementField):
@@ -242,7 +243,7 @@ def estimate_metric_equiv(metric: MetricG, fiber_res: int = 64) -> float:
 
 
 def estimate_C(tower, fiber_res: int = 64, t_res: int = 32,
-               threads: int = 1, floor_slack: float = 1e-6, *, _bound: float | None = None,
+               threads: int = 1, *, _bound: float | None = None,
                _grid: np.ndarray | None = None):
     """Min flat conorm of the fiber derivative of the aligning stages.
 
@@ -270,7 +271,7 @@ def estimate_C(tower, fiber_res: int = 64, t_res: int = 32,
         min_h, min_h_inv = float(lo.min()), float(1.0 / hi.max())
         min_phi = float(np.minimum(1.0, _sweep(phi_job, t_res, threads, closed=True).min()))
         _bound = min_h * min_h_inv * min_phi
-    if not c_val >= _bound * (1.0 - floor_slack):
+    if not c_val >= _bound * (1.0 - _FLOOR_SLACK):
         raise BoundViolation(f"measured conorm {c_val} fell below its uniform bound {_bound}")
     return c_val, _bound
 
@@ -280,17 +281,6 @@ def estimate_cq(qm, metric: MetricG, fiber_res: int = 64, t_res: int = 32,
     """Min vertical expansion of the base-cover map in the interpolated metric."""
     job = _record_job(qm, metric, fiber_res, lambda rec: float(rec.vertical_conorm.min()))
     return float(_sweep(job, t_res, threads).min())
-
-
-def select_k(c_eq: float, c_provider, lam: float, base: int = 3,
-             k_cap: int = 12) -> int:
-    """Smallest k with c_eq^2 * base^k * C(k) > lam."""
-    for k in range(1, k_cap + 1):
-        if c_eq * c_eq * base ** k * c_provider(k) > lam:
-            return k
-    raise UnboundedSelection(
-        f"no k <= {k_cap} reaches the target factor {lam:.4f}"
-    )
 
 
 def verify_vertical_expansion(f, metric: MetricG, fiber_res: int = 64,
@@ -563,34 +553,25 @@ def measure_constants(h_field: TrigDisplacementField, m: int, *, k: int | None =
     c_q = estimate_cq(qm, metric, fiber_res, t_res, threads)
     lam = nu_target / c_q
 
-    towers: dict = {}
+    grid = metric.source(fiber_res).grid
+    c_bound = None  # the bound of the first depth measured, which every depth shares
+    for depth in ([k] if k is not None else range(1, k_cap + 1)):
+        tower = tower_from_field(h_field, depth, base)
+        c_val, c_bound = estimate_C(tower, fiber_res, t_res, threads, _bound=c_bound, _grid=grid)
+        # the smallest depth with c_eq^2 * base^k * C(k) > lam, unless k is given
+        if k is not None or c_eq * c_eq * base ** depth * c_val > lam:
+            break
+    else:
+        raise UnboundedSelection(f"no k <= {k_cap} reaches the target factor {lam:.4f}")
 
-    def tower_at(kk: int):
-        if kk not in towers:
-            towers[kk] = tower_from_field(h_field, kk, base)
-        return towers[kk]
-
-    c_cache: dict = {}  # depth -> (C, bound); every depth shares the first bound
-
-    def c_at(kk: int):
-        if kk not in c_cache:
-            known = next(iter(c_cache.values()), (None, None))[1]
-            c_cache[kk] = estimate_C(tower_at(kk), fiber_res, t_res, threads, _bound=known,
-                                     _grid=metric.source(fiber_res).grid)
-        return c_cache[kk]
-
-    if k is None:
-        k = select_k(c_eq, lambda kk: c_at(kk)[0], lam, base=base, k_cap=k_cap)
-    c_val, c_bound = c_at(k)
-
-    f = build_f(tower_at(k), m, psi)
+    f = build_f(tower, m, psi)
     k_raw, k_eff = estimate_K(f, metric, fiber_res, t_res, threads)
     constants = ConstantsReport(
         c_eq=c_eq, c_q=c_q, conorm_C=c_val, conorm_C_bound=c_bound,
         coupling_K=k_raw, coupling_K_eff=k_eff, lambda_target=lam,
         base=base, fiber_res=fiber_res, t_res=t_res,
     )
-    return Measurement(constants=constants, k=k, f=f, metric=metric, m=m,
+    return Measurement(constants=constants, k=depth, f=f, metric=metric, m=m,
                        nu_target=nu_target, threads=threads)
 
 

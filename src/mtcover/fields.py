@@ -48,7 +48,13 @@ class TrigDisplacementField:
 
     def __post_init__(self):
         coeffs = np.atleast_2d(np.asarray(self.coeffs, dtype=float))
-        freqs = np.atleast_2d(np.asarray(self.freqs, dtype=np.int64))
+        try:
+            freqs = np.atleast_2d(np.asarray(self.freqs, dtype=np.int64))
+        except OverflowError as exc:
+            raise UnsupportedForm(f"a frequency does not fit in int64: {exc}") from exc
+        # both signs: np.abs(-2**63) is negative in int64
+        if freqs.max(initial=0) > MAX_FREQ or freqs.min(initial=0) < -MAX_FREQ:
+            raise UnsupportedForm(f"a frequency is past {MAX_FREQ} in absolute value")
         phases = np.atleast_1d(np.asarray(self.phases, dtype=np.int64))
         if coeffs.size == 0:
             coeffs = coeffs.reshape(0, self.dim)
@@ -98,12 +104,12 @@ class TrigDisplacementField:
                     raise UnsupportedForm(f"unknown phase {phase!r}")
                 phase = _PHASE_NAMES[phase]
             coeffs.append(np.asarray(coeff, dtype=float))
-            freqs.append(np.asarray(freq, dtype=np.int64))
+            freqs.append(freq)
             phases.append(phase)
         if not coeffs:
             return cls.zero(dim)
-        return cls(dim, np.stack(coeffs), np.stack(freqs),
-                   np.asarray(phases, dtype=np.int64))
+        # the frequencies reach __post_init__ as given, which casts and bounds them
+        return cls(dim, np.stack(coeffs), freqs, np.asarray(phases, dtype=np.int64))
 
     def jet(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Displacement and exact Jacobian, (..., n) -> (..., n), (..., n, n),
@@ -255,6 +261,6 @@ def shear_field(eps: float, dim: int = 2, freq: int = 1) -> TrigDisplacementFiel
     """The standard example: x_1 shifted by eps * sin(2 pi freq * x_2)."""
     coeff = np.zeros(dim)
     coeff[0] = eps
-    fvec = np.zeros(dim, dtype=np.int64)
+    fvec = [0] * dim
     fvec[1] = freq
     return TrigDisplacementField.from_terms(dim, [(coeff, fvec, "sin")])

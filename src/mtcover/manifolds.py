@@ -21,7 +21,6 @@ from .errors import DimensionMismatch, NonFiniteSlice, UnsupportedForm
 from .fields import unit_grid
 from .torus_maps import TorusMapHandle, torus_representative
 
-_SEAM_DEDUPE_TOL = 1e-12  # breakpoints this close to 0 or the circumference are the wrap
 _MAX_WINDINGS = 10 ** 5  # how far from the chart normalize_raw takes a parameter
 
 
@@ -132,11 +131,6 @@ class MultiMappingTorus:
         seg, t, x, _ = self.normalize_raw(p.seg, p.t, p.x)
         return MTPoint(seg, t, torus_representative(x))
 
-    def seams(self):
-        """Interior seams as (boundary parameter, gluing handle) pairs."""
-        return [(float(self.boundaries[i + 1]), self.gluings[i])
-                for i in range(len(self.gluings))]
-
     def distance(self, p: MTPoint, q: MTPoint):
         """Distance between nearby points, modulo the identifications.
 
@@ -147,9 +141,11 @@ class MultiMappingTorus:
         p.x and q.x may be batches that broadcast against each other, such
         as (N, 1, n) against (1, M, n); each side shares its scalar (seg, t).
         The result has the broadcast shape without the fiber axis, and is a
-        float for two single points.  Each element equals the single-point
-        call whenever the gluings evaluate pointwise; a Newton-inverse gluing
-        iterates until the whole batch meets its tolerance.
+        float for two single points.  Each element matches the single-point
+        call to rounding, not bit for bit: a gluing evaluates the batch as
+        one product, whose multi-term sums BLAS may order by batch shape,
+        and a Newton-inverse gluing iterates until the whole batch meets
+        its tolerance.
         """
         p = self.normalize(p)
         q = self.normalize(q)
@@ -166,7 +162,7 @@ class MultiMappingTorus:
             else:
                 handle = self.gluings[a.seg]
                 t_gap = (self.boundaries[a.seg + 1] - a.t) + (b.t - self.boundaries[b.seg])
-            gap = np.minimum(gap, _chart_gap(t_gap, _apply_pointwise(handle, a.x) - b.x))
+            gap = np.minimum(gap, _chart_gap(t_gap, handle.apply(a.x) - b.x))
         return float(gap) if gap.ndim == 0 else gap
 
     def min_separation(self, points):
@@ -193,13 +189,6 @@ class MultiMappingTorus:
                 i, j = sorted((groups[keys[a]][r], groups[keys[b]][c]))
                 best = (float(gaps[r, c]), i, j)
         return best
-
-
-def _apply_pointwise(handle: TorusMapHandle, x: np.ndarray) -> np.ndarray:
-    # One point per matrix product: numpy sums a multi-term field through
-    # BLAS in an order that depends on the batch shape, so a (M, n) batch
-    # can differ from M single-point calls in the last bit.
-    return handle.apply(x[..., None, :])[..., 0, :]
 
 
 def _chart_gap(dt: float, dx: np.ndarray) -> np.ndarray:
@@ -300,28 +289,21 @@ class MetricG:
 def check_seams(covering, n_samples: int = 100, rng=None):
     """Max discrepancy of a chart map across every source seam.
 
-    For each breakpoint of the map (including source seams and the wrap),
-    evaluates the two one-sided representatives of the same source point
-    and measures the distance of the images in the target space.
+    For each breakpoint of the map, and for the wrap, takes sample points
+    on the lower side, carries them to the upper side with normalize_raw
+    (the gluing of a source seam, the wrap map at the circumference), and
+    measures the distance of the two images in the target space.
     """
     space = covering.source
     target = covering.target
     if rng is None:
         rng = np.random.default_rng(0)
-    points = [("interior", t_b) for t_b in covering.breakpoints()
-              if _SEAM_DEDUPE_TOL < t_b < space.circumference - _SEAM_DEDUPE_TOL]
-    points.append(("wrap", space.circumference))
-    seam_params = {round(b, 12): g for b, g in space.seams()}
     worst = 0.0
-    for kind, t_b in points:
+    for t_b in [*covering.breakpoints(), space.circumference]:
         y = rng.random((n_samples, space.dim))
-        if kind == "wrap":
-            right = (0.0, space.wrap.apply(y))
-        else:
-            g = seam_params.get(round(t_b, 12))
-            right = (t_b, y if g is None else g.apply(y))
-        seg_l, t_l, x_l = covering.apply_raw(t_b, y, -1)
-        seg_r, t_r, x_r = covering.apply_raw(*right, +1)
-        gaps = target.distance(MTPoint(seg_l, t_l, x_l), MTPoint(seg_r, t_r, x_r))
+        _, t_r, y_r, _ = space.normalize_raw(space.seg_of(t_b, -1), t_b, y)
+        left = covering.apply_raw(t_b, y, -1)
+        right = covering.apply_raw(t_r, y_r, +1)
+        gaps = target.distance(MTPoint(*left), MTPoint(*right))
         worst = max(worst, float(gaps.max()))
     return worst

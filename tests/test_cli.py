@@ -272,9 +272,10 @@ def test_verify_on_generic_field_at_depth_three(tmp_path):
 @pytest.mark.xfail(raises=NoConvergence, strict=True,
                    reason="Newton's absolute stop cannot pass at lift coordinates near 1.7e4")
 def test_verify_on_a_small_field_at_depth_nine(tmp_path):
-    # the field passes the diffeotopy check and select_k picks k = 9; then
-    # StageS.frame inverts id + field by Newton at lift coordinates up to
-    # 1.7e4, where one ulp is 3.6e-12, against an absolute tolerance of 1e-12
+    # the field passes the diffeotopy check and measure_constants picks
+    # k = 9; then StageS.frame inverts id + field by Newton at lift
+    # coordinates up to 1.7e4, where one ulp is 3.6e-12, against an absolute
+    # tolerance of 1e-12
     field = [{"coeff": [-0.143], "freq": [1], "phase": "cos"},
              {"coeff": [-1.216], "freq": [2], "phase": "cos"},
              {"coeff": [-0.507], "freq": [-2], "phase": "cos"}]
@@ -286,8 +287,9 @@ def test_verify_on_a_small_field_at_depth_nine(tmp_path):
 
 
 def test_constants_and_verify_share_one_pipeline(tmp_path, monkeypatch):
-    # both commands measure C(k) once per depth that select_k tries, and
-    # report the same constants; patched wherever mtcover binds the name
+    # both commands measure C(k) once per depth that measure_constants
+    # tries, and report the same constants; patched wherever mtcover binds
+    # the name
     original = mtcover.expansion.estimate_C
     depths = []
 
@@ -491,6 +493,21 @@ def test_exit_code_config_error(tmp_path):
     path = write_config(tmp_path, bogus=1)
     assert run(["constants", "--config", path]) == 2
     assert run(["verify", "--config", str(tmp_path / "nope.json")]) == 2
+
+
+@pytest.mark.parametrize("command, csv", [("verify", False), ("orbit", False),
+                                          ("verify", True)])
+def test_an_unwritable_output_path_is_a_config_error(tmp_path, capsys, command, csv):
+    # the pipeline runs first and then fails to write: a file error, not a failed check
+    missing = tmp_path / "missing" / "out"
+    if csv:
+        cfg = write_config(tmp_path, fiber_res=8, t_res=4, csv_out=str(missing))
+        args = [command, "--config", cfg, "--out", str(tmp_path / "out.json")]
+    else:
+        args = [command, "--config", write_config(tmp_path, fiber_res=8, t_res=4),
+                "--out", str(missing)]
+    assert run(args) == 2
+    assert f"config error: cannot write {missing}" in capsys.readouterr().err
 
 
 def test_exit_code_numerical_failure(tmp_path):

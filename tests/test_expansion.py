@@ -45,7 +45,6 @@ from mtcover.expansion import (
     estimate_metric_equiv,
     finsler_norm,
     measure_constants,
-    select_k,
     verify_expansion,
     verify_finsler_expansion,
     verify_vertical_expansion,
@@ -466,22 +465,25 @@ def test_the_conorm_c_bound_of_each_config_is_unchanged(name):
     assert estimate_C(tower, cfg.fiber_res, cfg.t_res)[1] == CONFIG_C_BOUNDS[name]
 
 
-def test_conorm_c_floor_raises_typed_error():
+def test_conorm_c_floor_raises_typed_error(monkeypatch):
     # a negative slack doubles the floor, which the measured conorm misses
+    monkeypatch.setattr(mtcover.expansion, "_FLOOR_SLACK", -1.0)
     with pytest.raises(BoundViolation, match="uniform bound"):
-        estimate_C(tower_from_field(shear_field(0.1), 1), 8, 4, floor_slack=-1.0)
+        estimate_C(tower_from_field(shear_field(0.1), 1), 8, 4)
 
 
 def test_conorm_c_floor_survives_optimized_mode():
     # python -O strips assert statements; the floor check must not be one
     script = """
 import sys
+import mtcover.expansion
 from mtcover.errors import BoundViolation
 from mtcover.expansion import estimate_C
 from mtcover.fields import shear_field
 from mtcover.lifting import tower_from_field
+mtcover.expansion._FLOOR_SLACK = -1.0
 try:
-    estimate_C(tower_from_field(shear_field(0.1), 1), 8, 4, floor_slack=-1.0)
+    estimate_C(tower_from_field(shear_field(0.1), 1), 8, 4)
 except BoundViolation:
     sys.exit(0)
 sys.exit(1)
@@ -528,21 +530,44 @@ def test_cq_stage_conorm_floor(shear_map, psi, metric):
 # ---------------------------------------------------------------------------
 # Fiber-cover depth selection
 
-def test_select_k_small_targets():
-    assert select_k(1.0, lambda k: 1.0, 2.0) == 1
-    assert select_k(1.0, lambda k: 1.0, 10.0) == 3
+def _counted_depths(monkeypatch):
+    """[(depth, _bound passed, bound returned), ...] of every estimate_C call."""
+    original = mtcover.expansion.estimate_C
+    calls = []
+
+    def counted(tower, *args, _bound=None, **kwargs):
+        c_val, bound = original(tower, *args, _bound=_bound, **kwargs)
+        calls.append((tower.k, _bound, bound))
+        return c_val, bound
+
+    monkeypatch.setattr(mtcover.expansion, "estimate_C", counted)
+    return calls
 
 
-def test_select_k_shear_instance():
-    provider = {1: C1_REF, 2: C2_REF}
-    lam = 2.0 / C_Q_REF
-    assert select_k(C_EQ_REF, lambda k: provider.get(k, C2_REF), lam) == 2
-    assert select_k(C_EQ_REF, lambda k: provider.get(k, C2_REF), 1.0) == 1
+def test_the_depth_search_stops_at_its_cap(shear):
+    # the shear needs k = 2 to reach its target factor
+    with pytest.raises(UnboundedSelection, match=r"^no k <= 1 reaches the target factor "
+                                                 r"\d+\.\d{4}$"):
+        measure_constants(shear, 1, fiber_res=8, t_res=4, k_cap=1)
 
 
-def test_select_k_unbounded():
-    with pytest.raises(UnboundedSelection):
-        select_k(1.0, lambda k: 0.0, 2.0, k_cap=4)
+def test_a_small_target_selects_depth_one(shear, monkeypatch):
+    calls = _counted_depths(monkeypatch)
+    assert measure_constants(shear, 1, fiber_res=8, t_res=4, nu_target=0.5).k == 1
+    assert [depth for depth, _, _ in calls] == [1]
+
+
+def test_the_depth_search_measures_each_depth_once_with_one_bound(shear, monkeypatch):
+    # a given k is measured at that depth only; a selected one tries 1, 2,
+    # and every depth after the first reuses the first one's bound
+    calls = _counted_depths(monkeypatch)
+    run = measure_constants(shear, 1, k=3, fiber_res=8, t_res=4)
+    assert run.k == 3 and [(depth, known) for depth, known, _ in calls] == [(3, None)]
+    calls.clear()
+    run = measure_constants(shear, 1, fiber_res=8, t_res=4)
+    first_bound = calls[0][2]
+    assert run.k == 2 and calls == [(1, None, first_bound), (2, first_bound, first_bound)]
+    assert run.constants.conorm_C_bound == first_bound
 
 
 # ---------------------------------------------------------------------------

@@ -143,6 +143,26 @@ def test_dilate_refuses_a_frequency_past_two_to_the_53():
             shear_field(EPS, freq=freq).dilate(3)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: shear_field(EPS, freq=2 ** 60),
+    lambda: shear_field(EPS, freq=-2 ** 63),
+    lambda: shear_field(EPS, freq=2 ** 53 + 1),
+    lambda: TrigDisplacementField.from_terms(2, [([0.1, 0.0], [0, 10 ** 20], "sin")]),
+    lambda: TrigDisplacementField(2, np.array([[0.1, 0.0]]), np.array([[0, -2 ** 63]]),
+                                  np.array([0])),
+])
+def test_a_field_refuses_a_frequency_past_two_to_the_53(build):
+    # the angles use float frequencies, exact up to 2**53; past int64 the
+    # cast overflows, and -2**63 has a negative absolute value in int64
+    with pytest.raises(UnsupportedForm, match="frequency"):
+        build()
+
+
+def test_a_field_keeps_a_frequency_of_two_to_the_53():
+    for freq in (2 ** 53, -2 ** 53):
+        assert shear_field(EPS, freq=freq).freqs[0, 1] == freq
+
+
 def test_plus_and_scaled(rng):
     a = random_field(rng)
     b = random_field(rng)

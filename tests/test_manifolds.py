@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from mtcover.coverings import StageQ, build_spaces
 from mtcover.errors import UnsupportedForm
-from mtcover.fields import unit_grid
+from mtcover.fields import TrigDisplacementField, unit_grid
 from mtcover.lifting import tower_from_field
 from mtcover.manifolds import (
     MTPoint,
@@ -15,7 +15,7 @@ from mtcover.manifolds import (
     check_seams,
     mapping_torus,
 )
-from mtcover.torus_maps import identity_map
+from mtcover.torus_maps import TrigDisplacementMap, identity_map
 
 EPS = 0.1
 
@@ -216,6 +216,25 @@ def test_distance_broadcast_matches_scalar(shear, name, rng):
     assert kinds == {"same", "seam", "wrap", "non-adjacent"}
 
 
+def test_distance_broadcast_matches_scalar_to_rounding_with_a_multi_term_gluing(rng):
+    # x1 += 0.04 sin 2 pi x2 + 0.03 cos 4 pi x2 - 0.02 sin 6 pi x2 glues both
+    # seams; the batch sums its three terms in one product, whose order may
+    # follow the batch shape, so a pair can differ from the scalar call in
+    # the last bit
+    field = TrigDisplacementField.from_terms(2, [([0.04, 0.0], [0, 1], "sin"),
+                                                 ([0.03, 0.0], [0, 2], "cos"),
+                                                 ([-0.02, 0.0], [0, 3], "sin")])
+    glue = TrigDisplacementMap(field)
+    space = MultiMappingTorus([0.0, 1.0, 2.0], [glue], glue)
+    xa, xb = rng.random((90, 2)), rng.random((90, 2))
+    for (sa, ta), (sb, tb) in [((0, 0.5), (1, 1.25)), ((1, 1.5), (0, 0.25))]:
+        got = space.distance(MTPoint(sa, ta, xa[:, None, :]), MTPoint(sb, tb, xb[None, :, :]))
+        want = [[space.distance(MTPoint(sa, ta, a), MTPoint(sb, tb, b)) for b in xb]
+                for a in xa]
+        assert np.isfinite(got).all()
+        assert_allclose(got, want, rtol=1e-15, atol=0)
+
+
 def test_min_separation_matches_pairwise_loop(tower2, rng):
     space = build_spaces(tower2, 1)["mtilde"]
     points = [MTPoint(seg, t, rng.random(2))
@@ -249,6 +268,17 @@ def test_check_seams_detects_corrupted_gluing(shear_map, inventory):
     bad = MultiMappingTorus(good.boundaries,
                             [good.gluings[0], identity_map(2)],
                             good.wrap)
+    gap = check_seams(StageQ(bad, mh), n_samples=200)
+    assert abs(gap - EPS) < 0.2 * EPS
+
+
+def test_check_seams_detects_corrupted_wrap(inventory):
+    # the wrap is a seam too: replacing it by the identity must surface a
+    # mismatch of roughly the displacement amplitude
+    mh = inventory["Q"].target
+    good = inventory["Q"].source
+    bad = MultiMappingTorus(good.boundaries, good.gluings, identity_map(2))
+    assert check_seams(StageQ(good, mh), n_samples=200) < 1e-9
     gap = check_seams(StageQ(bad, mh), n_samples=200)
     assert abs(gap - EPS) < 0.2 * EPS
 

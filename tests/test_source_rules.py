@@ -149,3 +149,32 @@ def test_every_torus_map_is_evaluated_through_its_jet():
                 found.append(f"{module}:{methods[view].lineno} {name}.{view} is no view of jet")
     assert len(maps) >= 7
     assert found == []
+
+
+_SEAM_READERS = {"MultiMappingTorus.normalize_raw", "MultiMappingTorus._inverse",
+                 "MultiMappingTorus.distance"}
+
+
+def _gluing_reads(node, scope=()):
+    """(scope, line) of every x.gluings[...] item read under node, scope
+    being the dotted names of the classes and functions around it."""
+    if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+        scope = scope + (node.name,)
+    if (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute)
+            and node.value.attr == "gluings"):
+        yield ".".join(scope), node.lineno
+    for child in ast.iter_child_nodes(node):
+        yield from _gluing_reads(child, scope)
+
+
+def test_only_normalize_raw_crosses_a_seam():
+    # a seam is crossed by one rule: normalize_raw applies the gluing (and
+    # _inverse inverts it for the way back); distance compares two sides of
+    # one seam through it.  check_seams and everything else read the upper
+    # side of a seam from normalize_raw, so no second seam table can drift
+    reads = [(path.name, line, scope) for path in sorted(SRC.glob("*.py"))
+             for scope, line in _gluing_reads(_tree(path))]
+    assert [f"{name}:{line} {scope}" for name, line, scope in reads
+            if scope not in _SEAM_READERS] == []
+    # the rule still sees the readers it allows
+    assert {scope for _, _, scope in reads} == _SEAM_READERS
