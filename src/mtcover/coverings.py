@@ -303,6 +303,11 @@ class CompositeCovering(CoveringMapHandle):
     def frame(self, t, x, side=+1):
         fr = _identity_frame(t, np.asarray(x, dtype=float))
         for st in self.stages:
+            if isinstance(st, StageP) and not isinstance(fr, IdentityFrame):
+                # P is x -> c x with Jacobian c I: scale, with no jet and no product
+                c = st.handle.factor
+                fr = fr._replace(x_out=fr.x_out * c, w=c * fr.w, v=c * fr.v)
+                continue
             step = st.frame(fr.t_out, fr.x_out, side)
             # an identity frame passes the other side's w and v through unchanged
             if isinstance(step, IdentityFrame):

@@ -2,10 +2,14 @@
 
 All estimates sweep a product grid: an evenly spaced parameter slice set
 on [0,1) times a regular fiber grid.  Within a slice every chart branch is
-fixed, so the sweeps are fully vectorized; slices can run in forked worker
-processes and are reduced in slice order, which keeps results independent
-of the worker count.  The per-point linear algebra of every sweep is in
-_small.
+fixed, so the sweeps are fully vectorized.  A run's sweeps share one
+worker group (_Group): measure_constants forks it once, every process of
+it runs the same code and takes its own slices, and each sweep hands every
+process every slice value in slice order, which keeps results and
+decisions independent of the worker count.  The group stays with the
+returned Measurement until verify_expansion runs its pass in it; a sweep
+passed a thread count instead forks a group of its own.  The per-point
+linear algebra of every sweep is in _small.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from __future__ import annotations
 import os
 import pickle
 import signal
+import weakref
 from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -51,98 +56,115 @@ def default_psi(h_field: TrigDisplacementField):
     return bridge_isotopy(constant_identity_isotopy(h_field.dim), squared)
 
 
-def _sweep(job, t_res: int, threads: int, closed: bool = False) -> np.ndarray:
-    """job(t) on the slices t = i / t_res of [0, 1), in slice order, as one array.
+class _Group:
+    """Processes that run the same code in lockstep: the caller, rank 0,
+    and size - 1 os.fork children (size is threads, capped at the slices of
+    the group's largest sweep; 1 where os.fork does not exist).
 
-    Closed sweeps add t = 1: chart-level (flat-norm) quantities differ between
-    the two seam charts, so their extrema need both endpoints.  A non-finite
-    slice value, or a factorization that fails on one, raises NonFiniteSlice.
-
-    With threads > 1 the slices are dealt round-robin to w = min(threads,
-    slices) worker processes, the caller and w - 1 os.fork children (one
-    process where os.fork does not exist).  The values are put back in
-    slice order, and a failure raises the error of the lowest failing
-    slice, as the serial loop does, so neither results nor errors depend on
-    w.  Jobs return what they compute: side effects in a child are lost,
-    a SourceGram.eigh computed there included, which costs a recompute.
-    """
-    t_values = (np.linspace(0.0, 1.0, t_res + 1) if closed else np.arange(t_res) / t_res).tolist()
-    workers = max(1, min(threads, len(t_values))) if hasattr(os, "fork") else 1
-
-    def guarded(t):
-        try:
-            return job(t)
-        except np.linalg.LinAlgError as exc:
-            raise NonFiniteSlice(f"slice t={t}: {exc}") from exc
-
-    def share(k):
-        """(True, values) of slices k, k + workers, ..., or else
-        (False, (slice index, exception)) of the first that fails."""
-        values = []
-        for i in range(k, len(t_values), workers):
-            try:
-                values.append(guarded(t_values[i]))
-            except Exception as exc:
-                return False, (i, exc)
-        return True, values
-
-    outcomes = _run_shares(share, workers)
-    failures = [body for ok, body in outcomes if not ok]
-    if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
-    values = np.array([outcomes[i % workers][1][i // workers] for i in range(len(t_values))])
-    bad = np.argwhere(~np.isfinite(values))
-    if bad.size:
-        raise NonFiniteSlice(f"slice t={t_values[bad[0, 0]]} gave a non-finite value")
-    return values
-
-
-def _run_shares(share, workers: int) -> list:
-    """[share(0), ..., share(workers - 1)]: share 0 here, each other one in
-    an os.fork child.  Every child is read and reaped; an interrupt kills
-    the children left before it reaps them."""
-    children = []
-    try:
-        for k in range(1, workers):
-            children.append(_fork_share(share, k))
-        outcomes = [share(0)]
-        while children:
-            outcomes.append(_collect(*children[0]))
-            del children[0]
-        return outcomes
-    except BaseException:
-        for _, pid, pipe in children:
-            with suppress(ProcessLookupError):
-                os.kill(pid, signal.SIGKILL)
-            pipe.close()
-            with suppress(ChildProcessError):
-                os.waitpid(pid, 0)
-        raise
-
-
-def _fork_share(share, k: int):
-    """(k, pid, read end of its pipe) of a child that writes the pickled
-    share(k) to the pipe.  The child leaves through os._exit, so it never
+    start(body) runs body(group) in every process.  Each child has two
+    pipes to the caller: gather sends the child's outcome up, and
+    broadcast sends the caller's value down, where a child that ran ahead
+    waits for it.  A child leaves start only through os._exit, so it never
     returns into the caller's stack, flushes inherited stdio buffers, or
-    runs exit hooks."""
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except BaseException:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid == 0:
-        code = 1
+    runs exit hooks; close, in the caller, kills and reaps the children left.
+    """
+
+    def __init__(self, threads: int, slices: int):
+        self.size = max(1, min(threads, slices)) if hasattr(os, "fork") else 1
+        self.rank, self.owner = 0, os.getpid()
+        self._children = []  # the caller's [pid, up, down] of each child; pid None once reaped
+        self._pipes = None  # a child's (up, down) ends
+
+    def start(self, body):
+        """body(self) in every process of the group; its value in the caller.
+        If body raises in the caller, the group is closed first."""
         try:
-            os.close(read_fd)
-            with os.fdopen(write_fd, "wb") as pipe:
-                pipe.write(_pickled(share(k)))
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(write_fd)
-    return k, pid, os.fdopen(read_fd, "rb")
+            for rank in range(1, self.size):
+                self._fork(rank, body)
+            return body(self)
+        except BaseException:
+            self.close()
+            raise
+
+    def _fork(self, rank: int, body):
+        up_read, up_write = os.pipe()
+        down_read, down_write = os.pipe()
+        try:
+            pid = os.fork()
+        except BaseException:
+            for fd in (up_read, up_write, down_read, down_write):
+                os.close(fd)
+            raise
+        if pid == 0:
+            code = 1
+            try:
+                os.close(up_read)
+                os.close(down_write)
+                for _, up, down in self._children:  # the caller's ends to earlier children
+                    up.close()
+                    down.close()
+                self.rank, self._children = rank, []
+                self._pipes = os.fdopen(up_write, "wb"), os.fdopen(down_read, "rb")
+                body(self)
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(up_write)
+        os.close(down_read)
+        self._children.append([pid, os.fdopen(up_read, "rb"), os.fdopen(down_write, "wb")])
+
+    def gather(self, outcome):
+        """In the caller, the outcomes of ranks 0, 1, ..., size - 1, outcome
+        being its own; in a child, None after sending outcome up.  A child
+        that exits without a whole outcome gives an MTCoverError at slice
+        = its rank, its first slice."""
+        if self.rank:
+            up = self._pipes[0]
+            up.write(_pickled(outcome))
+            up.flush()
+            return None
+        return [outcome] + [self._receive(rank) for rank in range(1, self.size)]
+
+    def _receive(self, rank: int):
+        child = self._children[rank - 1]
+        try:
+            return pickle.load(child[1])
+        except Exception:
+            _, status = os.waitpid(child[0], 0)
+            child[0] = None
+            code = os.waitstatus_to_exitcode(status)
+            return False, (rank, MTCoverError(
+                f"sweep worker for slice {rank} exited with status {code} without a result"))
+
+    def broadcast(self, value):
+        """The caller's value, in every process: a child waits for it.  A
+        child that has died is skipped; the next gather reports it."""
+        if self.rank:
+            return pickle.load(self._pipes[1])
+        if self._children:
+            data = pickle.dumps(value, pickle.HIGHEST_PROTOCOL)
+            for _, _, down in self._children:
+                with suppress(BrokenPipeError):
+                    down.write(data)
+                    down.flush()
+        return value
+
+    def close(self):
+        """Kill and reap the children left.  It acts only in the process
+        that opened the group, and a second call does nothing."""
+        if os.getpid() != self.owner:
+            return
+        children, self._children = self._children, []
+        for pid, up, down in children:
+            if pid is not None:
+                with suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
+            up.close()
+            with suppress(OSError):  # a flush that a dead child left pending
+                down.close()
+            if pid is not None:
+                with suppress(ChildProcessError):
+                    os.waitpid(pid, 0)
 
 
 def _pickled(outcome) -> bytes:
@@ -158,18 +180,60 @@ def _pickled(outcome) -> bytes:
     return pickle.dumps((ok, body), pickle.HIGHEST_PROTOCOL)
 
 
-def _collect(k: int, pid: int, pipe):
-    """The outcome child k sent, after reaping it; one that exited without
-    a whole outcome fails at slice k with an MTCoverError."""
-    with pipe:
-        data = pipe.read()
-    _, status = os.waitpid(pid, 0)
-    try:
-        return pickle.loads(data)
-    except Exception:
-        code = os.waitstatus_to_exitcode(status)
-        return False, (k, MTCoverError(
-            f"sweep worker for slice {k} exited with status {code} without a result"))
+def _sweep(job, t_res: int, workers: int | _Group, closed: bool = False) -> np.ndarray:
+    """job(t) on the slices t = i / t_res of [0, 1), in slice order, as one array.
+
+    Closed sweeps add t = 1: chart-level (flat-norm) quantities differ between
+    the two seam charts, so their extrema need both endpoints.  A non-finite
+    slice value, or a factorization that fails on one, raises NonFiniteSlice.
+
+    workers is a run's _Group, or a thread count for a group of this sweep
+    alone.  Process r of the group computes slices r, r + size, ...; the
+    caller gathers them, puts them back in slice order and broadcasts the
+    array, so every process returns the same bits.  A failure raises the
+    error of the lowest failing slice in the caller, as the serial loop
+    does, so neither results nor errors depend on the group's size; the
+    children wait until the group is closed.  A job keeps its side effects
+    in the process that ran its slice, which runs that slice in every
+    later sweep of the group.
+    """
+    t_values = (np.linspace(0.0, 1.0, t_res + 1) if closed else np.arange(t_res) / t_res).tolist()
+    if not isinstance(workers, _Group):
+        group = _Group(workers, len(t_values))
+        try:
+            return group.start(lambda group: _sweep(job, t_res, group, closed))
+        finally:
+            group.close()
+    group = workers
+
+    def guarded(t):
+        try:
+            return job(t)
+        except np.linalg.LinAlgError as exc:
+            raise NonFiniteSlice(f"slice t={t}: {exc}") from exc
+
+    def share():
+        """(True, values) of this process's slices, or else (False, (slice
+        index, exception)) of the first that fails."""
+        values = []
+        for i in range(group.rank, len(t_values), group.size):
+            try:
+                values.append(guarded(t_values[i]))
+            except Exception as exc:
+                return False, (i, exc)
+        return True, values
+
+    outcomes, values = group.gather(share()), None
+    if outcomes is not None:
+        failures = [body for ok, body in outcomes if not ok]
+        if failures:
+            raise min(failures, key=lambda failure: failure[0])[1]
+        values = np.array([outcomes[i % group.size][1][i // group.size]
+                           for i in range(len(t_values))])
+        bad = np.argwhere(~np.isfinite(values))
+        if bad.size:
+            raise NonFiniteSlice(f"slice t={t_values[bad[0, 0]]} gave a non-finite value")
+    return group.broadcast(values)
 
 
 class SliceRecord:
@@ -185,7 +249,8 @@ class SliceRecord:
     on first read and kept, so a sweep pays only for what it reads: K reads
     r, c_q the conorm (from P and the whitener), and the Finsler gain r and
     the conorm.  The frame and the whitener are kept for the adapted chain
-    that verify continues from them.
+    that verify continues from them, and a run keeps f's records from the
+    K sweep, r read, until verify's pass takes them.
     """
 
     def __init__(self, cover, metric: MetricG, source: SourceGram, t: float):
@@ -216,8 +281,8 @@ class SliceRecord:
 
 def _record_job(cover, metric: MetricG, fiber_res: int, reduce):
     """Slice job t -> reduce(SliceRecord of the cover at t) on the metric's
-    grid of fiber_res points per axis, whose Gram is factored here, before
-    any sweep worker forks."""
+    grid of fiber_res points per axis, whose Gram is factored here unless
+    the metric holds it, so a sweep's own workers inherit it."""
     source = metric.source(fiber_res)
     return lambda t: reduce(SliceRecord(cover, metric, source, t))
 
@@ -243,7 +308,7 @@ def estimate_metric_equiv(metric: MetricG, fiber_res: int = 64) -> float:
 
 
 def estimate_C(tower, fiber_res: int = 64, t_res: int = 32,
-               threads: int = 1, *, _bound: float | None = None,
+               threads: int | _Group = 1, *, _bound: float | None = None,
                _grid: np.ndarray | None = None):
     """Min flat conorm of the fiber derivative of the aligning stages.
 
@@ -277,7 +342,7 @@ def estimate_C(tower, fiber_res: int = 64, t_res: int = 32,
 
 
 def estimate_cq(qm, metric: MetricG, fiber_res: int = 64, t_res: int = 32,
-                threads: int = 1) -> float:
+                threads: int | _Group = 1) -> float:
     """Min vertical expansion of the base-cover map in the interpolated metric."""
     job = _record_job(qm, metric, fiber_res, lambda rec: float(rec.vertical_conorm.min()))
     return float(_sweep(job, t_res, threads).min())
@@ -291,10 +356,19 @@ def verify_vertical_expansion(f, metric: MetricG, fiber_res: int = 64,
 
 
 def estimate_K(f, metric: MetricG, fiber_res: int = 64, t_res: int = 32,
-               threads: int = 1):
+               threads: int | _Group = 1, *, _records: dict | None = None):
     """Max metric norm of the vertical part of the image of the unit base
-    vector, plus its floor at 1 used for the mixed-norm construction."""
-    job = _record_job(f, metric, fiber_res, lambda rec: float(np.sqrt(rec.r).max()))
+    vector, plus its floor at 1 used for the mixed-norm construction.
+
+    A run passes _records, where each process keeps the SliceRecord of
+    every slice it sweeps, by t, for the verify pass to continue from.
+    """
+    def reduce(rec):
+        if _records is not None:
+            _records[rec.t] = rec
+        return float(np.sqrt(rec.r).max())
+
+    job = _record_job(f, metric, fiber_res, reduce)
     k_val = float(_sweep(job, t_res, threads).max())
     return k_val, max(k_val, 1.0)
 
@@ -446,7 +520,7 @@ def _step_count(mu_hat: float, k_eff: float):
 
 
 def _chain_minimum(f, metric: MetricG, n_steps: int, fiber_res: int, t_res: int,
-                   threads: int) -> float:
+                   threads: int | _Group) -> float:
     """Grid minimum of the n_steps-step expansion of f from G to G, taken
     factor by factor (chain_sigma_min)."""
     source = metric.source(fiber_res)
@@ -524,7 +598,15 @@ class ExpansionReport:
 class Measurement:
     """What measure_constants measured, and the settings it ran with: the
     one argument of verify_expansion.  f is the composite at depth k, and
-    metric the metric it is measured in, which keeps its factored Gram."""
+    metric the metric it is measured in, which keeps its factored Gram.
+
+    The run also keeps, off the constructor, the worker group it was
+    measured in and each process's SliceRecords of f from the K sweep:
+    verify_expansion runs its pass in the group, continues from the
+    records, and then closes the group.  A run released without a verify
+    closes its group then.  A copy made by dataclasses.replace has
+    neither, and its verify frames f afresh in groups of its own.
+    """
 
     constants: ConstantsReport
     k: int
@@ -533,6 +615,8 @@ class Measurement:
     m: int
     nu_target: float
     threads: int
+    _group: _Group | None = field(default=None, init=False, repr=False, compare=False)
+    _records: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def measure_constants(h_field: TrigDisplacementField, m: int, *, k: int | None = None,
@@ -543,75 +627,108 @@ def measure_constants(h_field: TrigDisplacementField, m: int, *, k: int | None =
 
     Returns the Measurement that verify_expansion takes.  The metric keeps
     the Gram factored on its grid (MetricG.source), so c_eq, c_q, K and a
-    later verify_expansion share one factor.
+    later verify_expansion share one factor.  The sweeps run in one worker
+    group of threads processes, forked once after c_eq factors the Gram;
+    every process measures the same constants from the same slice values,
+    and the children stay parked with the run until verify_expansion.
     """
     h = TrigDisplacementMap(h_field)
     metric = MetricG(h)
     psi = default_psi(h_field)
     c_eq = estimate_metric_equiv(metric, fiber_res)
     qm = build_qm_only(h, m, psi)
-    c_q = estimate_cq(qm, metric, fiber_res, t_res, threads)
-    lam = nu_target / c_q
-
     grid = metric.source(fiber_res).grid
-    c_bound = None  # the bound of the first depth measured, which every depth shares
-    for depth in ([k] if k is not None else range(1, k_cap + 1)):
-        tower = tower_from_field(h_field, depth, base)
-        c_val, c_bound = estimate_C(tower, fiber_res, t_res, threads, _bound=c_bound, _grid=grid)
-        # the smallest depth with c_eq^2 * base^k * C(k) > lam, unless k is given
-        if k is not None or c_eq * c_eq * base ** depth * c_val > lam:
-            break
-    else:
-        raise UnboundedSelection(f"no k <= {k_cap} reaches the target factor {lam:.4f}")
 
-    f = build_f(tower, m, psi)
-    k_raw, k_eff = estimate_K(f, metric, fiber_res, t_res, threads)
-    constants = ConstantsReport(
-        c_eq=c_eq, c_q=c_q, conorm_C=c_val, conorm_C_bound=c_bound,
-        coupling_K=k_raw, coupling_K_eff=k_eff, lambda_target=lam,
-        base=base, fiber_res=fiber_res, t_res=t_res,
-    )
-    return Measurement(constants=constants, k=depth, f=f, metric=metric, m=m,
-                       nu_target=nu_target, threads=threads)
+    def measure(group: _Group) -> Measurement:
+        c_q = estimate_cq(qm, metric, fiber_res, t_res, group)
+        lam = nu_target / c_q
+        c_bound = None  # the bound of the first depth measured, which every depth shares
+        for depth in ([k] if k is not None else range(1, k_cap + 1)):
+            tower = tower_from_field(h_field, depth, base)
+            c_val, c_bound = estimate_C(tower, fiber_res, t_res, group, _bound=c_bound,
+                                        _grid=grid)
+            # the smallest depth with c_eq^2 * base^k * C(k) > lam, unless k is given
+            if k is not None or c_eq * c_eq * base ** depth * c_val > lam:
+                break
+        else:
+            raise UnboundedSelection(f"no k <= {k_cap} reaches the target factor {lam:.4f}")
+
+        f = build_f(tower, m, psi)
+        records = {}
+        k_raw, k_eff = estimate_K(f, metric, fiber_res, t_res, group, _records=records)
+        constants = ConstantsReport(
+            c_eq=c_eq, c_q=c_q, conorm_C=c_val, conorm_C_bound=c_bound,
+            coupling_K=k_raw, coupling_K_eff=k_eff, lambda_target=lam,
+            base=base, fiber_res=fiber_res, t_res=t_res,
+        )
+        run = Measurement(constants=constants, k=depth, f=f, metric=metric, m=m,
+                          nu_target=nu_target, threads=threads)
+        run._group, run._records = group, records
+        if group.rank:
+            # a child goes on into the run's verify pass, and waits there
+            # for the caller's verify_expansion or for close
+            verify_expansion(run)
+        return run
+
+    group = _Group(threads, t_res + 1)
+    run = group.start(measure)
+    weakref.finalize(run, group.close)
+    return run
 
 
 def verify_expansion(run: Measurement) -> ExpansionReport:
     """Check that the run's composite f expands, from the constants measured
     for it, at the run's m, nu_target and threads.
 
-    One pass walks f once per adapted step.  Each slice job builds f's
-    SliceRecord, which gives the vertical margin and mu from one vertical
-    conorm (mu is the cone floor of _finsler_gain), and continues the
-    adapted chain from the record's frame for n_guess steps: the step count
-    at mu = 2m+1, the base slope, which caps the floor.  When mu asks for
-    n_guess steps the rate comes from the pass's minima; otherwise the
-    chain runs again at the step count it asks for.  A mu <= 1 has no step
-    count: the report then fails mu_above_one and adapted_rate_above_one,
-    with no adapted steps or rate, and a rate <= 1 fails the latter.
+    One pass walks f once per adapted step.  Each slice job takes f's
+    SliceRecord that the K sweep kept on the run (dropping it from there),
+    or builds it where the run keeps none, which gives the vertical margin
+    and mu from one vertical conorm (mu is the cone floor of
+    _finsler_gain), and continues the adapted chain from the record's
+    frame for n_guess steps: the step count at mu = 2m+1, the base slope,
+    which caps the floor.  When mu asks for n_guess steps the rate comes
+    from the pass's minima; otherwise the chain runs again at the step
+    count it asks for.  A mu <= 1 has no step count: the report then fails
+    mu_above_one and adapted_rate_above_one, with no adapted steps or
+    rate, and a rate <= 1 fails the latter.
+
+    The sweeps run in the run's worker group, whose children take the
+    caller's constants and settings first; the group is closed on return.
     """
-    constants, k, f, metric, m = run.constants, run.k, run.f, run.metric, run.m
-    fiber_res, t_res, threads = constants.fiber_res, constants.t_res, run.threads
-    k_eff = constants.coupling_K_eff
-    gain = _finsler_gain(k_eff)
-    n_guess = _step_count(2 * m + 1, k_eff)[0]
-    source = metric.source(fiber_res)
+    group, records, run._group = run._group, run._records, None
+    try:
+        if group is not None:
+            run.constants, run.m, run.nu_target = group.broadcast(
+                (run.constants, run.m, run.nu_target))
+        workers = run.threads if group is None else group
+        constants, k, f, metric, m = run.constants, run.k, run.f, run.metric, run.m
+        fiber_res, t_res = constants.fiber_res, constants.t_res
+        k_eff = constants.coupling_K_eff
+        gain = _finsler_gain(k_eff)
+        n_guess = _step_count(2 * m + 1, k_eff)[0]
+        source = metric.source(fiber_res)
 
-    def job(t):
-        rec = SliceRecord(f, metric, source, t)
-        margin, mu_t = float(rec.vertical_conorm.min()), gain(rec)
-        # the chain needs only the record's frame and whitener: the rest is
-        # freed first
-        factors = _chain_factors(f, metric, t, rec.frame, rec.whitener, n_guess)
-        del rec
-        return margin, mu_t, chain_sigma_min(factors).min()
+        def job(t):
+            rec = records.pop(t, None)
+            if rec is None:
+                rec = SliceRecord(f, metric, source, t)
+            margin, mu_t = float(rec.vertical_conorm.min()), gain(rec)
+            # the chain needs only the record's frame and whitener: the rest
+            # is freed first
+            factors = _chain_factors(f, metric, t, rec.frame, rec.whitener, n_guess)
+            del rec
+            return margin, mu_t, chain_sigma_min(factors).min()
 
-    margin, mu, worst = _sweep(job, t_res, threads).min(axis=0).tolist()
-    n_steps = rate = None
-    if mu > 1.0:
-        n_steps = _step_count(mu, k_eff)[0]
-        if n_steps != n_guess:
-            worst = _chain_minimum(f, metric, n_steps, fiber_res, t_res, threads)
-        rate = worst ** (1.0 / n_steps)
+        margin, mu, worst = _sweep(job, t_res, workers).min(axis=0).tolist()
+        n_steps = rate = None
+        if mu > 1.0:
+            n_steps = _step_count(mu, k_eff)[0]
+            if n_steps != n_guess:
+                worst = _chain_minimum(f, metric, n_steps, fiber_res, t_res, workers)
+            rate = worst ** (1.0 / n_steps)
+    finally:
+        if group is not None:
+            group.close()
     c_eq = constants.c_eq
     chain_floor = c_eq * c_eq * constants.base ** k * constants.conorm_C
     checks = {

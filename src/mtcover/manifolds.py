@@ -158,7 +158,7 @@ class MultiMappingTorus:
                 continue
             if a.seg == self.n_segments - 1:
                 handle = self.wrap
-                t_gap = (self.circumference - a.t) + (b.t - self.boundaries[0])
+                t_gap = (self.boundaries[-1] - a.t) + (b.t - self.boundaries[0])
             else:
                 handle = self.gluings[a.seg]
                 t_gap = (self.boundaries[a.seg + 1] - a.t) + (b.t - self.boundaries[b.seg])
@@ -291,7 +291,7 @@ def check_seams(covering, n_samples: int = 100, rng=None):
 
     For each breakpoint of the map, and for the wrap, takes sample points
     on the lower side, carries them to the upper side with normalize_raw
-    (the gluing of a source seam, the wrap map at the circumference), and
+    (the gluing of a source seam, the wrap map at the last boundary), and
     measures the distance of the two images in the target space.
     """
     space = covering.source
@@ -299,7 +299,7 @@ def check_seams(covering, n_samples: int = 100, rng=None):
     if rng is None:
         rng = np.random.default_rng(0)
     worst = 0.0
-    for t_b in [*covering.breakpoints(), space.circumference]:
+    for t_b in [*covering.breakpoints(), float(space.boundaries[-1])]:
         y = rng.random((n_samples, space.dim))
         _, t_r, y_r, _ = space.normalize_raw(space.seg_of(t_b, -1), t_b, y)
         left = covering.apply_raw(t_b, y, -1)

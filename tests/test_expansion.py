@@ -921,8 +921,11 @@ def weakened(run, k_eff):
         run, constants=dataclasses.replace(run.constants, coupling_K_eff=k_eff))
 
 
-def test_verify_expansion_builds_one_frame_per_slice(shear_measured, monkeypatch):
-    f = shear_measured.f
+def test_verify_expansion_builds_one_frame_per_slice(shear, monkeypatch):
+    # a fresh run: the K sweep framed f once per slice and kept the
+    # records, so verify's pass starts each slice at the second chain step
+    run = measure_constants(shear, 1, fiber_res=16, t_res=8)
+    f = run.f
     frame = CompositeCovering.frame
     calls = []
 
@@ -931,13 +934,16 @@ def test_verify_expansion_builds_one_frame_per_slice(shear_measured, monkeypatch
             calls.append(t)
         return frame(self, t, *args, **kwargs)
 
-    # patched on the class: an instance attribute would outlive the undo on
-    # the module-scoped f and hide it from later class-level patches
     monkeypatch.setattr(CompositeCovering, "frame", counting_frame)
-    report = verify_expansion(shear_measured)
-    # the first frame of each slice feeds the vertical margin and mu, and
-    # the adapted chain continues from it: adapted_steps frames per slice
-    assert len(calls) == shear_measured.constants.t_res * report.adapted_steps
+    first = verify_expansion(run)
+    assert first.adapted_steps == 2
+    assert len(calls) == run.constants.t_res * (first.adapted_steps - 1)
+    # the pass dropped each record as it read it: a second verify frames f
+    # afresh, once per adapted step, to the same report bit for bit
+    calls.clear()
+    second = verify_expansion(run)
+    assert len(calls) == run.constants.t_res * second.adapted_steps
+    assert json.dumps(dataclasses.asdict(second)) == json.dumps(dataclasses.asdict(first))
 
 
 def test_verify_expansion_that_misses_its_step_guess_reruns_the_chain(shear, monkeypatch):

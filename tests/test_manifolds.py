@@ -181,6 +181,15 @@ def test_distance_sanity(shear_map):
     assert space.distance(a, b) < 1e-6
 
 
+def test_distance_across_the_wrap_of_a_torus_that_starts_past_zero(shear_map):
+    # the wrap sits at the last boundary, 1.5 here, not at the circumference
+    space = MultiMappingTorus([0.5, 1.5], [], shear_map)
+    x = np.array([0.25, 0.25])
+    a = MTPoint(0, 1.5 - 1e-7, x)
+    b = MTPoint(0, 0.5, shear_map(x))
+    assert abs(space.distance(a, b) - 1e-7) < 1e-12
+
+
 @pytest.mark.parametrize("name", ["mprime", "mtilde", "nk"])
 def test_distance_broadcast_matches_scalar(shear, name, rng):
     """A broadcast (N,1,n) x (1,M,n) distance equals the scalar call on
@@ -280,6 +289,16 @@ def test_check_seams_detects_corrupted_wrap(inventory):
     bad = MultiMappingTorus(good.boundaries, good.gluings, identity_map(2))
     assert check_seams(StageQ(good, mh), n_samples=200) < 1e-9
     gap = check_seams(StageQ(bad, mh), n_samples=200)
+    assert abs(gap - EPS) < 0.2 * EPS
+
+
+def test_check_seams_finds_the_wrap_of_a_torus_that_starts_past_zero(shear_map):
+    # the identity chart map into a torus with the identity wrap misses the
+    # shear's gluing across the wrap at 1.5, by about its amplitude
+    space = MultiMappingTorus([0.5, 1.5], [], shear_map)
+    plain = MultiMappingTorus([0.5, 1.5], [], identity_map(2))
+    assert check_seams(StageQ(space, space), n_samples=200) < 1e-9
+    gap = check_seams(StageQ(space, plain), n_samples=200)
     assert abs(gap - EPS) < 0.2 * EPS
 
 

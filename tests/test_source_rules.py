@@ -178,3 +178,24 @@ def test_only_normalize_raw_crosses_a_seam():
             if scope not in _SEAM_READERS] == []
     # the rule still sees the readers it allows
     assert {scope for _, _, scope in reads} == _SEAM_READERS
+
+
+_PROCESS_CALLS = {"fork", "pipe"}
+
+
+def test_only_expansion_forks_or_opens_pipes():
+    # one worker mechanism: the sweep's worker group in expansion.py; this
+    # finds os.fork and os.pipe references and their from-imports
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(_tree(path)):
+            if (isinstance(node, ast.Attribute) and node.attr in _PROCESS_CALLS
+                    and isinstance(node.value, ast.Name) and node.value.id == "os"):
+                found.append(f"{path.name} os.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                found += [f"{path.name} from os import {alias.name}"
+                          for alias in node.names if alias.name in _PROCESS_CALLS]
+    assert len(list(SRC.glob("*.py"))) >= 10
+    assert {entry for entry in found if not entry.startswith("expansion.py ")} == set()
+    # the rule still sees the calls it allows
+    assert {"expansion.py os.fork", "expansion.py os.pipe"} <= set(found)
