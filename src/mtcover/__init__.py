@@ -8,7 +8,7 @@ constants, a mixed-norm cone argument, and an averaged adapted metric.
 
 from .coverings import (
     Preimages,
-    build_f,
+    build_qm,
     build_stage_inventory,
     differential,
     orbit,

@@ -32,6 +32,8 @@ einsum C-order copies, since its summation order follows the layout.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 # Smallest batch, in blocks of the larger operand, multiplied entry by
@@ -40,6 +42,10 @@ import numpy as np
 # numpy between 448 and 640 blocks, gram, congruence and quadratic near 256;
 # at 4,096 blocks the entry forms take 1/5 to 1/2 of numpy's time.
 _MIN_BATCH = 512
+
+# The largest |det| that chain_sigma_min carries from one chart factor to
+# the next before it scales the running determinant and adjugate down.
+_RESCALE_AT = 2.0 ** 64
 
 
 def _entrywise(a: np.ndarray, b: np.ndarray) -> bool:
@@ -323,6 +329,14 @@ def chain_sigma_min(factors) -> np.ndarray:
         for fac in factors:
             fac_adj, fac_det = _chart_adj(fac)
             adj, det = _block_product(adj, fac_adj), det * fac_det
+            # |det| / sigma_max(adj) keeps its value when both are scaled
+            # by one factor, and every bit of it when that is a power of
+            # two; sym3_max squares the entries of adj's Gram, so adj is
+            # kept far from overflow
+            top = float(np.abs(det).max(initial=0.0))
+            if _RESCALE_AT < top < np.inf:
+                scale = math.ldexp(1.0, -math.frexp(top)[1])
+                adj, det = tuple(c * scale for c in adj), det * scale
         big = np.sqrt(sym3_max(_block_gram(adj)))
         return _ratio(np.abs(det), big).reshape(first.shape[:-2])
     adj, det = _adj_det(first)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coverings import build_stage_inventory, orbit, preimages
+from .coverings import build_qm, build_stage_inventory, orbit, preimages
 from .errors import ConfigError, MTCoverError
 from .expansion import default_psi, local_vertical_conorms, measure_constants, verify_expansion
 from .fields import MAX_FREQ, TrigDisplacementField
@@ -219,7 +219,15 @@ def _stage_inventory(cfg: RunConfig) -> dict:
     """Stage maps and composites at depth cfg.k, or 1 when k is null."""
     field = cfg.displacement_field()
     tower = tower_from_field(field, cfg.k if cfg.k is not None else 1, cfg.base)
-    return build_stage_inventory(tower, cfg.m, default_psi(field))
+    return build_stage_inventory(tower, build_qm(tower.level(0), cfg.m, default_psi(field)))
+
+
+def _report(cfg: RunConfig, out_path: str | None, passed: bool, **blocks) -> int:
+    """Emit the report {config_echo, *blocks, timings, pass}; the exit code
+    of its verdict."""
+    emit_json({"config_echo": cfg.echo(), **blocks, "timings": _work_counters(cfg),
+               "pass": passed}, out_path)
+    return 0 if passed else 1
 
 
 # ---------------------------------------------------------------------------
@@ -239,17 +247,10 @@ def cmd_measure(cfg: RunConfig, out_path: str | None = None, verify: bool = Fals
     else:
         # with no expansion report to hold it, k goes in the constants block
         report, block, passed = None, dict(dataclasses.asdict(run.constants), k=run.k), True
-    doc = {
-        "config_echo": cfg.echo(),
-        "constants": block,
-        "expansion": report,
-        "timings": _work_counters(cfg),
-        "pass": passed,
-    }
-    emit_json(doc, out_path)
+    code = _report(cfg, out_path, passed, constants=block, expansion=report)
     if cfg.csv_out:
         _dump_conorm_csv(cfg, run.f, run.metric)
-    return 0 if passed else 1
+    return code
 
 
 def cmd_degree(cfg: RunConfig, out_path: str | None = None) -> int:
@@ -260,20 +261,13 @@ def cmd_degree(cfg: RunConfig, out_path: str | None = None) -> int:
     probe = f.source.normalize(probe)
     points, linear, min_sep = preimages(f, probe, newton_tol=cfg.newton_tol)
     expected = cfg.base ** (inventory["H"].k * cfg.n) * (2 * cfg.m + 1)
-    doc = {
-        "config_echo": cfg.echo(),
-        "degree": {
-            "preimage_count": len(points),
-            "expected": expected,
-            "min_separation": min_sep,
-            "pi1_linear_part": linear.tolist(),
-            "probe": [probe.t, *probe.x],
-        },
-        "timings": _work_counters(cfg),
-        "pass": len(points) == expected,
-    }
-    emit_json(doc, out_path)
-    return 0 if len(points) == expected else 1
+    return _report(cfg, out_path, len(points) == expected, degree={
+        "preimage_count": len(points),
+        "expected": expected,
+        "min_separation": min_sep,
+        "pi1_linear_part": linear.tolist(),
+        "probe": [probe.t, *probe.x],
+    })
 
 
 def cmd_orbit(cfg: RunConfig, start, steps: int,
@@ -291,15 +285,7 @@ def cmd_seams(cfg: RunConfig, out_path: str | None = None) -> int:
     rng = np.random.default_rng(cfg.seed)
     gaps = {name: float(check_seams(cover, n_samples=500, rng=rng))
             for name, cover in inventory.items()}
-    worst = max(gaps.values())
-    doc = {
-        "config_echo": cfg.echo(),
-        "seams": gaps,
-        "timings": _work_counters(cfg),
-        "pass": worst < cfg.seam_tol,
-    }
-    emit_json(doc, out_path)
-    return 0 if worst < cfg.seam_tol else 1
+    return _report(cfg, out_path, max(gaps.values()) < cfg.seam_tol, seams=gaps)
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,9 @@ from .torus_maps import (
 _INTEGRAL_TOL = 1e-8  # how far a slope or translation law may sit from an integer
 _PREIMAGE_TOL = 1e-9  # how far a refined preimage may map from its target
 _DEDUPE_TOL = 1e-6  # two preimages closer than this are one found twice
+# most pairwise coordinate differences that the preimage search may form for
+# one branch (min_separation); 10**8 of them fill 800 MB of float64
+_MAX_PAIR_ENTRIES = 10 ** 8
 
 
 class StageFrame(NamedTuple):
@@ -344,83 +347,51 @@ class FiberSlice(TorusMapHandle):
 # Space and map builders
 
 
-def _base_spaces(h, m):
-    """Chart spaces of the base cover: unit, long, paired and twisted."""
+def build_qm(h, m, psi) -> CompositeCovering:
+    """The base cover R S T Q of the unit mapping torus of h, through its
+    long, paired and twisted spaces."""
     long = 2 * m + 1
     unit_bounds = [float(i) for i in range(long + 1)]
     h_square = compose(h, h)
     prime_gluings = [identity_map(h.dim) if i % 2 == 0 else h_square
                      for i in range(long - 1)]
-    tilde_gluings = [h for _ in range(long - 1)]
-    return {
-        "mh": mapping_torus(h, name="unit"),
-        "mbar": mapping_torus(h, circumference=float(long), name="long"),
-        "mprime": MultiMappingTorus(unit_bounds, prime_gluings, h, name="paired"),
-        "mtilde": MultiMappingTorus(unit_bounds, tilde_gluings, h, name="twisted"),
-    }
+    unit = mapping_torus(h, name="unit")
+    mbar = mapping_torus(h, circumference=float(long), name="long")
+    mprime = MultiMappingTorus(unit_bounds, prime_gluings, h, name="paired")
+    mtilde = MultiMappingTorus(unit_bounds, [h] * (long - 1), h, name="twisted")
+    return CompositeCovering([StageR(m, unit, mbar), StageS(psi, mbar, mprime),
+                              StageT(h, mprime, mtilde), StageQ(mtilde, unit)], name="qm")
 
 
-def build_spaces(tower, m):
-    """All chart spaces for the fiber-cover and base-cover constructions.
-
-    Returns a dict sharing the unit mapping torus between both chains so
-    composites can be stitched together.
-    """
-    h = tower.level(0)
+def fiber_stages(tower, unit):
+    """Stages H, F, P of the fiber cover, from the unit mapping torus unit
+    back to it, through the tower-segment and top-level spaces."""
     k = tower.k
     width = 1.0 / (k + 1)
     nk_bounds = [i * width for i in range(k + 1)] + [1.0]
     nk_gluings = [compose(tower.level(k - i - 1).inverse(), tower.level(k - i))
                   for i in range(k)]
-    spaces = _base_spaces(h, m)
-    spaces["nk"] = MultiMappingTorus(nk_bounds, nk_gluings, h, name="tower-segments")
-    spaces["mhk"] = mapping_torus(tower.level(k), name="top-level")
-    return spaces
+    nk = MultiMappingTorus(nk_bounds, nk_gluings, tower.level(0), name="tower-segments")
+    mhk = mapping_torus(tower.level(k), name="top-level")
+    return [StageH(tower, unit, nk), StageF(tower, nk, mhk),
+            StageP(tower.dim, tower.base, k, mhk, unit)]
 
 
-def _fiber_stages(tower, spaces):
-    """Stages H, F, P of the fiber cover, unit torus to unit torus."""
-    return [
-        StageH(tower, spaces["mh"], spaces["nk"]),
-        StageF(tower, spaces["nk"], spaces["mhk"]),
-        StageP(tower.dim, tower.base, tower.k, spaces["mhk"], spaces["mh"]),
-    ]
-
-
-def _base_stages(h, m, psi, spaces):
-    """Stages R, S, T, Q of the base cover, unit torus to unit torus."""
-    return [
-        StageR(m, spaces["mh"], spaces["mbar"]),
-        StageS(psi, spaces["mbar"], spaces["mprime"]),
-        StageT(h, spaces["mprime"], spaces["mtilde"]),
-        StageQ(spaces["mtilde"], spaces["mh"]),
-    ]
-
-
-def build_stage_inventory(tower, m, psi):
-    """Every stage map plus the three composites, keyed by short names."""
-    spaces = build_spaces(tower, m)
-    fiber = _fiber_stages(tower, spaces)
-    base = _base_stages(tower.level(0), m, psi, spaces)
-    inventory = {st.name: st for st in fiber + base}
+def build_stage_inventory(tower, qm: CompositeCovering):
+    """Every stage map plus the three composites, keyed by short names.  The
+    base stages are qm's own, so f and qm share the unit mapping torus."""
+    fiber = fiber_stages(tower, qm.source)
+    inventory = {st.name: st for st in fiber + qm.stages}
     inventory["pk"] = CompositeCovering(fiber, name="pk")
-    inventory["qm"] = CompositeCovering(base, name="qm")
-    inventory["f"] = CompositeCovering(fiber + base, name="f")
+    inventory["qm"] = qm
+    inventory["f"] = CompositeCovering(fiber + qm.stages, name="f")
     return inventory
 
 
-def build_qm_only(h, m, psi) -> CompositeCovering:
-    """Base-cover composite straight from the gluing map, no tower needed."""
-    return CompositeCovering(_base_stages(h, m, psi, _base_spaces(h, m)), name="qm")
-
-
-def build_f(tower, m, psi) -> CompositeCovering:
-    return build_stage_inventory(tower, m, psi)["f"]
-
-
 def fiber_alignment_map(tower) -> CompositeCovering:
-    """The two stages that straighten fibers before the fiber homothety."""
-    stage_h, stage_f, _ = _fiber_stages(tower, build_spaces(tower, m=1))
+    """The two stages that straighten fibers before the fiber homothety,
+    out of a unit mapping torus of their own."""
+    stage_h, stage_f, _ = fiber_stages(tower, mapping_torus(tower.level(0), name="unit"))
     return CompositeCovering([stage_h, stage_f], name="fiber-align")
 
 
@@ -503,6 +474,8 @@ def preimages(cover: CoveringMapHandle, q: MTPoint, newton_tol: float = 1e-12) -
     torus on both ends, as for the composite covers built here).  Seeds
     come from the linear model: base preimages are (t + j) / slope and
     fiber seeds are coset representatives divided by the fiber degree.
+    A branch whose pairwise comparison would pass _MAX_PAIR_ENTRIES
+    differences raises UnsupportedForm before any is enumerated.
     """
     if cover.source.n_segments != 1 or cover.target.n_segments != 1:
         raise UnsupportedForm("preimage search expects single-segment charts")
@@ -515,6 +488,12 @@ def preimages(cover: CoveringMapHandle, q: MTPoint, newton_tol: float = 1e-12) -
     if not np.array_equal(fiber_deg, scale * np.eye(n, dtype=np.int64)):
         raise UnsupportedForm("fiber degree matrix is not scalar")
     expected = mu * scale ** n
+    pair_entries = (scale ** n) ** 2 * n
+    if pair_entries > _MAX_PAIR_ENTRIES:
+        raise UnsupportedForm(
+            f"{scale ** n} preimages per branch need {pair_entries} pairwise differences, "
+            f"more than {_MAX_PAIR_ENTRIES}"
+        )
     cosets = np.array(list(itertools.product(range(scale), repeat=n)), dtype=float)
     found = []
     for j in range(mu):

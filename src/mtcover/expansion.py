@@ -26,11 +26,11 @@ import numpy as np
 
 from ._small import (bordered, chain_sigma_min, cholesky, congruence, quadratic,
                      singular_extremes, whitened_min_eig)
-from .coverings import CompositeCovering, build_f, build_qm_only, fiber_alignment_map
+from .coverings import CompositeCovering, build_qm, build_stage_inventory, fiber_alignment_map
 from .errors import (BoundViolation, FinslerDegenerate, MTCoverError, NonFiniteSlice,
                      NotExpanding, UnboundedSelection)
 from .fields import TrigDisplacementField, unit_grid
-from .lifting import tower_from_field
+from .lifting import build_tower, default_phi1
 from .manifolds import MetricG, MTPoint, SourceGram, Tangent, _run_grid
 from .torus_maps import (
     StraightLineIsotopy,
@@ -631,12 +631,15 @@ def measure_constants(h_field: TrigDisplacementField, m: int, *, k: int | None =
     group of threads processes, forked once after c_eq factors the Gram;
     every process measures the same constants from the same slice values,
     and the children stay parked with the run until verify_expansion.
+    h, the base cover qm and the connecting isotopy are built once, and
+    each depth only its tower and fiber stages; f at the chosen depth
+    reuses qm's stages (build_stage_inventory).
     """
     h = TrigDisplacementMap(h_field)
     metric = MetricG(h)
     psi = default_psi(h_field)
     c_eq = estimate_metric_equiv(metric, fiber_res)
-    qm = build_qm_only(h, m, psi)
+    qm, phi1 = build_qm(h, m, psi), default_phi1(h_field, base)
     grid = metric.source(fiber_res).grid
 
     def measure(group: _Group) -> Measurement:
@@ -644,7 +647,7 @@ def measure_constants(h_field: TrigDisplacementField, m: int, *, k: int | None =
         lam = nu_target / c_q
         c_bound = None  # the bound of the first depth measured, which every depth shares
         for depth in ([k] if k is not None else range(1, k_cap + 1)):
-            tower = tower_from_field(h_field, depth, base)
+            tower = build_tower(h, phi1, depth, base)
             c_val, c_bound = estimate_C(tower, fiber_res, t_res, group, _bound=c_bound,
                                         _grid=grid)
             # the smallest depth with c_eq^2 * base^k * C(k) > lam, unless k is given
@@ -653,7 +656,7 @@ def measure_constants(h_field: TrigDisplacementField, m: int, *, k: int | None =
         else:
             raise UnboundedSelection(f"no k <= {k_cap} reaches the target factor {lam:.4f}")
 
-        f = build_f(tower, m, psi)
+        f = build_stage_inventory(tower, qm)["f"]
         records = {}
         k_raw, k_eff = estimate_K(f, metric, fiber_res, t_res, group, _records=records)
         constants = ConstantsReport(

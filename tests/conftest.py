@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mtcover.coverings import build_stage_inventory
+from mtcover.coverings import build_qm, build_stage_inventory
 from mtcover.expansion import default_psi
 from mtcover.fields import TrigDisplacementField, shear_field
 from mtcover.lifting import tower_from_field
@@ -55,19 +55,20 @@ def tower2(shear):
 @pytest.fixture(scope="session")
 def inventory(tower1, psi):
     # all stage maps and composites for the shear instance, k=1, m=1
-    return build_stage_inventory(tower1, 1, psi)
+    return build_stage_inventory(tower1, build_qm(tower1.level(0), 1, psi))
 
 
 @pytest.fixture(scope="session")
 def inventory_k2(tower2, psi):
-    return build_stage_inventory(tower2, 1, psi)
+    return build_stage_inventory(tower2, build_qm(tower2.level(0), 1, psi))
 
 
 @pytest.fixture(scope="session")
 def linear_inventory():
     # eps = 0: every stage map is linear in (t, x)
     field = shear_field(0.0)
-    return build_stage_inventory(tower_from_field(field, 1), 1, default_psi(field))
+    tower = tower_from_field(field, 1)
+    return build_stage_inventory(tower, build_qm(tower.level(0), 1, default_psi(field)))
 
 
 @pytest.fixture

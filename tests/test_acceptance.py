@@ -16,7 +16,8 @@ from numpy.testing import assert_allclose
 
 from mtcover.cli import main
 from mtcover.coverings import (
-    build_f,
+    build_qm,
+    build_stage_inventory,
     pi1_linear_part,
     preimages,
     pushforward,
@@ -44,7 +45,7 @@ def full_run():
 def full_adapted(full_run, tower2, psi, metric):
     (constants, report), _ = full_run
     assert report.k == 2
-    f = build_f(tower2, 1, psi)
+    f = build_stage_inventory(tower2, build_qm(tower2.level(0), 1, psi))["f"]
     adapted = build_adapted_metric(f, metric, report.mu,
                                    constants.coupling_K_eff, 64, 32)
     return f, adapted, report

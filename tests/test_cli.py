@@ -472,6 +472,19 @@ def test_orbit_starts_many_windings_from_the_chart(tmp_path):
         assert time.perf_counter() - started < 5.0, start
 
 
+@pytest.mark.parametrize("k", [5, 12])
+def test_degree_refuses_a_depth_whose_preimages_it_cannot_compare(tmp_path, capsys, k):
+    # 3^(2k) preimages per branch: from k = 5 on their pairwise differences
+    # pass 10^8 (at k = 12 the cosets alone are 2.8e11 tuples), so the
+    # search stops before it enumerates any
+    cfg = write_config(tmp_path, k=k, fiber_res=8, t_res=4)
+    started = time.perf_counter()
+    assert run(["degree", "--config", cfg]) == 3
+    assert time.perf_counter() - started < 2.0
+    err = capsys.readouterr().err
+    assert "UnsupportedForm" in err and f"{3 ** (2 * k)} preimages per branch" in err
+
+
 # ---------------------------------------------------------------------------
 # seams
 
@@ -629,3 +642,20 @@ def test_verify_on_the_cyclic_three_torus_config(tmp_path):
     for block, ref in CYC3_REF.items():
         for key, value in ref.items():
             assert math.isclose(doc[block][key], value, rel_tol=1e-12, abs_tol=0.0), key
+
+
+@pytest.mark.xfail(raises=AssertionError, strict=True,
+                   reason="a pass is a claim about the sampled grid: C(2) reads 0.5497 "
+                          "on 7^3, below the 0.5658 it needs there, and 0.6577 on 8^3, "
+                          "above 0.5890")
+def test_the_cyclic_verdict_does_not_depend_on_the_fiber_grid(tmp_path):
+    # configs/cyc3.json at k = 2 and 8 slices, on 7^3 and 8^3 fiber grids
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    data = read_json(os.path.join(root, "configs", "cyc3.json"))
+    verdicts = []
+    for res in (7, 8):
+        cfg = write_config(tmp_path, f"cyc3-{res}.json", **dict(data, k=2, t_res=8, fiber_res=res))
+        out = tmp_path / f"cyc3-{res}-report.json"
+        run(["verify", "--config", cfg, "--out", str(out)])
+        verdicts.append(read_json(str(out))["pass"])
+    assert verdicts[0] == verdicts[1]

@@ -10,6 +10,7 @@ from mtcover.coverings import (
     StageFrame,
     StageP,
     StageQ,
+    build_qm,
     build_stage_inventory,
     differential,
     fiber_alignment_map,
@@ -317,7 +318,8 @@ def test_identity_stages_pass_frames_through(dim, terms, rng):
     # of S and T, t = 0.5 their odd ones, t = 0.9 the identity branch of H;
     # R and Q are identities everywhere
     field = TrigDisplacementField.from_terms(dim, terms)
-    inv = build_stage_inventory(tower_from_field(field, 2), 1, default_psi(field))
+    tower = tower_from_field(field, 2)
+    inv = build_stage_inventory(tower, build_qm(tower.level(0), 1, default_psi(field)))
     x = rng.uniform(0, 1, (6, dim))
     for name in ("f", "qm", "pk"):
         for t in (0.1, 0.5, 0.9):
@@ -343,7 +345,7 @@ def test_stage_chains_over_one_tower_share_its_aligning_maps(shear):
     # stages of f and of the aligning chain of C(k) share the maps, and so
     # the jets their fields keep at a run's grid
     tower = tower_from_field(shear, 2)
-    stage_f = build_stage_inventory(tower, 1, default_psi(shear))["F"]
+    stage_f = build_stage_inventory(tower, build_qm(tower.level(0), 1, default_psi(shear)))["F"]
     aligning = fiber_alignment_map(tower).stages[1]
     maps = [tower.aligned(1), tower.aligned(2)]
     for stage in (stage_f, aligning):

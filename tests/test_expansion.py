@@ -11,6 +11,7 @@ import weakref
 import mtcover
 import mtcover.cli
 import mtcover.expansion
+import mtcover.torus_maps
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,8 +21,7 @@ from numpy.testing import assert_allclose
 from mtcover._small import matvec, whitened_min_eig, whitener
 from mtcover.coverings import (
     CompositeCovering,
-    build_f,
-    build_qm_only,
+    build_qm,
     build_stage_inventory,
     fiber_alignment_map,
     pushforward,
@@ -51,7 +51,7 @@ from mtcover.expansion import (
 )
 from mtcover.fields import TrigDisplacementField, shear_field, unit_grid
 from mtcover.lifting import tower_from_field
-from mtcover.manifolds import MetricG, MTPoint, SourceGram, Tangent
+from mtcover.manifolds import MetricG, MTPoint, MultiMappingTorus, SourceGram, Tangent
 from mtcover.lifting import LiftedIsotopy
 from mtcover.torus_maps import (BridgedIsotopy, StraightLineIsotopy, TrigDisplacementMap,
                                 torus_representative)
@@ -80,21 +80,26 @@ def c_eq_closed_form():
     return float(np.sqrt((2 + a2 - np.sqrt((2 + a2) ** 2 - 4)) / 2))
 
 
+def _composite(tower, m, psi):
+    """The composite f over tower, as measure_constants builds it."""
+    return build_stage_inventory(tower, build_qm(tower.level(0), m, psi))["f"]
+
+
 @pytest.fixture(scope="module")
 def f_k1(tower1, psi):
-    return build_f(tower1, 1, psi)
+    return _composite(tower1, 1, psi)
 
 
 @pytest.fixture(scope="module")
 def f_k2(tower2, psi):
-    return build_f(tower2, 1, psi)
+    return _composite(tower2, 1, psi)
 
 
 @pytest.fixture(scope="module")
 def linear_setup():
     field = shear_field(0.0)
     h = TrigDisplacementMap(field)
-    inv = build_stage_inventory(tower_from_field(field, 1), 1, default_psi(field))
+    inv = build_stage_inventory(tower_from_field(field, 1), build_qm(h, 1, default_psi(field)))
     return inv, MetricG(h)
 
 
@@ -183,8 +188,8 @@ def test_factored_source_gram_matches_the_pencil(name, shear, mixed):
     field = {"shear": shear, "mixed": mixed, "cyc3": CYC3}[name.split()[0]]
     h, psi = TrigDisplacementMap(field), default_psi(field)
     metric = MetricG(h)
-    cover = (build_qm_only(h, 1, psi) if name.endswith("qm")
-             else build_f(tower_from_field(field, 1), 1, psi))
+    cover = (build_qm(h, 1, psi) if name.endswith("qm")
+             else _composite(tower_from_field(field, 1), 1, psi))
     source = SourceGram(metric, unit_grid(field.dim, 8 if field.dim == 2 else 4))
     for t in np.arange(4) / 4:
         m_src = metric.fiber_gram(t, source.grid)
@@ -322,7 +327,7 @@ def test_small_fibers_make_no_lapack_call_per_slice(name, shear, monkeypatch):
 
         monkeypatch.setattr(np.linalg, fn, counted)
     estimate_C(tower_from_field(field, 2), res, 4)
-    estimate_cq(build_qm_only(h, 1, psi), run.metric, res, 4)
+    estimate_cq(build_qm(h, 1, psi), run.metric, res, 4)
     verify_expansion(run)
     if field.dim == 2:
         assert counts == {"eigvalsh": 0, "svd": 0, "solve": 0}
@@ -504,7 +509,7 @@ def test_cq_linear_model(linear_setup):
 
 
 def test_cq_reference_value(shear_map, psi, metric):
-    qm = build_qm_only(shear_map, 1, psi)
+    qm = build_qm(shear_map, 1, psi)
     coarse = estimate_cq(qm, metric, 32, 16)
     fine = estimate_cq(qm, metric, 64, 32)
     assert_allclose(fine, C_Q_REF, rtol=1e-12)
@@ -514,7 +519,7 @@ def test_cq_reference_value(shear_map, psi, metric):
 def test_cq_stage_conorm_floor(shear_map, psi, metric):
     # c_q can never drop below the product of the worst equivalence factor
     # squared and the flat conorms of the only non-isometric stages
-    qm = build_qm_only(shear_map, 1, psi)
+    qm = build_qm(shear_map, 1, psi)
     c_q = estimate_cq(qm, metric, 32, 16)
     grid = unit_grid(2, 32)
     min_h = float(np.linalg.svd(shear_map.jacobian(grid),
@@ -578,7 +583,7 @@ def test_vertical_margin_linear_model(linear_setup):
     assert_allclose(verify_vertical_expansion(inv["f"], metric0, 8, 4), 3.0,
                     atol=1e-12)
     field = shear_field(0.0)
-    f2 = build_f(tower_from_field(field, 2), 1, default_psi(field))
+    f2 = _composite(tower_from_field(field, 2), 1, default_psi(field))
     assert_allclose(verify_vertical_expansion(f2, metric0, 8, 4), 9.0,
                     atol=1e-11)
 
@@ -598,7 +603,7 @@ def test_vertical_margin_reference_values(f_k1, f_k2, metric):
 
 def test_fiber_cover_chain_floor(tower2, psi, metric):
     # pointwise: metric gain of the fiber cover >= c_eq^2 * 9 * local conorm
-    pk = build_stage_inventory(tower2, 1, psi)["pk"]
+    pk = build_stage_inventory(tower2, build_qm(tower2.level(0), 1, psi))["pk"]
     align = fiber_alignment_map(tower2)
     c_eq = c_eq_closed_form()
     grid = unit_grid(2, 16)
@@ -675,7 +680,7 @@ def test_finsler_linear_model(linear_setup):
 def test_finsler_case_bound_branches(f_k2, metric, tower1, psi):
     _, bound = verify_finsler_expansion(f_k2, metric, 4.0, 2.5, 1, 8, 4)
     assert bound == 1.5
-    f_m2 = build_f(tower1, 2, psi)
+    f_m2 = _composite(tower1, 2, psi)
     _, bound = verify_finsler_expansion(f_m2, metric, 4.0, 7.0, 2, 8, 4)
     assert bound == 5.0
 
@@ -845,7 +850,7 @@ def test_cone_floor_bounds_the_loop_and_every_pointwise_gain(case, data):
     # the mixed-norm gain of tangents pushed forward from grid points
     field, m, k = case
     metric = MetricG(TrigDisplacementMap(field))
-    f = build_f(tower_from_field(field, k), m, default_psi(field))
+    f = _composite(tower_from_field(field, k), m, default_psi(field))
     _, k_eff = estimate_K(f, metric, 4, 2)
     gain = _finsler_gain(k_eff)
     templates = direction_templates(field.dim, 4, np.random.default_rng(0))
@@ -892,7 +897,7 @@ def test_a_weak_weight_lowers_mu_to_the_cone_floor(shear):
 def test_a_nan_lift_reaches_the_sweep(shear_measured, tower2, psi, metric, monkeypatch):
     # NaN in w leaves P and the conorm finite but makes r NaN: the floor
     # keeps the NaN (a Python min would drop it), and _sweep raises
-    f = build_f(tower2, 1, psi)
+    f = _composite(tower2, 1, psi)
     frame = CompositeCovering.frame
 
     def nan_frame(self, t, x, side=+1):
@@ -1034,7 +1039,7 @@ def test_nan_slice_raises_typed_error(shear_measured, tower2, shear_map, psi, me
     # a NaN on a slice that is not the first one must not vanish into a
     # minimum or maximum: every sweep that reads it stops with a typed error
     # covers built here, so that no earlier test has bound their frame
-    f, qm = build_f(tower2, 1, psi), build_qm_only(shear_map, 1, psi)
+    f, qm = _composite(tower2, 1, psi), build_qm(shear_map, 1, psi)
     if patched == "fiber_gram":
         gram = MetricG.fiber_gram
 
@@ -1078,7 +1083,7 @@ def test_nan_in_the_factored_source_gram_raises_typed_error(shear_measured, towe
     # sweep that needs it run, and eigh returns NaN for NaN input without
     # raising; each sweep gets a fresh metric, since the measured one already
     # keeps a clean factor
-    f, qm = build_f(tower2, 1, psi), build_qm_only(shear_map, 1, psi)
+    f, qm = _composite(tower2, 1, psi), build_qm(shear_map, 1, psi)
     gram = MetricG.fiber_gram
 
     def nan_at_one(self, t, x):
@@ -1118,7 +1123,7 @@ def test_adapted_rejects_weak_contraction(f_k2, metric):
 def test_adapted_detects_non_expanding_map(shear_map, psi, metric):
     # the base cover alone compresses some vertical direction, so no power
     # averaging can certify expansion
-    qm = build_qm_only(shear_map, 1, psi)
+    qm = build_qm(shear_map, 1, psi)
     with pytest.raises(NotExpanding):
         build_adapted_metric(qm, metric, 1.5, 1.0, 16, 8)
 
@@ -1242,7 +1247,7 @@ def test_adapted_rate_whitens_fiber_blocks_only(name, shear, mixed):
     field = {"shear": shear, "mixed": mixed,
              "n1": TrigDisplacementField.from_terms(1, [([0.1], [1], "sin")])}[name]
     metric = MetricG(TrigDisplacementMap(field))
-    f = build_f(tower_from_field(field, 2), 1, default_psi(field))
+    f = _composite(tower_from_field(field, 2), 1, default_psi(field))
     source = SourceGram(metric, unit_grid(field.dim, 8))
     for mu_hat, n_steps in ((2.5, 1), (1.1, 4)):
         adapted = build_adapted_metric(f, metric, mu_hat, 1.0, 8, 4)
@@ -1293,6 +1298,39 @@ def test_pipeline_shear_instance():
     assert report.adapted_rate > 1.0
     assert constants.lambda_target == 2.0 / constants.c_q
     assert all(report.checks.values())
+
+
+def test_a_run_builds_each_cover_once(shear, monkeypatch):
+    # with k null the shear tries depths 1 and 2: the base cover's four
+    # spaces, the aligning chain's three at each depth and f's two fiber
+    # spaces make 12 (22 when every chain built its own); h passes its
+    # diffeotopy check once for psi and once for phi1, and f's base stages
+    # are the objects of the qm that c_q swept
+    spaces, checks, covers = [], [], []
+    init = MultiMappingTorus.__init__
+    bound = mtcover.torus_maps.jacobian_norm_bound
+    build = mtcover.expansion.build_qm
+    monkeypatch.setattr(MultiMappingTorus, "__init__",
+                        lambda self, *args, **kw: spaces.append(1) or init(self, *args, **kw))
+    monkeypatch.setattr(mtcover.torus_maps, "jacobian_norm_bound",
+                        lambda field: checks.append(1) or bound(field))
+    monkeypatch.setattr(mtcover.expansion, "build_qm",
+                        lambda *args: covers.append(build(*args)) or covers[-1])
+    run = measure_constants(shear, 1, fiber_res=16, t_res=8)
+    assert verify_expansion(run).passed and run.k == 2
+    assert (len(spaces), len(checks)) == (12, 2)
+    (qm,) = covers
+    assert all(a is b for a, b in zip(run.f.stages[3:], qm.stages, strict=True))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("k", [10, 12])
+def test_the_adapted_chain_stays_finite_at_large_depth(shear, k):
+    # unscaled, the chain's adjugate reaches entries near 2^317 at k = 10
+    # and 2^418 at k = 12; sym3_max squares the entries of its Gram, which
+    # overflowed, and the rate read 0
+    report = verify_expansion(measure_constants(shear, 1, k=k, fiber_res=8, t_res=4))
+    assert report.passed and 2.9 < report.adapted_rate <= 3.0
 
 
 def test_pipeline_honors_fixed_k():

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from mtcover.coverings import build_stage_inventory
+from mtcover.coverings import build_qm, build_stage_inventory
 from mtcover.errors import UnsupportedForm
 from mtcover.expansion import default_psi
 from mtcover.fields import TrigDisplacementField
@@ -58,7 +58,7 @@ def inventory_maps(inventory, tower):
 def test_newton_inverses_wrap_only_leaves(case, mixed):
     field, k = (mixed, 3) if case == "mixed-k3" else (cyclic3(), 2)
     tower = tower_from_field(field, k)
-    inventory = build_stage_inventory(tower, 1, default_psi(field))
+    inventory = build_stage_inventory(tower, build_qm(tower.level(0), 1, default_psi(field)))
     solves = [node for handle in inventory_maps(inventory, tower)
               for node in tree_nodes(handle) if isinstance(node, NewtonInverseMap)]
     assert solves  # neither field has a closed-form inverse

@@ -245,6 +245,29 @@ def test_chain_sigma_min_keeps_relative_accuracy(rng):
     assert worst_gram > 1e-13 and worst_formed > 1e-13
 
 
+@pytest.mark.filterwarnings("error")
+def test_a_long_chain_keeps_its_adjugate_in_range(rng):
+    # diag(3, 9 Q) with Q orthogonal: the chain of 100 has sigma_min 3^100,
+    # determinant 3^500 and adjugate entries near 3^400, whose Gram overflowed
+    # before the running determinant and adjugate were scaled down
+    chain = []
+    for _ in range(100):
+        step = np.eye(3)
+        step[0, 0], step[1:, 1:] = 3.0, 9.0 * _orthogonal(rng, 2)
+        chain.append(np.broadcast_to(step, (4,) + step.shape))
+    assert_allclose(chain_sigma_min(chain), 3.0 ** 100, rtol=1e-12)
+
+
+def test_scaling_the_chain_down_is_exact(rng, monkeypatch):
+    # the power-of-two scale leaves every bit of sigma_min as it was
+    chains = [[_chart_factors(rng, 2, (512,)) * 4.0 for _ in range(steps)]
+              for steps in (2, 5, 9)]
+    plain = [chain_sigma_min(chain) for chain in chains]
+    monkeypatch.setattr(_small, "_RESCALE_AT", 2.0)
+    for chain, want in zip(chains, plain):
+        assert np.array_equal(chain_sigma_min(chain), want)
+
+
 # ---------------------------------------------------------------------------
 # Batched products of _small: entry by entry on 2 x 2 batches of at least
 # _MIN_BATCH blocks, numpy's expression otherwise

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from mtcover.coverings import StageQ, build_spaces
+from mtcover.coverings import StageQ, build_qm, build_stage_inventory
 from mtcover.errors import UnsupportedForm
+from mtcover.expansion import default_psi
 from mtcover.fields import TrigDisplacementField, unit_grid
 from mtcover.lifting import tower_from_field
 from mtcover.manifolds import (
@@ -190,12 +191,20 @@ def test_distance_across_the_wrap_of_a_torus_that_starts_past_zero(shear_map):
     assert abs(space.distance(a, b) - 1e-7) < 1e-12
 
 
+def chart_spaces(tower, m):
+    """The chart spaces of the stage chains over tower, read off the stages."""
+    h = tower.level(0)
+    inv = build_stage_inventory(tower, build_qm(h, m, default_psi(h.field)))
+    return {"mh": inv["R"].source, "mbar": inv["R"].target, "mprime": inv["S"].target,
+            "mtilde": inv["T"].target, "nk": inv["H"].target, "mhk": inv["F"].target}
+
+
 @pytest.mark.parametrize("name", ["mprime", "mtilde", "nk"])
 def test_distance_broadcast_matches_scalar(shear, name, rng):
     """A broadcast (N,1,n) x (1,M,n) distance equals the scalar call on
     every pair: same segment, across a seam, across the wrap, and inf for
     non-adjacent segments (five segments each at m=2, k=4)."""
-    space = build_spaces(tower_from_field(shear, 4), 2)[name]
+    space = chart_spaces(tower_from_field(shear, 4), 2)[name]
     assert space.n_segments == 5
     bounds = space.boundaries
     params = []
@@ -245,7 +254,7 @@ def test_distance_broadcast_matches_scalar_to_rounding_with_a_multi_term_gluing(
 
 
 def test_min_separation_matches_pairwise_loop(tower2, rng):
-    space = build_spaces(tower2, 1)["mtilde"]
+    space = chart_spaces(tower2, 1)["mtilde"]
     points = [MTPoint(seg, t, rng.random(2))
               for seg, t in [(0, 0.9), (1, 1.1), (1, 1.1), (2, 2.5), (0, 0.9),
                              (1, 1.1), (2, 2.99), (0, 0.01)]]
@@ -303,7 +312,7 @@ def test_check_seams_finds_the_wrap_of_a_torus_that_starts_past_zero(shear_map):
 
 
 def test_build_spaces_shapes(tower2):
-    spaces = build_spaces(tower2, 1)
+    spaces = chart_spaces(tower2, 1)
     assert spaces["mh"].n_segments == 1
     assert spaces["mbar"].n_segments == 1
     assert spaces["mbar"].circumference == 3.0

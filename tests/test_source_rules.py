@@ -199,3 +199,34 @@ def test_only_expansion_forks_or_opens_pipes():
     assert {entry for entry in found if not entry.startswith("expansion.py ")} == set()
     # the rule still sees the calls it allows
     assert {"expansion.py os.fork", "expansion.py os.pipe"} <= set(found)
+
+
+_COVER_CLASSES = {"MultiMappingTorus", "CompositeCovering"}
+
+
+def _construction_calls(node, scope=()):
+    """(scope, class name) of every call of a chart space, composite or
+    stage class under node, scope being the dotted names around it."""
+    if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+        scope = scope + (node.name,)
+    if isinstance(node, ast.Call):
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+        if name in _COVER_CLASSES or name.startswith("Stage"):
+            yield ".".join(scope), name
+    for child in ast.iter_child_nodes(node):
+        yield from _construction_calls(child, scope)
+
+
+def test_only_coverings_builds_spaces_and_stage_chains():
+    # one construction per run: the three build functions of coverings.py make
+    # every chart space, stage and composite, and mapping_torus is the one
+    # shorthand for a single-segment space
+    calls = {(path.name, scope, name) for path in sorted(SRC.glob("*.py"))
+             for scope, name in _construction_calls(_tree(path))}
+    outside = {call for call in calls if call[0] != "coverings.py"}
+    assert outside == {("manifolds.py", "mapping_torus", "MultiMappingTorus")}
+    # the rule still sees the build functions it allows
+    assert {("coverings.py", "build_qm", "StageR"),
+            ("coverings.py", "fiber_stages", "StageH"),
+            ("coverings.py", "build_stage_inventory", "CompositeCovering")} <= calls

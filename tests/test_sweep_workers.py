@@ -17,7 +17,7 @@ import pytest
 import mtcover.expansion
 from mtcover import errors
 from mtcover.cli import main
-from mtcover.coverings import build_f
+from mtcover.coverings import build_qm, build_stage_inventory
 from mtcover.errors import MTCoverError, NonFiniteSlice, NotExpanding, UnboundedSelection
 from mtcover.expansion import _sweep, local_vertical_conorms, measure_constants, verify_expansion
 
@@ -156,7 +156,7 @@ def test_without_fork_the_sweep_is_serial(monkeypatch):
 
 
 def test_array_payloads_are_bitwise(tower2, psi, metric):
-    f = build_f(tower2, 1, psi)
+    f = build_stage_inventory(tower2, build_qm(tower2.level(0), 1, psi))["f"]
     serial = local_vertical_conorms(f, metric, 16, 8)
     pooled = local_vertical_conorms(f, metric, 16, 8, threads=3)
     assert serial.shape == pooled.shape == (8, 256)
