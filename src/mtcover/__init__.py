@@ -35,7 +35,8 @@ from .expansion import (
 )
 from .fields import TrigDisplacementField, shear_field
 from .lifting import LiftTower, build_tower, lift_isotopy, lift_map, tower_from_field
-from .manifolds import MetricG, MTPoint, MultiMappingTorus, Tangent, check_seams, mapping_torus
+from .manifolds import (MetricG, MTPoint, MultiMappingTorus, Sample, Tangent, check_seams,
+                        mapping_torus)
 from .torus_maps import (
     IsotopyHandle,
     StraightLineIsotopy,

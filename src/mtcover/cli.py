@@ -8,7 +8,7 @@ Subcommands:
     seams       max chart discrepancy across every seam, per map
 
 Exit codes: 0 success/pass, 1 verification failed, 2 config error,
-3 numerical failure.
+3 numerical failure or out of memory.
 
 The JSON report is deterministic for a fixed config and seed: keys are
 sorted, floats use repr round-tripping, and the timings block holds work
@@ -32,7 +32,7 @@ from .errors import ConfigError, MTCoverError
 from .expansion import default_psi, local_vertical_conorms, measure_constants, verify_expansion
 from .fields import MAX_FREQ, TrigDisplacementField
 from .lifting import tower_from_field
-from .manifolds import MetricG, MTPoint, check_seams
+from .manifolds import MTPoint, Sample, check_seams
 
 
 @dataclass
@@ -202,14 +202,13 @@ def _csv_rows(rows, header: str, out_path: str | None):
     _write("\n".join(lines) + "\n", out_path)
 
 
-def _dump_conorm_csv(cfg: RunConfig, f, metric: MetricG):
-    """Grid dump of the local vertical conorm of the composite map, on the
-    metric's grid and factored Gram; it frames f once more per slice."""
-    grid = metric.source(cfg.fiber_res).grid
-    local = local_vertical_conorms(f, metric, cfg.fiber_res, cfg.t_res, cfg.threads)
+def _dump_conorm_csv(cfg: RunConfig, f, sample: Sample):
+    """Dump of the local vertical conorm of the composite map at the run's
+    sample, on its factored Gram; it frames f once more per slice."""
+    local = local_vertical_conorms(f, sample, cfg.threads)
     rows = []
-    for t, slice_values in zip(np.arange(cfg.t_res, dtype=float) / cfg.t_res, local):
-        for x, c in zip(grid, slice_values):
+    for t, slice_values in zip(sample.slices(), local):
+        for x, c in zip(sample.grid, slice_values):
             rows.append([t, *x, c])
     header = "t," + ",".join(f"x_{i + 1}" for i in range(cfg.n)) + ",local_conorm"
     _csv_rows(rows, header, cfg.csv_out)
@@ -237,7 +236,7 @@ def _report(cfg: RunConfig, out_path: str | None, passed: bool, **blocks) -> int
 def cmd_measure(cfg: RunConfig, out_path: str | None = None, verify: bool = False) -> int:
     """The constants command, or with verify the verify command: the
     library's verify_expansion(measure_constants(...)); the run's f and
-    metric are kept for the CSV dump."""
+    sample are kept for the CSV dump."""
     run = measure_constants(cfg.displacement_field(), cfg.m, k=cfg.k, base=cfg.base,
                             fiber_res=cfg.fiber_res, t_res=cfg.t_res,
                             nu_target=cfg.nu_target, k_cap=cfg.k_cap, threads=cfg.threads)
@@ -249,7 +248,7 @@ def cmd_measure(cfg: RunConfig, out_path: str | None = None, verify: bool = Fals
         report, block, passed = None, dict(dataclasses.asdict(run.constants), k=run.k), True
     code = _report(cfg, out_path, passed, constants=block, expansion=report)
     if cfg.csv_out:
-        _dump_conorm_csv(cfg, run.f, run.metric)
+        _dump_conorm_csv(cfg, run.f, run.sample)
     return code
 
 
@@ -342,6 +341,9 @@ def main(argv=None) -> int:
         return 2
     except (MTCoverError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"numerical failure: out of memory: {exc}", file=sys.stderr)
         return 3
     print(f"elapsed {time.perf_counter() - started:.3f}s", file=sys.stderr)
     return code

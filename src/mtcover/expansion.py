@@ -1,7 +1,7 @@
 """Measured expansion constants and the verification pipeline.
 
-All estimates sweep a product grid: an evenly spaced parameter slice set
-on [0,1) times a regular fiber grid.  Within a slice every chart branch is
+All estimates sweep a run's Sample: its parameter slices times its fiber
+points, a regular grid in a run.  Within a slice every chart branch is
 fixed, so the sweeps are fully vectorized.  A run's sweeps share one
 worker group (_Group): measure_constants forks it once, every process of
 it runs the same code and takes its own slices, and each sweep hands every
@@ -31,7 +31,7 @@ from .errors import (BoundViolation, FinslerDegenerate, MTCoverError, NonFiniteS
                      NotExpanding, UnboundedSelection)
 from .fields import TrigDisplacementField, unit_grid
 from .lifting import build_tower, default_phi1
-from .manifolds import MetricG, MTPoint, SourceGram, Tangent, _run_grid
+from .manifolds import MetricG, MTPoint, Sample, Tangent
 from .torus_maps import (
     StraightLineIsotopy,
     TrigDisplacementMap,
@@ -180,12 +180,10 @@ def _pickled(outcome) -> bytes:
     return pickle.dumps((ok, body), pickle.HIGHEST_PROTOCOL)
 
 
-def _sweep(job, t_res: int, workers: int | _Group, closed: bool = False) -> np.ndarray:
-    """job(t) on the slices t = i / t_res of [0, 1), in slice order, as one array.
-
-    Closed sweeps add t = 1: chart-level (flat-norm) quantities differ between
-    the two seam charts, so their extrema need both endpoints.  A non-finite
-    slice value, or a factorization that fails on one, raises NonFiniteSlice.
+def _sweep(job, t_values: list[float], workers: int | _Group) -> np.ndarray:
+    """job(t) on the slices t_values (a Sample's slices), in slice order, as
+    one array.  A non-finite slice value, or a factorization that fails on
+    one, raises NonFiniteSlice.
 
     workers is a run's _Group, or a thread count for a group of this sweep
     alone.  Process r of the group computes slices r, r + size, ...; the
@@ -197,11 +195,10 @@ def _sweep(job, t_res: int, workers: int | _Group, closed: bool = False) -> np.n
     in the process that ran its slice, which runs that slice in every
     later sweep of the group.
     """
-    t_values = (np.linspace(0.0, 1.0, t_res + 1) if closed else np.arange(t_res) / t_res).tolist()
     if not isinstance(workers, _Group):
         group = _Group(workers, len(t_values))
         try:
-            return group.start(lambda group: _sweep(job, t_res, group, closed))
+            return group.start(lambda group: _sweep(job, t_values, group))
         finally:
             group.close()
     group = workers
@@ -243,21 +240,21 @@ class SliceRecord:
     r = w^T m_dst w: the image of a vertical u has squared metric norm
     u^T P u, and that of the base direction (1, 0) has vertical part of
     squared norm r.  Both are batched products of _small; P is exactly
-    symmetric where it is formed entry by entry.  The frame, at the grid
-    of source (the metric's factored Gram), and m_dst are built with the
-    record; P, r, the source whitener and the vertical conorm are formed
-    on first read and kept, so a sweep pays only for what it reads: K reads
-    r, c_q the conorm (from P and the whitener), and the Finsler gain r and
-    the conorm.  The frame and the whitener are kept for the adapted chain
-    that verify continues from them, and a run keeps f's records from the
-    K sweep, r read, until verify's pass takes them.
+    symmetric where it is formed entry by entry.  The frame, at the
+    sample's grid, and m_dst are built with the record; P, r, the source
+    whitener and the vertical conorm are formed on first read and kept, so
+    a sweep pays only for what it reads: K reads r, c_q the conorm (from P
+    and the whitener), and the Finsler gain r and the conorm.  The frame
+    and the whitener are kept for the adapted chain that verify continues
+    from them, and a run keeps f's records from the K sweep, r read, until
+    verify's pass takes them.
     """
 
-    def __init__(self, cover, metric: MetricG, source: SourceGram, t: float):
-        self.source, self.t = source, t
-        self.frame = cover.frame(t, source.grid, +1)
+    def __init__(self, cover, sample: Sample, t: float):
+        self.sample, self.t = sample, t
+        self.frame = cover.frame(t, sample.grid, +1)
         self.slope = self.frame.slope
-        self.m_dst = metric.fiber_gram(self.frame.t_out, self.frame.x_out)
+        self.m_dst = sample.metric.fiber_gram(self.frame.t_out, self.frame.x_out)
 
     @cached_property
     def p(self) -> np.ndarray:
@@ -269,7 +266,7 @@ class SliceRecord:
 
     @cached_property
     def whitener(self) -> np.ndarray:
-        return self.source.whitener(self.t)
+        return self.sample.whitener(self.t)
 
     @cached_property
     def vertical_conorm(self) -> np.ndarray:
@@ -279,48 +276,47 @@ class SliceRecord:
         return np.sqrt(np.maximum(sq, 0.0))
 
 
-def _record_job(cover, metric: MetricG, fiber_res: int, reduce):
-    """Slice job t -> reduce(SliceRecord of the cover at t) on the metric's
-    grid of fiber_res points per axis, whose Gram is factored here unless
-    the metric holds it, so a sweep's own workers inherit it."""
-    source = metric.source(fiber_res)
-    return lambda t: reduce(SliceRecord(cover, metric, source, t))
+def _record_sweep(cover, sample: Sample, reduce, workers: int | _Group) -> np.ndarray:
+    """reduce(SliceRecord of the cover at t) on the sample's slices."""
+    return _sweep(lambda t: reduce(SliceRecord(cover, sample, t)), sample.slices(), workers)
 
 
-def local_vertical_conorms(cover, metric: MetricG, fiber_res: int, t_res: int,
-                           threads: int = 1) -> np.ndarray:
-    """SliceRecord.vertical_conorm at every grid point, (t_res, points) in
-    slice order."""
-    return _sweep(_record_job(cover, metric, fiber_res, lambda rec: rec.vertical_conorm),
-                  t_res, threads)
+def _margin(rec: SliceRecord) -> float:
+    """The slice's minimum vertical conorm."""
+    return float(rec.vertical_conorm.min())
 
 
-def estimate_metric_equiv(metric: MetricG, fiber_res: int = 64) -> float:
-    """Largest c with c <= |v|_G / |v|_flat <= 1/c for vertical v on the grid
-    and every t in [0, 1].
+def local_vertical_conorms(cover, sample: Sample, threads: int = 1) -> np.ndarray:
+    """SliceRecord.vertical_conorm at every sample point, (slices, points)
+    in slice order."""
+    return _record_sweep(cover, sample, lambda rec: rec.vertical_conorm, threads)
+
+
+def estimate_metric_equiv(sample: Sample) -> float:
+    """Largest c with c <= |v|_G / |v|_flat <= 1/c for vertical v at the
+    sample's points and every t in [0, 1].
 
     The eigenvalues (1-t) + t lam of M(t) are monotone in t, so they are
     extreme at t = 0, where all are 1, and at t = 1, where they are those of D.
     """
-    lam = metric.source(fiber_res).eigh[0]
+    lam = sample.eigh[0]
     lo = np.sqrt(max(float(lam[..., 0].min()), 0.0))
     return float(min(1.0, lo, 1.0 / np.sqrt(lam[..., -1].max())))
 
 
-def estimate_C(tower, fiber_res: int = 64, t_res: int = 32,
-               threads: int | _Group = 1, *, _bound: float | None = None,
-               _grid: np.ndarray | None = None):
-    """Min flat conorm of the fiber derivative of the aligning stages.
+def estimate_C(tower, sample: Sample, threads: int | _Group = 1, *,
+               _bound: float | None = None):
+    """Min flat conorm of the fiber derivative of the aligning stages, on
+    the sample's closed slices and its points.
 
     Also returns the uniform lower bound given by the product of the grid
     minima of the conorms of the base map, its inverse, and the connecting
     isotopy slices; the measured value must not fall below it.  That bound
     reads only h and tower.isotopy(1), so a known one is passed as _bound.
-    A run passes its metric's grid, of fiber_res points per axis, as _grid.
     """
     fh = fiber_alignment_map(tower)
     phi = tower.isotopy(1)
-    grid = _run_grid(unit_grid(tower.dim, fiber_res)) if _grid is None else _grid
+    grid, t_values = sample.grid, sample.slices(closed=True)
 
     # these one-step Jacobians are well conditioned: closed form below n = 3,
     # the Gram's eigvalsh above, and no SVD either way
@@ -330,33 +326,29 @@ def estimate_C(tower, fiber_res: int = 64, t_res: int = 32,
     def phi_job(s):
         return singular_extremes(phi.jet(s, grid)[1])[0].min()
 
-    c_val = float(_sweep(job, t_res, threads, closed=True).min())
+    c_val = float(_sweep(job, t_values, threads).min())
     if _bound is None:
         lo, hi = singular_extremes(tower.level(0).jacobian(grid))
         min_h, min_h_inv = float(lo.min()), float(1.0 / hi.max())
-        min_phi = float(np.minimum(1.0, _sweep(phi_job, t_res, threads, closed=True).min()))
+        min_phi = float(np.minimum(1.0, _sweep(phi_job, t_values, threads).min()))
         _bound = min_h * min_h_inv * min_phi
     if not c_val >= _bound * (1.0 - _FLOOR_SLACK):
         raise BoundViolation(f"measured conorm {c_val} fell below its uniform bound {_bound}")
     return c_val, _bound
 
 
-def estimate_cq(qm, metric: MetricG, fiber_res: int = 64, t_res: int = 32,
-                threads: int | _Group = 1) -> float:
+def estimate_cq(qm, sample: Sample, threads: int | _Group = 1) -> float:
     """Min vertical expansion of the base-cover map in the interpolated metric."""
-    job = _record_job(qm, metric, fiber_res, lambda rec: float(rec.vertical_conorm.min()))
-    return float(_sweep(job, t_res, threads).min())
+    return float(_record_sweep(qm, sample, _margin, threads).min())
 
 
-def verify_vertical_expansion(f, metric: MetricG, fiber_res: int = 64,
-                              t_res: int = 32, threads: int = 1) -> float:
-    """Measured min of |Df v|_G / |v|_G over vertical tangents on the grid."""
-    job = _record_job(f, metric, fiber_res, lambda rec: float(rec.vertical_conorm.min()))
-    return float(_sweep(job, t_res, threads).min())
+def verify_vertical_expansion(f, sample: Sample, threads: int = 1) -> float:
+    """Measured min of |Df v|_G / |v|_G over vertical tangents at the sample."""
+    return float(_record_sweep(f, sample, _margin, threads).min())
 
 
-def estimate_K(f, metric: MetricG, fiber_res: int = 64, t_res: int = 32,
-               threads: int | _Group = 1, *, _records: dict | None = None):
+def estimate_K(f, sample: Sample, threads: int | _Group = 1, *,
+               _records: dict | None = None):
     """Max metric norm of the vertical part of the image of the unit base
     vector, plus its floor at 1 used for the mixed-norm construction.
 
@@ -368,8 +360,7 @@ def estimate_K(f, metric: MetricG, fiber_res: int = 64, t_res: int = 32,
             _records[rec.t] = rec
         return float(np.sqrt(rec.r).max())
 
-    job = _record_job(f, metric, fiber_res, reduce)
-    k_val = float(_sweep(job, t_res, threads).max())
+    k_val = float(_record_sweep(f, sample, reduce, threads).max())
     return k_val, max(k_val, 1.0)
 
 
@@ -415,19 +406,17 @@ def _case_bound(vertical_margin: float, m: int) -> float:
     return float(min(2 * m + 1, vertical_margin - 1.0))
 
 
-def verify_finsler_expansion(f, metric: MetricG, k_eff: float,
-                             vertical_margin: float, m: int,
-                             fiber_res: int = 64, t_res: int = 32, threads: int = 1):
+def verify_finsler_expansion(f, sample: Sample, k_eff: float, vertical_margin: float,
+                             m: int, threads: int = 1):
     """Contraction constant of the mixed norm, with its case bound.
 
     Returns (mu, case_bound).  mu is the min over the slices of
     _finsler_gain, the cone floor min(|s|, c_p - sqrt(r_p) / k_eff) over
-    the grid points p.  case_bound is min(2m+1, vertical_margin - 1), the
+    the sample's points p.  case_bound is min(2m+1, vertical_margin - 1), the
     analytic floor from the same two-case cone argument at the global
     constants.
     """
-    job = _record_job(f, metric, fiber_res, _finsler_gain(k_eff))
-    mu = float(_sweep(job, t_res, threads).min())
+    mu = float(_record_sweep(f, sample, _finsler_gain(k_eff), threads).min())
     if mu <= 0.0:
         raise FinslerDegenerate(f"contraction constant {mu} is not a positive number")
     return mu, _case_bound(vertical_margin, m)
@@ -478,7 +467,7 @@ class AdaptedMetric:
 def _chain_factors(f, metric: MetricG, t: float, fr, w_src: np.ndarray, n_steps: int):
     """Factors of the n_steps-step chart Jacobian J at slice t, whitened to
     L_dst^T J W_src, generated first applied first: diag(1, W_src), J_1, ...,
-    J_n, diag(1, L_dst^T).  fr is f's frame at slice t on the metric's grid
+    J_n, diag(1, L_dst^T).  fr is f's frame at slice t on the sample's grid
     and w_src that grid's whitener at t, both built by the caller; steps
     2..n continue from fr, and it is released at step 2.
 
@@ -519,30 +508,26 @@ def _step_count(mu_hat: float, k_eff: float):
     return n_steps, r_plus, r_minus
 
 
-def _chain_minimum(f, metric: MetricG, n_steps: int, fiber_res: int, t_res: int,
-                   threads: int | _Group) -> float:
-    """Grid minimum of the n_steps-step expansion of f from G to G, taken
+def _chain_minimum(f, sample: Sample, n_steps: int, workers: int | _Group) -> float:
+    """Sample minimum of the n_steps-step expansion of f from G to G, taken
     factor by factor (chain_sigma_min)."""
-    source = metric.source(fiber_res)
-
     def job(t):
         # the generator alone holds the first frame, so step 2 releases it
-        factors = _chain_factors(f, metric, t, f.frame(t, source.grid, +1),
-                                 source.whitener(t), n_steps)
+        factors = _chain_factors(f, sample.metric, t, f.frame(t, sample.grid, +1),
+                                 sample.whitener(t), n_steps)
         return chain_sigma_min(factors).min()
 
-    return float(_sweep(job, t_res, threads).min())
+    return float(_sweep(job, sample.slices(), workers).min())
 
 
-def build_adapted_metric(f, metric: MetricG, mu_hat: float, k_eff: float,
-                         fiber_res: int = 64, t_res: int = 32,
+def build_adapted_metric(f, sample: Sample, mu_hat: float, k_eff: float,
                          threads: int = 1) -> AdaptedMetric:
     """Choose the smallest power that beats the norm-equivalence gap and
     average the metric along it.
 
     r_plus = sqrt(1 + k_eff^2) and r_minus = min(1, k_eff) bound the mixed
     norm against the metric norm; n_steps is the first power with
-    mu_hat^n > r_plus / r_minus.  The rate is the grid minimum of the full
+    mu_hat^n > r_plus / r_minus.  The rate is the sample minimum of the full
     n-step expansion, so a single step expands the averaged norm by
     construction wherever the minimum is honest.  That minimum is taken
     factor by factor (chain_sigma_min): the Gram pencil of the n-step
@@ -551,13 +536,13 @@ def build_adapted_metric(f, metric: MetricG, mu_hat: float, k_eff: float,
     rate <= 1 NotExpanding; verify_expansion reports both as failed checks.
     """
     n_steps, r_plus, r_minus = _step_count(mu_hat, k_eff)
-    worst = _chain_minimum(f, metric, n_steps, fiber_res, t_res, threads)
+    worst = _chain_minimum(f, sample, n_steps, threads)
     rate = worst ** (1.0 / n_steps)
     if rate <= 1.0:
         raise NotExpanding(
             f"{n_steps}-step expansion {worst:.6f} gives rate {rate:.6f} <= 1"
         )
-    return AdaptedMetric(cover=f, metric=metric, n_steps=n_steps, rate=rate,
+    return AdaptedMetric(cover=f, metric=sample.metric, n_steps=n_steps, rate=rate,
                          equiv_upper=r_plus, equiv_lower=r_minus)
 
 
@@ -598,7 +583,8 @@ class ExpansionReport:
 class Measurement:
     """What measure_constants measured, and the settings it ran with: the
     one argument of verify_expansion.  f is the composite at depth k, and
-    metric the metric it is measured in, which keeps its factored Gram.
+    sample the points every sweep of the run measures at, with the metric
+    (run.metric) and its Gram factored there.
 
     The run also keeps, off the constructor, the worker group it was
     measured in and each process's SliceRecords of f from the K sweep:
@@ -611,12 +597,16 @@ class Measurement:
     constants: ConstantsReport
     k: int
     f: CompositeCovering
-    metric: MetricG
+    sample: Sample
     m: int
     nu_target: float
     threads: int
     _group: _Group | None = field(default=None, init=False, repr=False, compare=False)
     _records: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @property
+    def metric(self) -> MetricG:
+        return self.sample.metric
 
 
 def measure_constants(h_field: TrigDisplacementField, m: int, *, k: int | None = None,
@@ -625,10 +615,11 @@ def measure_constants(h_field: TrigDisplacementField, m: int, *, k: int | None =
     """Measure c_eq and c_q, choose the fiber depth k, then measure C(k) and
     the coupling K of the composite self-cover.
 
-    Returns the Measurement that verify_expansion takes.  The metric keeps
-    the Gram factored on its grid (MetricG.source), so c_eq, c_q, K and a
-    later verify_expansion share one factor.  The sweeps run in one worker
-    group of threads processes, forked once after c_eq factors the Gram;
+    Returns the Measurement that verify_expansion takes.  Its one Sample,
+    fiber_res points per axis times t_res slices, holds every sweep's
+    points and the Gram factored there, so c_eq, c_q, C, K and a later
+    verify_expansion share one grid and one factor.  The sweeps run in one
+    worker group of threads processes, forked once after c_eq factors the Gram;
     every process measures the same constants from the same slice values,
     and the children stay parked with the run until verify_expansion.
     h, the base cover qm and the connecting isotopy are built once, and
@@ -636,20 +627,18 @@ def measure_constants(h_field: TrigDisplacementField, m: int, *, k: int | None =
     reuses qm's stages (build_stage_inventory).
     """
     h = TrigDisplacementMap(h_field)
-    metric = MetricG(h)
+    sample = Sample(MetricG(h), unit_grid(h.dim, fiber_res), t_res)
     psi = default_psi(h_field)
-    c_eq = estimate_metric_equiv(metric, fiber_res)
+    c_eq = estimate_metric_equiv(sample)
     qm, phi1 = build_qm(h, m, psi), default_phi1(h_field, base)
-    grid = metric.source(fiber_res).grid
 
     def measure(group: _Group) -> Measurement:
-        c_q = estimate_cq(qm, metric, fiber_res, t_res, group)
+        c_q = estimate_cq(qm, sample, group)
         lam = nu_target / c_q
         c_bound = None  # the bound of the first depth measured, which every depth shares
         for depth in ([k] if k is not None else range(1, k_cap + 1)):
             tower = build_tower(h, phi1, depth, base)
-            c_val, c_bound = estimate_C(tower, fiber_res, t_res, group, _bound=c_bound,
-                                        _grid=grid)
+            c_val, c_bound = estimate_C(tower, sample, group, _bound=c_bound)
             # the smallest depth with c_eq^2 * base^k * C(k) > lam, unless k is given
             if k is not None or c_eq * c_eq * base ** depth * c_val > lam:
                 break
@@ -658,13 +647,13 @@ def measure_constants(h_field: TrigDisplacementField, m: int, *, k: int | None =
 
         f = build_stage_inventory(tower, qm)["f"]
         records = {}
-        k_raw, k_eff = estimate_K(f, metric, fiber_res, t_res, group, _records=records)
+        k_raw, k_eff = estimate_K(f, sample, group, _records=records)
         constants = ConstantsReport(
             c_eq=c_eq, c_q=c_q, conorm_C=c_val, conorm_C_bound=c_bound,
             coupling_K=k_raw, coupling_K_eff=k_eff, lambda_target=lam,
             base=base, fiber_res=fiber_res, t_res=t_res,
         )
-        run = Measurement(constants=constants, k=depth, f=f, metric=metric, m=m,
+        run = Measurement(constants=constants, k=depth, f=f, sample=sample, m=m,
                           nu_target=nu_target, threads=threads)
         run._group, run._records = group, records
         if group.rank:
@@ -673,7 +662,7 @@ def measure_constants(h_field: TrigDisplacementField, m: int, *, k: int | None =
             verify_expansion(run)
         return run
 
-    group = _Group(threads, t_res + 1)
+    group = _Group(threads, len(sample.slices(closed=True)))
     run = group.start(measure)
     weakref.finalize(run, group.close)
     return run
@@ -704,30 +693,28 @@ def verify_expansion(run: Measurement) -> ExpansionReport:
             run.constants, run.m, run.nu_target = group.broadcast(
                 (run.constants, run.m, run.nu_target))
         workers = run.threads if group is None else group
-        constants, k, f, metric, m = run.constants, run.k, run.f, run.metric, run.m
-        fiber_res, t_res = constants.fiber_res, constants.t_res
+        constants, k, f, sample, m = run.constants, run.k, run.f, run.sample, run.m
         k_eff = constants.coupling_K_eff
         gain = _finsler_gain(k_eff)
         n_guess = _step_count(2 * m + 1, k_eff)[0]
-        source = metric.source(fiber_res)
 
         def job(t):
             rec = records.pop(t, None)
             if rec is None:
-                rec = SliceRecord(f, metric, source, t)
-            margin, mu_t = float(rec.vertical_conorm.min()), gain(rec)
+                rec = SliceRecord(f, sample, t)
+            margin, mu_t = _margin(rec), gain(rec)
             # the chain needs only the record's frame and whitener: the rest
             # is freed first
-            factors = _chain_factors(f, metric, t, rec.frame, rec.whitener, n_guess)
+            factors = _chain_factors(f, sample.metric, t, rec.frame, rec.whitener, n_guess)
             del rec
             return margin, mu_t, chain_sigma_min(factors).min()
 
-        margin, mu, worst = _sweep(job, t_res, workers).min(axis=0).tolist()
+        margin, mu, worst = _sweep(job, sample.slices(), workers).min(axis=0).tolist()
         n_steps = rate = None
         if mu > 1.0:
             n_steps = _step_count(mu, k_eff)[0]
             if n_steps != n_guess:
-                worst = _chain_minimum(f, metric, n_steps, fiber_res, t_res, workers)
+                worst = _chain_minimum(f, sample, n_steps, workers)
             rate = worst ** (1.0 / n_steps)
     finally:
         if group is not None:

@@ -18,7 +18,6 @@ import numpy as np
 
 from ._small import entry_major, gram, matvec, whitener
 from .errors import DimensionMismatch, NonFiniteSlice, UnsupportedForm
-from .fields import unit_grid
 from .torus_maps import TorusMapHandle, torus_representative
 
 _MAX_WINDINGS = 10 ** 5  # how far from the chart normalize_raw takes a parameter
@@ -212,26 +211,36 @@ def _run_grid(grid: np.ndarray) -> np.ndarray:
     return grid
 
 
-class SourceGram:
-    """A metric's fiber Gram on a fiber grid, factored once.
+class Sample:
+    """The points a run's sweeps measure at: t_res parameter slices times a
+    fiber point set, with its metric's fiber Gram factored there.
 
     It owns the grid, a read-only copy of the one it is given: every sweep
     of a run frames its maps at that one array, so each field's jet there is
-    computed once per run.  On a fixed grid the Gram is affine in t,
-    M(t) = (1-t) I + t D with D = Dh^T Dh, so one eigendecomposition
-    D = Q diag(lam) Q^T whitens every slice: W(t) = Q diag((1-t) + t lam)^(-1/2)
-    has W^T M(t) W = I.  The eigh runs on first use, since the K sweep never
-    whitens; a forked sweep worker that runs it keeps its own copy, which
-    the caller recomputes if it needs it.  It holds arrays only, no
-    reference to the metric that keeps it (MetricG.source).
+    computed once per run.  slices() is the one slice rule.  On a fixed grid
+    the Gram is affine in t, M(t) = (1-t) I + t D with D = Dh^T Dh, so one
+    eigendecomposition D = Q diag(lam) Q^T whitens every slice:
+    W(t) = Q diag((1-t) + t lam)^(-1/2) has W^T M(t) W = I.  The eigh runs
+    on first use, since the K sweep never whitens; a forked sweep worker
+    that runs it keeps its own copy, which the caller recomputes if it
+    needs it.  The sample holds its metric, and the metric does not hold
+    the sample, so no reference cycle forms.
     """
 
-    def __init__(self, metric: MetricG, grid: np.ndarray):
+    def __init__(self, metric: MetricG, grid: np.ndarray, t_res: int):
+        self.metric, self.t_res = metric, t_res
         self.grid = _run_grid(grid)
         self.d = metric.fiber_gram(1.0, self.grid)
         # eigh returns NaN for NaN input, outside the guard of the sweeps
         if not np.isfinite(self.d).all():
             raise NonFiniteSlice("slice t=1.0 gave a non-finite source Gram")
+
+    def slices(self, closed: bool = False) -> list[float]:
+        """The parameter slices i / t_res of [0, 1), in order.  closed adds
+        t = 1: chart-level (flat-norm) quantities differ between the two
+        seam charts, so their extrema need both endpoints."""
+        t_res = self.t_res
+        return (np.linspace(0.0, 1.0, t_res + 1) if closed else np.arange(t_res) / t_res).tolist()
 
     @cached_property
     def eigh(self) -> tuple[np.ndarray, np.ndarray]:
@@ -255,16 +264,6 @@ class MetricG:
     def __init__(self, h: TorusMapHandle):
         self.h = h
         self.dim = h.dim
-        self._sources = {}  # fiber_res -> SourceGram, built on first use
-
-    def source(self, fiber_res: int) -> SourceGram:
-        """The Gram factored on the grid of fiber_res points per axis: built
-        on first use and kept, so every sweep measured in this metric at
-        that resolution, and each caller between them, shares one grid and
-        one factor."""
-        if fiber_res not in self._sources:
-            self._sources[fiber_res] = SourceGram(self, unit_grid(self.dim, fiber_res))
-        return self._sources[fiber_res]
 
     def fiber_gram(self, t: float, x: np.ndarray) -> np.ndarray:
         """(1-t) I + t Dh^T Dh at the fiber points x, batched; Dh^T Dh is

@@ -25,7 +25,7 @@ from mtcover.coverings import (
 from mtcover.expansion import build_adapted_metric, measure_constants, verify_expansion
 from mtcover.fields import shear_field, unit_grid
 from mtcover.lifting import tower_from_field
-from mtcover.manifolds import MetricG, MTPoint, Tangent, check_seams
+from mtcover.manifolds import MetricG, MTPoint, Sample, Tangent, check_seams
 from mtcover.torus_maps import HomothetyMap, TrigDisplacementMap
 
 EPS = 0.1
@@ -46,8 +46,8 @@ def full_adapted(full_run, tower2, psi, metric):
     (constants, report), _ = full_run
     assert report.k == 2
     f = build_stage_inventory(tower2, build_qm(tower2.level(0), 1, psi))["f"]
-    adapted = build_adapted_metric(f, metric, report.mu,
-                                   constants.coupling_K_eff, 64, 32)
+    adapted = build_adapted_metric(f, Sample(metric, unit_grid(2, 64), 32), report.mu,
+                                   constants.coupling_K_eff)
     return f, adapted, report
 
 

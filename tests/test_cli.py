@@ -531,6 +531,21 @@ def test_exit_code_numerical_failure(tmp_path):
     assert run(["verify", "--config", cfg]) == 3
 
 
+@pytest.mark.parametrize("command", ["constants", "verify"])
+def test_a_grid_too_large_to_allocate_is_a_numerical_failure(tmp_path, capsys, command):
+    # configs/cyc3.json at 2^18 points per axis: its 2^54 grid points need
+    # 128 PiB, more than any address space, so numpy refuses the grid up
+    # front and nothing is allocated; a numerical failure, not a failed check
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    data = read_json(os.path.join(root, "configs", "cyc3.json"))
+    cfg = write_config(tmp_path, **dict(data, k=1, fiber_res=2 ** 18))
+    started = time.perf_counter()
+    assert run([command, "--config", cfg]) == 3
+    assert time.perf_counter() - started < 2.0
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: out of memory: ") and err.count("\n") == 1
+
+
 def test_a_contraction_constant_at_most_one_fails_with_a_report(tmp_path):
     # at the forced depth k = 1 the cone floor of this field is 0.74: no
     # step count beats the norm gap, so verify reports the failed checks

@@ -44,6 +44,7 @@ from mtcover.expansion import (
     estimate_cq,
     estimate_metric_equiv,
     finsler_norm,
+    local_vertical_conorms,
     measure_constants,
     verify_expansion,
     verify_finsler_expansion,
@@ -51,7 +52,7 @@ from mtcover.expansion import (
 )
 from mtcover.fields import TrigDisplacementField, shear_field, unit_grid
 from mtcover.lifting import tower_from_field
-from mtcover.manifolds import MetricG, MTPoint, MultiMappingTorus, SourceGram, Tangent
+from mtcover.manifolds import MetricG, MTPoint, MultiMappingTorus, Sample, Tangent
 from mtcover.lifting import LiftedIsotopy
 from mtcover.torus_maps import (BridgedIsotopy, StraightLineIsotopy, TrigDisplacementMap,
                                 torus_representative)
@@ -85,6 +86,16 @@ def _composite(tower, m, psi):
     return build_stage_inventory(tower, build_qm(tower.level(0), m, psi))["f"]
 
 
+def grid_sample(metric, fiber_res, t_res):
+    """The Sample a run of fiber_res points per axis and t_res slices sweeps."""
+    return Sample(metric, unit_grid(metric.dim, fiber_res), t_res)
+
+
+def tower_sample(tower, fiber_res, t_res):
+    """grid_sample in the metric of the tower's base map, as estimate_C reads it."""
+    return grid_sample(MetricG(tower.level(0)), fiber_res, t_res)
+
+
 @pytest.fixture(scope="module")
 def f_k1(tower1, psi):
     return _composite(tower1, 1, psi)
@@ -105,10 +116,11 @@ def linear_setup():
 
 @pytest.fixture(scope="module")
 def adapted(f_k2, metric):
-    margin = verify_vertical_expansion(f_k2, metric, 32, 16)
-    _, k_eff = estimate_K(f_k2, metric, 32, 16)
-    mu, _ = verify_finsler_expansion(f_k2, metric, k_eff, margin, 1, 32, 16)
-    return build_adapted_metric(f_k2, metric, mu, k_eff, 32, 16)
+    sample = grid_sample(metric, 32, 16)
+    margin = verify_vertical_expansion(f_k2, sample)
+    _, k_eff = estimate_K(f_k2, sample)
+    mu, _ = verify_finsler_expansion(f_k2, sample, k_eff, margin, 1)
+    return build_adapted_metric(f_k2, sample, mu, k_eff)
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +129,7 @@ def adapted(f_k2, metric):
 
 def generalized_conorm_sq(a, m):
     """Smallest eigenvalue of the pencil (a, m) for SPD m, batched, by the
-    sweeps' kernels: whitened by a fresh eigh of m, as SourceGram does."""
+    sweeps' kernels: whitened by a fresh eigh of m, as Sample does."""
     return whitened_min_eig(a, whitener(*np.linalg.eigh(m)))
 
 
@@ -190,18 +202,18 @@ def test_factored_source_gram_matches_the_pencil(name, shear, mixed):
     metric = MetricG(h)
     cover = (build_qm(h, 1, psi) if name.endswith("qm")
              else _composite(tower_from_field(field, 1), 1, psi))
-    source = SourceGram(metric, unit_grid(field.dim, 8 if field.dim == 2 else 4))
-    for t in np.arange(4) / 4:
-        m_src = metric.fiber_gram(t, source.grid)
-        assert np.array_equal((1.0 - t) * np.eye(field.dim) + t * source.d, m_src)
-        rec = SliceRecord(cover, metric, source, t)
+    sample = grid_sample(metric, 8 if field.dim == 2 else 4, 4)
+    for t in sample.slices():
+        m_src = metric.fiber_gram(t, sample.grid)
+        assert np.array_equal((1.0 - t) * np.eye(field.dim) + t * sample.d, m_src)
+        rec = SliceRecord(cover, sample, t)
         local = rec.vertical_conorm
         assert_allclose(local, np.sqrt(generalized_conorm_sq(rec.p, m_src)), rtol=1e-13)
         assert_allclose(local, np.sqrt(pencil_oracle(rec.p, m_src)), rtol=1e-13)
 
 
 def test_vertical_sweep_factors_the_source_gram_once(f_k2, shear_map, monkeypatch):
-    # a fresh metric: the shared fixture may hold a factor from earlier tests
+    # a fresh sample, whose factor no earlier sweep has formed
     metric = MetricG(shear_map)
     counts = {"cholesky": 0, "solve": 0, "eigh": 0}
     for name in counts:
@@ -212,17 +224,18 @@ def test_vertical_sweep_factors_the_source_gram_once(f_k2, shear_map, monkeypatc
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
-    verify_vertical_expansion(f_k2, metric, 8, 4)
+    verify_vertical_expansion(f_k2, grid_sample(metric, 8, 4))
     assert counts == {"cholesky": 0, "solve": 0, "eigh": 1}
 
 
 def test_sweeps_that_never_whiten_skip_the_eigh(f_k2, shear_map, monkeypatch):
-    # K reads r only, so the metric's factored Gram leaves its
+    # K reads r only, so the sample's factored Gram leaves its
     # eigendecomposition to a first whitener.  The Finsler sweep's cone
     # floor reads the vertical conorm, which whitens: one eigh, which the
-    # metric keeps for every later sweep at that resolution, the adapted
-    # one included.  Another resolution is another grid and factor
+    # sample keeps for every later sweep on it, the adapted one included.
+    # Another sample is another grid and factor
     metric = MetricG(shear_map)
+    sample = grid_sample(metric, 8, 4)
     calls = []
     original = np.linalg.eigh
 
@@ -231,24 +244,24 @@ def test_sweeps_that_never_whiten_skip_the_eigh(f_k2, shear_map, monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
-    _, k_eff = estimate_K(f_k2, metric, 8, 4)
+    _, k_eff = estimate_K(f_k2, sample)
     assert calls == []
-    verify_finsler_expansion(f_k2, metric, k_eff, 6.0, 1, 8, 4)
+    verify_finsler_expansion(f_k2, sample, k_eff, 6.0, 1)
     assert calls == [1]
-    build_adapted_metric(f_k2, metric, 3.0, k_eff, 8, 4)
-    metric.source(8).whitener(0.5)
-    metric.source(8).whitener(1.0)
+    build_adapted_metric(f_k2, sample, 3.0, k_eff)
+    sample.whitener(0.5)
+    sample.whitener(1.0)
     assert calls == [1]
-    metric.source(4)
+    coarse = grid_sample(metric, 4, 4)
     assert calls == [1]
-    build_adapted_metric(f_k2, metric, 3.0, k_eff, 4, 4)
+    build_adapted_metric(f_k2, coarse, 3.0, k_eff)
     assert calls == [1, 1]
 
 
 def _count_factors(monkeypatch):
-    """([], []) that fill with one entry per SourceGram built and per eigh."""
+    """([], []) that fill with one entry per Sample built and per eigh."""
     built, eighs = [], []
-    init, eigh = SourceGram.__init__, np.linalg.eigh
+    init, eigh = Sample.__init__, np.linalg.eigh
 
     def counted_init(self, *args):
         built.append(1)
@@ -258,15 +271,15 @@ def _count_factors(monkeypatch):
         eighs.append(1)
         return eigh(*args, **kwargs)
 
-    monkeypatch.setattr(SourceGram, "__init__", counted_init)
+    monkeypatch.setattr(Sample, "__init__", counted_init)
     monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
     return built, eighs
 
 
 def test_a_pipeline_factors_the_source_gram_once_per_stage(shear, monkeypatch):
-    # c_eq, c_q and K share the metric's one factor, and verify_expansion,
-    # given that metric, reads the same one: one Gram evaluation at t = 1
-    # and one eigh for the two steps
+    # c_eq, c_q, C and K share the run's one sample and its factor, and
+    # verify_expansion, given the run, reads the same one: one Gram
+    # evaluation at t = 1 and one eigh for the two steps
     built, eighs = _count_factors(monkeypatch)
     run = measure_constants(shear, 1, fiber_res=8, t_res=4)
     assert (len(built), len(eighs)) == (1, 1)
@@ -276,9 +289,9 @@ def test_a_pipeline_factors_the_source_gram_once_per_stage(shear, monkeypatch):
 
 @pytest.mark.parametrize("entry", ["library", "cli", "cli csv", "cli constants"])
 def test_a_verify_run_factors_the_source_gram_once(entry, shear, tmp_path, monkeypatch):
-    # the metric keeps its factor for verify_expansion and the CSV dump: one
-    # Gram evaluation at t = 1 and one eigh per run, as a library call or a
-    # command (the library's two steps: the test above)
+    # the run keeps its sample for verify_expansion and the CSV dump: one
+    # Sample, one Gram evaluation at t = 1 and one eigh per run, as a
+    # library call or a command (the library's two steps: the test above)
     built, eighs = _count_factors(monkeypatch)
     if entry == "library":
         assert verify_expansion(measure_constants(shear, 1, fiber_res=8, t_res=4)).passed
@@ -295,14 +308,15 @@ def test_a_verify_run_factors_the_source_gram_once(entry, shear, tmp_path, monke
 
 
 def test_a_run_leaves_no_reference_cycle_through_its_metric(shear):
-    # the metric keeps its factored Gram, which holds arrays only: once the
+    # the sample holds its metric and the metric holds no sample: once the
     # caller drops the two steps' results, reference counting frees the
-    # metric and its factor, with no wait for the cyclic collector
+    # metric and the sample with its factor, with no wait for the cyclic
+    # collector
     gc.disable()
     try:
         run = measure_constants(shear, 1, fiber_res=8, t_res=4)
         verify_expansion(run)
-        refs = weakref.ref(run.metric), weakref.ref(run.metric.source(8))
+        refs = weakref.ref(run.metric), weakref.ref(run.sample)
         del run
         assert [ref() for ref in refs] == [None, None]
     finally:
@@ -326,8 +340,8 @@ def test_small_fibers_make_no_lapack_call_per_slice(name, shear, monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, fn, counted)
-    estimate_C(tower_from_field(field, 2), res, 4)
-    estimate_cq(build_qm(h, 1, psi), run.metric, res, 4)
+    estimate_C(tower_from_field(field, 2), run.sample)
+    estimate_cq(build_qm(h, 1, psi), run.sample)
     verify_expansion(run)
     if field.dim == 2:
         assert counts == {"eigvalsh": 0, "svd": 0, "solve": 0}
@@ -336,23 +350,63 @@ def test_small_fibers_make_no_lapack_call_per_slice(name, shear, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# Samples of any point set
+
+
+def test_a_permuted_grid_gives_the_grid_values(f_k2, metric):
+    # a sweep reads its points from the sample alone, so their order does
+    # not matter; 256 points are below _small's batch crossover, whose path
+    # may round differently, so the values are compared by rtol
+    grid = unit_grid(2, 16)
+    perm = np.random.default_rng(0).permutation(len(grid))
+    values = []
+    for points in (grid, grid[perm]):
+        sample = Sample(metric, points, 4)
+        margin = verify_vertical_expansion(f_k2, sample)
+        k_raw, k_eff = estimate_K(f_k2, sample)
+        mu, _ = verify_finsler_expansion(f_k2, sample, k_eff, margin, 1)
+        values.append([margin, k_raw, mu])
+    assert_allclose(values[1], values[0], rtol=1e-14)
+
+
+def test_every_sweep_runs_on_random_points(f_k2, metric, tower2, shear_map, psi):
+    # 512 seeded points off the grid (at _small's batch crossover): every
+    # sweep gives finite values, and the random points already find a lower
+    # vertical margin and a higher K than the 16^2 grid with twice as many
+    # points (6.7149 against 6.8164, 3.6844 against 3.3932)
+    sample = Sample(metric, np.random.default_rng(1).random((512, 2)), 4)
+    grid = grid_sample(metric, 16, 4)
+    margin = verify_vertical_expansion(f_k2, sample)
+    k_raw, k_eff = estimate_K(f_k2, sample)
+    values = [estimate_metric_equiv(sample), *estimate_C(tower2, sample),
+              estimate_cq(build_qm(shear_map, 1, psi), sample), margin, k_raw,
+              *verify_finsler_expansion(f_k2, sample, k_eff, margin, 1),
+              build_adapted_metric(f_k2, sample, 3.0, k_eff).rate]
+    assert np.isfinite(values).all()
+    local = local_vertical_conorms(f_k2, sample)
+    assert local.shape == (4, 512) and local.min() == margin
+    assert margin < verify_vertical_expansion(f_k2, grid)
+    assert k_raw > estimate_K(f_k2, grid)[0]
+
+
+# ---------------------------------------------------------------------------
 # Flat-norm equivalence constant
 
 def test_metric_equiv_linear_model(linear_setup):
     _, metric0 = linear_setup
-    assert estimate_metric_equiv(metric0, 16) == 1.0
+    assert estimate_metric_equiv(grid_sample(metric0, 16, 4)) == 1.0
 
 
 def test_metric_equiv_matches_closed_form(metric):
-    measured = estimate_metric_equiv(metric, 64)
+    measured = estimate_metric_equiv(grid_sample(metric, 64, 4))
     assert_allclose(measured, c_eq_closed_form(), atol=1e-14)
     assert_allclose(measured, C_EQ_REF, rtol=1e-12)
 
 
 def test_metric_equiv_grid_stable(metric):
     # the extreme point sits on every even grid, so refinement is a no-op
-    assert_allclose(estimate_metric_equiv(metric, 32),
-                    estimate_metric_equiv(metric, 64), rtol=1e-14)
+    assert_allclose(estimate_metric_equiv(grid_sample(metric, 32, 4)),
+                    estimate_metric_equiv(grid_sample(metric, 64, 4)), rtol=1e-14)
 
 
 def _metric_equiv_sweep(metric, fiber_res, t_res):
@@ -375,7 +429,8 @@ def test_metric_equiv_is_the_sweep_at_its_endpoints(name, shear, mixed):
     metric = MetricG(TrigDisplacementMap(field))
     res = 16 if field.dim == 2 else 8
     for t_res in (4, 16):
-        assert estimate_metric_equiv(metric, res) == _metric_equiv_sweep(metric, res, t_res)
+        sample = grid_sample(metric, res, t_res)
+        assert estimate_metric_equiv(sample) == _metric_equiv_sweep(metric, res, t_res)
 
 
 # ---------------------------------------------------------------------------
@@ -383,14 +438,14 @@ def test_metric_equiv_is_the_sweep_at_its_endpoints(name, shear, mixed):
 
 def test_conorm_c_linear_model():
     tower = tower_from_field(shear_field(0.0), 2)
-    c_val, bound = estimate_C(tower, 16, 8)
+    c_val, bound = estimate_C(tower, tower_sample(tower, 16, 8))
     assert c_val == 1.0
     assert bound == 1.0
 
 
 def test_conorm_c_reference_values(tower1, tower2):
-    c1, b1 = estimate_C(tower1, 64, 32)
-    c2, b2 = estimate_C(tower2, 64, 32)
+    c1, b1 = estimate_C(tower1, tower_sample(tower1, 64, 32))
+    c2, b2 = estimate_C(tower2, tower_sample(tower2, 64, 32))
     assert_allclose(c1, C1_REF, rtol=1e-12)
     assert_allclose(c2, C2_REF, rtol=1e-12)
     assert_allclose(b2, C_BOUND_REF, rtol=1e-12)
@@ -398,8 +453,9 @@ def test_conorm_c_reference_values(tower1, tower2):
 
 
 def test_conorm_c_stabilizes_in_k(shear):
-    c2, _ = estimate_C(tower_from_field(shear, 2), 32, 16)
-    c3, _ = estimate_C(tower_from_field(shear, 3), 32, 16)
+    tower2, tower3 = tower_from_field(shear, 2), tower_from_field(shear, 3)
+    c2, _ = estimate_C(tower2, tower_sample(tower2, 32, 16))
+    c3, _ = estimate_C(tower3, tower_sample(tower3, 32, 16))
     # deeper towers add ever flatter levels, so the sweep minimum freezes
     assert_allclose(c3, c2, rtol=1e-12)
 
@@ -424,7 +480,7 @@ def test_conorm_c_bound_without_svd(name, shear, mixed, monkeypatch):
         return svd(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counted)
-    _, bound = estimate_C(tower, 8 if field.dim == 2 else 4, 4)
+    _, bound = estimate_C(tower, tower_sample(tower, 8 if field.dim == 2 else 4, 4))
     assert calls == []
     assert_allclose(bound, oracle, rtol=1e-13)
 
@@ -467,14 +523,16 @@ def test_the_conorm_c_bound_of_each_config_is_unchanged(name):
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     cfg = mtcover.cli.load_config(os.path.join(root, "configs", f"{name}.json"))
     tower = tower_from_field(cfg.displacement_field(), 1, cfg.base)
-    assert estimate_C(tower, cfg.fiber_res, cfg.t_res)[1] == CONFIG_C_BOUNDS[name]
+    sample = tower_sample(tower, cfg.fiber_res, cfg.t_res)
+    assert estimate_C(tower, sample)[1] == CONFIG_C_BOUNDS[name]
 
 
 def test_conorm_c_floor_raises_typed_error(monkeypatch):
     # a negative slack doubles the floor, which the measured conorm misses
     monkeypatch.setattr(mtcover.expansion, "_FLOOR_SLACK", -1.0)
+    tower = tower_from_field(shear_field(0.1), 1)
     with pytest.raises(BoundViolation, match="uniform bound"):
-        estimate_C(tower_from_field(shear_field(0.1), 1), 8, 4)
+        estimate_C(tower, tower_sample(tower, 8, 4))
 
 
 def test_conorm_c_floor_survives_optimized_mode():
@@ -484,11 +542,13 @@ import sys
 import mtcover.expansion
 from mtcover.errors import BoundViolation
 from mtcover.expansion import estimate_C
-from mtcover.fields import shear_field
+from mtcover.fields import shear_field, unit_grid
 from mtcover.lifting import tower_from_field
+from mtcover.manifolds import MetricG, Sample
 mtcover.expansion._FLOOR_SLACK = -1.0
+tower = tower_from_field(shear_field(0.1), 1)
 try:
-    estimate_C(tower_from_field(shear_field(0.1), 1), 8, 4)
+    estimate_C(tower, Sample(MetricG(tower.level(0)), unit_grid(2, 8), 4))
 except BoundViolation:
     sys.exit(0)
 sys.exit(1)
@@ -505,13 +565,13 @@ sys.exit(1)
 
 def test_cq_linear_model(linear_setup):
     inv, metric0 = linear_setup
-    assert_allclose(estimate_cq(inv["qm"], metric0, 8, 4), 1.0, atol=1e-12)
+    assert_allclose(estimate_cq(inv["qm"], grid_sample(metric0, 8, 4)), 1.0, atol=1e-12)
 
 
 def test_cq_reference_value(shear_map, psi, metric):
     qm = build_qm(shear_map, 1, psi)
-    coarse = estimate_cq(qm, metric, 32, 16)
-    fine = estimate_cq(qm, metric, 64, 32)
+    coarse = estimate_cq(qm, grid_sample(metric, 32, 16))
+    fine = estimate_cq(qm, grid_sample(metric, 64, 32))
     assert_allclose(fine, C_Q_REF, rtol=1e-12)
     assert abs(coarse - fine) < 0.02 * fine
 
@@ -520,7 +580,7 @@ def test_cq_stage_conorm_floor(shear_map, psi, metric):
     # c_q can never drop below the product of the worst equivalence factor
     # squared and the flat conorms of the only non-isometric stages
     qm = build_qm(shear_map, 1, psi)
-    c_q = estimate_cq(qm, metric, 32, 16)
+    c_q = estimate_cq(qm, grid_sample(metric, 32, 16))
     grid = unit_grid(2, 32)
     min_h = float(np.linalg.svd(shear_map.jacobian(grid),
                                 compute_uv=False)[..., -1].min())
@@ -580,23 +640,23 @@ def test_the_depth_search_measures_each_depth_once_with_one_bound(shear, monkeyp
 
 def test_vertical_margin_linear_model(linear_setup):
     inv, metric0 = linear_setup
-    assert_allclose(verify_vertical_expansion(inv["f"], metric0, 8, 4), 3.0,
+    assert_allclose(verify_vertical_expansion(inv["f"], grid_sample(metric0, 8, 4)), 3.0,
                     atol=1e-12)
     field = shear_field(0.0)
     f2 = _composite(tower_from_field(field, 2), 1, default_psi(field))
-    assert_allclose(verify_vertical_expansion(f2, metric0, 8, 4), 9.0,
+    assert_allclose(verify_vertical_expansion(f2, grid_sample(metric0, 8, 4)), 9.0,
                     atol=1e-11)
 
 
 def test_vertical_margin_reference_values(f_k1, f_k2, metric):
     # nested refinement can only lower a sweep minimum; the analytic chain
     # floor caps the drop from below
-    coarse = verify_vertical_expansion(f_k1, metric, 32, 16)
-    fine = verify_vertical_expansion(f_k1, metric, 64, 32)
+    coarse = verify_vertical_expansion(f_k1, grid_sample(metric, 32, 16))
+    fine = verify_vertical_expansion(f_k1, grid_sample(metric, 64, 32))
     assert_allclose(coarse, MARGIN_K1_COARSE_REF, rtol=1e-12)
     assert_allclose(fine, MARGIN_K1_REF, rtol=1e-12)
     assert fine <= coarse
-    margin2 = verify_vertical_expansion(f_k2, metric, 64, 32)
+    margin2 = verify_vertical_expansion(f_k2, grid_sample(metric, 64, 32))
     assert_allclose(margin2, MARGIN_K2_REF, rtol=1e-12)
     assert margin2 >= C_Q_REF * C_EQ_REF ** 2 * 9 * C2_REF
 
@@ -624,38 +684,38 @@ def test_fiber_cover_chain_floor(tower2, psi, metric):
 
 def test_coupling_linear_model(linear_setup):
     inv, metric0 = linear_setup
-    k_raw, k_eff = estimate_K(inv["f"], metric0, 8, 4)
+    k_raw, k_eff = estimate_K(inv["f"], grid_sample(metric0, 8, 4))
     assert k_raw == 0.0
     assert k_eff == 1.0
 
 
 def test_coupling_reference_value(f_k2, metric):
-    k64, _ = estimate_K(f_k2, metric, 64, 32)
+    k64, _ = estimate_K(f_k2, grid_sample(metric, 64, 32))
     assert_allclose(k64, K_REF, rtol=1e-12)
-    k128, _ = estimate_K(f_k2, metric, 128, 32)
+    k128, _ = estimate_K(f_k2, grid_sample(metric, 128, 32))
     assert abs(k64 - k128) < 0.02 * k128
 
 
 def test_coupling_rerun_is_bitwise(f_k2, metric):
-    first = estimate_K(f_k2, metric, 16, 8)
-    second = estimate_K(f_k2, metric, 16, 8)
-    threaded = estimate_K(f_k2, metric, 16, 8, threads=3)
+    first = estimate_K(f_k2, grid_sample(metric, 16, 8))
+    second = estimate_K(f_k2, grid_sample(metric, 16, 8))
+    threaded = estimate_K(f_k2, grid_sample(metric, 16, 8), threads=3)
     assert first == second == threaded
 
 
 def test_threaded_sweeps_are_bitwise(f_k2, metric, tower2):
     # every sweep reduces one array kept in slice order, so the thread
     # count cannot change a result, not even in its last bit
-    assert (verify_vertical_expansion(f_k2, metric, 16, 8)
-            == verify_vertical_expansion(f_k2, metric, 16, 8, threads=4))
-    assert estimate_C(tower2, 16, 8) == estimate_C(tower2, 16, 8, threads=3)
-    assert estimate_K(f_k2, metric, 16, 8) == estimate_K(f_k2, metric, 16, 8, threads=3)
-    _, k_eff = estimate_K(f_k2, metric, 16, 8)
-    assert (verify_finsler_expansion(f_k2, metric, k_eff, 6.0, 1, 16, 8)
-            == verify_finsler_expansion(f_k2, metric, k_eff, 6.0, 1, 16, 8,
-                                        threads=3))
-    assert (build_adapted_metric(f_k2, metric, 3.0, k_eff, 16, 8).rate
-            == build_adapted_metric(f_k2, metric, 3.0, k_eff, 16, 8, threads=3).rate)
+    sample, c_sample = grid_sample(metric, 16, 8), tower_sample(tower2, 16, 8)
+    assert (verify_vertical_expansion(f_k2, sample)
+            == verify_vertical_expansion(f_k2, sample, threads=4))
+    assert estimate_C(tower2, c_sample) == estimate_C(tower2, c_sample, threads=3)
+    assert estimate_K(f_k2, sample) == estimate_K(f_k2, sample, threads=3)
+    _, k_eff = estimate_K(f_k2, sample)
+    assert (verify_finsler_expansion(f_k2, sample, k_eff, 6.0, 1)
+            == verify_finsler_expansion(f_k2, sample, k_eff, 6.0, 1, threads=3))
+    assert (build_adapted_metric(f_k2, sample, 3.0, k_eff).rate
+            == build_adapted_metric(f_k2, sample, 3.0, k_eff, threads=3).rate)
 
 
 # ---------------------------------------------------------------------------
@@ -671,28 +731,27 @@ def test_finsler_norm_values(metric):
 
 def test_finsler_linear_model(linear_setup):
     inv, metric0 = linear_setup
-    mu, case_bound = verify_finsler_expansion(inv["f"], metric0, 1.0, 3.0, 1,
-                                              16, 8)
+    mu, case_bound = verify_finsler_expansion(inv["f"], grid_sample(metric0, 16, 8), 1.0, 3.0, 1)
     assert_allclose(mu, 3.0, atol=1e-12)
     assert case_bound == 2.0  # min(2m+1, margin - 1) with margin 3
 
 
 def test_finsler_case_bound_branches(f_k2, metric, tower1, psi):
-    _, bound = verify_finsler_expansion(f_k2, metric, 4.0, 2.5, 1, 8, 4)
+    _, bound = verify_finsler_expansion(f_k2, grid_sample(metric, 8, 4), 4.0, 2.5, 1)
     assert bound == 1.5
     f_m2 = _composite(tower1, 2, psi)
-    _, bound = verify_finsler_expansion(f_m2, metric, 4.0, 7.0, 2, 8, 4)
+    _, bound = verify_finsler_expansion(f_m2, grid_sample(metric, 8, 4), 4.0, 7.0, 2)
     assert bound == 5.0
 
 
 def test_finsler_rejects_bad_weight(f_k2, metric):
     with pytest.raises(FinslerDegenerate):
-        verify_finsler_expansion(f_k2, metric, 0.0, 6.0, 1, 8, 4)
+        verify_finsler_expansion(f_k2, grid_sample(metric, 8, 4), 0.0, 6.0, 1)
 
 
 def test_finsler_horizontal_directions_gain_base_degree(f_k2, metric, rng):
     # base-dominated case of the cone argument: the slope alone wins
-    _, k_eff = estimate_K(f_k2, metric, 16, 8)
+    _, k_eff = estimate_K(f_k2, grid_sample(metric, 16, 8))
     for _ in range(20):
         p = MTPoint(0, rng.uniform(0, 1), rng.uniform(0, 1, 2))
         v = Tangent(rng.uniform(0.5, 2.0), np.zeros(2))
@@ -705,8 +764,8 @@ def test_finsler_horizontal_directions_gain_base_degree(f_k2, metric, rng):
 def test_finsler_two_case_inequality(f_k2, metric, rng):
     # sampled tangents, split by dominating component; the image norm obeys
     # the analytic floor built from slightly deflated global constants
-    margin = verify_vertical_expansion(f_k2, metric, 32, 16) * (1 - 5e-3)
-    k_raw, k_eff = estimate_K(f_k2, metric, 32, 16)
+    margin = verify_vertical_expansion(f_k2, grid_sample(metric, 32, 16)) * (1 - 5e-3)
+    k_raw, k_eff = estimate_K(f_k2, grid_sample(metric, 32, 16))
     k_raw *= 1 + 5e-3
     for _ in range(200):
         p = MTPoint(0, rng.uniform(0, 1), rng.uniform(0, 1, 2))
@@ -746,7 +805,7 @@ def template_loop_gain(rec, templates, k_eff):
     image's squared norm u^T P u + 2a u.q + a^2 r, q = V^T m_dst w: the
     sampled mixed-norm gain of one slice, the oracle of the cone floor."""
     dim = rec.frame.v.shape[-1]
-    src = ((1.0 - rec.t) * np.eye(dim) + rec.t * rec.source.d).reshape(-1, dim * dim)
+    src = ((1.0 - rec.t) * np.eye(dim) + rec.t * rec.sample.d).reshape(-1, dim * dim)
     img = rec.p.reshape(-1, dim * dim)
     q = matvec(np.swapaxes(rec.frame.v, -1, -2), matvec(rec.m_dst, rec.frame.w))
     worst = np.full(len(src), np.inf)
@@ -762,7 +821,7 @@ def test_finsler_sweep_matches_pointwise_norms(f_k2, metric):
     # the cone floor bounds the mixed-norm gain of every pushed-forward
     # tangent from below, point by point; at k_eff the base-only direction
     # attains it, the slope 3
-    _, k_eff = estimate_K(f_k2, metric, 8, 4)
+    _, k_eff = estimate_K(f_k2, grid_sample(metric, 8, 4))
     # the stratified templates for n=2 and 4 directions, written out
     dirs = [np.array([np.cos(ang), np.sin(ang)]) for ang in np.pi / 2 * np.arange(4)]
     betas = np.pi * np.arange(1, 5) / 10
@@ -778,7 +837,7 @@ def test_finsler_sweep_matches_pointwise_norms(f_k2, metric):
                 pushed.append((p, v) + pushforward(f_k2, p, v, return_point=True)[::-1])
     # at k_eff = 0.45 the lift sqrt(r) / k_eff pulls the floor below the slope
     for weight in (k_eff, 0.45):
-        mu, _ = verify_finsler_expansion(f_k2, metric, weight, 6.0, 1, 8, 4)
+        mu, _ = verify_finsler_expansion(f_k2, grid_sample(metric, 8, 4), weight, 6.0, 1)
         ratios = [finsler_norm(metric, weight, q, w) / finsler_norm(metric, weight, p, v)
                   for p, v, q, w in pushed]
         assert mu <= min(ratios) * (1 + 1e-12)
@@ -807,14 +866,13 @@ def test_cone_decision_is_the_template_loop(name, shear, mixed):
              "n1": TrigDisplacementField.from_terms(1, [([0.1], [1], "sin")])}[name]
     m, res = (2 if name.endswith("m=2") else 1), (8 if field.dim < 3 else 4)
     run = measure_constants(field, m, fiber_res=res, t_res=4)
-    k_eff, f, metric = run.constants.coupling_K_eff, run.f, run.metric
+    k_eff, f, sample = run.constants.coupling_K_eff, run.f, run.sample
     templates = direction_templates(field.dim, 16, np.random.default_rng(0))
-    source = SourceGram(metric, unit_grid(field.dim, res))
     undecided = []
     for weight in (k_eff, k_eff / 6, k_eff / 12):
         gain = _finsler_gain(weight)
-        for t in np.arange(4) / 4:
-            rec = SliceRecord(f, metric, source, t)
+        for t in sample.slices():
+            rec = SliceRecord(f, sample, t)
             floor, loop = gain(rec), template_loop_gain(rec, templates, weight)
             assert floor - loop <= 4 * np.spacing(abs(loop))
             if _cone_decides(rec, weight):
@@ -851,16 +909,16 @@ def test_cone_floor_bounds_the_loop_and_every_pointwise_gain(case, data):
     field, m, k = case
     metric = MetricG(TrigDisplacementMap(field))
     f = _composite(tower_from_field(field, k), m, default_psi(field))
-    _, k_eff = estimate_K(f, metric, 4, 2)
+    sample = grid_sample(metric, 4, 2)
+    _, k_eff = estimate_K(f, sample)
     gain = _finsler_gain(k_eff)
     templates = direction_templates(field.dim, 4, np.random.default_rng(0))
-    source = SourceGram(metric, unit_grid(field.dim, 4))
-    for t in (0.0, 0.5):
-        rec = SliceRecord(f, metric, source, t)
+    for t in sample.slices():
+        rec = SliceRecord(f, sample, t)
         floor = gain(rec)
         assert floor - template_loop_gain(rec, templates, k_eff) <= 4 * np.spacing(floor)
         for _ in range(2):
-            x = source.grid[data.draw(st.integers(0, len(source.grid) - 1))]
+            x = sample.grid[data.draw(st.integers(0, len(sample.grid) - 1))]
             a = data.draw(st.floats(-2.0, 2.0))
             u = np.array(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=field.dim,
                                             max_size=field.dim)))
@@ -879,14 +937,13 @@ def test_a_weak_weight_lowers_mu_to_the_cone_floor(shear):
     # shears the fiber, and mu is the floor of the worst slice, below the
     # slope and below the template loop
     run = measure_constants(shear, 1, fiber_res=8, t_res=4)
-    f, metric = run.f, run.metric
+    f, sample = run.f, run.sample
     assert verify_expansion(run).mu == 3.0
     mu = verify_expansion(weakened(run, 0.45)).mu
-    source = SourceGram(metric, unit_grid(2, 8))
     templates = direction_templates(2, 16, None)
     floors, loops = [], []
-    for t in np.arange(4) / 4:
-        rec = SliceRecord(f, metric, source, t)
+    for t in sample.slices():
+        rec = SliceRecord(f, sample, t)
         floors.append(min(3.0, float((rec.vertical_conorm - np.sqrt(rec.r) / 0.45).min())))
         loops.append(template_loop_gain(rec, templates, 0.45))
     assert mu == min(floors) and 1.0 < mu < 3.0
@@ -905,13 +962,14 @@ def test_a_nan_lift_reaches_the_sweep(shear_measured, tower2, psi, metric, monke
         return fr._replace(w=np.full_like(fr.w, np.nan)) if _nan_on_slices(t) else fr
 
     monkeypatch.setattr(CompositeCovering, "frame", nan_frame)
-    rec = SliceRecord(f, metric, SourceGram(metric, unit_grid(2, 8)), 0.5)
+    rec = SliceRecord(f, grid_sample(metric, 8, 4), 0.5)
     assert np.isfinite(rec.vertical_conorm).all()
     assert np.isnan(_finsler_gain(4.0)(rec))
     with pytest.raises(NonFiniteSlice, match=r"t=0\.5\b"):
-        verify_finsler_expansion(f, metric, 4.0, 6.0, 1, 8, 4)
+        verify_finsler_expansion(f, grid_sample(metric, 8, 4), 4.0, 6.0, 1)
     with pytest.raises(NonFiniteSlice, match=r"t=0\.5\b"):
-        verify_expansion(dataclasses.replace(shear_measured, f=f, metric=metric))
+        verify_expansion(dataclasses.replace(shear_measured, f=f,
+                                             sample=grid_sample(metric, 16, 8)))
 
 
 @pytest.fixture(scope="module")
@@ -971,7 +1029,7 @@ def test_verify_expansion_that_misses_its_step_guess_reruns_the_chain(shear, mon
     assert_allclose(report.mu, 1.5, rtol=1e-12)
     assert report.adapted_steps == 3
     assert len(calls) == run.constants.t_res * (1 + report.adapted_steps)
-    standalone = build_adapted_metric(f, run.metric, report.mu, 0.4, 8, 4)
+    standalone = build_adapted_metric(f, run.sample, report.mu, 0.4)
     assert (report.adapted_steps, report.adapted_rate) == (standalone.n_steps, standalone.rate)
 
 
@@ -1000,10 +1058,10 @@ def test_verify_expansion_reports_a_contraction_constant_at_most_one(shear_measu
         assert report.case_bound == measured.case_bound
     for mu_hat in (0.11, 1.0):
         with pytest.raises(FinslerDegenerate, match="above 1"):
-            build_adapted_metric(f, metric, mu_hat, 4.0, 8, 4)
+            build_adapted_metric(f, grid_sample(metric, 8, 4), mu_hat, 4.0)
     for bad in (0.0, np.inf):
         with pytest.raises(FinslerDegenerate):
-            build_adapted_metric(f, metric, 3.0, bad, 8, 4)
+            build_adapted_metric(f, grid_sample(metric, 8, 4), 3.0, bad)
 
 
 def test_verify_expansion_reports_an_adapted_rate_at_most_one(shear_measured, monkeypatch):
@@ -1018,8 +1076,8 @@ def test_verify_expansion_reports_an_adapted_rate_at_most_one(shear_measured, mo
     assert report.checks == dict(measured.checks, adapted_rate_above_one=False)
     assert not report.passed
     with pytest.raises(NotExpanding):
-        build_adapted_metric(shear_measured.f, shear_measured.metric, report.mu,
-                             shear_measured.constants.coupling_K_eff, 16, 8)
+        build_adapted_metric(shear_measured.f, shear_measured.sample, report.mu,
+                             shear_measured.constants.coupling_K_eff)
 
 
 def test_fused_verify_keeps_finsler_checks(shear_measured):
@@ -1057,14 +1115,15 @@ def test_nan_slice_raises_typed_error(shear_measured, tower2, shear_map, psi, me
 
         monkeypatch.setattr(CompositeCovering, "frame", nan_frame)
     sweeps = {
-        "estimate_cq": lambda: estimate_cq(qm, metric, 8, 4),
-        "estimate_C": lambda: estimate_C(tower2, 8, 4),
-        "estimate_K": lambda: estimate_K(f, metric, 8, 4),
+        "estimate_cq": lambda: estimate_cq(qm, grid_sample(metric, 8, 4)),
+        "estimate_C": lambda: estimate_C(tower2, tower_sample(tower2, 8, 4)),
+        "estimate_K": lambda: estimate_K(f, grid_sample(metric, 8, 4)),
         "verify_finsler_expansion": lambda: verify_finsler_expansion(
-            f, metric, 4.0, 6.0, 1, 8, 4),
+            f, grid_sample(metric, 8, 4), 4.0, 6.0, 1),
         "verify_expansion": lambda: verify_expansion(
-            dataclasses.replace(shear_measured, f=f, metric=metric)),
-        "build_adapted_metric": lambda: build_adapted_metric(f, metric, 3.0, 4.0, 8, 4),
+            dataclasses.replace(shear_measured, f=f, sample=grid_sample(metric, 16, 8))),
+        "build_adapted_metric": lambda: build_adapted_metric(
+            f, grid_sample(metric, 8, 4), 3.0, 4.0),
     }
     if patched == "fiber_gram":
         # the flat conorm C reads no Gram
@@ -1079,9 +1138,9 @@ def test_nan_slice_raises_typed_error(shear_measured, tower2, shear_map, psi, me
 
 def test_nan_in_the_factored_source_gram_raises_typed_error(shear_measured, tower2,
                                                             shear_map, psi, monkeypatch):
-    # a metric factors its Gram at t = 1 once, before the slices of the first
-    # sweep that needs it run, and eigh returns NaN for NaN input without
-    # raising; each sweep gets a fresh metric, since the measured one already
+    # a sample evaluates its Gram at t = 1 once, when it is built, before the
+    # slices of any sweep run, and eigh returns NaN for NaN input without
+    # raising; each sweep gets a fresh sample, since the measured one already
     # keeps a clean factor
     f, qm = _composite(tower2, 1, psi), build_qm(shear_map, 1, psi)
     gram = MetricG.fiber_gram
@@ -1092,11 +1151,11 @@ def test_nan_in_the_factored_source_gram_raises_typed_error(shear_measured, towe
 
     monkeypatch.setattr(MetricG, "fiber_gram", nan_at_one)
     # c_eq reads only the factored Gram at t = 1
-    sweeps = [lambda metric: estimate_cq(qm, metric, 8, 4),
+    sweeps = [lambda metric: estimate_cq(qm, grid_sample(metric, 8, 4)),
               lambda metric: verify_expansion(
-                  dataclasses.replace(shear_measured, f=f, metric=metric)),
-              lambda metric: build_adapted_metric(f, metric, 3.0, 4.0, 8, 4),
-              lambda metric: estimate_metric_equiv(metric, 8)]
+                  dataclasses.replace(shear_measured, f=f, sample=grid_sample(metric, 16, 8))),
+              lambda metric: build_adapted_metric(f, grid_sample(metric, 8, 4), 3.0, 4.0),
+              lambda metric: estimate_metric_equiv(grid_sample(metric, 8, 4))]
     for sweep in sweeps:
         with pytest.raises(NonFiniteSlice, match=r"t=1\.0\b"):
             sweep(MetricG(shear_map))
@@ -1107,7 +1166,7 @@ def test_nan_in_the_factored_source_gram_raises_typed_error(shear_measured, towe
 
 def test_adapted_linear_model(linear_setup):
     inv, metric0 = linear_setup
-    adapted0 = build_adapted_metric(inv["f"], metric0, 2.999, 1.0, 8, 4)
+    adapted0 = build_adapted_metric(inv["f"], grid_sample(metric0, 8, 4), 2.999, 1.0)
     assert adapted0.n_steps == 1
     assert_allclose(adapted0.rate, 3.0, atol=1e-12)
     p = MTPoint(0, 0.3, np.array([0.2, 0.7]))
@@ -1117,7 +1176,7 @@ def test_adapted_linear_model(linear_setup):
 
 def test_adapted_rejects_weak_contraction(f_k2, metric):
     with pytest.raises(FinslerDegenerate):
-        build_adapted_metric(f_k2, metric, 1.0, 1.0, 8, 4)
+        build_adapted_metric(f_k2, grid_sample(metric, 8, 4), 1.0, 1.0)
 
 
 def test_adapted_detects_non_expanding_map(shear_map, psi, metric):
@@ -1125,7 +1184,7 @@ def test_adapted_detects_non_expanding_map(shear_map, psi, metric):
     # averaging can certify expansion
     qm = build_qm(shear_map, 1, psi)
     with pytest.raises(NotExpanding):
-        build_adapted_metric(qm, metric, 1.5, 1.0, 16, 8)
+        build_adapted_metric(qm, grid_sample(metric, 16, 8), 1.5, 1.0)
 
 
 def test_adapted_shape(adapted):
@@ -1248,18 +1307,18 @@ def test_adapted_rate_whitens_fiber_blocks_only(name, shear, mixed):
              "n1": TrigDisplacementField.from_terms(1, [([0.1], [1], "sin")])}[name]
     metric = MetricG(TrigDisplacementMap(field))
     f = _composite(tower_from_field(field, 2), 1, default_psi(field))
-    source = SourceGram(metric, unit_grid(field.dim, 8))
+    sample = grid_sample(metric, 8, 4)
     for mu_hat, n_steps in ((2.5, 1), (1.1, 4)):
-        adapted = build_adapted_metric(f, metric, mu_hat, 1.0, 8, 4)
+        adapted = build_adapted_metric(f, sample, mu_hat, 1.0)
         assert adapted.n_steps == n_steps
         assert_allclose(adapted.rate, full_gram_rate(f, metric, n_steps, 8, 4), rtol=1e-14)
-        for t in np.arange(4) / 4:
-            factors = _chain_factors(f, metric, t, f.frame(t, source.grid, +1),
-                                     source.whitener(t), n_steps)
+        for t in sample.slices():
+            factors = _chain_factors(f, metric, t, f.frame(t, sample.grid, +1),
+                                     sample.whitener(t), n_steps)
             product = next(factors)
             for factor in factors:
                 product = factor @ product
-            assert np.array_equal(product, full_gram_whitened(f, metric, n_steps, t, source.grid))
+            assert np.array_equal(product, full_gram_whitened(f, metric, n_steps, t, sample.grid))
 
 
 # ---------------------------------------------------------------------------

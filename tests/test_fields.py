@@ -382,7 +382,7 @@ def test_derived_fields_keep_their_own_jets(rng, computed):
 
 def test_a_verify_run_computes_each_field_jet_at_its_grid_once(tmp_path, computed,
                                                               monkeypatch):
-    # every sweep of a run frames its maps at the SourceGram's one read-only
+    # every sweep of a run frames its maps at its Sample's one read-only
     # grid; the straight-line isotopies of H, the last branch of F, h in the
     # metric and the phi bound all reach their field's memo there
     config = tmp_path / "shear.json"

@@ -140,7 +140,7 @@ def test_nan_chain_ends_in_a_typed_error(n, rng):
     values = chain_sigma_min([factor, broken])
     assert np.isnan(values[2]) and np.isfinite(np.delete(values, 2)).all()
     with pytest.raises(NonFiniteSlice, match=r"t=0\.5\b"):
-        _sweep(lambda t: chain_sigma_min([factor, broken if t else factor]).min(), 2, 1)
+        _sweep(lambda t: chain_sigma_min([factor, broken if t else factor]).min(), [0.0, 0.5], 1)
 
 
 def _cofactors(a):
@@ -379,7 +379,7 @@ def test_nan_entry_propagates_to_a_typed_error(rng, name):
     finite = np.isfinite(KERNELS[name](*broken)).reshape(4096, -1).all(axis=1)
     assert np.flatnonzero(~finite).tolist() == [7]
     with pytest.raises(NonFiniteSlice, match=r"t=0\.5\b"):
-        _sweep(lambda t: KERNELS[name](*(broken if t else ops)).min(), 2, 1)
+        _sweep(lambda t: KERNELS[name](*(broken if t else ops)).min(), [0.0, 0.5], 1)
 
 
 @pytest.mark.parametrize("n, size", [(2, 1), (2, 64), (2, _small._MIN_BATCH - 1),

@@ -204,18 +204,23 @@ def test_only_expansion_forks_or_opens_pipes():
 _COVER_CLASSES = {"MultiMappingTorus", "CompositeCovering"}
 
 
-def _construction_calls(node, scope=()):
-    """(scope, class name) of every call of a chart space, composite or
-    stage class under node, scope being the dotted names around it."""
+def _calls(node, match, scope=()):
+    """(scope, name) of every call under node whose callee's name passes
+    match, scope being the dotted names of the classes and functions around it."""
     if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
         scope = scope + (node.name,)
     if isinstance(node, ast.Call):
         func = node.func
         name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
-        if name in _COVER_CLASSES or name.startswith("Stage"):
+        if match(name):
             yield ".".join(scope), name
     for child in ast.iter_child_nodes(node):
-        yield from _construction_calls(child, scope)
+        yield from _calls(child, match, scope)
+
+
+def _is_construction(name: str) -> bool:
+    """A chart space, composite or stage class."""
+    return name in _COVER_CLASSES or name.startswith("Stage")
 
 
 def test_only_coverings_builds_spaces_and_stage_chains():
@@ -223,10 +228,28 @@ def test_only_coverings_builds_spaces_and_stage_chains():
     # every chart space, stage and composite, and mapping_torus is the one
     # shorthand for a single-segment space
     calls = {(path.name, scope, name) for path in sorted(SRC.glob("*.py"))
-             for scope, name in _construction_calls(_tree(path))}
+             for scope, name in _calls(_tree(path), _is_construction)}
     outside = {call for call in calls if call[0] != "coverings.py"}
     assert outside == {("manifolds.py", "mapping_torus", "MultiMappingTorus")}
     # the rule still sees the build functions it allows
     assert {("coverings.py", "build_qm", "StageR"),
             ("coverings.py", "fiber_stages", "StageH"),
             ("coverings.py", "build_stage_inventory", "CompositeCovering")} <= calls
+
+
+def _callers(name: str) -> set:
+    """(module, scope) of every call of name in the package sources."""
+    return {(path.name, scope) for path in sorted(SRC.glob("*.py"))
+            for scope, _ in _calls(_tree(path), lambda callee: callee == name)}
+
+
+def test_the_sampling_decision_stays_in_sample():
+    # one sampling plan: manifolds.py decides how a sample's slices and its
+    # read-only grid are laid out (Sample), measure_constants picks a run's
+    # grid and builds its one Sample, and jacobian_sup_norm keeps a grid of
+    # its own for the diffeotopy check of a field
+    assert {module for module, _ in _callers("linspace")} == {"manifolds.py"}
+    assert {module for module, _ in _callers("_run_grid")} == {"manifolds.py"}
+    assert _callers("unit_grid") == {("expansion.py", "measure_constants"),
+                                     ("fields.py", "jacobian_sup_norm")}
+    assert _callers("Sample") == {("expansion.py", "measure_constants")}

@@ -20,9 +20,12 @@ from mtcover.cli import main
 from mtcover.coverings import build_qm, build_stage_inventory
 from mtcover.errors import MTCoverError, NonFiniteSlice, NotExpanding, UnboundedSelection
 from mtcover.expansion import _sweep, local_vertical_conorms, measure_constants, verify_expansion
+from mtcover.fields import unit_grid
+from mtcover.manifolds import Sample
 
 T_RES = 8  # slices i / 8: at 2 and 3 workers, slice 6 is the caller's and
 # slices 1, 5 and 7 are children's
+SLICES = [i / T_RES for i in range(T_RES)]  # a Sample's slices at t_res 8
 
 
 def assert_no_child_left():
@@ -63,9 +66,9 @@ FAILURES = {
 def test_failures_match_the_serial_loop(case, threads):
     job = failing_job(FAILURES[case])
     with pytest.raises(MTCoverError) as serial:
-        _sweep(job, T_RES, 1)
+        _sweep(job, SLICES, 1)
     with pytest.raises(MTCoverError) as pooled:
-        _sweep(job, T_RES, threads)
+        _sweep(job, SLICES, threads)
     assert type(pooled.value) is type(serial.value)
     assert str(pooled.value) == str(serial.value)
     assert_no_child_left()
@@ -73,7 +76,7 @@ def test_failures_match_the_serial_loop(case, threads):
 
 def test_the_lowest_failing_slice_wins():
     with pytest.raises(NonFiniteSlice, match=r"^slice t=0\.625: matrix is singular$"):
-        _sweep(failing_job(FAILURES["child before caller"]), T_RES, 2)
+        _sweep(failing_job(FAILURES["child before caller"]), SLICES, 2)
     assert_no_child_left()
 
 
@@ -82,7 +85,7 @@ def test_an_exception_that_does_not_pickle_arrives_typed():
         pass  # a local class pickles by a name that cannot be looked up
 
     with pytest.raises(MTCoverError) as info:
-        _sweep(failing_job({1: lambda: Unpicklable("lost in transit")}), T_RES, 2)
+        _sweep(failing_job({1: lambda: Unpicklable("lost in transit")}), SLICES, 2)
     assert type(info.value) is MTCoverError
     assert str(info.value) == "Unpicklable: lost in transit"
     assert_no_child_left()
@@ -97,7 +100,7 @@ def test_a_child_that_dies_without_a_result_is_a_typed_error():
         return t
 
     with pytest.raises(MTCoverError, match="slice 1 exited with status 5 without a result"):
-        _sweep(job, T_RES, 2)
+        _sweep(job, SLICES, 2)
     assert_no_child_left()
 
 
@@ -112,7 +115,7 @@ def test_an_interrupt_kills_and_reaps_the_children():
 
     start = time.perf_counter()
     with pytest.raises(KeyboardInterrupt):
-        _sweep(job, T_RES, 3)
+        _sweep(job, SLICES, 3)
     assert time.perf_counter() - start < 30
     assert_no_child_left()
 
@@ -140,9 +143,9 @@ def counted_forks(monkeypatch) -> list:
 
 
 @pytest.mark.parametrize("closed, slices", [(False, 4), (True, 5)])
-def test_workers_never_outnumber_the_slices(monkeypatch, closed, slices):
+def test_workers_never_outnumber_the_slices(monkeypatch, metric, closed, slices):
     forked = counted_forks(monkeypatch)
-    values = _sweep(lambda t: t, 4, 6, closed=closed)
+    values = _sweep(lambda t: t, Sample(metric, unit_grid(2, 4), 4).slices(closed), 6)
     assert values.tolist() == (np.arange(slices) / 4).tolist()
     assert len(forked) == slices - 1
     assert_no_child_left()
@@ -151,14 +154,15 @@ def test_workers_never_outnumber_the_slices(monkeypatch, closed, slices):
 def test_without_fork_the_sweep_is_serial(monkeypatch):
     monkeypatch.delattr(os, "fork")
     seen = []
-    values = _sweep(lambda t: seen.append(t) or t, 4, 3)
+    values = _sweep(lambda t: seen.append(t) or t, [0.0, 0.25, 0.5, 0.75], 3)
     assert seen == values.tolist() == [0.0, 0.25, 0.5, 0.75]
 
 
 def test_array_payloads_are_bitwise(tower2, psi, metric):
     f = build_stage_inventory(tower2, build_qm(tower2.level(0), 1, psi))["f"]
-    serial = local_vertical_conorms(f, metric, 16, 8)
-    pooled = local_vertical_conorms(f, metric, 16, 8, threads=3)
+    sample = Sample(metric, unit_grid(2, 16), 8)
+    serial = local_vertical_conorms(f, sample)
+    pooled = local_vertical_conorms(f, sample, threads=3)
     assert serial.shape == pooled.shape == (8, 256)
     assert np.array_equal(serial, pooled)
     assert_no_child_left()
