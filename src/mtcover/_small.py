@@ -7,11 +7,12 @@ mtcover writes itself for such blocks is here, numpy only.  The operands'
 shapes alone choose its path, by one of two rules:
 
 - Products (matmul, matvec, gram, congruence, quadratic) run entry by entry,
-  as elementwise arithmetic, on 2 x 2 blocks in a batch of at least
-  _MIN_BATCH blocks.  Every other shape runs the numpy expression the
-  kernel replaces, to the same bits.  The entry forms round every product
-  and every sum once, in their own order, and numpy's BLAS may fuse a
-  multiply into an add, so the two paths agree to rounding, not bit for bit.
+  as elementwise arithmetic, on 2 x 2 blocks, at every batch size, so a
+  block's product does not depend on how many blocks share the call.  Every
+  other shape runs the numpy expression the kernel replaces, to the same
+  bits.  The entry forms round every product and every sum once, in their
+  own order, and numpy's BLAS may fuse a multiply into an add, so the two
+  paths agree to rounding, not bit for bit.
 - Spectral kernels (extremes, singular_extremes, cholesky, whitened_min_eig)
   run in closed form below n = 3, at any batch size, and call LAPACK from
   n = 3 up.  chain_sigma_min, on products of m x m chart factors
@@ -36,13 +37,6 @@ import math
 
 import numpy as np
 
-# Smallest batch, in blocks of the larger operand, multiplied entry by
-# entry.  Measured on float64 2 x 2 batches (numpy 2.4.6, OpenBLAS at one
-# thread, Python 3.11, 2-core x86-64 VM): matmul and matvec break even with
-# numpy between 448 and 640 blocks, gram, congruence and quadratic near 256;
-# at 4,096 blocks the entry forms take 1/5 to 1/2 of numpy's time.
-_MIN_BATCH = 512
-
 # The largest |det| that chain_sigma_min carries from one chart factor to
 # the next before it scales the running determinant and adjugate down.
 _RESCALE_AT = 2.0 ** 64
@@ -50,16 +44,14 @@ _RESCALE_AT = 2.0 ** 64
 
 def _entrywise(a: np.ndarray, b: np.ndarray) -> bool:
     """True where products of batched matrices a and b, (..., r, c), run
-    entry by entry: both are 2 x 2 and one batch holds _MIN_BATCH blocks."""
-    return ((a.size >= 4 * _MIN_BATCH or b.size >= 4 * _MIN_BATCH)
-            and a.shape[-2:] == b.shape[-2:] == (2, 2))
+    entry by entry: both are 2 x 2."""
+    return a.shape[-2:] == b.shape[-2:] == (2, 2)
 
 
 def _entrywise_vec(a: np.ndarray, u: np.ndarray) -> bool:
     """_entrywise for batched matrices a, (..., r, c), with batched vectors
-    u, (..., c): a is 2 x 2, u has 2 entries, one batch holds _MIN_BATCH."""
-    return ((a.size >= 4 * _MIN_BATCH or u.size >= 2 * _MIN_BATCH)
-            and a.shape[-2:] == (2, 2) and u.shape[-1] == 2)
+    u, (..., c): a is 2 x 2 and u has 2 entries."""
+    return a.shape[-2:] == (2, 2) and u.shape[-1] == 2
 
 
 def batched(rows: np.ndarray, k: int) -> np.ndarray:

@@ -188,7 +188,8 @@ def emit_json(doc: dict, out_path: str | None):
 
 
 def _work_counters(cfg: RunConfig) -> dict:
-    # deterministic work-size counters; wall time goes to stderr only
+    # deterministic work-size counters of the tensor grid, whose extrema
+    # the constants are; wall time goes to stderr only
     return {
         "parameter_slices": cfg.t_res,
         "grid_points_per_slice": cfg.fiber_res ** cfg.n,
@@ -204,11 +205,12 @@ def _csv_rows(rows, header: str, out_path: str | None):
 
 def _dump_conorm_csv(cfg: RunConfig, f, sample: Sample):
     """Dump of the local vertical conorm of the composite map at the run's
-    sample, on its factored Gram; it frames f once more per slice."""
-    local = local_vertical_conorms(f, sample, cfg.threads)
+    sample, on its factored Gram, one row per tensor grid point with its
+    representative's value; it frames f once more per slice."""
+    local = local_vertical_conorms(f, sample, cfg.threads)[:, sample.rows]
     rows = []
     for t, slice_values in zip(sample.slices(), local):
-        for x, c in zip(sample.grid, slice_values):
+        for x, c in zip(sample.points, slice_values):
             rows.append([t, *x, c])
     header = "t," + ",".join(f"x_{i + 1}" for i in range(cfg.n)) + ",local_conorm"
     _csv_rows(rows, header, cfg.csv_out)

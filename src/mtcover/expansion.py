@@ -1,7 +1,8 @@
 """Measured expansion constants and the verification pipeline.
 
 All estimates sweep a run's Sample: its parameter slices times its fiber
-points, a regular grid in a run.  Within a slice every chart branch is
+points, in a run the representatives of a regular grid by the fiber axes
+that no frequency of the field uses.  Within a slice every chart branch is
 fixed, so the sweeps are fully vectorized.  A run's sweeps share one
 worker group (_Group): measure_constants forks it once, every process of
 it runs the same code and takes its own slices, and each sweep hands every
@@ -618,7 +619,10 @@ def measure_constants(h_field: TrigDisplacementField, m: int, *, k: int | None =
     Returns the Measurement that verify_expansion takes.  Its one Sample,
     fiber_res points per axis times t_res slices, holds every sweep's
     points and the Gram factored there, so c_eq, c_q, C, K and a later
-    verify_expansion share one grid and one factor.  The sweeps run in one
+    verify_expansion share one grid and one factor.  Every map of the run
+    is built from h_field, so the sample keeps one representative of each
+    line along the axes that no frequency uses, where each constant reads
+    the tensor grid's value.  The sweeps run in one
     worker group of threads processes, forked once after c_eq factors the Gram;
     every process measures the same constants from the same slice values,
     and the children stay parked with the run until verify_expansion.
@@ -627,7 +631,8 @@ def measure_constants(h_field: TrigDisplacementField, m: int, *, k: int | None =
     reuses qm's stages (build_stage_inventory).
     """
     h = TrigDisplacementMap(h_field)
-    sample = Sample(MetricG(h), unit_grid(h.dim, fiber_res), t_res)
+    sample = Sample(MetricG(h), unit_grid(h.dim, fiber_res), t_res,
+                    _fixed=h_field.unused_axes())
     psi = default_psi(h_field)
     c_eq = estimate_metric_equiv(sample)
     qm, phi1 = build_qm(h, m, psi), default_phi1(h_field, base)

@@ -68,6 +68,20 @@ class TrigDisplacementField:
             raise DimensionMismatch("one phase flag required per term")
         if not np.all((phases == SIN) | (phases == COS)):
             raise UnsupportedForm("phase flags must be SIN or COS")
+        self._set_terms(coeffs, freqs, phases)
+
+    @classmethod
+    def _of_valid(cls, dim: int, coeffs: np.ndarray, freqs: np.ndarray,
+                  phases: np.ndarray) -> "TrigDisplacementField":
+        """The field of term arrays in the form __post_init__ leaves them,
+        such as those derived from a valid field, without its checks."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "dim", dim)
+        out._set_terms(coeffs, freqs, phases)
+        return out
+
+    def _set_terms(self, coeffs: np.ndarray, freqs: np.ndarray, phases: np.ndarray):
+        """Store valid term arrays and the tables the jet reads from them."""
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "freqs", freqs)
         object.__setattr__(self, "phases", phases)
@@ -193,17 +207,15 @@ class TrigDisplacementField:
             raise UnsupportedForm("dilation factor must be an integer >= 2")
         if int(np.abs(self.freqs).max(initial=0)) * factor > MAX_FREQ:
             raise UnsupportedForm(f"dilating by {factor} takes a frequency past {MAX_FREQ}")
-        return TrigDisplacementField(self.dim, self.coeffs / factor,
-                                     self.freqs * factor, self.phases)
+        return self._of_valid(self.dim, self.coeffs / factor, self.freqs * factor, self.phases)
 
     def scaled(self, c: float) -> "TrigDisplacementField":
-        return TrigDisplacementField(self.dim, self.coeffs * float(c),
-                                     self.freqs, self.phases)
+        return self._of_valid(self.dim, self.coeffs * float(c), self.freqs, self.phases)
 
     def plus(self, other: "TrigDisplacementField") -> "TrigDisplacementField":
         if other.dim != self.dim:
             raise DimensionMismatch("cannot add fields of different dims")
-        return TrigDisplacementField(
+        return self._of_valid(
             self.dim,
             np.concatenate([self.coeffs, other.coeffs]),
             np.concatenate([self.freqs, other.freqs]),
@@ -216,6 +228,18 @@ class TrigDisplacementField:
         if self.n_terms:
             mask |= np.any(self.coeffs != 0.0, axis=0)
         return mask
+
+    def unused_axes(self) -> np.ndarray:
+        """Boolean mask of the coordinates that no frequency uses.
+
+        An angle 2 pi <b, x> adds 0 * x_j for such a coordinate j, so the
+        jet at x does not depend on x_j, and neither does that of any map or
+        isotopy built from the field and its lifts: bit for bit where each
+        angle is one product, and to rounding where a frequency uses two
+        axes, since BLAS rounds that dot product by the point's place in
+        the batch.
+        """
+        return ~np.any(self.freqs != 0, axis=0)
 
     def is_invariant_along(self, moved: np.ndarray) -> bool:
         """True if the field value cannot change when only `moved` coords move."""
@@ -242,8 +266,11 @@ def jacobian_norm_bound(field: TrigDisplacementField) -> float:
 
 
 def jacobian_sup_norm(field: TrigDisplacementField, per_axis: int = 64) -> float:
-    """Max spectral norm of the displacement Jacobian on a regular grid."""
-    grid = unit_grid(field.dim, per_axis)
+    """Max spectral norm of the displacement Jacobian on a regular grid of
+    per_axis points per axis.  The Jacobian is the same along an unused
+    axis, so it is read at one representative of each line along those
+    axes (quotient): the grid's maximum, bit for bit."""
+    grid = quotient(unit_grid(field.dim, per_axis), field.unused_axes())[0]
     jac = field.jacobian(grid)
     if jac.size == 0:
         return 0.0
@@ -255,6 +282,24 @@ def unit_grid(dim: int, per_axis: int) -> np.ndarray:
     axes = [np.arange(per_axis) / per_axis] * dim
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=-1)
+
+
+def quotient(points: np.ndarray, fixed: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """(representatives, rows): the points (P, n) with their fixed
+    coordinates (a boolean mask) set to 0, each distinct one once, and for
+    each point the index of its representative.
+
+    The representatives come in lexicographic order, so on unit_grid they
+    are its points whose fixed coordinates take their first value, 0, in
+    grid order.  With nothing fixed they are the points themselves.
+    """
+    points = np.asarray(points, dtype=float)
+    if fixed is None or not np.any(fixed):
+        return points, np.arange(len(points))
+    reps = points.copy()
+    reps[:, fixed] = 0.0
+    reps, rows = np.unique(reps, axis=0, return_inverse=True)
+    return reps, rows.reshape(-1)
 
 
 def shear_field(eps: float, dim: int = 2, freq: int = 1) -> TrigDisplacementField:

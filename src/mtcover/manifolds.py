@@ -18,6 +18,7 @@ import numpy as np
 
 from ._small import entry_major, gram, matvec, whitener
 from .errors import DimensionMismatch, NonFiniteSlice, UnsupportedForm
+from .fields import quotient
 from .torus_maps import TorusMapHandle, torus_representative
 
 _MAX_WINDINGS = 10 ** 5  # how far from the chart normalize_raw takes a parameter
@@ -215,6 +216,14 @@ class Sample:
     """The points a run's sweeps measure at: t_res parameter slices times a
     fiber point set, with its metric's fiber Gram factored there.
 
+    With _fixed, a boolean mask of fiber axes along which every map of the
+    run and the metric commute with translation (measure_constants passes
+    the field's unused axes), grid holds one representative of each line
+    of the given points along them (fields.quotient), and every per-point
+    quantity there is the points' own.  points keeps the given points and
+    rows, for each of them, its representative's row of grid, for the CSV
+    dump; without _fixed, grid holds the given points themselves.
+
     It owns the grid, a read-only copy of the one it is given: every sweep
     of a run frames its maps at that one array, so each field's jet there is
     computed once per run.  slices() is the one slice rule.  On a fixed grid
@@ -227,9 +236,13 @@ class Sample:
     the sample, so no reference cycle forms.
     """
 
-    def __init__(self, metric: MetricG, grid: np.ndarray, t_res: int):
+    def __init__(self, metric: MetricG, grid: np.ndarray, t_res: int, *,
+                 _fixed: np.ndarray | None = None):
         self.metric, self.t_res = metric, t_res
-        self.grid = _run_grid(grid)
+        points = np.asarray(grid, dtype=float)
+        reps, self.rows = quotient(points, _fixed)
+        self.grid = _run_grid(reps)
+        self.points = self.grid if reps is points else points
         self.d = metric.fiber_gram(1.0, self.grid)
         # eigh returns NaN for NaN input, outside the guard of the sweeps
         if not np.isfinite(self.d).all():

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import mtcover.coverings
+from mtcover import _small
 from mtcover.coverings import (
     IdentityFrame,
     StageFrame,
@@ -303,7 +304,8 @@ def explicit_fold(cover, t, x):
     fr = StageFrame(t, x, 1.0, np.zeros_like(x), np.broadcast_to(np.eye(n), x.shape + (n,)))
     for st in cover.stages:
         step = st.frame(fr.t_out, fr.x_out, +1)
-        fr = StageFrame(step.t_out, step.x_out, *step.push(fr.slope, fr.w), step.v @ fr.v)
+        fr = StageFrame(step.t_out, step.x_out, *step.push(fr.slope, fr.w),
+                        _small.matmul(step.v, fr.v))
     return fr
 
 

@@ -263,9 +263,9 @@ def _count_factors(monkeypatch):
     built, eighs = [], []
     init, eigh = Sample.__init__, np.linalg.eigh
 
-    def counted_init(self, *args):
+    def counted_init(self, *args, **kwargs):
         built.append(1)
-        init(self, *args)
+        init(self, *args, **kwargs)
 
     def counted_eigh(*args, **kwargs):
         eighs.append(1)
@@ -355,8 +355,8 @@ def test_small_fibers_make_no_lapack_call_per_slice(name, shear, monkeypatch):
 
 def test_a_permuted_grid_gives_the_grid_values(f_k2, metric):
     # a sweep reads its points from the sample alone, so their order does
-    # not matter; 256 points are below _small's batch crossover, whose path
-    # may round differently, so the values are compared by rtol
+    # not matter; a field's BLAS products may round a point by its place in
+    # the batch, so the values are compared by rtol
     grid = unit_grid(2, 16)
     perm = np.random.default_rng(0).permutation(len(grid))
     values = []
@@ -370,7 +370,7 @@ def test_a_permuted_grid_gives_the_grid_values(f_k2, metric):
 
 
 def test_every_sweep_runs_on_random_points(f_k2, metric, tower2, shear_map, psi):
-    # 512 seeded points off the grid (at _small's batch crossover): every
+    # 512 seeded points off the grid: every
     # sweep gives finite values, and the random points already find a lower
     # vertical margin and a higher K than the 16^2 grid with twice as many
     # points (6.7149 against 6.8164, 3.6844 against 3.3932)

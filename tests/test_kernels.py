@@ -269,8 +269,8 @@ def test_scaling_the_chain_down_is_exact(rng, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Batched products of _small: entry by entry on 2 x 2 batches of at least
-# _MIN_BATCH blocks, numpy's expression otherwise
+# Batched products of _small: entry by entry on 2 x 2 blocks at every batch
+# size, numpy's expression on every other shape
 
 KERNELS = {"matmul": matmul, "matvec": matvec, "gram": gram,
            "congruence": congruence, "quadratic": quadratic}
@@ -382,18 +382,30 @@ def test_nan_entry_propagates_to_a_typed_error(rng, name):
         _sweep(lambda t: KERNELS[name](*(broken if t else ops)).min(), [0.0, 0.5], 1)
 
 
-@pytest.mark.parametrize("n, size", [(2, 1), (2, 64), (2, _small._MIN_BATCH - 1),
-                                     (1, 4096), (3, 4096)])
+@pytest.mark.parametrize("n, size", [(2, 1), (2, 64), (2, 511), (1, 4096), (3, 4096)])
 @pytest.mark.parametrize("name", sorted(KERNELS))
 def test_numpy_path_is_numpys_expression_bit_for_bit(rng, name, n, size, entry_calls):
-    ops = _operands(rng, name, size, n)
-    assert np.array_equal(KERNELS[name](*ops), PLAIN[name](*ops))
-    assert entry_calls == []
+    # the shape alone picks the path: 1 x 1 and 3 x 3 blocks take numpy's
+    # expression, and 2 x 2 blocks the entry path at every batch size, which
+    # agrees with numpy's to rounding and gives each block the bits it gets
+    # in any larger batch
+    if n != 2:
+        ops = _operands(rng, name, size, n)
+        assert np.array_equal(KERNELS[name](*ops), PLAIN[name](*ops))
+        assert entry_calls == []
+        return
+    ops = _operands(rng, name, 4096, n)
+    head = [x[:size] for x in ops]
+    got = KERNELS[name](*head)
+    assert entry_calls and set(entry_calls) == {(size,)}
+    assert np.all(np.abs(got - PLAIN[name](*head))
+                  <= 4 * EPS * PLAIN[name](*(np.abs(x) for x in head)))
+    assert np.array_equal(KERNELS[name](*ops)[:size], got)
 
 
 def test_verify_agrees_across_the_entry_switch(tmp_path, monkeypatch, entry_calls):
-    # 32^2 = 1,024 points per slice, above the crossover; raising it above
-    # the batch puts every product back on numpy's path
+    # the 2 x 2 products run entry by entry; switching the entry rules off
+    # puts every product on numpy's path
     config = tmp_path / "shear.json"
     config.write_text(json.dumps({
         "n": 2, "eps": 0.1, "field": [{"coeff": [1.0, 0.0], "freq": [0, 1], "phase": "sin"}],
@@ -411,7 +423,8 @@ def test_verify_agrees_across_the_entry_switch(tmp_path, monkeypatch, entry_call
 
     entry = reports()
     assert entry_calls
-    monkeypatch.setattr(_small, "_MIN_BATCH", 1025)
+    for rule in ("_entrywise", "_entrywise_vec"):
+        monkeypatch.setattr(_small, rule, lambda *operands: False)
     entry_calls.clear()
     plain = reports()
     assert entry_calls == []

@@ -76,7 +76,7 @@ def test_small_imports_nothing_from_the_package():
 
 
 def test_no_module_imports_a_private_name_of_small():
-    # the path rules (the batch crossover, the closed-form dimensions) stay
+    # the path rules (the 2 x 2 entry forms, the closed-form dimensions) stay
     # inside _small, so no caller learns which path a kernel took
     found = []
     for path in sorted(SRC.glob("*.py")):
@@ -247,9 +247,15 @@ def test_the_sampling_decision_stays_in_sample():
     # one sampling plan: manifolds.py decides how a sample's slices and its
     # read-only grid are laid out (Sample), measure_constants picks a run's
     # grid and builds its one Sample, and jacobian_sup_norm keeps a grid of
-    # its own for the diffeotopy check of a field
+    # its own for the diffeotopy check of a field; those two alone ask a
+    # field for its unused axes, so no sweep quotients its own points, and
+    # the quotient is taken where a Sample or that grid is built
     assert {module for module, _ in _callers("linspace")} == {"manifolds.py"}
     assert {module for module, _ in _callers("_run_grid")} == {"manifolds.py"}
     assert _callers("unit_grid") == {("expansion.py", "measure_constants"),
                                      ("fields.py", "jacobian_sup_norm")}
     assert _callers("Sample") == {("expansion.py", "measure_constants")}
+    assert _callers("unused_axes") == {("expansion.py", "measure_constants"),
+                                       ("fields.py", "jacobian_sup_norm")}
+    assert _callers("quotient") == {("manifolds.py", "Sample.__init__"),
+                                    ("fields.py", "jacobian_sup_norm")}
