@@ -30,7 +30,7 @@ import numpy as np
 from .coverings import build_qm, build_stage_inventory, orbit, preimages
 from .errors import ConfigError, MTCoverError
 from .expansion import default_psi, local_vertical_conorms, measure_constants, verify_expansion
-from .fields import MAX_FREQ, TrigDisplacementField
+from .fields import MAX_FREQ, TrigDisplacementField, unit_grid
 from .lifting import tower_from_field
 from .manifolds import MTPoint, Sample, check_seams
 
@@ -205,12 +205,17 @@ def _csv_rows(rows, header: str, out_path: str | None):
 
 def _dump_conorm_csv(cfg: RunConfig, f, sample: Sample):
     """Dump of the local vertical conorm of the composite map at the run's
-    sample, on its factored Gram, one row per tensor grid point with its
-    representative's value; it frames f once more per slice."""
-    local = local_vertical_conorms(f, sample, cfg.threads)[:, sample.rows]
-    rows = []
-    for t, slice_values in zip(sample.slices(), local):
-        for x, c in zip(sample.points, slice_values):
+    sample, on its factored Gram, one row per tensor grid point in grid
+    order: each slice's values on the quotient grid are broadcast along the
+    field's unused axes onto unit_grid(n, fiber_res).  It frames f once more
+    per slice."""
+    local = local_vertical_conorms(f, sample, cfg.threads)
+    res, slices = cfg.fiber_res, sample.slices()
+    shape = [len(slices)] + [1 if u else res for u in cfg.displacement_field().unused_axes()]
+    local = np.broadcast_to(local.reshape(shape), (len(slices),) + (res,) * cfg.n)
+    grid, rows = unit_grid(cfg.n, res), []
+    for t, slice_values in zip(slices, local.reshape(len(slices), -1)):
+        for x, c in zip(grid, slice_values):
             rows.append([t, *x, c])
     header = "t," + ",".join(f"x_{i + 1}" for i in range(cfg.n)) + ",local_conorm"
     _csv_rows(rows, header, cfg.csv_out)

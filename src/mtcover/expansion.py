@@ -620,9 +620,9 @@ def measure_constants(h_field: TrigDisplacementField, m: int, *, k: int | None =
     fiber_res points per axis times t_res slices, holds every sweep's
     points and the Gram factored there, so c_eq, c_q, C, K and a later
     verify_expansion share one grid and one factor.  Every map of the run
-    is built from h_field, so the sample keeps one representative of each
-    line along the axes that no frequency uses, where each constant reads
-    the tensor grid's value.  The sweeps run in one
+    is built from h_field, so the sample holds unit_grid's quotient by the
+    axes that no frequency uses, where each constant reads the tensor
+    grid's value.  The sweeps run in one
     worker group of threads processes, forked once after c_eq factors the Gram;
     every process measures the same constants from the same slice values,
     and the children stay parked with the run until verify_expansion.
@@ -631,8 +631,7 @@ def measure_constants(h_field: TrigDisplacementField, m: int, *, k: int | None =
     reuses qm's stages (build_stage_inventory).
     """
     h = TrigDisplacementMap(h_field)
-    sample = Sample(MetricG(h), unit_grid(h.dim, fiber_res), t_res,
-                    _fixed=h_field.unused_axes())
+    sample = Sample(MetricG(h), unit_grid(h.dim, fiber_res, h_field.unused_axes()), t_res)
     psi = default_psi(h_field)
     c_eq = estimate_metric_equiv(sample)
     qm, phi1 = build_qm(h, m, psi), default_phi1(h_field, base)

@@ -12,6 +12,8 @@ standard torus self-cover.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -268,38 +270,30 @@ def jacobian_norm_bound(field: TrigDisplacementField) -> float:
 def jacobian_sup_norm(field: TrigDisplacementField, per_axis: int = 64) -> float:
     """Max spectral norm of the displacement Jacobian on a regular grid of
     per_axis points per axis.  The Jacobian is the same along an unused
-    axis, so it is read at one representative of each line along those
-    axes (quotient): the grid's maximum, bit for bit."""
-    grid = quotient(unit_grid(field.dim, per_axis), field.unused_axes())[0]
-    jac = field.jacobian(grid)
+    axis, so it is read on unit_grid's quotient by those axes,
+    per_axis^(used axes) points: the tensor grid's maximum, bit for bit."""
+    jac = field.jacobian(unit_grid(field.dim, per_axis, field.unused_axes()))
     if jac.size == 0:
         return 0.0
     return float(singular_extremes(jac)[1].max())
 
 
-def unit_grid(dim: int, per_axis: int) -> np.ndarray:
-    """Regular grid on [0,1)^dim, shape (per_axis**dim, dim)."""
-    axes = [np.arange(per_axis) / per_axis] * dim
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1)
+def unit_grid(dim: int, per_axis: int, fixed: np.ndarray | None = None) -> np.ndarray:
+    """Regular grid on [0,1)^dim, i / per_axis on each axis, in lexicographic
+    order, shape (per_axis ** free axes, dim).
 
-
-def quotient(points: np.ndarray, fixed: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """(representatives, rows): the points (P, n) with their fixed
-    coordinates (a boolean mask) set to 0, each distinct one once, and for
-    each point the index of its representative.
-
-    The representatives come in lexicographic order, so on unit_grid they
-    are its points whose fixed coordinates take their first value, 0, in
-    grid order.  With nothing fixed they are the points themselves.
+    An axis in the boolean mask fixed takes only its first value, 0, so the
+    result is the tensor grid's points that are 0 there, in grid order: one
+    representative of each line along the fixed axes, with no tensor grid
+    built.  A grid numpy cannot address raises MemoryError before anything
+    is allocated.
     """
-    points = np.asarray(points, dtype=float)
-    if fixed is None or not np.any(fixed):
-        return points, np.arange(len(points))
-    reps = points.copy()
-    reps[:, fixed] = 0.0
-    reps, rows = np.unique(reps, axis=0, return_inverse=True)
-    return reps, rows.reshape(-1)
+    sizes = [per_axis] * dim if fixed is None else [1 if f else per_axis for f in fixed]
+    count = math.prod(sizes)
+    if count * dim > sys.maxsize // 8:
+        raise MemoryError(f"a grid of {count} points in dimension {dim} is more than "
+                          "numpy can address")
+    return np.stack(np.unravel_index(np.arange(count), sizes), axis=-1) / per_axis
 
 
 def shear_field(eps: float, dim: int = 2, freq: int = 1) -> TrigDisplacementField:

@@ -11,6 +11,7 @@ fiber coordinates in [0,1)^n.
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -18,7 +19,6 @@ import numpy as np
 
 from ._small import entry_major, gram, matvec, whitener
 from .errors import DimensionMismatch, NonFiniteSlice, UnsupportedForm
-from .fields import quotient
 from .torus_maps import TorusMapHandle, torus_representative
 
 _MAX_WINDINGS = 10 ** 5  # how far from the chart normalize_raw takes a parameter
@@ -216,33 +216,24 @@ class Sample:
     """The points a run's sweeps measure at: t_res parameter slices times a
     fiber point set, with its metric's fiber Gram factored there.
 
-    With _fixed, a boolean mask of fiber axes along which every map of the
-    run and the metric commute with translation (measure_constants passes
-    the field's unused axes), grid holds one representative of each line
-    of the given points along them (fields.quotient), and every per-point
-    quantity there is the points' own.  points keeps the given points and
-    rows, for each of them, its representative's row of grid, for the CSV
-    dump; without _fixed, grid holds the given points themselves.
-
-    It owns the grid, a read-only copy of the one it is given: every sweep
-    of a run frames its maps at that one array, so each field's jet there is
-    computed once per run.  slices() is the one slice rule.  On a fixed grid
-    the Gram is affine in t, M(t) = (1-t) I + t D with D = Dh^T Dh, so one
-    eigendecomposition D = Q diag(lam) Q^T whitens every slice:
-    W(t) = Q diag((1-t) + t lam)^(-1/2) has W^T M(t) W = I.  The eigh runs
-    on first use, since the K sweep never whitens; a forked sweep worker
-    that runs it keeps its own copy, which the caller recomputes if it
-    needs it.  The sample holds its metric, and the metric does not hold
-    the sample, so no reference cycle forms.
+    It sweeps exactly the points it is given.  A run's are unit_grid's
+    quotient by the field's unused axes (measure_constants), where every
+    per-point quantity is the tensor grid's own; a library caller may pass
+    any point set.  It owns the grid, a read-only copy of the one it is
+    given: every sweep of a run frames its maps at that one array, so each
+    field's jet there is computed once per run.  slices() is the one slice
+    rule.  On a fixed grid the Gram is affine in t, M(t) = (1-t) I + t D
+    with D = Dh^T Dh, so one eigendecomposition D = Q diag(lam) Q^T whitens
+    every slice: W(t) = Q diag((1-t) + t lam)^(-1/2) has W^T M(t) W = I.
+    The eigh runs on first use, since the K sweep never whitens; a forked
+    sweep worker that runs it keeps its own copy, which the caller
+    recomputes if it needs it.  The sample holds its metric, and the metric
+    does not hold the sample, so no reference cycle forms.
     """
 
-    def __init__(self, metric: MetricG, grid: np.ndarray, t_res: int, *,
-                 _fixed: np.ndarray | None = None):
+    def __init__(self, metric: MetricG, grid: np.ndarray, t_res: int):
         self.metric, self.t_res = metric, t_res
-        points = np.asarray(grid, dtype=float)
-        reps, self.rows = quotient(points, _fixed)
-        self.grid = _run_grid(reps)
-        self.points = self.grid if reps is points else points
+        self.grid = _run_grid(grid)
         self.d = metric.fiber_gram(1.0, self.grid)
         # eigh returns NaN for NaN input, outside the guard of the sweeps
         if not np.isfinite(self.d).all():
@@ -251,8 +242,11 @@ class Sample:
     def slices(self, closed: bool = False) -> list[float]:
         """The parameter slices i / t_res of [0, 1), in order.  closed adds
         t = 1: chart-level (flat-norm) quantities differ between the two
-        seam charts, so their extrema need both endpoints."""
+        seam charts, so their extrema need both endpoints.  A count that
+        numpy cannot address raises MemoryError before any allocation."""
         t_res = self.t_res
+        if t_res + 1 > sys.maxsize // 8:
+            raise MemoryError(f"{t_res} parameter slices are more than numpy can address")
         return (np.linspace(0.0, 1.0, t_res + 1) if closed else np.arange(t_res) / t_res).tolist()
 
     @cached_property

@@ -546,6 +546,32 @@ def test_a_grid_too_large_to_allocate_is_a_numerical_failure(tmp_path, capsys, c
     assert err.startswith("numerical failure: out of memory: ") and err.count("\n") == 1
 
 
+_ALL_ONES_40 = {"n": 40, "eps": 0.001,
+                "field": [{"coeff": [1.0] + [0.0] * 39, "freq": [1] * 40, "phase": "sin"}]}
+
+
+@pytest.mark.parametrize("overrides", [
+    {"fiber_res": 2 ** 22, "k": 1},
+    {"t_res": 2 ** 62, "fiber_res": 4},
+    dict(_ALL_ONES_40, fiber_res=4, t_res=4),
+], ids=["cyc3-fiber_res-2^22", "cyc3-t_res-2^62", "n40-all-ones"])
+def test_a_size_numpy_cannot_address_is_a_numerical_failure(tmp_path, overrides):
+    # 2^66 grid points, 2^62 + 1 slices, 4^40 grid points: the sizes are
+    # counted in Python integers and refused before numpy is asked, so the
+    # run stops at once with one line and no traceback
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    data = read_json(os.path.join(root, "configs", "cyc3.json"))
+    cfg = write_config(tmp_path, **dict(data, **overrides))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    started = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "mtcover", "constants", "--config", cfg],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert time.perf_counter() - started < 10.0
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("numerical failure: out of memory: ")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
 def test_a_contraction_constant_at_most_one_fails_with_a_report(tmp_path):
     # at the forced depth k = 1 the cone floor of this field is 0.74: no
     # step count beats the norm gap, so verify reports the failed checks

@@ -247,15 +247,18 @@ def test_the_sampling_decision_stays_in_sample():
     # one sampling plan: manifolds.py decides how a sample's slices and its
     # read-only grid are laid out (Sample), measure_constants picks a run's
     # grid and builds its one Sample, and jacobian_sup_norm keeps a grid of
-    # its own for the diffeotopy check of a field; those two alone ask a
-    # field for its unused axes, so no sweep quotients its own points, and
-    # the quotient is taken where a Sample or that grid is built
+    # its own for the diffeotopy check of a field; those two ask a field for
+    # its unused axes and unit_grid for their quotient, so no sweep
+    # quotients its own points.  The CSV dump alone also asks both, to
+    # broadcast the run's values onto the tensor grid.  No grid is sorted
+    # into its quotient or built by np.meshgrid
     assert {module for module, _ in _callers("linspace")} == {"manifolds.py"}
     assert {module for module, _ in _callers("_run_grid")} == {"manifolds.py"}
     assert _callers("unit_grid") == {("expansion.py", "measure_constants"),
-                                     ("fields.py", "jacobian_sup_norm")}
+                                     ("fields.py", "jacobian_sup_norm"),
+                                     ("cli.py", "_dump_conorm_csv")}
     assert _callers("Sample") == {("expansion.py", "measure_constants")}
     assert _callers("unused_axes") == {("expansion.py", "measure_constants"),
-                                       ("fields.py", "jacobian_sup_norm")}
-    assert _callers("quotient") == {("manifolds.py", "Sample.__init__"),
-                                    ("fields.py", "jacobian_sup_norm")}
+                                       ("fields.py", "jacobian_sup_norm"),
+                                       ("cli.py", "_dump_conorm_csv")}
+    assert _callers("unique") == _callers("meshgrid") == set()
